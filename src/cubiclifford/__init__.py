@@ -61,7 +61,6 @@ from .gca import (
     GCAElement,
     GenericCliffordAlgebra,
     StructureMatrices,
-    derive_structure_matrices,
 )
 from .spoly import SPolynomial, discriminant_polynomial, poly_arithmetic
 
@@ -88,7 +87,6 @@ __all__ = [
     "construct_cover_point",
     "cube_root_in_field",
     "curve_points",
-    "derive_structure_matrices",
     "diagonalize",
     "discriminant",
     "discriminant_polynomial",

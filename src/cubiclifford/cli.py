@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", default=None, help="a,b,c,d")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=None, help="reserved; all subcommands are deterministic")
         p.add_argument("--bound", type=int, default=2, help="gamma-degree bound (gamma-free)")
         p.add_argument("--which", type=int, choices=(1, 2, 3, 4), default=1, help="cover index (cover-point)")
         p.add_argument(

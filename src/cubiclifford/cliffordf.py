@@ -28,7 +28,7 @@ from .freealg import (
     gamma_element,
     linear_substitute,
 )
-from .gca import BASIS_WORDS, GCAElement, _structure_columns_int
+from .gca import BASIS_WORDS, GCAElement, _Echelon, _structure_columns_int
 from .spoly import GAMMA_VARS, SPolynomial
 
 from . import curves
@@ -390,29 +390,8 @@ def gamma_independence_check(f: BinaryCubicForm, degree_bound: int) -> bool:
 
 
 def _rank(vectors, field) -> int:
-    if field.kind == "Fp":
-        import numpy as np
-
-        from .gca import _rref_mod_p
-
-        a = np.array([[s.val for s in v] for v in vectors], dtype=np.int64)
-        _, _, pivots = _rref_mod_p(a.T % field.p, field.p)
-        return len(pivots)
-    rows = [list(v) for v in vectors]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][c].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][c].is_zero():
-                fct = rows[i][c]
-                rows[i] = [a - fct * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of dense rows of scalars, by the sparse exact kernel."""
+    ech = _Echelon(field.p)
+    return sum(
+        ech.add({j: s.val if field.p else s for j, s in enumerate(v)}) for v in vectors
+    )

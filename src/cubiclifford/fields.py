@@ -34,7 +34,11 @@ PRIME = "Fp"
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2^31 cap on p."""
+    """Miller-Rabin with the twelve prime bases 2..37.
+
+    Deterministic for n < 3.18e23, which covers every 64-bit n; above that
+    bound it is a strong probable-prime test.
+    """
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -363,6 +367,9 @@ class Scalar:
 
     def __hash__(self):
         return hash((self.field, self.val))
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def is_zero(self) -> bool:
         if self.field.kind == CYCLOTOMIC:

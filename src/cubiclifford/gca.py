@@ -20,15 +20,28 @@ Three reduction routes exist and are cross-checked:
   mirror the basis degree profile 1,2,4,4,4,2,1). Every rule replaces a
   word by strictly deglex-smaller words, so any application order
   terminates; randomized-order runs are the confluence evidence suite.
+
+All exact linear algebra of the package runs through one row-sparse
+elimination kernel, ``_Echelon``, either mod p on Python ints or over exact
+field values. Its callers and their exact checks:
+
+* ``_DegreeSystem.solve_int`` (structure columns, conversion table):
+  eliminates mod a fixed prime, lifts symmetrically and verifies every
+  solution over Z;
+* ``GenericCliffordAlgebra.oracle_reduce``: one echelon per field and
+  degree; a target outside the span is reported as an inconsistent system;
+* ``ideal_membership``: over Q, and a "member" answer is certified by
+  verifying its combination of ideal columns over Z;
+* ``cliffordf._rank`` (the freeness check).
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-
-import numpy as np
+from math import lcm
 
 from .errors import FieldMismatch, NonTermination, UnsupportedField
 from .fields import FieldSpec, Scalar
@@ -135,10 +148,83 @@ def _candidate_columns(n: int):
     return out
 
 
+class _Echelon:
+    """Row-sparse semi-echelon basis: the package's one exact elimination.
+
+    Rows are ``{column: value}`` dicts. With a prime ``p`` the values are
+    residues mod p held as Python ints, so any p is exact; with ``p=None``
+    they are exact field values (``Fraction``, or ``Scalar`` over Q(w)).
+    Each stored row is monic at its pivot and vanishes at the pivots of the
+    rows stored before it, so one pass in insertion order reduces a vector.
+    With ``track`` every stored row also carries the combination of added
+    rows, by key, that it equals.
+    """
+
+    def __init__(self, p: int | None = None, track: bool = False):
+        self.p = p
+        self.track = track
+        self.rows = []  # (pivot, monic row, combination)
+
+    def _axpy(self, v: dict, f, row: dict):
+        """v += f * row in place, dropping zeros."""
+        p = self.p
+        for c, x in row.items():
+            old = v.get(c)
+            y = f * x if old is None else old + f * x
+            if p is not None:
+                y %= p
+            if y:
+                v[c] = y
+            else:  # f * x is nonzero, so y vanishes only where v had c
+                del v[c]
+
+    def reduce(self, vec: dict):
+        """(remainder, combination): vec is the remainder plus the added
+        rows weighted by the combination (empty unless tracking)."""
+        if self.p is not None:
+            vec = {c: x % self.p for c, x in vec.items()}
+        v = {c: x for c, x in vec.items() if x}
+        combo = {}
+        for pivot, row, row_combo in self.rows:
+            f = v.get(pivot)
+            if f:
+                self._axpy(v, -f, row)
+                if self.track:
+                    self._axpy(combo, f, row_combo)
+        return v, combo
+
+    def add(self, row: dict, key=None) -> bool:
+        """Store ``row`` under ``key``; False if it lies in the span already."""
+        v, combo = self.reduce(row)
+        if not v:
+            return False
+        pivot = min(v)
+        inv = pow(v[pivot], -1, self.p) if self.p is not None else 1 / v[pivot]
+        monic, own = {}, {key: inv} if self.track else {}
+        self._axpy(monic, inv, v)
+        self._axpy(own, -inv, combo)
+        self.rows.append((pivot, monic, own))
+        return True
+
+
+def _verify_over_z(target: dict, columns, coeffs: dict, what: str):
+    """Raise unless sum of coeffs[j] * columns[j] equals target over Z."""
+    acc = dict(target)
+    for j, v in coeffs.items():
+        for w, k in columns[j].items():
+            acc[w] = acc.get(w, 0) - v * k
+    if any(acc.values()):
+        raise AssertionError(f"{what} failed exact verification")
+
+
 class _DegreeSystem:
-    """Solver for one homogeneous degree: target word-vectors are expressed
-    over candidate columns modulo the ideal, with pivoting done once mod a
-    fixed prime and every integer solution verified exactly over Z."""
+    """Candidate and ideal columns of one homogeneous degree: a target
+    word-vector is solved over the candidate columns modulo the ideal.
+
+    ``solve_int`` eliminates once mod a fixed prime, lifts each solution
+    symmetrically to Z and verifies it exactly over Z before returning it;
+    ``echelon`` eliminates the same columns in any field for the oracle.
+    """
 
     PRIME = 9973
 
@@ -151,77 +237,42 @@ class _DegreeSystem:
         self.candidates = _candidate_columns(n)
         self.ideal = _ideal_columns(n)
         self.columns = [c for (_, _, c) in self.candidates] + self.ideal
-        rows, cols = len(self.words), len(self.columns)
-        a = np.zeros((rows, cols), dtype=np.int64)
-        for j, col in enumerate(self.columns):
-            for w, c in col.items():
-                a[self.index[w], j] = c % self.PRIME
-        self.rref, self.transform, self.pivots = _rref_mod_p(a, self.PRIME)
-        # candidates are linearly independent (freeness), so listing them
+        self.mod_prime = self.echelon(self.PRIME)
+
+    def echelon(self, p: int | None, value=int) -> _Echelon:
+        """The columns eliminated mod p, or with ``p=None`` over the field
+        whose elements ``value`` makes of the integer entries."""
+        ech = _Echelon(p, track=True)
+        pivoted = [
+            ech.add({self.index[w]: value(c) for w, c in col.items()}, j)
+            for j, col in enumerate(self.columns)
+        ]
+        # candidates are linearly independent (freeness), so adding them
         # first makes every candidate column a pivot
-        ncand = len(self.candidates)
-        if [c for c in self.pivots if c < ncand] != list(range(ncand)):
+        if not all(pivoted[: len(self.candidates)]):
             raise AssertionError("candidate columns failed to pivot")
+        return ech
+
+    def solve(self, ech: _Echelon, target: dict) -> dict:
+        """{column: coefficient} with the columns so weighted equal to target."""
+        rem, combo = ech.reduce({self.index[w]: c for w, c in target.items()})
+        if rem:
+            raise AssertionError("element not reducible: inconsistent system")
+        return combo
 
     def solve_int(self, target: dict) -> dict:
         """{(monomial expo, basis index): int} with exact verification."""
         p = self.PRIME
-        t = np.zeros(len(self.words), dtype=np.int64)
-        for w, c in target.items():
-            t[self.index[w]] = c % p
-        y = self.transform @ t % p
-        sol = {}
-        rank = len(self.pivots)
-        if np.any(y[rank:] % p):
-            raise AssertionError("inconsistent reduction system")
         lifted = {}
-        for r, c in enumerate(self.pivots):
-            v = int(y[r])
+        for c, v in self.solve(self.mod_prime, target).items():
             lifted[c] = v - p if v > p // 2 else v
-        # exact check over Z: sum of column * coefficient must equal target
-        acc = dict(target)
+        _verify_over_z(target, self.columns, lifted, "integer lift")
+        sol = {}
         for c, v in lifted.items():
-            if not v:
-                continue
-            for w, k in self.columns[c].items():
-                acc[w] = acc.get(w, 0) - v * k
-        if any(acc.values()):
-            raise AssertionError("integer lift failed exact verification")
-        for c, v in lifted.items():
-            if v and c < len(self.candidates):
+            if c < len(self.candidates):
                 expo, i, _ = self.candidates[c]
                 sol[(expo, i)] = v
         return sol
-
-
-def _rref_mod_p(a: np.ndarray, p: int):
-    rows, cols = a.shape
-    r_mat = a % p
-    transform = np.eye(rows, dtype=np.int64)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(r_mat[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            r_mat[[r, i]] = r_mat[[i, r]]
-            transform[[r, i]] = transform[[i, r]]
-        inv = pow(int(r_mat[r, c]), -1, p)
-        r_mat[r] = r_mat[r] * inv % p
-        transform[r] = transform[r] * inv % p
-        hit = np.nonzero(r_mat[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
-            f = r_mat[hit, c][:, None]
-            r_mat[hit] = (r_mat[hit] - f * r_mat[r]) % p
-            transform[hit] = (transform[hit] - f * transform[r]) % p
-        pivots.append(c)
-        r += 1
-    return r_mat, transform, pivots
 
 
 @lru_cache(maxsize=None)
@@ -230,52 +281,30 @@ def _degree_system(n: int) -> _DegreeSystem:
 
 
 @lru_cache(maxsize=None)
-def _fp_degree_system(p: int, n: int):
-    """Per-prime variant of _DegreeSystem for oracle reductions over F_p."""
-    sysd = _degree_system(n)  # reuse the column construction
-    rows, cols = len(sysd.words), len(sysd.columns)
-    a = np.zeros((rows, cols), dtype=np.int64)
-    for j, col in enumerate(sysd.columns):
-        for w, c in col.items():
-            a[sysd.index[w], j] = c % p
-    return sysd, _rref_mod_p(a, p)
+def _oracle_echelon(field: FieldSpec, n: int):
+    """The degree-n columns eliminated over ``field`` (residues mod p)."""
+    sysd = _degree_system(n)
+    return sysd, sysd.echelon(field.p, int if field.p else field.scalar)
 
 
 def ideal_membership(vec: dict, n: int) -> bool:
     """Exact membership of an integer word-vector in the degree-n ideal
-    component, decided over Q by fraction Gaussian elimination (independent
-    of the mod-p solver)."""
-    from fractions import Fraction
-
-    words = words_of_degree(n)
-    index = {w: k for k, w in enumerate(words)}
+    component, decided over Q (independent of the mod-p solver). A "member"
+    answer is certified by checking its combination of ideal columns over Z."""
+    index = {w: k for k, w in enumerate(words_of_degree(n))}
+    if any(w not in index for w in vec):
+        return False
     cols = _ideal_columns(n)
-    rows = [[Fraction(0)] * (len(cols) + 1) for _ in words]
+    ech = _Echelon(track=True)
     for j, col in enumerate(cols):
-        for w, c in col.items():
-            rows[index[w]][j] = Fraction(c)
-    for w, c in vec.items():
-        if w not in index:
-            return False
-        rows[index[w]][-1] = Fraction(c)
-    # eliminate; membership iff the augmented column has no pivot
-    nrows, ncols = len(rows), len(cols)
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return all(rows[i][-1] == 0 for i in range(r, nrows))
+        ech.add({index[w]: Fraction(c) for w, c in col.items()}, j)
+    rem, combo = ech.reduce({index[w]: Fraction(c) for w, c in vec.items()})
+    if rem:
+        return False
+    den = lcm(*(q.denominator for q in combo.values()))
+    coeffs = {j: q.numerator * (den // q.denominator) for j, q in combo.items()}
+    _verify_over_z({w: den * c for w, c in vec.items()}, cols, coeffs, "ideal membership")
+    return True
 
 
 # -- rewriting route ----------------------------------------------------------
@@ -541,72 +570,16 @@ class GenericCliffordAlgebra:
             raise FieldMismatch(f"{e.field} vs {self.field}")
         total = self.zero()
         for n, part in e.homogeneous_parts().items():
-            if self.field.kind == "Fp":
-                sol = self._oracle_solve_fp(part, n)
-            else:
-                sol = self._oracle_solve_generic(part, n)
+            sysd, ech = _oracle_echelon(self.field, n)
+            target = {w: c.val if self.field.p else c for w, c in part.terms.items()}
             coords = [self._zero_poly] * 18
-            for (expo, i), c in sol.items():
-                coords[i] = coords[i] + SPolynomial.monomial(self.field, expo, c)
+            for j, c in sysd.solve(ech, target).items():
+                if j < len(sysd.candidates):
+                    expo, i, _ = sysd.candidates[j]
+                    term = SPolynomial.monomial(self.field, expo, self.field.scalar(c))
+                    coords[i] = coords[i] + term
             total = total + GCAElement(self.field, coords)
         return total
-
-    def _oracle_solve_fp(self, part: FreeElement, n: int):
-        p = self.field.p
-        sysd, (rref, transform, pivots) = _fp_degree_system(p, n)
-        t = np.zeros(len(sysd.words), dtype=np.int64)
-        for w, c in part.terms.items():
-            t[sysd.index[w]] = c.val
-        y = transform @ t % p
-        rank = len(pivots)
-        if np.any(y[rank:] % p):
-            raise AssertionError("element not reducible: inconsistent system")
-        sol = {}
-        for r, c in enumerate(pivots):
-            v = int(y[r]) % p
-            if v and c < len(sysd.candidates):
-                expo, i, _ = sysd.candidates[c]
-                sol[(expo, i)] = self.field.scalar(v)
-        return sol
-
-    def _oracle_solve_generic(self, part: FreeElement, n: int):
-        sysd = _degree_system(n)
-        one, zero = self.field.one(), self.field.zero()
-        ncols = len(sysd.columns)
-        rows = [[zero] * (ncols + 1) for _ in sysd.words]
-        for j, col in enumerate(sysd.columns):
-            for w, c in col.items():
-                rows[sysd.index[w]][j] = self.field.scalar(c)
-        for w, c in part.terms.items():
-            rows[sysd.index[w]][-1] = c
-        nrows = len(rows)
-        r = 0
-        piv_of_col = {}
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [v * inv for v in rows[r]]
-            for i in range(nrows):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            piv_of_col[c] = r
-            r += 1
-            if r == nrows:
-                break
-        for i in range(r, nrows):
-            if not rows[i][-1].is_zero():
-                raise AssertionError("element not reducible: inconsistent system")
-        sol = {}
-        for c, rr in piv_of_col.items():
-            v = rows[rr][-1]
-            if not v.is_zero() and c < len(sysd.candidates):
-                expo, i, _ = sysd.candidates[c]
-                sol[(expo, i)] = v
-        return sol
 
     # -- rewriter route -------------------------------------------------------
 
@@ -737,10 +710,6 @@ class GenericCliffordAlgebra:
             self.reduce(eps * y - (y * eps).scale(w) - ga.scale(one - w)),
         )
         return report
-
-
-def derive_structure_matrices(field: FieldSpec) -> StructureMatrices:
-    return StructureMatrices(field)
 
 
 def validate_structure_columns() -> bool:

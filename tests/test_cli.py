@@ -143,6 +143,11 @@ def test_gamma_free(capsys):
         capsys, "gamma-free", "--field", "Fp", "--p", "7", "--coeffs", "1,0,0,1", "--bound", "2"
     )
     assert json.loads(out) == {"bound": 2, "independent": True}
+    code, out, _ = run_cli(
+        capsys, "gamma-free", "--field", "Fp", "--p", "18446744073709551427", "--coeffs", "1,0,0,1"
+    )
+    assert code == 0
+    assert json.loads(out) == {"bound": 2, "independent": True}
 
 
 def test_domain_error_exit_1(capsys):
@@ -176,3 +181,13 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"delta": 1}
+
+
+def test_import_pulls_in_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import cubiclifford, sys; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

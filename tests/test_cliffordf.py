@@ -22,6 +22,7 @@ from cubiclifford.errors import (
     FormMismatch,
     HypothesisNotMet,
 )
+from cubiclifford.fields import FieldSpec
 from cubiclifford.forms import BinaryCubicForm, GL2Element, diagonalize, _hessian_coefficients
 from cubiclifford.freealg import FreeElement, delta_element, parse_free_expression, s_element
 from cubiclifford.gca import GenericCliffordAlgebra
@@ -198,6 +199,8 @@ def test_brauer_probe():
 def test_gamma_independence():
     assert gamma_independence_check(BinaryCubicForm(F7, (1, 0, 0, 1)), 2)
     assert gamma_independence_check(BinaryCubicForm(F7, (0, 1, 1, 0)), 2)
+    for p in (2**61 - 1, 18446744073709551427):
+        assert gamma_independence_check(BinaryCubicForm(FieldSpec.prime(p), (1, 0, 0, 1)), 2)
     with pytest.raises(DegenerateForm):
         gamma_independence_check(BinaryCubicForm(F7, (1, 0, 0, 0)), 2)
     # (0,1,0,1) has Delta = 3 and -108*Delta = 4*3 = 5, a nonsquare mod 7

@@ -24,6 +24,7 @@ from cubiclifford.gca import (
     gamma_expansions_agree,
     irreducible_words,
     validate_structure_columns,
+    words_of_degree,
 )
 from cubiclifford.spoly import GCA_VARS, SPolynomial
 
@@ -211,6 +212,15 @@ def test_oracle_handles_degree_nine():
     via_oracle = alg.oracle_reduce(e3)
     assert via_oracle == alg.reduce(e3)
     assert alg.is_central(via_oracle)
+    # dense degree-9 elements at primes whose residues overflow 64-bit
+    # products: oracle, fold and rewriter still agree
+    rng = random.Random(9)
+    for p in (1073741719, 2**61 - 1, 18446744073709551427):
+        field = FieldSpec.prime(p)
+        alg = GenericCliffordAlgebra(field)
+        e = FreeElement(field, {w: rand_scalar(field, rng, nonzero=True) for w in words_of_degree(9)})
+        via_rewriter, _ = alg.rewrite_reduce(e, budget=100_000)
+        assert alg.oracle_reduce(e) == alg.reduce(e) == via_rewriter
 
 
 def test_rewrite_step_budget_on_basis_products():
