@@ -1,9 +1,11 @@
 """Shared recursive-descent parser for the small expression grammar.
 
 Tokens: identifiers, integer and ``p/q`` literals, ``+ - * ^`` and
-parentheses; whitespace insignificant. A context object supplies the
-semantic actions, so the same grammar serves free-algebra expressions and
-commutative polynomials.
+parentheses; whitespace insignificant. The caller supplies two callables,
+one making a value of a rational literal and one of a name; the operators
+are Python's own ``+ - * **`` and unary ``-`` on those values. So the same
+grammar serves free-algebra expressions, commutative polynomials and
+scalar literals.
 """
 
 from __future__ import annotations
@@ -53,10 +55,13 @@ class ExprParser:
                  primary := NAME | INT ['/' INT] | '(' expr ')'
     """
 
-    def __init__(self, text, context):
+    def __init__(self, text, const, symbol):
+        """``const(q)`` makes a value of the Fraction q, ``symbol(name, pos)``
+        of a name found at offset pos (or raises)."""
         self.tokens = tokenize(text)
         self.pos = 0
-        self.ctx = context
+        self.const = const
+        self.symbol = symbol
 
     def peek(self):
         return self.tokens[self.pos]
@@ -84,25 +89,25 @@ class ExprParser:
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            value = self.ctx.add(value, rhs) if op == "+" else self.ctx.sub(value, rhs)
+            value = value + rhs if op == "+" else value - rhs
         return value
 
     def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            value = self.ctx.mul(value, self.factor())
+            value = value * self.factor()
         return value
 
     def factor(self):
         if self.peek()[0] == "-":
             self.advance()
-            return self.ctx.neg(self.factor())
+            return -self.factor()
         value = self.primary()
         while self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            value = self.ctx.pow_int(value, tok[1])
+            value = value ** tok[1]
         return value
 
     def primary(self):
@@ -114,10 +119,10 @@ class ExprParser:
                 den = self.expect("int")
                 if den[1] == 0:
                     raise ParseError("zero denominator", den[2])
-                return self.ctx.const(Fraction(val, den[1]))
-            return self.ctx.const(Fraction(val))
+                return self.const(Fraction(val, den[1]))
+            return self.const(Fraction(val))
         if kind == "name":
-            return self.ctx.symbol(val, pos)
+            return self.symbol(val, pos)
         if kind == "(":
             value = self.expr()
             self.expect(")")

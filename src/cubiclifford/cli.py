@@ -23,42 +23,14 @@ class UsageError(Exception):
     pass
 
 
-class _ScalarContext:
-    def __init__(self, field):
-        self.field = field
-
-    def const(self, q):
-        return self.field.scalar(q)
-
-    def symbol(self, name, pos):
+def parse_scalar_literal(field: FieldSpec, text: str) -> Scalar:
+    def symbol(name, pos):
         if name == "w":
-            return self.field.omega()
+            return field.omega()
         raise UsageError(f"unknown symbol {name!r} in a scalar literal")
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def pow_int(a, n):
-        return a**n
-
-
-def parse_scalar_literal(field: FieldSpec, text: str) -> Scalar:
     try:
-        return ExprParser(text.strip(), _ScalarContext(field)).parse()
+        return ExprParser(text.strip(), field.scalar, symbol).parse()
     except CubicliffordError as err:
         raise UsageError(f"bad scalar literal {text!r}: {err}") from err
 

@@ -1,10 +1,12 @@
 """Specialized Clifford algebras: the generic rank-18 module evaluated at a
 binary cubic form, leaving the degree-4 central generator formal.
 
-Elements are 18-vectors of univariate polynomials in GA over k. Products
-fold through the generic structure matrices with (X3, AL, BE, Y3) evaluated
-at the form's coefficients, so the specialization map is an algebra
-homomorphism by construction and is cross-checked as one in the tests.
+Elements are 18-vectors of univariate polynomials in GA over k. The
+specialized algebra is the generic algebra with its structure columns
+pushed through the specialization map S -> k[GA], (X3, AL, BE, Y3) -> the
+form's coefficients, the same map that ``specialize`` applies to elements.
+So the specialization map is an algebra homomorphism by construction; the
+tests cross-check it as one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import (
     SingularMatrix,
     UnsupportedField,
 )
-from .fields import Scalar, sqrt_in_field
+from .fields import sqrt_in_field
 from .forms import BinaryCubicForm, GL2Element, act_gl2
 from .freealg import (
     FreeElement,
@@ -28,155 +30,65 @@ from .freealg import (
     gamma_element,
     linear_substitute,
 )
-from .gca import BASIS_WORDS, GCAElement, _Echelon, _structure_columns_int
+from .gca import GCAElement, Rank18Algebra, Rank18Element, _Echelon, structure_matrices
 from .spoly import GAMMA_VARS, SPolynomial
 
 from . import curves
 
 
-class CliffordFElement:
+class CliffordFElement(Rank18Element):
     """An element of the algebra at a fixed form: 18 polynomials in GA."""
 
-    __slots__ = ("form", "coords")
+    __slots__ = ()
+    MISMATCH = FormMismatch
 
-    def __init__(self, form: BinaryCubicForm, coords):
-        self.form = form
-        self.coords = tuple(coords)
-        assert len(self.coords) == 18
-
-    def _check(self, other):
-        if self.form != other.form:
-            raise FormMismatch("elements specialized at different forms")
-
-    def __add__(self, other):
-        self._check(other)
-        return CliffordFElement(self.form, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return CliffordFElement(self.form, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return CliffordFElement(self.form, [-a for a in self.coords])
-
-    def scale(self, c: Scalar):
-        return CliffordFElement(self.form, [a.scale(c) for a in self.coords])
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CliffordFElement)
-            and self.form == other.form
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.form, self.coords))
-
-    def __str__(self):
-        parts = [f"[{i}] {c}" for i, c in enumerate(self.coords) if not c.is_zero()]
-        return "0" if not parts else "; ".join(parts)
-
-    def __repr__(self):
-        return f"CliffordFElement({self})"
+    @property
+    def form(self) -> BinaryCubicForm:
+        return self.base
 
     def to_json(self):
         return {"form": self.form.to_json(), "coords": [str(c) for c in self.coords]}
 
 
-class SpecializedAlgebra:
-    """The rank-18 module over k[GA] at one nondegenerate form."""
+def _specialization(f: BinaryCubicForm):
+    """The ring map S -> k[GA] at f: (X3, AL, BE, Y3) -> f's coefficients."""
+    c0, c1, c2, c3 = f.coeffs
+    assign = {"X3": c0, "AL": c1, "BE": c2, "Y3": c3}
+    return lambda p: p.substitute(assign, GAMMA_VARS)
+
+
+class SpecializedAlgebra(Rank18Algebra):
+    """The rank-18 module over k[GA] at one nondegenerate form: the generic
+    algebra with its structure columns pushed through the specialization
+    map."""
+
+    ELEMENT = CliffordFElement
 
     def __init__(self, form: BinaryCubicForm):
         if not form.field.has_omega():
             raise UnsupportedField("the specialized algebra needs omega in the field")
         form.require_nondegenerate()
         self.form = form
-        self.field = form.field
-        self._zero = SPolynomial.zero(self.field, GAMMA_VARS)
-        c0, c1, c2, c3 = form.coeffs
-        consts = (c0, c1, c2, c3)
-        cols = _structure_columns_int()
-        self.mx, self.my = [], []
-        for j in range(18):
-            for letter, store in (("x", self.mx), ("y", self.my)):
-                column = []
-                for i, poly in enumerate(cols[(letter, j)]):
-                    terms = {}
-                    for expo, c in poly:
-                        coeff = self.field.scalar(c)
-                        for base, e in zip(consts, expo[:4]):
-                            if e:
-                                coeff = coeff * base**e
-                        key = (expo[4],)
-                        acc = terms.get(key)
-                        terms[key] = coeff if acc is None else acc + coeff
-                    p = SPolynomial(self.field, GAMMA_VARS, terms)
-                    if not p.is_zero():
-                        column.append((i, p))
-                store.append(column)
+        at_f = _specialization(form)
 
-    # -- constructors -----------------------------------------------------
+        def push(cols):
+            return [[(i, q) for i, p in col if not (q := at_f(p)).is_zero()] for col in cols]
 
-    def zero(self) -> CliffordFElement:
-        return CliffordFElement(self.form, [self._zero] * 18)
-
-    def one(self) -> CliffordFElement:
-        return self.basis_element(0)
-
-    def basis_element(self, i: int) -> CliffordFElement:
-        coords = [self._zero] * 18
-        coords[i] = SPolynomial.const(self.field, 1, GAMMA_VARS)
-        return CliffordFElement(self.form, coords)
-
-    def scalar_element(self, poly: SPolynomial) -> CliffordFElement:
-        coords = [self._zero] * 18
-        coords[0] = poly
-        return CliffordFElement(self.form, coords)
+        generic = structure_matrices(form.field)
+        super().__init__(form, form.field, GAMMA_VARS, push(generic.mx), push(generic.my))
 
     def gamma(self) -> CliffordFElement:
         return self.scalar_element(SPolynomial.variable(self.field, "GA", GAMMA_VARS))
 
-    # -- products ----------------------------------------------------------
-
-    def _mul_letter(self, coords, letter):
-        cols = self.mx if letter == "x" else self.my
-        out = [self._zero] * 18
-        for j in range(18):
-            v = coords[j]
-            if v.is_zero():
-                continue
-            for i, p in cols[j]:
-                out[i] = out[i] + v * p
-        return tuple(out)
-
     def reduce_free(self, e: FreeElement) -> CliffordFElement:
-        if e.field != self.field:
-            raise FieldMismatch(f"{e.field} vs {self.field}")
-        total = self.zero()
-        unit = self.one().coords
-        for w, c in e.terms.items():
-            coords = unit
-            for letter in w:
-                coords = self._mul_letter(coords, letter)
-            total = total + CliffordFElement(self.form, coords).scale(c)
-        return total
+        """Normal form of a free element; words share prefixes within the
+        call and nothing is cached between calls."""
+        return self._reduce(e, {"": self.one().coords})
 
     def mul(self, u: CliffordFElement, v: CliffordFElement) -> CliffordFElement:
         if u.form != self.form or v.form != self.form:
             raise FormMismatch("elements from a different specialization")
-        total = self.zero()
-        for j in range(18):
-            vj = v.coords[j]
-            if vj.is_zero():
-                continue
-            coords = u.coords
-            for letter in BASIS_WORDS[j]:
-                coords = self._mul_letter(coords, letter)
-            total = total + CliffordFElement(self.form, [a * vj for a in coords])
-        return total
+        return self._mul(u, v)
 
     def left_multiplication_matrix(self, u: CliffordFElement):
         """18x18 matrix of L_u over k[GA] (columns are u * b_j)."""
@@ -184,16 +96,22 @@ class SpecializedAlgebra:
 
     def relations_hold(self) -> bool:
         """The four defining relations as identities of the representation."""
-        field = self.field
-        x3 = FreeElement.word(field, "xxx")
-        y3 = FreeElement.word(field, "yyy")
-        checks = (
-            x3 - FreeElement.one(field).scale(self.form.coeffs[0]),
-            alpha_element(field) - FreeElement.one(field).scale(self.form.coeffs[1]),
-            beta_element(field) - FreeElement.one(field).scale(self.form.coeffs[2]),
-            y3 - FreeElement.one(field).scale(self.form.coeffs[3]),
+        one = FreeElement.one(self.field)
+        return all(
+            self.reduce_free(src - one.scale(c)).is_zero()
+            for src, c in zip(_cubic_sums(self.field), self.form.coeffs)
         )
-        return all(self.reduce_free(rel).is_zero() for rel in checks)
+
+
+def _cubic_sums(field):
+    """x^3, alpha, beta, y^3: the relations of the algebra at a form set
+    them to its coefficients c0, c1, c2, c3."""
+    return (
+        FreeElement.word(field, "xxx"),
+        alpha_element(field),
+        beta_element(field),
+        FreeElement.word(field, "yyy"),
+    )
 
 
 @lru_cache(maxsize=64)
@@ -206,9 +124,7 @@ def specialize(u: GCAElement, f: BinaryCubicForm) -> CliffordFElement:
     if u.field != f.field:
         raise FieldMismatch(f"{u.field} vs {f.field}")
     f.require_nondegenerate()
-    c0, c1, c2, c3 = f.coeffs
-    assign = {"X3": c0, "AL": c1, "BE": c2, "Y3": c3}
-    return CliffordFElement(f, [p.substitute(assign, GAMMA_VARS) for p in u.coords])
+    return CliffordFElement(f, map(_specialization(f), u.coords))
 
 
 def mul_af(u: CliffordFElement, v: CliffordFElement) -> CliffordFElement:
@@ -251,15 +167,9 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     target = act_gl2(g, f)
     alg = specialized_algebra(f)
     one = FreeElement.one(field)
-    sources = (
-        FreeElement.word(field, "xxx"),
-        alpha_element(field),
-        beta_element(field),
-        FreeElement.word(field, "yyy"),
-    )
     names = ("cube-x", "polarization-u2v", "polarization-uv2", "cube-y")
     relations = {}
-    for name, src, coeff in zip(names, sources, target.coeffs):
+    for name, src, coeff in zip(names, _cubic_sums(field), target.coeffs):
         image = linear_substitute(g, src) - one.scale(coeff)
         relations[name] = alg.reduce_free(image).is_zero()
     gamma_image = alg.reduce_free(linear_substitute(g, gamma_element(field)))

@@ -133,8 +133,11 @@ def ell_mul(n: int, p: EllipticPoint) -> EllipticPoint:
     if n < 0:
         return ell_mul(-n, ell_neg(p))
     acc = EllipticPoint.infinity(p.field, p.curve_a)
-    for _ in range(n):
-        acc = ell_add(acc, p)
+    while n:
+        if n & 1:
+            acc = ell_add(acc, p)
+        p = ell_add(p, p)
+        n >>= 1
     return acc
 
 
@@ -314,6 +317,20 @@ class PlaneCubicPoint:
 # -- point searches -------------------------------------------------------------
 
 
+def least_cube_root_mod(c: int, p: int) -> int | None:
+    """The least x in [0, p) with x^3 = c (mod p), or None if there is none.
+
+    The cube roots of a nonzero c are r, r*w, r*w^2 for one root r and a
+    primitive cube root of unity w = (-1 + sqrt(-3))/2 when p = 1 (mod 3),
+    and r alone otherwise.
+    """
+    r = prime_power_root_mod(c, 3, p)
+    if r is None or (p - 1) % 3:
+        return r
+    w = (prime_power_root_mod(-3, 2, p) - 1) * pow(2, -1, p) % p
+    return min(r, r * w % p, r * w * w % p)
+
+
 def _signed_range(bound: int):
     yield 0
     for k in range(1, bound + 1):
@@ -336,12 +353,9 @@ def point_search(f, budget: int | None = None):
             for vv in range(vmax) if vmax > 1 else (1,):
                 v = field.scalar(vv)
                 c = f.evaluate(u, v)
-                r = prime_power_root_mod(c.val, 3, p)
+                r = least_cube_root_mod(c.val, p)
                 if r is not None:
-                    roots = sorted(
-                        x for x in range(p) if pow(x, 3, p) == c.val
-                    )
-                    return PlaneCubicPoint(f, (u, v, field.scalar(roots[0])))
+                    return PlaneCubicPoint(f, (u, v, field.scalar(r)))
         return None
     if field.kind == "Q":
         bound = DEFAULT_HEIGHT_BUDGET_Q if budget is None else budget
@@ -397,9 +411,9 @@ def construct_cover_point(f, which: int) -> PlaneCubicPoint:
     if value.is_zero():
         raise PreconditionFailed(f"cover {which} needs {_COVER_LABELS[which]} != 0")
     p = field.p
-    roots = sorted(x for x in range(p) if pow(x, 3, p) == value.val)
-    if roots:
-        r = field.scalar(roots[0])
+    least = least_cube_root_mod(value.val, p)
+    if least is not None:
+        r = field.scalar(least)
         coords = {
             1: (r, field.zero(), r * r),
             2: (field.zero(), r, r * r),

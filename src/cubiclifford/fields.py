@@ -447,7 +447,7 @@ class Scalar:
 
 
 def scalar_arithmetic(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch form of the four field operations (used by the CLI)."""
+    """Dispatch form of the four field operations."""
     if a.field != b.field:
         raise FieldMismatch(f"{a.field} vs {b.field}")
     if op == "add":

@@ -170,45 +170,18 @@ class FreeElement:
         ]
 
 
-class _FreeContext:
-    def __init__(self, field):
-        self.field = field
-
-    def const(self, q):
-        return FreeElement(self.field, {"": self.field.scalar(q)})
-
-    def symbol(self, name, pos):
-        if name in ("x", "y"):
-            return FreeElement.generator(self.field, name)
-        if name == "w":
-            return FreeElement(self.field, {"": self.field.omega()})
-        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def pow_int(a, n):
-        return a**n
-
-
 def parse_free_expression(text: str, field: FieldSpec) -> FreeElement:
     """Parse the expression grammar: x, y, w, integer and p/q literals,
     + - * ^ and parentheses."""
-    return ExprParser(text, _FreeContext(field)).parse()
+
+    def symbol(name, pos):
+        if name in ("x", "y"):
+            return FreeElement.generator(field, name)
+        if name == "w":
+            return FreeElement(field, {"": field.omega()})
+        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
+
+    return ExprParser(text, lambda q: FreeElement(field, {"": field.scalar(q)}), symbol).parse()
 
 
 def linear_substitute(g, e: FreeElement) -> FreeElement:

@@ -342,87 +342,104 @@ def irreducible_words():
     return words
 
 
+def _word_coords_int(w: str) -> tuple:
+    """The 18 coordinate polynomials of the word w, integer coefficients,
+    each a sorted tuple of (exponent, coefficient)."""
+    coords = [{} for _ in range(18)]
+    for (expo, i), c in _degree_system(len(w)).solve_int({w: 1}).items():
+        coords[i][expo] = c
+    return tuple(tuple(sorted(col.items())) for col in coords)
+
+
 @lru_cache(maxsize=None)
 def _conversion_table_int():
-    """Irreducible word -> 18 coordinate polynomials, integer coefficients."""
-    table = {}
-    for w in irreducible_words():
-        sol = _degree_system(len(w)).solve_int({w: 1})
-        coords = [{} for _ in range(18)]
-        for (expo, i), c in sol.items():
-            coords[i][expo] = c
-        table[w] = tuple(tuple(sorted(col.items())) for col in coords)
-    return table
+    """Irreducible word -> its integer coordinate polynomials."""
+    return {w: _word_coords_int(w) for w in irreducible_words()}
 
 
 @lru_cache(maxsize=None)
 def _structure_columns_int():
     """(letter, j) -> integer coordinate polys of BASIS_WORDS[j] * letter."""
-    columns = {}
-    for j, bword in enumerate(BASIS_WORDS):
-        for letter in "xy":
-            target = bword + letter
-            sol = _degree_system(len(target)).solve_int({target: 1})
-            coords = [{} for _ in range(18)]
-            for (expo, i), c in sol.items():
-                coords[i][expo] = c
-            columns[(letter, j)] = tuple(tuple(sorted(col.items())) for col in coords)
-    return columns
+    return {
+        (letter, j): _word_coords_int(bword + letter)
+        for j, bword in enumerate(BASIS_WORDS)
+        for letter in "xy"
+    }
 
 
-# -- the algebra ---------------------------------------------------------------
+# -- the algebra over a coefficient ring -------------------------------------------
 
 
-class GCAElement:
-    """An element in normal form: an 18-vector over S = k[X3,AL,BE,Y3,GA]."""
+class Rank18Element:
+    """An 18-vector over the basis words with polynomial coefficients.
 
-    __slots__ = ("field", "coords")
+    ``base`` fixes the coefficient ring: a field k for the generic algebra
+    over S = k[X3, AL, BE, Y3, GA], or a form f for the algebra over k[GA]
+    specialized at f. Elements combine only with elements of an equal base;
+    otherwise the subclass's ``MISMATCH`` error is raised.
+    """
 
-    def __init__(self, field: FieldSpec, coords):
-        self.field = field
+    __slots__ = ("base", "coords")
+    MISMATCH = FieldMismatch
+
+    def __init__(self, base, coords):
+        self.base = base
         self.coords = tuple(coords)
         assert len(self.coords) == 18
 
     def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
+        if self.base != other.base:
+            raise self.MISMATCH(f"{self.base} vs {other.base}")
+
+    def _like(self, coords):
+        return type(self)(self.base, coords)
 
     def __add__(self, other):
         self._check(other)
-        return GCAElement(self.field, [a + b for a, b in zip(self.coords, other.coords)])
+        return self._like([a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._check(other)
-        return GCAElement(self.field, [a - b for a, b in zip(self.coords, other.coords)])
+        return self._like([a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        return GCAElement(self.field, [-a for a in self.coords])
+        return self._like([-a for a in self.coords])
 
     def scale_poly(self, s: SPolynomial):
-        return GCAElement(self.field, [a * s for a in self.coords])
+        return self._like([a * s for a in self.coords])
 
     def scale(self, c: Scalar):
-        return GCAElement(self.field, [a.scale(c) for a in self.coords])
+        return self._like([a.scale(c) for a in self.coords])
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
 
     def __eq__(self, other):
         return (
-            isinstance(other, GCAElement)
-            and self.field == other.field
+            isinstance(other, type(self))
+            and self.base == other.base
             and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.base, self.coords))
 
     def __str__(self):
         parts = [f"[{i}] {c}" for i, c in enumerate(self.coords) if not c.is_zero()]
         return "0" if not parts else "; ".join(parts)
 
     def __repr__(self):
-        return f"GCAElement({self})"
+        return f"{type(self).__name__}({self})"
+
+
+class GCAElement(Rank18Element):
+    """An element in normal form: an 18-vector over S = k[X3,AL,BE,Y3,GA]."""
+
+    __slots__ = ()
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.base
 
     def to_json(self):
         return {"coords": [str(c) for c in self.coords]}
@@ -432,17 +449,6 @@ class GCAElement:
         return GCAElement(
             field, [SPolynomial.parse(t, field, GCA_VARS) for t in obj["coords"]]
         )
-
-
-def _coerce_coords(field, int_coords):
-    out = []
-    for col in int_coords:
-        out.append(
-            SPolynomial(
-                field, GCA_VARS, {expo: field.scalar(c) for expo, c in col}
-            )
-        )
-    return out
 
 
 class StructureMatrices:
@@ -459,8 +465,11 @@ class StructureMatrices:
         self.my = []
         for j in range(18):
             for letter, store in (("x", self.mx), ("y", self.my)):
-                coords = _coerce_coords(field, cols[(letter, j)])
-                store.append([(i, p) for i, p in enumerate(coords) if not p.is_zero()])
+                polys = (
+                    SPolynomial(field, GCA_VARS, {e: field.scalar(c) for e, c in col})
+                    for col in cols[(letter, j)]
+                )
+                store.append([(i, p) for i, p in enumerate(polys) if not p.is_zero()])
 
     def column(self, letter: str, j: int) -> GCAElement:
         source = self.mx if letter == "x" else self.my
@@ -470,41 +479,49 @@ class StructureMatrices:
         return GCAElement(self.field, coords)
 
 
-class GenericCliffordAlgebra:
-    def __init__(self, field: FieldSpec):
+@lru_cache(maxsize=16)
+def structure_matrices(field: FieldSpec) -> StructureMatrices:
+    """The structure matrices over ``field``, derived once per field."""
+    return StructureMatrices(field)
+
+
+class Rank18Algebra:
+    """The rank-18 algebra over a coefficient ring, given by the sparse
+    columns ``mx``/``my`` of right multiplication by x and y (column j lists
+    the nonzero ``(i, coefficient)`` of b_j * letter). Products fold words
+    letter by letter through the columns."""
+
+    ELEMENT = Rank18Element
+
+    def __init__(self, base, field: FieldSpec, variables, mx, my):
+        self.base = base
         self.field = field
-        self.matrices = StructureMatrices(field)
-        self._zero_poly = SPolynomial.zero(field, GCA_VARS)
-        self._word_cache = {"": self._unit_coords()}
+        self.mx, self.my = mx, my
+        self._zero = SPolynomial.zero(field, variables)
+        self._unit = SPolynomial.const(field, 1, variables)
 
-    # -- basics ---------------------------------------------------------
+    def _element(self, coords):
+        return self.ELEMENT(self.base, coords)
 
-    def _unit_coords(self):
-        coords = [self._zero_poly] * 18
-        coords[0] = SPolynomial.const(self.field, 1, GCA_VARS)
-        return tuple(coords)
+    def zero(self):
+        return self._element([self._zero] * 18)
 
-    def zero(self) -> GCAElement:
-        return GCAElement(self.field, [self._zero_poly] * 18)
+    def one(self):
+        return self.basis_element(0)
 
-    def one(self) -> GCAElement:
-        return GCAElement(self.field, self._unit_coords())
+    def basis_element(self, i: int):
+        coords = [self._zero] * 18
+        coords[i] = self._unit
+        return self._element(coords)
 
-    def basis_element(self, i: int) -> GCAElement:
-        coords = [self._zero_poly] * 18
-        coords[i] = SPolynomial.const(self.field, 1, GCA_VARS)
-        return GCAElement(self.field, coords)
-
-    def scalar_element(self, poly: SPolynomial) -> GCAElement:
-        coords = [self._zero_poly] * 18
+    def scalar_element(self, poly: SPolynomial):
+        coords = [self._zero] * 18
         coords[0] = poly
-        return GCAElement(self.field, coords)
-
-    # -- reduction by structure matrices ----------------------------------
+        return self._element(coords)
 
     def _mul_letter(self, coords, letter):
-        cols = self.matrices.mx if letter == "x" else self.matrices.my
-        out = [self._zero_poly] * 18
+        cols = self.mx if letter == "x" else self.my
+        out = [self._zero] * 18
         for j in range(18):
             v = coords[j]
             if v.is_zero():
@@ -513,38 +530,33 @@ class GenericCliffordAlgebra:
                 out[i] = out[i] + v * p
         return tuple(out)
 
-    def _word_vector(self, w: str):
-        cached = self._word_cache.get(w)
+    def _word_vector(self, w: str, cache: dict):
+        """Coordinates of the word w, folded on from its longest prefix in
+        ``cache`` (which holds the empty word); every prefix folded on the
+        way is stored in ``cache``."""
+        cached = cache.get(w)
         if cached is not None:
             return cached
-        # build through the longest cached prefix to share work
         k = len(w) - 1
-        while w[:k] not in self._word_cache:
+        while w[:k] not in cache:
             k -= 1
-        coords = self._word_cache[w[:k]]
+        coords = cache[w[:k]]
         for pos in range(k, len(w)):
             coords = self._mul_letter(coords, w[pos])
-            self._word_cache[w[: pos + 1]] = coords
+            cache[w[: pos + 1]] = coords
         return coords
 
-    def reduce(self, e: FreeElement) -> GCAElement:
-        """Normal form of a free element (fold each word through Mx/My)."""
+    def _reduce(self, e: FreeElement, cache: dict):
+        """Normal form of a free element: each word folded through mx/my."""
         if e.field != self.field:
             raise FieldMismatch(f"{e.field} vs {self.field}")
         total = self.zero()
         for w, c in e.terms.items():
-            vec = GCAElement(self.field, self._word_vector(w))
-            total = total + vec.scale(c)
+            total = total + self._element(self._word_vector(w, cache)).scale(c)
         return total
 
-    def reduce_text(self, text: str) -> GCAElement:
-        from .freealg import parse_free_expression
-
-        return self.reduce(parse_free_expression(text, self.field))
-
-    def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
-        """Product of normal forms: expand v's basis words through Mx/My."""
-        u._check(v)
+    def _mul(self, u, v):
+        """Product of normal forms: fold u through the basis words of v."""
         total = self.zero()
         for j in range(18):
             vj = v.coords[j]
@@ -553,8 +565,30 @@ class GenericCliffordAlgebra:
             coords = u.coords
             for letter in BASIS_WORDS[j]:
                 coords = self._mul_letter(coords, letter)
-            total = total + GCAElement(self.field, coords).scale_poly(vj)
+            total = total + self._element(coords).scale_poly(vj)
         return total
+
+
+class GenericCliffordAlgebra(Rank18Algebra):
+    ELEMENT = GCAElement
+
+    def __init__(self, field: FieldSpec):
+        self.matrices = structure_matrices(field)
+        super().__init__(field, field, GCA_VARS, self.matrices.mx, self.matrices.my)
+        self._word_cache = {"": self.one().coords}
+
+    def reduce(self, e: FreeElement) -> GCAElement:
+        """Normal form of a free element; folded words stay cached."""
+        return self._reduce(e, self._word_cache)
+
+    def reduce_text(self, text: str) -> GCAElement:
+        from .freealg import parse_free_expression
+
+        return self.reduce(parse_free_expression(text, self.field))
+
+    def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
+        u._check(v)
+        return self._mul(u, v)
 
     def is_central(self, u: GCAElement) -> bool:
         x_el, y_el = self.basis_element(1), self.basis_element(2)
@@ -572,7 +606,7 @@ class GenericCliffordAlgebra:
         for n, part in e.homogeneous_parts().items():
             sysd, ech = _oracle_echelon(self.field, n)
             target = {w: c.val if self.field.p else c for w, c in part.terms.items()}
-            coords = [self._zero_poly] * 18
+            coords = [self._zero] * 18
             for j, c in sysd.solve(ech, target).items():
                 if j < len(sysd.candidates):
                     expo, i, _ = sysd.candidates[j]
@@ -599,7 +633,7 @@ class GenericCliffordAlgebra:
             raise FieldMismatch(f"{e.field} vs {self.field}")
         state: dict[str, SPolynomial] = {}
         for w, c in e.terms.items():
-            state[w] = state.get(w, self._zero_poly) + SPolynomial.const(self.field, c, GCA_VARS)
+            state[w] = state.get(w, self._zero) + SPolynomial.const(self.field, c, GCA_VARS)
         steps = 0
         while True:
             chosen = None
@@ -643,9 +677,9 @@ class GenericCliffordAlgebra:
                 c = coeff if sign == 1 else -coeff
                 if var is not None:
                     c = c * SPolynomial.variable(self.field, var, GCA_VARS)
-                state[new_word] = state.get(new_word, self._zero_poly) + c
+                state[new_word] = state.get(new_word, self._zero) + c
         table = _conversion_table_int()
-        coords = [self._zero_poly] * 18
+        coords = [self._zero] * 18
         for w, c in state.items():
             if c.is_zero():
                 continue

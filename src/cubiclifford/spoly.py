@@ -219,43 +219,14 @@ class SPolynomial:
 
     @staticmethod
     def parse(text: str, field: FieldSpec, variables=GCA_VARS) -> "SPolynomial":
-        return ExprParser(text, _PolyContext(field, variables)).parse()
+        def symbol(name, pos):
+            if name == "w":
+                return SPolynomial.const(field, field.omega(), variables)
+            if name in variables:
+                return SPolynomial.variable(field, name, variables)
+            raise UnknownSymbol(f"unknown symbol {name!r}", pos)
 
-
-class _PolyContext:
-    def __init__(self, field, variables):
-        self.field = field
-        self.variables = variables
-
-    def const(self, q):
-        return SPolynomial.const(self.field, self.field.scalar(q), self.variables)
-
-    def symbol(self, name, pos):
-        if name == "w":
-            return SPolynomial.const(self.field, self.field.omega(), self.variables)
-        if name in self.variables:
-            return SPolynomial.variable(self.field, name, self.variables)
-        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def pow_int(a, n):
-        return a**n
+        return ExprParser(text, lambda q: SPolynomial.const(field, q, variables), symbol).parse()
 
 
 def poly_arithmetic(p: SPolynomial, q: SPolynomial, op: str) -> SPolynomial:

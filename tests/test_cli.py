@@ -7,10 +7,37 @@ import sys
 from cubiclifford.cli import main
 
 
+P64 = 18446744073709551427  # a prime above 2^64, 1 mod 3
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def is_least_cube_root(r, p):
+    """r is the least of r, r*w, r*w^2 mod p, w a primitive cube root of 1."""
+    g = 2
+    while pow(g, (p - 1) // 3, p) == 1:
+        g += 1
+    w = pow(g, (p - 1) // 3, p)
+    return r == min(r * w**k % p for k in range(3))
+
+
+def assert_point_or_typed_error(code, out, err, coeffs, p, chosen_root):
+    """Exit 0 with a point on w^3 = f(u, v) whose chosen cube root is the
+    least of its three, or exit 1 with a JSON error code."""
+    if code == 1:
+        assert isinstance(json.loads(err)["error"], str)
+        return
+    assert code == 0
+    pt = json.loads(out)["point"]
+    u, v, w = pt["u"], pt["v"], pt["w"]
+    c0, c1, c2, c3 = coeffs
+    value = (c0 * u**3 + c1 * u * u * v + c2 * u * v * v + c3 * v**3) % p
+    assert pow(w, 3, p) == value
+    assert is_least_cube_root(pt[chosen_root], p)
 
 
 def test_reduce_zero_vector(capsys):
@@ -115,6 +142,11 @@ def test_point_search_and_probe(capsys):
     assert json.loads(out)["status"] == "absent-within-budget"
     code, out, _ = run_cli(capsys, "brauer-probe", "--field", "Q", "--coeffs", "1,0,0,1")
     assert json.loads(out)["status"] == "trivial"
+    code, out, err = run_cli(
+        capsys, "point-search", "--field", "Fp", "--p", str(P64), "--coeffs", "1,0,0,1",
+        "--budget", "5",
+    )
+    assert_point_or_typed_error(code, out, err, (1, 0, 0, 1), P64, "w")
 
 
 def test_cover_point(capsys):
@@ -124,6 +156,11 @@ def test_cover_point(capsys):
     blob = json.loads(out)
     assert blob["field"] == "Fp3"
     assert blob["point"]["modulus"] == [1, 0, 1]
+    code, out, err = run_cli(
+        capsys, "cover-point", "--field", "Fp", "--p", str(P64), "--coeffs", "3,0,0,1",
+        "--which", "1",
+    )
+    assert_point_or_typed_error(code, out, err, (3, 0, 0, 1), P64, "u")
 
 
 def test_clifford_iso_and_symbol_check(capsys):

@@ -21,6 +21,7 @@ from cubiclifford.curves import (
     j_invariant,
     jacobian_constant,
     lambda_isogeny,
+    least_cube_root_mod,
     point_search,
     torsion_points,
 )
@@ -109,6 +110,7 @@ def test_torsion_examples():
     assert torsion_points(Q, Q.scalar(2)) == [EllipticPoint.infinity(Q, Q.scalar(2))]
     for p in pts:
         assert ell_mul(3, p).is_infinity()
+        assert ell_mul(3 * 10**18, p).is_infinity()
         assert ell_add(ell_add(p, p), p).is_infinity()
 
 
@@ -181,6 +183,10 @@ def test_cover_point_examples():
     assert pt.verify()
     with pytest.raises(PreconditionFailed):
         construct_cover_point(BinaryCubicForm(F7, (0, 1, 1, 0)), 1)
+    for p in (2, 3, 5, 7, 13, 31, 37):
+        for c in range(p):
+            roots = [x for x in range(p) if pow(x, 3, p) == c]
+            assert least_cube_root_mod(c, p) == (roots[0] if roots else None)
 
 
 def test_cover_points_50_random_forms_all_four():

@@ -1,0 +1,19 @@
+"""Package-level guards: the public names, and the methods that the
+benchmark tracer (bench/tracer.py) wraps in each class's own namespace."""
+
+import cubiclifford
+from cubiclifford.cliffordf import SpecializedAlgebra
+from cubiclifford.gca import GenericCliffordAlgebra
+
+
+def test_public_names_and_traced_methods_resolve():
+    for name in cubiclifford.__all__:
+        assert getattr(cubiclifford, name, None) is not None, name
+    # the tracer replaces these through the class __dict__; a method that
+    # only a base class defines would silently lose its per-layer counters
+    for cls, names in (
+        (GenericCliffordAlgebra, ("reduce", "mul", "verify_center_identities")),
+        (SpecializedAlgebra, ("__init__", "mul", "reduce_free")),
+    ):
+        for name in names:
+            assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"
