@@ -380,22 +380,6 @@ class Scalar:
         """True if the value lies in Q (always true off Qw)."""
         return self.field.kind != CYCLOTOMIC or self.val[1] == 0
 
-    def rational_part(self) -> Fraction:
-        if self.field.kind == PRIME:
-            raise UnsupportedField("Fp scalars have no rational lift")
-        if self.field.kind == RATIONALS:
-            return self.val
-        if self.val[1] != 0:
-            raise UnsupportedField("not a rational element of Q(w)")
-        return self.val[0]
-
-    def conjugate(self) -> "Scalar":
-        """The omega -> omega^2 conjugate (identity off Qw)."""
-        if self.field.kind != CYCLOTOMIC:
-            return self
-        a, b = self.val
-        return Scalar(self.field, (a - b, -b))
-
     def __str__(self):
         k = self.field.kind
         if k == PRIME:

@@ -13,6 +13,8 @@ freealg.linear_substitute.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (
     BudgetExceeded,
     DegenerateForm,
@@ -44,14 +46,7 @@ class BinaryCubicForm:
         self.coeffs = cs
 
     def discriminant(self) -> Scalar:
-        c0, c1, c2, c3 = self.coeffs
-        return (
-            18 * (c0 * c1 * c2 * c3)
-            - 4 * (c1**3 * c3)
-            + c1**2 * c2**2
-            - 4 * (c0 * c2**3)
-            - 27 * (c0**2 * c3**2)
-        )
+        return _delta(self.coeffs)
 
     def is_nondegenerate(self) -> bool:
         return not self.discriminant().is_zero()
@@ -122,15 +117,7 @@ class GL2Element:
     def mul(self, other: "GL2Element") -> "GL2Element":
         if self.field != other.field:
             raise FieldMismatch("matrix fields differ")
-        return GL2Element(
-            self.field,
-            (
-                self.a * other.a + self.b * other.c,
-                self.a * other.b + self.b * other.d,
-                self.c * other.a + self.d * other.c,
-                self.c * other.b + self.d * other.d,
-            ),
-        )
+        return GL2Element(self.field, _mat_mul(self.entries(), other.entries()))
 
     def inverse(self) -> "GL2Element":
         inv = self.det.inverse()
@@ -157,29 +144,62 @@ def discriminant(f: BinaryCubicForm) -> Scalar:
     return f.discriminant()
 
 
+# The formulas below take entry and coefficient tuples over any ring: raw
+# integers (reduced mod p by the callers that enumerate over F_p) or
+# Scalars (int * Scalar coerces).
+
+
+def _delta(f):
+    """The discriminant of the coefficient tuple f."""
+    c0, c1, c2, c3 = f
+    return (
+        18 * c0 * c1 * c2 * c3
+        - 4 * c1**3 * c3
+        + c1**2 * c2**2
+        - 4 * c0 * c2**3
+        - 27 * c0**2 * c3**2
+    )
+
+
+def _mat_mul(m, n):
+    """The 2x2 matrix product m*n of entry tuples (a, b, c, d)."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _act(g, f):
+    """The coefficients of f(a*u + b*v, c*u + d*v), g = (a, b, c, d)."""
+    a, b, c, d = g
+    c0, c1, c2, c3 = f
+    n0 = c0 * a * a * a + c1 * a * a * c + c2 * a * c * c + c3 * c * c * c
+    n1 = (
+        3 * c0 * a * a * b
+        + c1 * (a * a * d + 2 * a * b * c)
+        + c2 * (2 * a * c * d + b * c * c)
+        + 3 * c3 * c * c * d
+    )
+    n2 = (
+        3 * c0 * a * b * b
+        + c1 * (2 * a * b * d + b * b * c)
+        + c2 * (a * d * d + 2 * b * c * d)
+        + 3 * c3 * c * d * d
+    )
+    n3 = c0 * b * b * b + c1 * b * b * d + c2 * b * d * d + c3 * d * d * d
+    return n0, n1, n2, n3
+
+
+def _act_raw(g, f, p):
+    """act_gl2 on raw residue tuples (hot path for enumeration)."""
+    n0, n1, n2, n3 = _act(g, f)
+    return (n0 % p, n1 % p, n2 % p, n3 % p)
+
+
 def act_gl2(g: GL2Element, f: BinaryCubicForm) -> BinaryCubicForm:
     """The form f(a*u + b*v, c*u + d*v)."""
     if g.field != f.field:
         raise FieldMismatch("matrix and form fields differ")
-    a, b, c, d = g.entries()
-    c0, c1, c2, c3 = f.coeffs
-    three = f.field.scalar(3)
-    two = f.field.scalar(2)
-    n0 = f.evaluate(a, c)
-    n1 = (
-        three * c0 * (a**2 * b)
-        + c1 * (a**2 * d + two * (a * b * c))
-        + c2 * (two * (a * c * d) + b * c**2)
-        + three * c3 * (c**2 * d)
-    )
-    n2 = (
-        three * c0 * (a * b**2)
-        + c1 * (two * (a * b * d) + b**2 * c)
-        + c2 * (a * d**2 + two * (b * c * d))
-        + three * c3 * (c * d**2)
-    )
-    n3 = f.evaluate(b, d)
-    return BinaryCubicForm(f.field, (n0, n1, n2, n3))
+    return BinaryCubicForm(f.field, _act(g.entries(), f.coeffs))
 
 
 # -- diagonalization ---------------------------------------------------------
@@ -289,18 +309,16 @@ def stabilizer(f: BinaryCubicForm) -> StabilizerResult:
         return StabilizerResult(f, "diagonal-formula", elements)
     if field.kind != "Fp":
         raise UnsupportedField("non-diagonal stabilizers only enumerable over Fp")
-    elements = [g for g in _all_gl2(field) if act_gl2(g, f) == f]
-    return StabilizerResult(f, "enumerated", elements)
-
-
-def _all_gl2(field: FieldSpec):
     p = field.p
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p:
-                        yield GL2Element(field, (a, b, c, d))
+    raw = tuple(c.val for c in f.coeffs)
+    # a singular matrix sends f to a form with zero discriminant, so every
+    # matrix fixing the nondegenerate f is invertible
+    elements = [
+        GL2Element(field, g)
+        for g in itertools.product(range(p), repeat=4)
+        if _act_raw(g, raw, p) == raw
+    ]
+    return StabilizerResult(f, "enumerated", elements)
 
 
 def gl2_order(p: int) -> int:
@@ -308,38 +326,6 @@ def gl2_order(p: int) -> int:
 
 
 # -- orbit machinery over F_p ---------------------------------------------------
-
-
-def _act_raw(g, f, p):
-    """act_gl2 on raw residue tuples (hot path for enumeration)."""
-    a, b, c, d = g
-    c0, c1, c2, c3 = f
-    n0 = c0 * a * a * a + c1 * a * a * c + c2 * a * c * c + c3 * c * c * c
-    n1 = (
-        3 * c0 * a * a * b
-        + c1 * (a * a * d + 2 * a * b * c)
-        + c2 * (2 * a * c * d + b * c * c)
-        + 3 * c3 * c * c * d
-    )
-    n2 = (
-        3 * c0 * a * b * b
-        + c1 * (2 * a * b * d + b * b * c)
-        + c2 * (a * d * d + 2 * b * c * d)
-        + 3 * c3 * c * d * d
-    )
-    n3 = c0 * b * b * b + c1 * b * b * d + c2 * b * d * d + c3 * d * d * d
-    return (n0 % p, n1 % p, n2 % p, n3 % p)
-
-
-def _delta_raw(f, p):
-    c0, c1, c2, c3 = f
-    return (
-        18 * c0 * c1 * c2 * c3
-        - 4 * c1**3 * c3
-        + c1**2 * c2**2
-        - 4 * c0 * c2**3
-        - 27 * c0**2 * c3**2
-    ) % p
 
 
 def _primitive_root(p: int) -> int:
@@ -401,14 +387,7 @@ def _orbit_raw(f0: tuple, p: int, with_witness=False):
                     nxt.append(h)
                     if with_witness:
                         # act(g, act(G, f0)) = act(G*g, f0)
-                        ga, gb, gc, gd = witness[f]
-                        a, b, c, d = g
-                        witness[h] = (
-                            (ga * a + gb * c) % p,
-                            (ga * b + gb * d) % p,
-                            (gc * a + gd * c) % p,
-                            (gc * b + gd * d) % p,
-                        )
+                        witness[h] = tuple(x % p for x in _mat_mul(witness[f], g))
         frontier = nxt
     return seen, witness
 
@@ -420,15 +399,11 @@ def orbit_enumerate(field: FieldSpec, nondegenerate_only: bool = True, budget: i
     p = field.p
     if p**4 * gl2_order(p) > budget:
         raise BudgetExceeded(f"{p}^4 * |GL2(F_{p})| exceeds budget {budget}")
-    remaining = set()
-    for c0 in range(p):
-        for c1 in range(p):
-            for c2 in range(p):
-                for c3 in range(p):
-                    f = (c0, c1, c2, c3)
-                    if nondegenerate_only and _delta_raw(f, p) == 0:
-                        continue
-                    remaining.add(f)
+    remaining = {
+        f
+        for f in itertools.product(range(p), repeat=4)
+        if not nondegenerate_only or _delta(f) % p
+    }
     remaining.discard((0, 0, 0, 0))  # the zero tuple is not a cubic form
     orbits = []
     while remaining:

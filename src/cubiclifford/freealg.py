@@ -1,7 +1,9 @@
 """The free associative algebra k<x, y>.
 
-Words are plain strings over the alphabet "xy"; elements are finite
-word -> Scalar maps. This is where inputs live before reduction to the
+Words are plain strings over the alphabet "xy". An element is the same
+sparse term map as a commutative polynomial (``spoly.Terms``), with words
+as monomials: products concatenate words, and terms print in ascending
+(length, word) order. This is where inputs live before reduction to the
 rank-18 normal form, and where linear changes of the two generators act.
 
 Composition convention (frozen by the action-law test): substituting
@@ -13,9 +15,12 @@ composes the other way round; see forms.act_gl2.)
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import FieldMismatch, SingularMatrix, UnknownSymbol
 from ._parsing import ExprParser
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec
+from .spoly import Terms
 
 LETTERS = "xy"
 
@@ -35,12 +40,29 @@ def word_text(word: str) -> str:
     return "*".join(parts)
 
 
-class FreeElement:
-    __slots__ = ("field", "terms")
+class FreeElement(Terms):
+    """An element of k<x, y>; monomials are words over ``LETTERS``."""
+
+    __slots__ = ()
+
+    # bound in this class's own namespace, where per-class instrumentation
+    # (bench/tracer.py) replaces them
+    __add__, __sub__, __neg__ = Terms.__add__, Terms.__sub__, Terms.__neg__
+    __mul__, __pow__, scale = Terms.__mul__, Terms.__pow__, Terms.scale
 
     def __init__(self, field: FieldSpec, terms: dict):
-        self.field = field
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+        super().__init__(field, LETTERS, terms)
+
+    # -- monomials -------------------------------------------------------
+
+    _mono_mul = staticmethod(add)
+    _mono_text = staticmethod(word_text)
+
+    def _unit(self):
+        return ""
+
+    def _sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
 
     # -- constructors ---------------------------------------------------
 
@@ -61,113 +83,14 @@ class FreeElement:
     def generator(field, letter: str):
         return FreeElement.word(field, letter)
 
-    # -- arithmetic ------------------------------------------------------
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w)
-            terms[w] = c if acc is None else acc + c
-        return FreeElement(self.field, terms)
-
-    def __neg__(self):
-        return FreeElement(self.field, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        self._check(other)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                acc = terms.get(w)
-                terms[w] = c if acc is None else acc + c
-        return FreeElement(self.field, terms)
-
-    def scale(self, c: Scalar):
-        if c.field != self.field:
-            raise FieldMismatch("scalar from a different field")
-        if c.is_zero():
-            return FreeElement.zero(self.field)
-        return FreeElement(self.field, {w: k * c for w, k in self.terms.items()})
-
-    def __pow__(self, n: int):
-        result = FreeElement.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeElement)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
-
-    def max_degree(self):
-        return max((len(w) for w in self.terms), default=0)
-
     def homogeneous_parts(self) -> dict:
         parts = {}
         for w, c in self.terms.items():
             parts.setdefault(len(w), {})[w] = c
         return {n: FreeElement(self.field, t) for n, t in sorted(parts.items())}
 
-    # -- printing / parsing -------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            coeff = self.terms[w]
-            cs = str(coeff)
-            if coeff.is_composite_text():
-                cs = f"({cs})"
-            if not w:
-                text = cs
-            elif cs == "1":
-                text = word_text(w)
-            elif cs == "-1":
-                text = f"-{word_text(w)}"
-            else:
-                text = f"{cs}*{word_text(w)}"
-            if not parts:
-                parts.append(text)
-            elif text.startswith("-"):
-                parts.append(f" - {text[1:]}")
-            else:
-                parts.append(f" + {text}")
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"FreeElement({self})"
-
     def to_json(self):
-        return [
-            {"word": w, "coeff": self.terms[w].to_json()}
-            for w in sorted(self.terms, key=lambda w: (len(w), w))
-        ]
+        return [{"word": w, "coeff": c.to_json()} for w, c in self._sorted_terms()]
 
 
 def parse_free_expression(text: str, field: FieldSpec) -> FreeElement:

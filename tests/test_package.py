@@ -3,7 +3,12 @@ benchmark tracer (bench/tracer.py) wraps in each class's own namespace."""
 
 import cubiclifford
 from cubiclifford.cliffordf import SpecializedAlgebra
+from cubiclifford.forms import BinaryCubicForm
+from cubiclifford.freealg import FreeElement
 from cubiclifford.gca import GenericCliffordAlgebra
+from cubiclifford.spoly import SPolynomial
+
+ARITHMETIC = ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale")
 
 
 def test_public_names_and_traced_methods_resolve():
@@ -14,6 +19,9 @@ def test_public_names_and_traced_methods_resolve():
     for cls, names in (
         (GenericCliffordAlgebra, ("reduce", "mul", "verify_center_identities")),
         (SpecializedAlgebra, ("__init__", "mul", "reduce_free")),
+        (SPolynomial, ARITHMETIC + ("substitute",)),
+        (FreeElement, ARITHMETIC),
+        (BinaryCubicForm, ("discriminant",)),
     ):
         for name in names:
             assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"

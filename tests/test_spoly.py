@@ -6,6 +6,7 @@ import pytest
 
 from cubiclifford.errors import MissingAssignment, UnknownSymbol, VariableMismatch
 from cubiclifford.fields import FieldSpec
+from cubiclifford.freealg import FreeElement
 from cubiclifford.spoly import (
     GCA_VARS,
     SPolynomial,
@@ -41,6 +42,14 @@ def test_square_over_f7():
 def test_variable_mismatch():
     with pytest.raises(VariableMismatch):
         V(Q, "X3") + SPolynomial.variable(Q, "GA", ("GA",))
+
+
+def test_free_and_polynomial_operands_do_not_mix():
+    x = FreeElement.generator(Q, "x")
+    with pytest.raises(VariableMismatch):
+        x + V(Q, "X3")
+    with pytest.raises(VariableMismatch):
+        V(Q, "X3") + x
 
 
 def test_discriminant_evaluation():
