@@ -1,6 +1,10 @@
 """Command-line surface: every subcommand is a deterministic, exact
 computation with canonical JSON (sorted keys) or CSV output.
 
+One parser serves every subcommand: the command is its first positional,
+and the twelve flags, declared once, may come before or after it. `stab`
+honours `--budget`, the matrices a non-diagonal stabilizer scan may visit.
+
 Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
 2 usage error.
 """
@@ -46,13 +50,18 @@ def field_from_args(args) -> FieldSpec:
     return FieldSpec.prime(args.p, args.omega)
 
 
-def form_from_args(args, field) -> forms.BinaryCubicForm:
-    if args.coeffs is None:
-        raise UsageError("this subcommand requires --coeffs c0,c1,c2,c3")
-    parts = [t for t in args.coeffs.split(",")]
+def _four_literals(field, text, flag, shape):
+    """The four comma-separated scalar literals of a --coeffs or --matrix."""
+    if text is None:
+        raise UsageError(f"this subcommand requires {flag} {shape}")
+    parts = text.split(",")
     if len(parts) != 4:
-        raise UsageError("--coeffs needs exactly 4 comma-separated values")
-    values = [parse_scalar_literal(field, t) for t in parts]
+        raise UsageError(f"{flag} needs exactly 4 comma-separated values")
+    return [parse_scalar_literal(field, t) for t in parts]
+
+
+def form_from_args(args, field) -> forms.BinaryCubicForm:
+    values = _four_literals(field, args.coeffs, "--coeffs", "c0,c1,c2,c3")
     if args.threes:
         three = field.scalar(3)
         values[1] = values[1] * three
@@ -61,12 +70,7 @@ def form_from_args(args, field) -> forms.BinaryCubicForm:
 
 
 def matrix_from_args(args, field) -> forms.GL2Element:
-    if args.matrix is None:
-        raise UsageError("this subcommand requires --matrix a,b,c,d")
-    parts = args.matrix.split(",")
-    if len(parts) != 4:
-        raise UsageError("--matrix needs exactly 4 comma-separated values")
-    return forms.GL2Element(field, [parse_scalar_literal(field, t) for t in parts])
+    return forms.GL2Element(field, _four_literals(field, args.matrix, "--matrix", "a,b,c,d"))
 
 
 def emit_json(obj) -> str:
@@ -106,15 +110,11 @@ def cmd_diagonalize(args, field):
 
 
 def cmd_stab(args, field):
-    return forms.stabilizer(form_from_args(args, field)).to_json()
+    return forms.stabilizer(form_from_args(args, field), args.budget).to_json()
 
 
 def cmd_orbits(args, field):
-    orbits = forms.orbit_enumerate(
-        field,
-        nondegenerate_only=args.nondegenerate,
-        budget=args.budget if args.budget is not None else 10**9,
-    )
+    orbits = forms.orbit_enumerate(field, args.nondegenerate, args.budget)
     rows = [
         {
             "representative": list(o.representative),
@@ -232,27 +232,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with binary cubic forms, their "
         "Clifford algebras, and the attached elliptic curves.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--field", choices=("Q", "Qw", "Fp"), required=True)
-        p.add_argument("--p", type=int, default=None, help="prime (Fp only)")
-        p.add_argument("--omega", type=int, default=None, help="cube root of 1 mod p")
-        p.add_argument("--coeffs", default=None, help="c0,c1,c2,c3")
-        p.add_argument(
-            "--threes",
-            action="store_true",
-            help="multiply the two middle input coefficients by 3 on ingestion",
-        )
-        p.add_argument("--expr", default=None, help="free-algebra expression")
-        p.add_argument("--matrix", default=None, help="a,b,c,d")
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--bound", type=int, default=2, help="gamma-degree bound (gamma-free)")
-        p.add_argument("--which", type=int, choices=(1, 2, 3, 4), default=1, help="cover index (cover-point)")
-        p.add_argument(
-            "--nondegenerate", action="store_true", help="restrict orbit enumeration"
-        )
+    parser.add_argument("command", choices=tuple(_HANDLERS))
+    parser.add_argument("--field", choices=("Q", "Qw", "Fp"), required=True)
+    parser.add_argument("--p", type=int, default=None, help="prime (Fp only)")
+    parser.add_argument("--omega", type=int, default=None, help="cube root of 1 mod p")
+    parser.add_argument("--coeffs", default=None, help="c0,c1,c2,c3")
+    parser.add_argument(
+        "--threes",
+        action="store_true",
+        help="multiply the two middle input coefficients by 3 on ingestion",
+    )
+    parser.add_argument("--expr", default=None, help="free-algebra expression")
+    parser.add_argument("--matrix", default=None, help="a,b,c,d")
+    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--bound", type=int, default=2, help="gamma-degree bound (gamma-free)")
+    parser.add_argument(
+        "--which", type=int, choices=(1, 2, 3, 4), default=1, help="cover index (cover-point)"
+    )
+    parser.add_argument("--nondegenerate", action="store_true", help="restrict orbit enumeration")
     return parser
 
 

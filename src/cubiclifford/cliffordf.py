@@ -95,7 +95,10 @@ class SpecializedAlgebra(Rank18Algebra):
         return [self.mul(u, self.basis_element(j)).coords for j in range(18)]
 
     def relations_hold(self) -> bool:
-        """The four defining relations as identities of the representation."""
+        """Each of the four defining relations r = c, reduced from the unit
+        vector: the normal form of r - c is zero. This checks the relations
+        applied to 1 only, not as operator identities: a wrong entry in the
+        pushed mx or my column of a basis word of length >= 3 can go unseen."""
         one = FreeElement.one(self.field)
         return all(
             self.reduce_free(src - one.scale(c)).is_zero()
@@ -263,9 +266,12 @@ def gamma_independence_check(f: BinaryCubicForm, degree_bound: int) -> bool:
     """Evidence for freeness over k[GA]: the left-multiplication operators
     of GA^j * b_i (j <= degree_bound) are k-linearly independent.
 
-    The representation is validated first (the defining relations hold as
-    operator identities), so operator independence implies independence of
-    the elements themselves in the specialized algebra.
+    The representation is checked first by ``relations_hold``, which
+    reduces each defining relation from the unit vector only. That is not a
+    check that the relations hold as operator identities, so the step from
+    operator independence to independence of the elements themselves rests
+    on the generic columns (certified over Q by validate_structure_columns)
+    being pushed correctly.
     """
     f.require_nondegenerate()
     if sqrt_in_field(f.field.scalar(-108) * f.discriminant()) is None:

@@ -34,6 +34,8 @@ from .fields import (
     sqrt_in_field,
 )
 
+DEFAULT_STABILIZER_BUDGET = 10**6  # matrices a non-diagonal stabilizer scan may visit
+
 
 class BinaryCubicForm:
     __slots__ = ("field", "coeffs")
@@ -287,13 +289,16 @@ class StabilizerResult:
         }
 
 
-def stabilizer(f: BinaryCubicForm) -> StabilizerResult:
+def stabilizer(f: BinaryCubicForm, budget: int | None = None) -> StabilizerResult:
     """Explicit stabilizer of f in GL2(k).
 
     Diagonal (p, 0, 0, r): the nine diag(u, v) with u, v cube roots of 1,
     plus nine antidiagonals (0, u*l; v/l, 0) whenever l^3 = r/p has a root
     in k (equivalently p/r is a cube). Non-diagonal forms are enumerated
-    exhaustively over a prime field and unsupported over Q / Q(w).
+    exhaustively over a prime field and unsupported over Q / Q(w); the scan
+    visits p^4 matrices and raises BudgetExceeded before it starts when
+    that exceeds the budget (default DEFAULT_STABILIZER_BUDGET, which
+    admits every p <= 31).
     """
     f.require_nondegenerate()
     field = f.field
@@ -310,6 +315,9 @@ def stabilizer(f: BinaryCubicForm) -> StabilizerResult:
     if field.kind != "Fp":
         raise UnsupportedField("non-diagonal stabilizers only enumerable over Fp")
     p = field.p
+    budget = DEFAULT_STABILIZER_BUDGET if budget is None else budget
+    if p**4 > budget:
+        raise BudgetExceeded(f"the stabilizer scan visits {p}^4 matrices, over budget {budget}")
     raw = tuple(c.val for c in f.coeffs)
     # a singular matrix sends f to a form with zero discriminant, so every
     # matrix fixing the nondegenerate f is invertible
@@ -392,11 +400,13 @@ def _orbit_raw(f0: tuple, p: int, with_witness=False):
     return seen, witness
 
 
-def orbit_enumerate(field: FieldSpec, nondegenerate_only: bool = True, budget: int = 10**9):
-    """Partition forms over F_p into GL2-orbits (BFS on generator actions)."""
+def orbit_enumerate(field: FieldSpec, nondegenerate_only: bool = True, budget: int | None = None):
+    """Partition forms over F_p into GL2-orbits (BFS on generator actions);
+    the budget (default 10^9) bounds p^4 * |GL2(F_p)|."""
     if field.kind != "Fp":
         raise UnsupportedField("orbit enumeration needs a finite field")
     p = field.p
+    budget = 10**9 if budget is None else budget
     if p**4 * gl2_order(p) > budget:
         raise BudgetExceeded(f"{p}^4 * |GL2(F_{p})| exceeds budget {budget}")
     remaining = {

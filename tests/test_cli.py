@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from cubiclifford.cli import main
+from cubiclifford.cli import build_parser, main
 
 
 P64 = 18446744073709551427  # a prime above 2^64, 1 mod 3
@@ -197,6 +197,50 @@ def test_domain_error_exit_1(capsys):
     )
     assert code == 1
     assert json.loads(err)["error"] == "singular-matrix"
+
+
+def test_stab_budget_bounds_the_scan(capsys):
+    argv = ("stab", "--field", "Fp", "--p", "13", "--coeffs", "1,1,0,2")  # 13^4 = 28561
+    code, out, err = run_cli(capsys, *argv, "--budget", "28560")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "budget-exceeded"
+    code, out, _ = run_cli(capsys, *argv, "--budget", "28561")
+    assert code == 0
+    assert out == run_cli(capsys, *argv)[1]
+    # the default budget refuses p^4 ~ 10^12 before scanning
+    code, _, err = run_cli(capsys, "stab", "--field", "Fp", "--p", "1009", "--coeffs", "1,1,0,1")
+    assert code == 1
+    assert json.loads(err)["error"] == "budget-exceeded"
+
+
+COMMANDS = (
+    "reduce", "verify-identities", "disc", "act", "diagonalize", "stab", "orbits", "jacobian",
+    "torsion", "lambda-kernel", "point-search", "cover-point", "clifford-iso", "symbol-check",
+    "brauer-probe", "gamma-free",
+)
+
+
+def test_every_command_parses_the_same_flags():
+    defaults = {
+        "field": "Q", "p": None, "omega": None, "coeffs": None, "expr": None, "matrix": None,
+        "budget": None, "threes": False, "nondegenerate": False, "format": "json", "bound": 2,
+        "which": 1,
+    }
+    every_flag = (
+        "--field", "Fp", "--p", "13", "--omega", "3", "--coeffs", "1,2,3,4", "--threes",
+        "--expr", "x*y", "--matrix", "0,1,1,0", "--budget", "7", "--format", "csv",
+        "--bound", "3", "--which", "4", "--nondegenerate",
+    )
+    given = {
+        "field": "Fp", "p": 13, "omega": 3, "coeffs": "1,2,3,4", "expr": "x*y",
+        "matrix": "0,1,1,0", "budget": 7, "threes": True, "nondegenerate": True,
+        "format": "csv", "bound": 3, "which": 4,
+    }
+    for cmd in COMMANDS:
+        args = build_parser().parse_args([cmd, "--field", "Q"])
+        assert vars(args) == {"command": cmd, **defaults}
+        args = build_parser().parse_args([cmd, *every_flag])
+        assert vars(args) == {"command": cmd, **given}
 
 
 def test_usage_error_exit_2(capsys):

@@ -208,6 +208,18 @@ def test_gamma_independence():
         gamma_independence_check(BinaryCubicForm(F7, (0, 1, 0, 1)), 2)
 
 
+def test_freeness_check_answers_no_on_a_corrupted_column():
+    # mx[0] is 1 * x = x; doubling it breaks x^3 = c0 on the unit vector
+    f = BinaryCubicForm(F13, (1, 0, 0, 3))
+    alg = specialized_algebra(f)
+    try:
+        (i, q), *rest = alg.mx[0]
+        alg.mx[0] = [(i, q + q), *rest]
+        assert gamma_independence_check(f, 1) is False
+    finally:
+        specialized_algebra.cache_clear()
+
+
 def test_freeness_at_diagonal_specializations():
     # diagonal forms always satisfy the hypothesis (-108*Delta = (54ad)^2),
     # and the basis stays independent over k[GA] up to degree 3

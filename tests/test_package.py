@@ -1,6 +1,9 @@
 """Package-level guards: the public names, and the methods that the
 benchmark tracer (bench/tracer.py) wraps in each class's own namespace."""
 
+import importlib.util
+from pathlib import Path
+
 import cubiclifford
 from cubiclifford.cliffordf import SpecializedAlgebra
 from cubiclifford.forms import BinaryCubicForm
@@ -25,3 +28,16 @@ def test_public_names_and_traced_methods_resolve():
     ):
         for name in names:
             assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"
+
+
+def test_bench_tracer_finds_every_target():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
