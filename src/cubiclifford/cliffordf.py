@@ -182,7 +182,7 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
         head = gamma_image.coords[0]
         if head.is_zero():
             factor = field.zero()
-        elif head.terms.keys() == {(1,)}:
+        elif head.raw.keys() == {(1,)}:
             factor = head.terms[(1,)]
     return IsoReport(relations, factor, expected)
 
@@ -291,14 +291,14 @@ def gamma_independence_check(f: BinaryCubicForm, degree_bound: int) -> bool:
                     max_deg = max(max_deg, p.total_degree())
     width = max_deg + degree_bound + 1
     field = f.field
-    zero = field.zero()
+    zero = 0 if field.p else field.zero()
     for shift in range(degree_bound + 1):
         for mat in mats:
             vec = []
             for col in mat:
                 for p in col:
                     dense = [zero] * width
-                    for (e,), c in p.terms.items():
+                    for (e,), c in p.raw.items() if field.p else p.terms.items():
                         dense[e + shift] = c
                     vec.extend(dense)
             vectors.append(vec)
@@ -306,8 +306,7 @@ def gamma_independence_check(f: BinaryCubicForm, degree_bound: int) -> bool:
 
 
 def _rank(vectors, field) -> int:
-    """Rank of dense rows of scalars, by the sparse exact kernel."""
+    """Rank of dense rows, residues over F_p and Scalars otherwise, by the
+    sparse exact kernel."""
     ech = _Echelon(field.p)
-    return sum(
-        ech.add({j: s.val if field.p else s for j, s in enumerate(v)}) for v in vectors
-    )
+    return sum(ech.add(dict(enumerate(v))) for v in vectors)

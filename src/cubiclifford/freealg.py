@@ -2,7 +2,9 @@
 
 Words are plain strings over the alphabet "xy". An element is the same
 sparse term map as a commutative polynomial (``spoly.Terms``), with words
-as monomials: products concatenate words, and terms print in ascending
+as monomials: raw coefficients (residues over F_p, integer pairs over one
+denominator over Q and Q(w)) under a read-only {word: Scalar} ``terms``
+view. Products concatenate words, and terms print in ascending
 (length, word) order. This is where inputs live before reduction to the
 rank-18 normal form, and where linear changes of the two generators act.
 
@@ -85,9 +87,9 @@ class FreeElement(Terms):
 
     def homogeneous_parts(self) -> dict:
         parts = {}
-        for w, c in self.terms.items():
+        for w, c in self.raw.items():
             parts.setdefault(len(w), {})[w] = c
-        return {n: FreeElement(self.field, t) for n, t in sorted(parts.items())}
+        return {n: self._make(t, self.den) for n, t in sorted(parts.items())}
 
     def to_json(self):
         return [{"word": w, "coeff": c.to_json()} for w, c in self._sorted_terms()]
@@ -122,17 +124,15 @@ def linear_substitute(g, e: FreeElement) -> FreeElement:
         "x": x.scale(g.a) + y.scale(g.c),
         "y": x.scale(g.b) + y.scale(g.d),
     }
-    total = FreeElement.zero(field)
     cache = {"": FreeElement.one(field)}
-    for w, c in e.terms.items():
+    for w in e.raw:
         if w not in cache:
             # build up prefix images so shared prefixes are reused
             for i in range(1, len(w) + 1):
                 prefix = w[:i]
                 if prefix not in cache:
                     cache[prefix] = cache[prefix[:-1]] * images[prefix[-1]]
-        total = total + cache[w].scale(c)
-    return total
+    return e._lincomb([(c, cache[w]) for w, c in e.raw.items()], e.den)
 
 
 # -- the distinguished elements -------------------------------------------

@@ -55,7 +55,7 @@ from .freealg import (
     gamma_element_alt,
     s_element,
 )
-from .spoly import GCA_VARS, SPolynomial, discriminant_polynomial
+from .spoly import GCA_VARS, SPolynomial, discriminant_polynomial, raw_scalar
 
 BASIS_WORDS = (
     "",
@@ -409,7 +409,11 @@ class Rank18Element:
         return self._like([a * s for a in self.coords])
 
     def scale(self, c: Scalar):
-        return self._like([a.scale(c) for a in self.coords])
+        """Every coordinate times ``c``, converted to raw form once."""
+        if c.field != self.coords[0].field:
+            raise FieldMismatch("scalar from a different field")
+        num, den = raw_scalar(c)
+        return self._like([a._lincomb(((num, a),), den) for a in self.coords])
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
@@ -466,7 +470,9 @@ class StructureMatrices:
         for j in range(18):
             for letter, store in (("x", self.mx), ("y", self.my)):
                 polys = (
-                    SPolynomial(field, GCA_VARS, {e: field.scalar(c) for e, c in col})
+                    SPolynomial._canonical(
+                        field, GCA_VARS, {e: c if field.p else (c, 0) for e, c in col}
+                    )
                     for col in cols[(letter, j)]
                 )
                 store.append([(i, p) for i, p in enumerate(polys) if not p.is_zero()])
@@ -489,7 +495,9 @@ class Rank18Algebra:
     """The rank-18 algebra over a coefficient ring, given by the sparse
     columns ``mx``/``my`` of right multiplication by x and y (column j lists
     the nonzero ``(i, coefficient)`` of b_j * letter). Products fold words
-    letter by letter through the columns."""
+    letter by letter through the columns; each output coordinate of a fold
+    step, a reduction or a product is one raw sum of products
+    (``Terms._dot`` / ``Terms._lincomb``) with one normalization."""
 
     ELEMENT = Rank18Element
 
@@ -520,15 +528,16 @@ class Rank18Algebra:
         return self._element(coords)
 
     def _mul_letter(self, coords, letter):
+        """Coordinates times the letter: output i is the sum over j of
+        coords[j] * column_j[i], accumulated raw and normalized once."""
         cols = self.mx if letter == "x" else self.my
-        out = [self._zero] * 18
-        for j in range(18):
-            v = coords[j]
-            if v.is_zero():
-                continue
-            for i, p in cols[j]:
-                out[i] = out[i] + v * p
-        return tuple(out)
+        rows = [[] for _ in range(18)]
+        for v, col in zip(coords, cols):
+            if v.raw:
+                for i, p in col:
+                    rows[i].append((v, p))
+        zero = self._zero
+        return tuple(zero._dot(r) if r else zero for r in rows)
 
     def _word_vector(self, w: str, cache: dict):
         """Coordinates of the word w, folded on from its longest prefix in
@@ -550,23 +559,23 @@ class Rank18Algebra:
         """Normal form of a free element: each word folded through mx/my."""
         if e.field != self.field:
             raise FieldMismatch(f"{e.field} vs {self.field}")
-        total = self.zero()
-        for w, c in e.terms.items():
-            total = total + self._element(self._word_vector(w, cache)).scale(c)
-        return total
+        vectors = [(c, self._word_vector(w, cache)) for w, c in e.raw.items()]
+        zero = self._zero
+        return self._element(
+            [zero._lincomb([(c, v[i]) for c, v in vectors if v[i].raw], e.den) for i in range(18)]
+        )
 
     def _mul(self, u, v):
-        """Product of normal forms: fold u through the basis words of v."""
-        total = self.zero()
-        for j in range(18):
-            vj = v.coords[j]
-            if vj.is_zero():
-                continue
-            coords = u.coords
-            for letter in BASIS_WORDS[j]:
-                coords = self._mul_letter(coords, letter)
-            total = total + self._element(coords).scale_poly(vj)
-        return total
+        """Product of normal forms: u folded through the basis words of v
+        (sharing prefixes), times v's coordinates."""
+        cache = {"": u.coords}
+        folds = [
+            (self._word_vector(BASIS_WORDS[j], cache), vj) for j, vj in enumerate(v.coords) if vj.raw
+        ]
+        zero = self._zero
+        return self._element(
+            [zero._dot([(u_j[i], vj) for u_j, vj in folds if u_j[i].raw]) for i in range(18)]
+        )
 
 
 class GenericCliffordAlgebra(Rank18Algebra):

@@ -1,12 +1,22 @@
 """Sparse term maps over an exact scalar field: commutative polynomials here,
 and the free algebra k<x, y> in ``freealg``.
 
-Both rings store an element as one map from monomial to nonzero Scalar and
+Both rings store an element as one map from monomial to raw coefficient and
 share the arithmetic and the printer of ``Terms``; they differ only in their
-monomials. ``SPolynomial`` is the commutative ring with exponent tuples as
-monomials. It hosts the coefficient ring S = k[X3, AL, BE, Y3, GA] of the
-rank-18 module structure (X3, Y3 are the central generator cubes, AL/BE the
-two polarization sums, GA the degree-4 central element), the center variable
+monomials. Coefficients are not boxed ``Scalar``s: over F_p a coefficient is
+its residue, and over Q and Q(w) it is an integer pair (a, b) read over one
+denominator per element, FLINT's fmpq_poly layout
+(https://flintlib.org/doc/fmpq_poly.html). A product accumulates unreduced
+integers and normalizes once per output, and the rank-18 letter fold
+(``gca.Rank18Algebra._mul_letter``) sums all its products into an output
+coordinate the same way (``Terms._dot``). ``Scalar`` stays the type at the
+boundary: constructors and ``scale`` take Scalars, and ``terms`` is a
+read-only {monomial: Scalar} view.
+
+``SPolynomial`` is the commutative ring with exponent tuples as monomials.
+It hosts the coefficient ring S = k[X3, AL, BE, Y3, GA] of the rank-18
+module structure (X3, Y3 are the central generator cubes, AL/BE the two
+polarization sums, GA the degree-4 central element), the center variable
 S, and the univariate k[GA] coefficients of the specialized algebras.
 
 Canonical printing orders polynomial terms by total degree descending, then
@@ -15,20 +25,61 @@ exponent tuple descending (first listed variable most significant).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 from .errors import FieldMismatch, MissingAssignment, UnknownSymbol, VariableMismatch
 from ._parsing import ExprParser
-from .fields import FieldSpec, Scalar
+from .fields import RATIONALS, FieldSpec, Scalar
 
 GCA_VARS = ("X3", "AL", "BE", "Y3", "GA")
 CENTER_VARS = ("X3", "AL", "BE", "Y3", "GA", "S")
 GAMMA_VARS = ("GA",)
 
+_ZERO = Fraction(0)
+
+
+def raw_scalar(c: Scalar):
+    """(numerator, denominator) of ``c`` in the raw layout of ``Terms``:
+    (residue, 1) over F_p, and ((a, b), den) with c = (a + b*w)/den and
+    gcd(a, b, den) = 1 over Q and Q(w) (b = 0 over Q)."""
+    v = c.val
+    if c.field.p:
+        return v, 1
+    a, b = (v, _ZERO) if c.field.kind == RATIONALS else v
+    den = lcm(a.denominator, b.denominator)
+    return (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)), den
+
+
+class ScalarView(Mapping):
+    """The read-only {monomial: Scalar} view of a term map's coefficients."""
+
+    __slots__ = ("_element",)
+
+    def __init__(self, element):
+        self._element = element
+
+    def __getitem__(self, mono):
+        return self._element._scalar(self._element.raw[mono])
+
+    def __iter__(self):
+        return iter(self._element.raw)
+
+    def __len__(self):
+        return len(self._element.raw)
+
 
 class Terms:
-    """A sparse k-linear combination of monomials: ``terms`` maps each
-    monomial to a nonzero Scalar of ``field``.
+    """A sparse k-linear combination of monomials with raw coefficients.
+
+    Over F_p, ``raw`` maps each monomial to its residue in [1, p) and
+    ``den`` is 1. Over Q and Q(w), ``raw`` maps each monomial to an integer
+    pair (a, b), not both 0, standing for (a + b*w)/den (b = 0 over Q);
+    ``den`` is positive and the gcd of ``den`` and all the a's and b's is 1.
+    Both layouts are canonical, so ``==`` and ``hash`` compare ``raw`` and
+    ``den``. ``terms`` is the read-only {monomial: Scalar} view.
 
     A subclass fixes the monomials by supplying ``_mono_mul`` (the product
     of two monomials), ``_unit()`` (the unit monomial), ``_sorted_terms()``
@@ -36,20 +87,64 @@ class Terms:
     Operands must share the field and the ``variables`` of the ring.
     """
 
-    __slots__ = ("field", "variables", "terms")
+    __slots__ = ("field", "variables", "raw", "den")
 
     def __init__(self, field: FieldSpec, variables, terms: dict):
+        """``terms`` maps monomials to Scalars of ``field`` (or to values
+        that ``field.scalar`` accepts)."""
+        scalars = [(m, field.scalar(c)) for m, c in terms.items()]
         self.field = field
         self.variables = variables
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        if field.p:
+            self.raw, self.den = {m: c.val for m, c in scalars if c.val}, 1
+            return
+        nums = [(m, raw_scalar(c)) for m, c in scalars if not c.is_zero()]
+        den = lcm(*(d for _, (_, d) in nums))
+        self.raw = {m: (a * (den // d), b * (den // d)) for m, ((a, b), d) in nums}
+        self.den = den
 
-    def _like(self, terms: dict):
-        """An element of the same ring with these terms, zeros dropped."""
-        new = object.__new__(type(self))
-        new.field = self.field
-        new.variables = self.variables
-        new.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+    @classmethod
+    def _canonical(cls, field, variables, acc: dict, den: int = 1):
+        """The element whose raw coefficients are ``acc`` over ``den``:
+        unreduced ints over F_p (where ``den`` is 1), integer pairs over Q
+        and Q(w)."""
+        p = field.p
+        if p:
+            raw = {m: r for m, v in acc.items() if (r := v % p)}
+        else:
+            raw = {m: v for m, v in acc.items() if v[0] or v[1]}
+            if den != 1:
+                g = den
+                for a, b in raw.values():
+                    g = gcd(g, a, b)
+                    if g == 1:
+                        break
+                if g != 1:
+                    den //= g
+                    raw = {m: (a // g, b // g) for m, (a, b) in raw.items()}
+        new = object.__new__(cls)
+        new.field = field
+        new.variables = variables
+        new.raw = raw
+        new.den = den
         return new
+
+    def _make(self, acc: dict, den: int = 1):
+        """An element of the same ring with raw coefficients ``acc`` over ``den``."""
+        return self._canonical(self.field, self.variables, acc, den)
+
+    def _scalar(self, v) -> Scalar:
+        """The Scalar of the raw coefficient ``v``."""
+        field = self.field
+        if field.p:
+            return Scalar(field, v)
+        if field.kind == RATIONALS:
+            return Scalar(field, Fraction(v[0], self.den))
+        return Scalar(field, (Fraction(v[0], self.den), Fraction(v[1], self.den)))
+
+    @property
+    def terms(self) -> ScalarView:
+        return ScalarView(self)
 
     def _check(self, other):
         if self.field != other.field:
@@ -58,58 +153,114 @@ class Terms:
             raise VariableMismatch(f"{self.variables} vs {other.variables}")
 
     def is_zero(self):
-        return not self.terms
+        return not self.raw
 
     def __eq__(self, other):
         return (
             isinstance(other, type(self))
             and self.field == other.field
             and self.variables == other.variables
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash((self.field, self.variables, frozenset(self.terms.items())))
+        return hash((self.field, self.variables, frozenset(self.raw.items()), self.den))
+
+    # -- the two kernels ------------------------------------------------------
+
+    def _lincomb(self, items, den: int = 1):
+        """Sum of c * t over the (c, t) in ``items``, divided by ``den``, in
+        one raw accumulation with one normalization. Each c is a raw scalar
+        numerator (see ``raw_scalar``), each t an element of this ring."""
+        acc = {}
+        get = acc.get
+        if self.field.p:
+            for c, t in items:
+                for m, a in t.raw.items():
+                    acc[m] = get(m, 0) + c * a
+            return self._make(acc)
+        common = lcm(*(t.den for _, t in items))
+        for (c, d), t in items:
+            f = common // t.den
+            c *= f
+            d *= f
+            for m, (a, b) in t.raw.items():
+                bd = b * d
+                old = get(m)
+                if old is None:
+                    acc[m] = (a * c - bd, a * d + b * c - bd)
+                else:
+                    acc[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
+        return self._make(acc, common * den)
+
+    def _dot(self, pairs):
+        """Sum of u * v over the (u, v) in ``pairs``, elements of this ring,
+        in one raw accumulation with one normalization."""
+        mono_mul = self._mono_mul
+        acc = {}
+        get = acc.get
+        if self.field.p:
+            for u, v in pairs:
+                vitems = v.raw.items()
+                for m1, a in u.raw.items():
+                    for m2, c in vitems:
+                        m = mono_mul(m1, m2)
+                        acc[m] = get(m, 0) + a * c
+            return self._make(acc)
+        common = lcm(*(u.den * v.den for u, v in pairs))
+        for u, v in pairs:
+            uitems, vitems = u.raw.items(), v.raw.items()
+            f = common // (u.den * v.den)
+            if f != 1:  # bring the shorter operand onto the common denominator
+                if len(uitems) < len(vitems):
+                    uitems = [(m, (f * a, f * b)) for m, (a, b) in uitems]
+                else:
+                    vitems = [(m, (f * a, f * b)) for m, (a, b) in vitems]
+            for m1, (a, b) in uitems:
+                for m2, (c, d) in vitems:
+                    m = mono_mul(m1, m2)
+                    bd = b * d
+                    old = get(m)
+                    if old is None:
+                        acc[m] = (a * c - bd, a * d + b * c - bd)
+                    else:
+                        acc[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
+        return self._make(acc, common)
+
+    def _units(self):
+        """The raw numerators of 1 and -1."""
+        return (1, -1) if self.field.p else ((1, 0), (-1, 0))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            terms[m] = c if acc is None else acc + c
-        return self._like(terms)
+        one = self._units()[0]
+        return self._lincomb(((one, self), (one, other)))
 
     def __neg__(self):
-        return self._like({m: -c for m, c in self.terms.items()})
+        return self._lincomb(((self._units()[1], self),))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        one, minus = self._units()
+        return self._lincomb(((one, self), (minus, other)))
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        mono_mul = self._mono_mul
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                acc = terms.get(m)
-                terms[m] = c if acc is None else acc + c
-        return self._like(terms)
+        return self._dot(((self, other),))
 
     def scale(self, c: Scalar):
         if c.field != self.field:
             raise FieldMismatch("scalar from a different field")
-        if c.is_zero():
-            return self._like({})
-        return self._like({m: k * c for m, k in self.terms.items()})
+        num, den = raw_scalar(c)
+        return self._lincomb(((num, self),), den)
 
     def __pow__(self, n: int):
-        result = self._like({self._unit(): self.field.one()})
+        result = self._make({self._unit(): self._units()[0]})
         base = self
         while n:
             if n & 1:
@@ -121,7 +272,7 @@ class Terms:
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.raw:
             return "0"
         unit = self._unit()
         parts = []
@@ -198,7 +349,7 @@ class SPolynomial(Terms):
         return SPolynomial(field, variables, {tuple(exponents): field.scalar(coeff)})
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(sum, self.raw), default=0)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -222,19 +373,22 @@ class SPolynomial(Terms):
         return total
 
     def substitute(self, assignment: dict, keep: tuple[str, ...]) -> "SPolynomial":
-        """Evaluate some variables, keeping ``keep`` formal (in their order)."""
+        """Evaluate some variables, keeping ``keep`` formal (in their order).
+
+        Over F_p the residues are multiplied unreduced and each output
+        coefficient is reduced once."""
+        p = self.field.p
         positions = []
         for v in self.variables:
             if v in keep:
                 positions.append(("keep", keep.index(v)))
             elif v in assignment:
-                positions.append(("eval", assignment[v]))
+                positions.append(("eval", assignment[v].val if p else assignment[v]))
             else:
                 raise MissingAssignment(f"no value for {v!r}")
         out = {}
-        for expo, coeff in self.terms.items():
+        for expo, c in self.raw.items() if p else self.terms.items():
             new_expo = [0] * len(keep)
-            c = coeff
             for (what, info), e in zip(positions, expo):
                 if what == "keep":
                     new_expo[info] += e
@@ -243,6 +397,8 @@ class SPolynomial(Terms):
             key = tuple(new_expo)
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
+        if p:
+            return SPolynomial._canonical(self.field, keep, out)
         return SPolynomial(self.field, keep, out)
 
     # -- printing / parsing ---------------------------------------------------

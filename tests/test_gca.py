@@ -1,6 +1,7 @@
 """The rank-18 algebra: structure matrices, reduction, center identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -202,6 +203,29 @@ def test_confluence_evidence_over_qw():
     for _ in range(8):
         e = rand_free_element(QW, rng, max_len=6, max_terms=3)
         assert alg.reduce(e) == alg.rewrite_reduce(e, rng=rng)[0] == alg.oracle_reduce(e)
+
+
+def test_confluence_evidence_over_qw_with_fractional_coefficients():
+    # the shape of the requests a Q(w) client sends: words up to degree 8
+    # and coefficients a + b*w with denominators 1-6 in both a and b
+    alg = GenericCliffordAlgebra(QW)
+    rng = random.Random(14)
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    forms = []
+    for _ in range(12):
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            word = "".join(rng.choice("xy") for _ in range(rng.randint(0, 8)))
+            terms[word] = QW.scalar((fraction(), fraction()))
+        e = FreeElement(QW, terms)
+        via_matrices = alg.reduce(e)
+        assert via_matrices == alg.rewrite_reduce(e, rng=rng)[0] == alg.oracle_reduce(e)
+        forms.append((e, via_matrices))
+    for (e1, u), (e2, v) in zip(forms, forms[1:]):
+        assert alg.mul(u, v) == alg.reduce(e1 * e2)
 
 
 def test_oracle_handles_degree_nine():

@@ -1,8 +1,11 @@
 """Sparse polynomial ring S = k[X3, AL, BE, Y3, GA]."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubiclifford.errors import MissingAssignment, UnknownSymbol, VariableMismatch
 from cubiclifford.fields import FieldSpec
@@ -17,6 +20,7 @@ from cubiclifford.spoly import (
 Q = FieldSpec.rationals()
 QW = FieldSpec.cyclotomic()
 F7 = FieldSpec.prime(7)
+P64 = 18446744073709551427  # a prime above 2^64, 1 mod 3
 
 
 def V(field, name):
@@ -160,3 +164,112 @@ def test_qw_coefficient_round_trip():
 def test_unknown_symbol_position():
     with pytest.raises(UnknownSymbol):
         SPolynomial.parse("X3 + bogus", Q)
+
+
+# -- the raw kernel against Scalar arithmetic ---------------------------------
+
+KERNEL_FIELDS = {"Q": Q, "Qw": QW, "F7": F7, "F_P64": FieldSpec.prime(P64)}
+
+
+def coefficients(field):
+    """Scalars of ``field``; over Q and Q(w) with denominators 1-6 (in both
+    parts over Q(w))."""
+    if field.p:
+        return st.integers(0, field.p - 1).map(field.scalar)
+    frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    if field.kind == "Q":
+        return frac.map(field.scalar)
+    return st.tuples(frac, frac).map(field.scalar)
+
+
+# ring -> (monomials, constructor from {monomial: Scalar}, monomial product, unit)
+RINGS = {
+    "SPolynomial": (
+        st.tuples(*(st.integers(0, 2) for _ in GCA_VARS)),
+        lambda field, terms: SPolynomial(field, GCA_VARS, terms),
+        lambda e1, e2: tuple(a + b for a, b in zip(e1, e2)),
+        (0,) * len(GCA_VARS),
+    ),
+    "FreeElement": (
+        st.text("xy", max_size=3),
+        FreeElement,
+        lambda w1, w2: w1 + w2,
+        "",
+    ),
+}
+
+
+def reference(pairs):
+    """The Scalar-level sum of c * m over (monomial, Scalar) pairs, zeros dropped."""
+    out = {}
+    for m, c in pairs:
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def reference_mul(p, q, mono_mul):
+    return reference(
+        (mono_mul(m1, m2), c1 * c2) for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()
+    )
+
+
+def assert_canonical(t):
+    """The raw layout's invariants: residues in [1, p) over F_p; over Q and
+    Q(w) nonzero pairs over a positive denominator sharing no factor with
+    all of them (b = 0 over Q)."""
+    if t.field.p:
+        assert t.den == 1 and all(0 < r < t.field.p for r in t.raw.values())
+        return
+    assert t.den > 0 and all(a or b for a, b in t.raw.values())
+    assert gcd(t.den, *(x for pair in t.raw.values() for x in pair)) == 1
+    if t.field.kind == "Q":
+        assert all(b == 0 for _, b in t.raw.values())
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS.values(), ids=KERNEL_FIELDS.keys())
+@pytest.mark.parametrize("ring", RINGS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kernel_agrees_with_scalar_reference(ring, field, data):
+    monos, build, mono_mul, unit = RINGS[ring]
+    elements = st.dictionaries(monos, coefficients(field), max_size=4).map(
+        lambda terms: build(field, terms)
+    )
+    p, q = data.draw(elements), data.draw(elements)
+    c = data.draw(coefficients(field))
+    n = data.draw(st.integers(0, 3))
+    for t in (p, q):
+        assert_canonical(t)
+        assert build(field, dict(t.terms)) == t
+
+    results = {
+        "+": (p + q, reference([*p.terms.items(), *q.terms.items()])),
+        "-": (p - q, reference([*p.terms.items(), *((m, -k) for m, k in q.terms.items())])),
+        "neg": (-p, reference((m, -k) for m, k in p.terms.items())),
+        "*": (p * q, reference_mul(p, q, mono_mul)),
+        "scale": (p.scale(c), reference((m, k * c) for m, k in p.terms.items())),
+    }
+    power = {unit: field.one()}
+    for _ in range(n):
+        power = reference_mul(build(field, power), p, mono_mul)
+    results["**"] = (p**n, power)
+    for op, (got, want) in results.items():
+        assert_canonical(got)
+        assert dict(got.terms) == want, op
+        assert got.is_zero() == (not want), op
+
+    # values reached along different routes are equal, with equal hashes
+    half, third = field.one() / field.scalar(2), field.one() / field.scalar(3)
+    zero = build(field, {})
+    routes = (
+        (p.scale(half) + p.scale(half), p),
+        ((p * q).scale(third).scale(field.scalar(3)), p * q),
+        (p - q + q, p),
+        (p.scale(c) - p.scale(c), zero),
+        (p.scale(field.zero()), zero),
+        (p * zero, zero),
+        (p - p, zero),
+    )
+    for got, want in routes:
+        assert got == want and hash(got) == hash(want)
+    assert (p - p).is_zero() and (p * zero).is_zero()
