@@ -31,8 +31,7 @@ field values. Its callers and their exact checks:
 * ``GenericCliffordAlgebra.oracle_reduce``: one echelon per field and
   degree; a target outside the span is reported as an inconsistent system;
 * ``ideal_membership``: over Q, and a "member" answer is certified by
-  verifying its combination of ideal columns over Z;
-* ``cliffordf._rank`` (the freeness check).
+  verifying its combination of ideal columns over Z.
 """
 
 from __future__ import annotations

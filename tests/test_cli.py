@@ -3,6 +3,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from cubiclifford.cli import build_parser, main
 
@@ -185,6 +188,18 @@ def test_gamma_free(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"bound": 2, "independent": True}
+
+
+GAMMA_FREE_GOLDEN = json.loads((Path(__file__).parent / "golden_gamma_free.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GAMMA_FREE_GOLDEN["cli"], ids=lambda case: " ".join(case["argv"][2:])
+)
+def test_gamma_free_output_is_frozen(capsys, case):
+    # stdout, stderr and exit code of the rank-based check this one replaced:
+    # bounds 0-3 and -1, large primes, Q(w) and the three error exits
+    assert run_cli(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_domain_error_exit_1(capsys):

@@ -22,7 +22,7 @@ from cubiclifford.errors import (
     FormMismatch,
     HypothesisNotMet,
 )
-from cubiclifford.fields import FieldSpec
+from cubiclifford.fields import FieldSpec, sqrt_in_field
 from cubiclifford.forms import BinaryCubicForm, GL2Element, diagonalize, _hessian_coefficients
 from cubiclifford.freealg import FreeElement, delta_element, parse_free_expression, s_element
 from cubiclifford.gca import GenericCliffordAlgebra
@@ -209,15 +209,34 @@ def test_gamma_independence():
 
 
 def test_freeness_check_answers_no_on_a_corrupted_column():
-    # mx[0] is 1 * x = x; doubling it breaks x^3 = c0 on the unit vector
+    # doubling one entry of any pushed mx or my column breaks a relation as
+    # an operator identity; the columns of words of length >= 3 need the
+    # relations applied beyond the unit vector to show it
     f = BinaryCubicForm(F13, (1, 0, 0, 3))
     alg = specialized_algebra(f)
     try:
-        (i, q), *rest = alg.mx[0]
-        alg.mx[0] = [(i, q + q), *rest]
-        assert gamma_independence_check(f, 1) is False
+        for name, cols in (("mx", alg.mx), ("my", alg.my)):
+            for j, col in enumerate(cols):
+                (i, q), *rest = col
+                cols[j] = [(i, q + q), *rest]
+                try:
+                    assert gamma_independence_check(f, 1) is False, (name, j)
+                finally:
+                    cols[j] = col
     finally:
         specialized_algebra.cache_clear()
+
+
+@pytest.mark.parametrize("p", (7, 13, 18446744073709551427))
+def test_freeness_on_random_forms_meeting_the_hypothesis(p):
+    field = FieldSpec.prime(p)
+    rng = random.Random(68)
+    checked = 0
+    while checked < 30:
+        f = rand_form(field, rng)
+        if sqrt_in_field(field.scalar(-108) * f.discriminant()) is not None:
+            assert gamma_independence_check(f, rng.randint(0, 3))
+            checked += 1
 
 
 def test_freeness_at_diagonal_specializations():
