@@ -26,6 +26,7 @@ from .freealg import (
     FreeElement,
     alpha_element,
     beta_element,
+    epsilon_commutators,
     epsilon_element,
     gamma_element,
     linear_substitute,
@@ -219,16 +220,13 @@ def symbol_relations_check(f: BinaryCubicForm) -> SymbolReport:
     f.require_nondegenerate()
     field = f.field
     alg = specialized_algebra(f)
-    w = field.omega()
-    one = field.one()
     x = FreeElement.generator(field, "x")
     y = FreeElement.generator(field, "y")
-    eps = epsilon_element(field)
-    ga = gamma_element(field)
-    eps3 = eps**3
+    eps3 = epsilon_element(field) ** 3
+    eps_x, eps_y = epsilon_commutators(field)
     identities = (
-        ("eps-x-commutation", eps * x - (x * eps).scale(w)),
-        ("eps-y-commutation", eps * y - (y * eps).scale(w) - ga.scale(one - w)),
+        ("eps-x-commutation", eps_x),
+        ("eps-y-commutation", eps_y),
         ("eps-cube-central-x", eps3 * x - x * eps3),
         ("eps-cube-central-y", eps3 * y - y * eps3),
     )

@@ -527,12 +527,12 @@ def _qw_cube_root(a: Scalar) -> Scalar | None:
     """Cube root in Q(w) via the integral lattice Z[w].
 
     Scale to T^3 = C with C in Z[w]; a root T is integral over Z, hence in
-    Z[w], and N(T) is the exact cube root of N(C). Enumerate lattice points
-    of that norm.
+    Z[w], and N(T) is the exact cube root of N(C). The trace t = T + conj(T)
+    is an integer root of t^3 - 3*N(T)*t - tr(C), found by bisection on the
+    cubic's three monotone pieces; t and N(T) leave two lattice points per
+    root, tried in ascending first coordinate as a scan of norm N(T) would.
     """
     x, y = a.val
-    if x == 0 and y == 0:
-        return a.field.zero()
     den = (x.denominator * y.denominator) // gcd(x.denominator, y.denominator)
     ax = int(x * den * den * den)  # C = a * den^3, integral components
     ay = int(y * den * den * den)
@@ -540,15 +540,30 @@ def _qw_cube_root(a: Scalar) -> Scalar | None:
     n3 = iroot(norm_c, 3)
     if n3 is None:
         return None
-    # U^2 - U*V + V^2 = n3: for each U, V = (U +- sqrt(4*n3 - 3U^2))/2
-    bound = isqrt(4 * n3 // 3) + 1
-    for u in range(-bound, bound + 1):
-        d = 4 * n3 - 3 * u * u
-        if d < 0:
+
+    def trace_cubic(t):
+        return t * (t * t - 3 * n3) - (2 * ax - ay)
+
+    # T = U + V*w has trace t = 2U - V and 4*n3 = t^2 + 3V^2, so |t| <= 2*sqrt(n3)
+    r, t_max = isqrt(n3), isqrt(4 * n3)
+    candidates = set()
+    for lo, hi, sign in ((-t_max, -r - 1, 1), (-r, r, -1), (r + 1, t_max, 1)):
+        while lo < hi:  # the least t in [lo, hi] with sign * trace_cubic(t) >= 0
+            mid = (lo + hi) // 2
+            if sign * trace_cubic(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        t = lo
+        if trace_cubic(t) != 0:
             continue
-        s = isqrt(d)
-        if s * s != d:
-            continue
+        v = isqrt((4 * n3 - t * t) // 3)
+        if t * t + 3 * v * v == 4 * n3:
+            candidates.update((t + sv) // 2 for sv in (v, -v) if (t + sv) % 2 == 0)
+    # U^2 - U*V + V^2 = n3: for each U, V = (U +- s)/2 with s^2 = 4*n3 - 3U^2,
+    # a square for every candidate U (it is (2V - U)^2)
+    for u in sorted(candidates):
+        s = isqrt(4 * n3 - 3 * u * u)
         for v2 in {(u + s), (u - s)}:
             if v2 % 2:
                 continue

@@ -168,6 +168,18 @@ def epsilon_element(field) -> FreeElement:
     return FreeElement(field, {"xyx": field.one(), "xxy": w, "yxx": w * w})
 
 
+def epsilon_commutators(field) -> tuple[FreeElement, FreeElement]:
+    """eps*x - w*x*eps and eps*y - w*y*eps - (1-w)*gamma, both zero in the
+    algebra."""
+    w = field.omega()
+    x, y = FreeElement.generator(field, "x"), FreeElement.generator(field, "y")
+    eps = epsilon_element(field)
+    return (
+        eps * x - (x * eps).scale(w),
+        eps * y - (y * eps).scale(w) - gamma_element(field).scale(field.one() - w),
+    )
+
+
 def s_element(field) -> FreeElement:
     """delta^3 - (3w(1-w)*x^3*y^3 + (1+2w^2)*alpha*beta)/2, the center
     coordinate with s^2 = gamma^3 + Delta/4."""

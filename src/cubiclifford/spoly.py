@@ -348,29 +348,14 @@ class SPolynomial(Terms):
     def monomial(field, exponents, coeff, variables=GCA_VARS):
         return SPolynomial(field, variables, {tuple(exponents): field.scalar(coeff)})
 
-    def total_degree(self):
-        return max(map(sum, self.raw), default=0)
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, assignment: dict) -> Scalar:
         """Full evaluation; every variable must be assigned."""
-        point = []
         for v in self.variables:
-            if v not in assignment:
-                raise MissingAssignment(f"no value for {v!r}")
-            s = assignment[v]
-            if s.field != self.field:
-                raise FieldMismatch(f"assignment for {v!r} is in {s.field}")
-            point.append(s)
-        total = self.field.zero()
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for val, e in zip(point, expo):
-                if e:
-                    term = term * val**e
-            total = total + term
-        return total
+            if v in assignment and assignment[v].field != self.field:
+                raise FieldMismatch(f"assignment for {v!r} is in {assignment[v].field}")
+        return self.substitute(assignment, ()).terms.get((), self.field.zero())
 
     def substitute(self, assignment: dict, keep: tuple[str, ...]) -> "SPolynomial":
         """Evaluate some variables, keeping ``keep`` formal (in their order).

@@ -3,14 +3,18 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from cubiclifford.cli import build_parser, main
+from cubiclifford.fields import FieldSpec, Scalar
+from cubiclifford.forms import BinaryCubicForm, GL2Element, act_gl2
 
 
 P64 = 18446744073709551427  # a prime above 2^64, 1 mod 3
+QW = FieldSpec.cyclotomic()
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +230,27 @@ def test_stab_budget_bounds_the_scan(capsys):
     code, _, err = run_cli(capsys, "stab", "--field", "Fp", "--p", "1009", "--coeffs", "1,1,0,1")
     assert code == 1
     assert json.loads(err)["error"] == "budget-exceeded"
+
+
+def test_qw_cube_roots_of_large_coefficients_return(capsys):
+    # both commands take cube roots in Q(w) of norm about 10^60
+    big = 10**30
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "stab", "--field", "Qw", "--coeffs", f"1,0,0,{big}")
+    assert code == 0 and time.perf_counter() - start < 2
+    elements = json.loads(out)["elements"]
+    f = BinaryCubicForm(QW, (1, 0, 0, big))
+    assert len(elements) == 18
+    for entries in elements:
+        g = GL2Element(QW, [Scalar.from_json(QW, x) for x in entries])
+        assert act_gl2(g, f) == f
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "point-search", "--field", "Qw", "--coeffs", f"2,0,0,{big}", "--budget", "1"
+    )
+    assert code == 0 and time.perf_counter() - start < 2
+    pt = {k: Scalar.from_json(QW, x) for k, x in json.loads(out)["point"].items()}
+    assert pt["w"] ** 3 == BinaryCubicForm(QW, (2, 0, 0, big)).evaluate(pt["u"], pt["v"])
 
 
 COMMANDS = (

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -202,6 +203,50 @@ def test_cube_roots():
         c = t**3
         got = cube_root_in_field(c)
         assert got is not None and got**3 == c
+
+
+def _qw_cube_root_by_scan(c):
+    """Cube root of c in Q(w) by scanning every lattice point u + v*w of
+    norm N(c)^(1/3) in ascending u, after clearing denominators."""
+    x, y = c.val
+    if x == 0 and y == 0:
+        return QW.zero()
+    den = lcm(x.denominator, y.denominator)
+    ax, ay = int(x * den**3), int(y * den**3)
+    n3 = iroot(ax * ax - ax * ay + ay * ay, 3)
+    if n3 is None:
+        return None
+    bound = isqrt(4 * n3 // 3) + 1
+    for u in range(-bound, bound + 1):
+        d = 4 * n3 - 3 * u * u
+        if d < 0 or isqrt(d) ** 2 != d:
+            continue
+        for v2 in {u + isqrt(d), u - isqrt(d)}:
+            v = v2 // 2
+            if v2 % 2 == 0 and (u**3 - 3 * u * v * v + v**3, 3 * u * v * (u - v)) == (ax, ay):
+                return QW.scalar((Fraction(u, den), Fraction(v, den)))
+    return None
+
+
+def test_qw_cube_root_matches_lattice_scan():
+    rng = random.Random(8)
+    cases = [QW.scalar(n) for n in range(-30, 31)] + [QW.omega() * QW.scalar(n) for n in (1, 8, -27)]
+    for _ in range(300):
+        u, v = rng.randint(-12, 12), rng.randint(-12, 12)
+        if rng.random() < 0.2:
+            v = -u  # u*(1 - w) and its conjugate w*u*(1 - w) share the coordinate u
+        t = QW.scalar((Fraction(u, rng.randint(1, 3)), Fraction(v, rng.randint(1, 3))))
+        cases += [t**3, t**3 * QW.scalar(3), t**3 * QW.scalar((Fraction(2), Fraction(1)))]
+        cases.append(QW.scalar((Fraction(rng.randint(-200, 200)), Fraction(rng.randint(-200, 200)))))
+    for c in cases:
+        assert cube_root_in_field(c) == _qw_cube_root_by_scan(c), c
+
+
+def test_qw_cube_root_of_large_norm():
+    c = QW.scalar(10**30) * QW.scalar((Fraction(2), Fraction(3))) ** 3
+    r = cube_root_in_field(c)
+    assert r is not None and r**3 == c
+    assert cube_root_in_field(QW.scalar(2 * 10**30)) is None
 
 
 def test_sixth_power_token():

@@ -247,6 +247,32 @@ def test_oracle_handles_degree_nine():
         assert alg.oracle_reduce(e) == alg.reduce(e) == via_rewriter
 
 
+def test_rewriter_rewrites_each_word_once():
+    # largest word first, each word at most once: a dense degree-9 element
+    # takes at most one step per word of length <= 9 under the default budget
+    alg = GenericCliffordAlgebra(F103)
+    rng = random.Random(19)
+    e = FreeElement(F103, {w: rand_scalar(F103, rng, nonzero=True) for w in words_of_degree(9)})
+    via_rewriter, steps = alg.rewrite_reduce(e)
+    assert steps <= 2**10 - 1
+    assert via_rewriter == alg.reduce(e) == alg.oracle_reduce(e)
+
+
+@pytest.mark.parametrize("field", [F103, QW], ids=str)
+def test_rewriter_redex_choice_does_not_change_the_result(field):
+    # deterministic (leftmost redex) and five random-redex runs agree with
+    # the fold on every basis product and on seeded random elements
+    alg = GenericCliffordAlgebra(field)
+    rngs = [None] + [random.Random(seed) for seed in range(5)]
+    products = [FreeElement.word(field, w + letter) for w in BASIS_WORDS for letter in "xy"]
+    elements_rng = random.Random(23)
+    elements = [rand_free_element(field, elements_rng, max_len=8) for _ in range(30)]
+    for e in products + elements:
+        via_matrices = alg.reduce(e)
+        for rng in rngs:
+            assert alg.rewrite_reduce(e, rng=rng)[0] == via_matrices
+
+
 def test_rewrite_step_budget_on_basis_products():
     alg = ALG[QW]
     for w in BASIS_WORDS:

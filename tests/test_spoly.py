@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubiclifford.errors import MissingAssignment, UnknownSymbol, VariableMismatch
+from cubiclifford.errors import FieldMismatch, MissingAssignment, UnknownSymbol, VariableMismatch
 from cubiclifford.fields import FieldSpec
 from cubiclifford.freealg import FreeElement
 from cubiclifford.spoly import (
@@ -94,6 +94,14 @@ def test_ga_cube_mod_7():
 def test_missing_assignment():
     with pytest.raises(MissingAssignment):
         V(Q, "X3").evaluate({"AL": Q.one()})
+
+
+def test_evaluation_checks_the_field_of_each_value():
+    point = {v: F7.one() for v in GCA_VARS}
+    point["BE"] = Q.one()
+    with pytest.raises(FieldMismatch):
+        V(F7, "X3").evaluate(point)
+    assert SPolynomial.zero(F7).evaluate({v: F7.one() for v in GCA_VARS}) == F7.zero()
 
 
 def test_evaluation_is_ring_hom():
