@@ -28,7 +28,6 @@ from .curves import (
     ell_add,
     ell_mul,
     ell_neg,
-    elliptic_group_law,
     j_invariant,
     jacobian_constant,
     lambda_isogeny,
@@ -40,7 +39,6 @@ from .fields import (
     Scalar,
     cube_root_in_field,
     nth_power_class,
-    scalar_arithmetic,
     sixth_power_class_token,
     sqrt_in_field,
 )
@@ -62,7 +60,7 @@ from .gca import (
     GenericCliffordAlgebra,
     StructureMatrices,
 )
-from .spoly import SPolynomial, discriminant_polynomial, poly_arithmetic
+from .spoly import SPolynomial, discriminant_polynomial
 
 __all__ = [
     "BASIS_WORDS",
@@ -93,7 +91,6 @@ __all__ = [
     "ell_add",
     "ell_mul",
     "ell_neg",
-    "elliptic_group_law",
     "gamma_independence_check",
     "j_invariant",
     "jacobian_constant",
@@ -106,8 +103,6 @@ __all__ = [
     "orbit_invariants",
     "parse_free_expression",
     "point_search",
-    "poly_arithmetic",
-    "scalar_arithmetic",
     "sixth_power_class_token",
     "specialize",
     "specialized_algebra",

@@ -3,7 +3,9 @@ computation with canonical JSON (sorted keys) or CSV output.
 
 One parser serves every subcommand: the command is its first positional,
 and the twelve flags, declared once, may come before or after it. `stab`
-honours `--budget`, the matrices a non-diagonal stabilizer scan may visit.
+and `orbits` honour `--budget`, the p^4 matrices a non-diagonal stabilizer
+scan, or the p^4 forms an orbit enumeration, may visit (default 10^6,
+which admits every p <= 31); over it they exit 1 with `budget-exceeded`.
 
 Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
 2 usage error.

@@ -9,7 +9,7 @@ invariants without an import cycle.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
 from math import gcd
 
 from .errors import (
@@ -23,6 +23,7 @@ from .fields import (
     FieldSpec,
     Scalar,
     cube_root_in_field,
+    power,
     prime_power_root_mod,
     sqrt_in_field,
 )
@@ -132,21 +133,7 @@ def ell_add(p: EllipticPoint, q: EllipticPoint) -> EllipticPoint:
 def ell_mul(n: int, p: EllipticPoint) -> EllipticPoint:
     if n < 0:
         return ell_mul(-n, ell_neg(p))
-    acc = EllipticPoint.infinity(p.field, p.curve_a)
-    while n:
-        if n & 1:
-            acc = ell_add(acc, p)
-        p = ell_add(p, p)
-        n >>= 1
-    return acc
-
-
-def elliptic_group_law(p: EllipticPoint, q: EllipticPoint, op: str) -> EllipticPoint:
-    if op == "add":
-        return ell_add(p, q)
-    if op == "neg":
-        return ell_neg(p)
-    raise CurveMismatch(f"unknown op {op!r}")
+    return power(p, n, EllipticPoint.infinity(p.field, p.curve_a), ell_add)
 
 
 def cm_theta(p: EllipticPoint) -> EllipticPoint:
@@ -244,14 +231,7 @@ class CubicExtension:
         return (raw[0] % p, raw[1] % p, raw[2] % p)
 
     def pow(self, u, n):
-        acc = (1, 0, 0)
-        base = u
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
+        return power(u, n, (1, 0, 0), self.mul)
 
     def elements(self):
         p = self.p
@@ -357,33 +337,21 @@ def point_search(f, budget: int | None = None):
                 if r is not None:
                     return PlaneCubicPoint(f, (u, v, field.scalar(r)))
         return None
-    if field.kind == "Q":
-        bound = DEFAULT_HEIGHT_BUDGET_Q if budget is None else budget
-        for h in range(1, bound + 1):
-            for vv in _signed_range(h):
-                for uu in _signed_range(h):
-                    if max(abs(uu), abs(vv)) != h or gcd(uu, vv) != 1:
-                        continue
-                    u, v = field.scalar(uu), field.scalar(vv)
-                    w = cube_root_in_field(f.evaluate(u, v))
-                    if w is not None:
-                        return PlaneCubicPoint(f, (u, v, w))
-        return None
-    bound = DEFAULT_HEIGHT_BUDGET_QW if budget is None else budget
-    for h in range(1, bound + 1):
-        for b1 in _signed_range(h):
-            for a1 in _signed_range(h):
-                for b2 in _signed_range(h):
-                    for a2 in _signed_range(h):
-                        if max(abs(a1), abs(b1), abs(a2), abs(b2)) != h:
-                            continue
-                        u = field.scalar((Fraction(a1), Fraction(b1)))
-                        v = field.scalar((Fraction(a2), Fraction(b2)))
-                        if u.is_zero() and v.is_zero():
-                            continue
-                        w = cube_root_in_field(f.evaluate(u, v))
-                        if w is not None:
-                            return PlaneCubicPoint(f, (u, v, w))
+    rational = field.kind == "Q"
+    if budget is None:
+        budget = DEFAULT_HEIGHT_BUDGET_Q if rational else DEFAULT_HEIGHT_BUDGET_QW
+    for h in range(1, budget + 1):
+        # (v, u) over Q, (b1, a1, b2, a2) for u = a1 + b1*w, v = a2 + b2*w over Q(w)
+        for c in itertools.product(_signed_range(h), repeat=2 if rational else 4):
+            if max(map(abs, c)) != h or (rational and gcd(*c) != 1):
+                continue
+            if rational:
+                v, u = field.scalar(c[0]), field.scalar(c[1])
+            else:
+                u, v = field.scalar((c[1], c[0])), field.scalar((c[3], c[2]))
+            w = cube_root_in_field(f.evaluate(u, v))
+            if w is not None:
+                return PlaneCubicPoint(f, (u, v, w))
     return None
 
 

@@ -16,6 +16,7 @@ nonnegative residues).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -65,9 +66,7 @@ def iroot(m: int, n: int) -> int | None:
     """Exact integer n-th root of m >= 0, or None if m is not an n-th power."""
     if m < 0:
         raise ValueError("iroot expects m >= 0")
-    if m in (0, 1):
-        return m
-    if n == 1:
+    if m in (0, 1) or n == 1:
         return m
     if n == 2:
         r = isqrt(m)
@@ -81,6 +80,24 @@ def iroot(m: int, n: int) -> int | None:
         else:
             hi = mid
     return lo if lo**n == m else None
+
+
+def power(base, n: int, unit, mul=operator.mul):
+    """base^n for n >= 0 by square-and-multiply, ``unit`` when n = 0.
+
+    ``mul(x, y)`` is the product; it is only ever applied to powers of
+    ``base``, so it need not be commutative.
+    """
+    if n < 0:
+        raise ValueError("power needs n >= 0")
+    result = unit
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
 
 
 def prime_power_root_mod(a: int, r: int, p: int) -> int | None:
@@ -314,11 +331,7 @@ class Scalar:
             return Scalar(self.field, self.val * o.val % self.field.p)
         if k == RATIONALS:
             return Scalar(self.field, self.val * o.val)
-        # (a + bw)(c + dw) with w^2 = -1 - w
-        a, b = self.val
-        c, d = o.val
-        bd = b * d
-        return Scalar(self.field, (a * c - bd, a * d + b * c - bd))
+        return Scalar(self.field, _zw_mul(self.val, o.val))
 
     __rmul__ = __mul__
 
@@ -347,14 +360,7 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.field.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -430,21 +436,6 @@ class Scalar:
         return field.scalar(obj)
 
 
-def scalar_arithmetic(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch form of the four field operations."""
-    if a.field != b.field:
-        raise FieldMismatch(f"{a.field} vs {b.field}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise UnsupportedFieldForTest(f"unknown op {op!r}")
-
-
 def _rational_nth_power_root(q: Fraction, n: int) -> Fraction | None:
     """Exact n-th root of a rational, or None. Needs no factorization:
     gcd(num, den) = 1, so both parts must be integer n-th powers."""
@@ -461,34 +452,6 @@ def _rational_nth_power_root(q: Fraction, n: int) -> Fraction | None:
     return -root if neg else root
 
 
-def _qw_square_root(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction] | None:
-    """One square root of a + b*w in Q(w), or None."""
-    if b == 0:
-        r = _rational_nth_power_root(a, 2)
-        if r is not None:
-            return (r, Fraction(0))
-        # (u + 2u*w)^2 = -3u^2, so a in -3*(Q*)^2 also has a root
-        u = _rational_nth_power_root(-a / 3, 2)
-        if u is not None:
-            return (u, 2 * u)
-        return None
-    # v != 0; 2u = (b + v^2)/v and 3v^4 + (4a - 2b)v^2 - b^2 = 0
-    disc = _rational_nth_power_root((4 * a - 2 * b) ** 2 + 12 * b * b, 2)
-    if disc is None:
-        return None
-    for sign in (1, -1):
-        v2 = (-(4 * a - 2 * b) + sign * disc) / 6
-        if v2 <= 0:
-            continue
-        v = _rational_nth_power_root(v2, 2)
-        if v is None:
-            continue
-        u = (b + v2) / (2 * v)
-        if (u * u - v * v, 2 * u * v - v * v) == (a, b):
-            return (u, v)
-    return None
-
-
 def sqrt_in_field(a: Scalar) -> Scalar | None:
     """A deterministic square root of ``a`` in its own field, or None.
 
@@ -499,16 +462,12 @@ def sqrt_in_field(a: Scalar) -> Scalar | None:
     field = a.field
     if field.kind == PRIME:
         r = prime_power_root_mod(a.val, 2, field.p)
-        if r is None:
-            return None
-        return Scalar(field, min(r, (-r) % field.p))
+        return None if r is None else Scalar(field, min(r, (-r) % field.p))
     if field.kind == RATIONALS:
         r = _rational_nth_power_root(a.val, 2)
         return None if r is None else Scalar(field, abs(r))
-    pair = _qw_square_root(*a.val)
-    if pair is None:
-        return None
-    return Scalar(field, max(pair, (-pair[0], -pair[1])))
+    r = _qw_root(a, 2)
+    return None if r is None else Scalar(field, max(r.val, (-r).val))
 
 
 def cube_root_in_field(a: Scalar) -> Scalar | None:
@@ -520,57 +479,68 @@ def cube_root_in_field(a: Scalar) -> Scalar | None:
     if field.kind == RATIONALS:
         r = _rational_nth_power_root(a.val, 3)
         return None if r is None else Scalar(field, r)
-    return _qw_cube_root(a)
+    return _qw_root(a, 3)
 
 
-def _qw_cube_root(a: Scalar) -> Scalar | None:
-    """Cube root in Q(w) via the integral lattice Z[w].
+def _zw_mul(x, y):
+    """The product of two Q(w) pairs: (a + bw)(c + dw) with w^2 = -1 - w."""
+    a, b = x
+    c, d = y
+    bd = b * d
+    return (a * c - bd, a * d + b * c - bd)
 
-    Scale to T^3 = C with C in Z[w]; a root T is integral over Z, hence in
-    Z[w], and N(T) is the exact cube root of N(C). The trace t = T + conj(T)
-    is an integer root of t^3 - 3*N(T)*t - tr(C), found by bisection on the
-    cubic's three monotone pieces; t and N(T) leave two lattice points per
-    root, tried in ascending first coordinate as a scan of norm N(T) would.
+
+def _qw_root(a: Scalar, n: int) -> Scalar | None:
+    """An n-th root (n in {2, 3}) of ``a`` in Q(w) via the lattice Z[w], or None.
+
+    Scale to T^n = C with C in Z[w]; a root T is integral over Z, hence in
+    Z[w], and N(T) is the exact n-th root of N(C). The trace t = T + conj(T)
+    is an integer root of t^2 - 2N(T) = tr(C) or t^3 - 3N(T)t = tr(C), found
+    by bisection on the monotone pieces; t and N(T) leave two lattice points
+    per root, tried in ascending first coordinate as a scan of norm N(T)
+    would, so the root returned is the one of least first coordinate.
     """
     x, y = a.val
     den = (x.denominator * y.denominator) // gcd(x.denominator, y.denominator)
-    ax = int(x * den * den * den)  # C = a * den^3, integral components
-    ay = int(y * den * den * den)
-    norm_c = ax * ax - ax * ay + ay * ay
-    n3 = iroot(norm_c, 3)
-    if n3 is None:
+    scale = den**n  # C = a * den^n has integral components
+    c = (int(x * scale), int(y * scale))
+    norm = iroot(c[0] * c[0] - c[0] * c[1] + c[1] * c[1], n)
+    if norm is None:
         return None
+    trace_c = 2 * c[0] - c[1]
 
-    def trace_cubic(t):
-        return t * (t * t - 3 * n3) - (2 * ax - ay)
+    def trace_poly(t):
+        return t * t - 2 * norm - trace_c if n == 2 else t * (t * t - 3 * norm) - trace_c
 
-    # T = U + V*w has trace t = 2U - V and 4*n3 = t^2 + 3V^2, so |t| <= 2*sqrt(n3)
-    r, t_max = isqrt(n3), isqrt(4 * n3)
+    # T = U + V*w has trace t = 2U - V and 4*norm = t^2 + 3V^2, so
+    # |t| <= 2*sqrt(norm); the pieces split at the turning points 0 or +-sqrt(norm)
+    r, t_max = isqrt(norm), isqrt(4 * norm)
+    if n == 2:
+        pieces = ((-t_max, -1, -1), (0, t_max, 1))
+    else:
+        pieces = ((-t_max, -r - 1, 1), (-r, r, -1), (r + 1, t_max, 1))
     candidates = set()
-    for lo, hi, sign in ((-t_max, -r - 1, 1), (-r, r, -1), (r + 1, t_max, 1)):
-        while lo < hi:  # the least t in [lo, hi] with sign * trace_cubic(t) >= 0
+    for lo, hi, sign in pieces:
+        while lo < hi:  # the least t in [lo, hi] with sign * trace_poly(t) >= 0
             mid = (lo + hi) // 2
-            if sign * trace_cubic(mid) < 0:
+            if sign * trace_poly(mid) < 0:
                 lo = mid + 1
             else:
                 hi = mid
         t = lo
-        if trace_cubic(t) != 0:
+        if trace_poly(t) != 0:
             continue
-        v = isqrt((4 * n3 - t * t) // 3)
-        if t * t + 3 * v * v == 4 * n3:
+        v = isqrt((4 * norm - t * t) // 3)
+        if t * t + 3 * v * v == 4 * norm:
             candidates.update((t + sv) // 2 for sv in (v, -v) if (t + sv) % 2 == 0)
-    # U^2 - U*V + V^2 = n3: for each U, V = (U +- s)/2 with s^2 = 4*n3 - 3U^2,
-    # a square for every candidate U (it is (2V - U)^2)
+    # U^2 - U*V + V^2 = norm: for each U, V = (U +- s)/2 with s^2 = 4*norm - 3U^2,
+    # a square for every candidate U (it is (2V - U)^2); the set's order picks
+    # between the cube roots u(1 - w) and w*u(1 - w), which share U
     for u in sorted(candidates):
-        s = isqrt(4 * n3 - 3 * u * u)
+        s = isqrt(4 * norm - 3 * u * u)
         for v2 in {(u + s), (u - s)}:
-            if v2 % 2:
-                continue
-            v = v2 // 2
-            # (u + v*w)^3 = u^3 - 3uv^2 + v^3 + 3uv(u - v) w
-            if (u**3 - 3 * u * v * v + v**3, 3 * u * v * (u - v)) == (ax, ay):
-                return a.field.scalar((Fraction(u, den), Fraction(v, den)))
+            if v2 % 2 == 0 and power((u, v2 // 2), n, (1, 0), _zw_mul) == c:
+                return a.field.scalar((Fraction(u, den), Fraction(v2 // 2, den)))
     return None
 
 
@@ -578,8 +548,8 @@ def nth_power_class(a: Scalar, n: int) -> bool:
     """True iff ``a`` is an n-th power in the multiplicative group.
 
     Fp: a^((p-1)/gcd(n, p-1)) = 1. Q: exact integer root extraction.
-    Q(w): only n in {2, 3, 6} and only for rational elements (a sixth power
-    is exactly a square that is also a cube).
+    Q(w): only n in {2, 3, 6} and only for rational elements, by the Z[w]
+    root extraction (a sixth power is exactly a square that is also a cube).
     """
     if n < 1:
         raise UnsupportedFieldForTest("n must be positive")
@@ -595,16 +565,7 @@ def nth_power_class(a: Scalar, n: int) -> bool:
         raise UnsupportedFieldForTest(f"Q(w) power-class test limited to n in {{2,3,6}}, got {n}")
     if not a.is_rational():
         raise UnsupportedFieldForTest("Q(w) power-class test limited to rational elements")
-    q = a.val[0]
-    checks = []
-    if n in (2, 6):
-        checks.append(
-            _rational_nth_power_root(q, 2) is not None
-            or _rational_nth_power_root(-q / 3, 2) is not None
-        )
-    if n in (3, 6):
-        checks.append(_rational_nth_power_root(q, 3) is not None)
-    return all(checks)
+    return (n == 3 or _qw_root(a, 2) is not None) and (n == 2 or _qw_root(a, 3) is not None)
 
 
 def sixth_power_class_token(a: Scalar):

@@ -34,7 +34,8 @@ from .fields import (
     sqrt_in_field,
 )
 
-DEFAULT_STABILIZER_BUDGET = 10**6  # matrices a non-diagonal stabilizer scan may visit
+# the p^4 items (matrices for a stabilizer, forms for the orbits) a scan may visit
+DEFAULT_SCAN_BUDGET = 10**6
 
 
 class BinaryCubicForm:
@@ -224,38 +225,31 @@ def diagonalize(f: BinaryCubicForm):
     Transform: u -> (sqrt(D)+s)u' + (sqrt(D)-s)v', v -> -r*u' + r*v' with
     D = s^2 - r*t = -Delta/108 (the calibrated value; the alternative
     normalization -108*Delta is 108^2 times larger and does not diagonalize).
-    Requires sqrt(D) in k. If r = 0 and the form is not already diagonal,
-    swap the variables once and retry.
+    Requires sqrt(D) in k. A diagonal form (where r = 0) comes back with the
+    identity; otherwise, if r = 0, swap the variables once and retry.
     """
     f.require_nondegenerate()
+    g = GL2Element.identity(f.field)
+    if f.is_diagonal():
+        return g, f
     r, s, t = _hessian_coefficients(f)
     if r.is_zero():
-        if f.is_diagonal():
-            return GL2Element.identity(f.field), f
-        swap = GL2Element.swap(f.field)
-        f2 = act_gl2(swap, f)
-        r2, _, _ = _hessian_coefficients(f2)
-        if r2.is_zero():
+        g = GL2Element.swap(f.field)
+        f = act_gl2(g, f)
+        r, s, t = _hessian_coefficients(f)
+        if r.is_zero():
             raise NotDiagonalizableByThisTransform(
                 "r = 0 for both the form and its variable swap"
             )
-        g2, diag = _diagonalize_core(f2, r2)
-        return swap.mul(g2), diag
-    g, diag = _diagonalize_core(f, r)
-    return g, diag
-
-
-def _diagonalize_core(f, r):
-    _, s, t = _hessian_coefficients(f)
     big_d = s * s - r * t
     root = sqrt_in_field(big_d)
     if root is None:
         raise SquareRootAbsent(f"sqrt of {big_d} (= -Delta/108) not in {f.field}")
-    g = GL2Element(f.field, (root + s, root - s, -r, r))
-    diag = act_gl2(g, f)
+    h = GL2Element(f.field, (root + s, root - s, -r, r))
+    diag = act_gl2(h, f)
     if not diag.is_diagonal():
         raise NotDiagonalizableByThisTransform("calibrated transform failed to diagonalize")
-    return g, diag
+    return g.mul(h), diag
 
 
 # -- stabilizers --------------------------------------------------------------
@@ -297,8 +291,8 @@ def stabilizer(f: BinaryCubicForm, budget: int | None = None) -> StabilizerResul
     in k (equivalently p/r is a cube). Non-diagonal forms are enumerated
     exhaustively over a prime field and unsupported over Q / Q(w); the scan
     visits p^4 matrices and raises BudgetExceeded before it starts when
-    that exceeds the budget (default DEFAULT_STABILIZER_BUDGET, which
-    admits every p <= 31).
+    that exceeds the budget (default DEFAULT_SCAN_BUDGET, which admits
+    every p <= 31).
     """
     f.require_nondegenerate()
     field = f.field
@@ -315,7 +309,7 @@ def stabilizer(f: BinaryCubicForm, budget: int | None = None) -> StabilizerResul
     if field.kind != "Fp":
         raise UnsupportedField("non-diagonal stabilizers only enumerable over Fp")
     p = field.p
-    budget = DEFAULT_STABILIZER_BUDGET if budget is None else budget
+    budget = DEFAULT_SCAN_BUDGET if budget is None else budget
     if p**4 > budget:
         raise BudgetExceeded(f"the stabilizer scan visits {p}^4 matrices, over budget {budget}")
     raw = tuple(c.val for c in f.coeffs)
@@ -401,14 +395,18 @@ def _orbit_raw(f0: tuple, p: int, with_witness=False):
 
 
 def orbit_enumerate(field: FieldSpec, nondegenerate_only: bool = True, budget: int | None = None):
-    """Partition forms over F_p into GL2-orbits (BFS on generator actions);
-    the budget (default 10^9) bounds p^4 * |GL2(F_p)|."""
+    """Partition forms over F_p into GL2-orbits (BFS on generator actions).
+
+    The scan and the BFS each visit a form once, so the budget (default
+    DEFAULT_SCAN_BUDGET, which admits every p <= 31) bounds the p^4 forms;
+    BudgetExceeded is raised before the scan when p^4 exceeds it.
+    """
     if field.kind != "Fp":
         raise UnsupportedField("orbit enumeration needs a finite field")
     p = field.p
-    budget = 10**9 if budget is None else budget
-    if p**4 * gl2_order(p) > budget:
-        raise BudgetExceeded(f"{p}^4 * |GL2(F_{p})| exceeds budget {budget}")
+    budget = DEFAULT_SCAN_BUDGET if budget is None else budget
+    if p**4 > budget:
+        raise BudgetExceeded(f"the orbit scan visits {p}^4 forms, over budget {budget}")
     remaining = {
         f
         for f in itertools.product(range(p), repeat=4)

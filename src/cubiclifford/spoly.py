@@ -32,7 +32,7 @@ from operator import add
 
 from .errors import FieldMismatch, MissingAssignment, UnknownSymbol, VariableMismatch
 from ._parsing import ExprParser
-from .fields import RATIONALS, FieldSpec, Scalar
+from .fields import RATIONALS, FieldSpec, Scalar, power
 
 GCA_VARS = ("X3", "AL", "BE", "Y3", "GA")
 CENTER_VARS = ("X3", "AL", "BE", "Y3", "GA", "S")
@@ -260,14 +260,7 @@ class Terms:
         return self._lincomb(((num, self),), den)
 
     def __pow__(self, n: int):
-        result = self._make({self._unit(): self._units()[0]})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self._make({self._unit(): self._units()[0]}))
 
     # -- printing ------------------------------------------------------------
 
@@ -403,22 +396,9 @@ class SPolynomial(Terms):
         return ExprParser(text, lambda q: SPolynomial.const(field, q, variables), symbol).parse()
 
 
-def poly_arithmetic(p: SPolynomial, q: SPolynomial, op: str) -> SPolynomial:
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise VariableMismatch(f"unknown op {op!r}")
-
-
 def discriminant_polynomial(field: FieldSpec, variables=GCA_VARS) -> SPolynomial:
-    """Delta = 18*X3*AL*BE*Y3 - 4*AL^3*Y3 + AL^2*BE^2 - 4*X3*BE^3 - 27*X3^2*Y3^2.
-
-    This is the expansion the center equation uses; the variant missing the
-    AL^2*BE^2 term that appears once elsewhere fails the s^2 identity.
-    """
+    """Delta = 18*X3*AL*BE*Y3 - 4*AL^3*Y3 + AL^2*BE^2 - 4*X3*BE^3 - 27*X3^2*Y3^2,
+    the expansion the center equation uses."""
     return SPolynomial.parse(
         "18*X3*AL*BE*Y3 - 4*AL^3*Y3 + AL^2*BE^2 - 4*X3*BE^3 - 27*X3^2*Y3^2",
         field,

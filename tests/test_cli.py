@@ -232,6 +232,21 @@ def test_stab_budget_bounds_the_scan(capsys):
     assert json.loads(err)["error"] == "budget-exceeded"
 
 
+def test_orbits_budget_charges_one_visit_per_form(capsys):
+    # the default budget admits p = 19: nine orbits that partition GL2(F_19)
+    code, out, _ = run_cli(capsys, "orbits", "--field", "Fp", "--p", "19", "--nondegenerate")
+    assert code == 0
+    orbits = json.loads(out)["orbits"]
+    assert len(orbits) == 9
+    assert sum(o["size"] for o in orbits) == 123120  # |GL2(F_19)|
+    assert all(o["size"] * o["stabilizer_order"] == 123120 for o in orbits)
+    argv = ("orbits", "--field", "Fp", "--p", "13")  # 13^4 = 28561
+    code, out, err = run_cli(capsys, *argv, "--budget", "28560")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "budget-exceeded"
+    assert run_cli(capsys, *argv, "--budget", "28561")[0] == 0
+
+
 def test_qw_cube_roots_of_large_coefficients_return(capsys):
     # both commands take cube roots in Q(w) of norm about 10^60
     big = 10**30

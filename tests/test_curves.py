@@ -17,7 +17,6 @@ from cubiclifford.curves import (
     ell_add,
     ell_mul,
     ell_neg,
-    elliptic_group_law,
     j_invariant,
     jacobian_constant,
     lambda_isogeny,
@@ -49,7 +48,6 @@ def test_group_law_examples():
     assert ell_add(p, inf) == p
     assert ell_add(p, ell_neg(p)) == inf
     assert ell_add(p, p) == EllipticPoint.affine(F7, a2, 0, 4)
-    assert elliptic_group_law(p, p, "add") == ell_add(p, p)
     with pytest.raises(CurveMismatch):
         ell_add(p, EllipticPoint.infinity(F7, F7.scalar(3)))
     with pytest.raises(CurveMismatch):
@@ -149,6 +147,36 @@ def test_point_search_examples():
 def test_point_search_qw():
     pt = point_search(BinaryCubicForm(QW, (1, 0, 0, 2)), budget=2)
     assert pt is not None and pt.verify()
+
+
+# The first point of each search, as returned before the Q and Q(w) height
+# loops were merged: the search order is (v, u) over Q and (b1, a1, b2, a2)
+# over Q(w), u = a1 + b1*w and v = a2 + b2*w, the last coordinate fastest.
+FIRST_POINTS_Q = [
+    ((5, -2, -8, -4), [-3, 5, -5]), ((3, 8, -6, 9), [1, 3, 6]),
+    ((-5, -9, -9, -3), [-1, 2, -1]), ((-5, 9, -5, 4), [3, 2, -1]),
+    ((-7, 6, -1, 7), [2, 1, -3]), ((2, 8, -1, 6), [-3, 1, 3]),
+    ((7, -5, 7, -4), [1, 5, -7]), ((-7, 4, -4, 9), [5, 3, -8]),
+    ((9, 6, -3, -5), [-8, 3, -15]), ((-7, 2, -9, 3), [1, 3, -1]),
+    ((-2, 0, -8, -5), [-2, 1, 3]), ((5, 2, 2, 9), [-2, 1, -3]),
+]
+FIRST_POINTS_QW = [
+    ((3, 3, -5, 2), [1, {"a": 1, "b": -1}, 0]),
+    ((4, 6, 7, -2), [1, {"a": 2, "b": -2}, {"a": -4, "b": -4}]),
+    ((3, -8, 4, -5), [1, {"a": 2, "b": 2}, {"a": -3, "b": -3}]),
+    ((-7, -6, 1, -5), [{"a": 1, "b": 1}, {"a": -1, "b": 1}, {"a": -3, "b": -2}]),
+    ((2, 7, -1, 6), [1, {"a": 1, "b": 1}, {"a": -1, "b": 1}]),
+    ((-4, -1, 5, 6), [1, {"a": 0, "b": 1}, {"a": -2, "b": -1}]),
+    ((-3, -4, -4, 7), [1, {"a": 0, "b": 1}, {"a": -2, "b": -2}]),
+    ((-6, 4, 2, -5), [1, {"a": 1, "b": 1}, {"a": -1, "b": 1}]),
+]
+
+
+def test_point_search_keeps_its_first_point():
+    for field, budget, cases in ((Q, 20, FIRST_POINTS_Q), (QW, 2, FIRST_POINTS_QW)):
+        for coeffs, coords in cases:
+            pt = point_search(BinaryCubicForm(field, coeffs), budget=budget)
+            assert pt.to_json() == dict(zip("uvw", coords)), coeffs
 
 
 def test_point_search_always_succeeds_over_f7():

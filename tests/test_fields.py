@@ -6,6 +6,7 @@ from math import isqrt, lcm
 
 import pytest
 
+from cubiclifford.curves import CubicExtension, EllipticPoint, ell_mul, ell_neg
 from cubiclifford.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -19,11 +20,12 @@ from cubiclifford.fields import (
     cube_root_in_field,
     iroot,
     nth_power_class,
+    power,
     prime_power_root_mod,
-    scalar_arithmetic,
     sixth_power_class_token,
     sqrt_in_field,
 )
+from cubiclifford.freealg import FreeElement
 
 Q = FieldSpec.rationals()
 QW = FieldSpec.cyclotomic()
@@ -65,10 +67,10 @@ def test_spec_examples():
 
 def test_arithmetic_dispatch_and_errors():
     a, b = Q.scalar(Fraction(3, 4)), Q.scalar(Fraction(1, 4))
-    assert scalar_arithmetic(a, b, "add") == Q.one()
-    assert scalar_arithmetic(a, b, "div") == Q.scalar(3)
+    assert a + b == Q.one()
+    assert a / b == Q.scalar(3)
     with pytest.raises(FieldMismatch):
-        scalar_arithmetic(a, F7.one(), "add")
+        a + F7.one()
     with pytest.raises(DivisionByZero):
         a / Q.zero()
     with pytest.raises(FieldMismatch):
@@ -247,6 +249,65 @@ def test_qw_cube_root_of_large_norm():
     r = cube_root_in_field(c)
     assert r is not None and r**3 == c
     assert cube_root_in_field(QW.scalar(2 * 10**30)) is None
+
+
+def _qw_sqrt_by_scan(c):
+    """The larger of the two square roots of c in Q(w), by scanning every
+    lattice point u + v*w of norm N(c)^(1/2) after clearing denominators."""
+    x, y = c.val
+    if x == 0 and y == 0:
+        return QW.zero()
+    den = lcm(x.denominator, y.denominator)
+    ax, ay = int(x * den**2), int(y * den**2)
+    n2 = iroot(ax * ax - ax * ay + ay * ay, 2)
+    if n2 is None:
+        return None
+    bound = isqrt(4 * n2 // 3) + 1
+    for u in range(-bound, bound + 1):
+        d = 4 * n2 - 3 * u * u
+        if d < 0 or isqrt(d) ** 2 != d:
+            continue
+        for v2 in (u + isqrt(d), u - isqrt(d)):
+            v = v2 // 2
+            if v2 % 2 == 0 and (u * u - v * v, 2 * u * v - v * v) == (ax, ay):
+                root = (Fraction(u, den), Fraction(v, den))
+                return QW.scalar(max(root, (-root[0], -root[1])))
+    return None
+
+
+def test_qw_sqrt_matches_lattice_scan():
+    rng = random.Random(12)
+    minus3 = QW.scalar(-3)
+    cases = [QW.scalar(n) for n in range(-30, 31)] + [QW.omega(), QW.omega() * QW.scalar(-3)]
+    for _ in range(200):
+        a = Fraction(rng.randint(-15, 15), rng.randint(1, 4))
+        t = QW.scalar((a, Fraction(rng.randint(-15, 15), rng.randint(1, 4))))
+        cases += [t * t, t * t * minus3, t * t * QW.scalar((Fraction(2), Fraction(1)))]
+        b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 300), rng.randint(1, 5))
+        cases.append(QW.scalar((Fraction(rng.randint(-300, 300), rng.randint(1, 5)), b)))
+    for c in cases:
+        assert sqrt_in_field(c) == _qw_sqrt_by_scan(c), c
+    # a square of norm about 10^30, past the reach of the scan
+    t = QW.scalar((3 * 10**7 + 3, -3 * 10**7 + 19))
+    r = sqrt_in_field(t * t)
+    assert r == QW.scalar(max(t.val, (-t).val))
+
+
+def test_power_of_zero_exponent_is_the_unit():
+    ext = CubicExtension(7)
+    assert power(QW.scalar((2, 3)), 0, QW.one()) == QW.one()
+    assert QW.scalar((2, 3)) ** 0 == QW.one()
+    assert F7.scalar(0) ** 0 == F7.one()
+    xy = FreeElement.word(Q, "xy")
+    assert xy**0 == FreeElement.word(Q, "")
+    assert xy**3 == xy * xy * xy
+    assert ext.pow((3, 1, 4), 0) == (1, 0, 0)
+    assert power((3, 1, 4), 0, (1, 0, 0), ext.mul) == (1, 0, 0)
+    p = EllipticPoint.affine(F7, F7.scalar(2), 0, 3)
+    assert ell_mul(0, p).is_infinity()
+    assert ell_mul(-4, p) == ell_mul(4, ell_neg(p))
+    with pytest.raises(ValueError):
+        xy ** -1
 
 
 def test_sixth_power_token():

@@ -14,7 +14,6 @@ from cubiclifford.spoly import (
     GCA_VARS,
     SPolynomial,
     discriminant_polynomial,
-    poly_arithmetic,
 )
 
 Q = FieldSpec.rationals()
@@ -35,7 +34,6 @@ def test_difference_of_squares():
 def test_additive_identity():
     p = SPolynomial.parse("3*X3*GA - AL", Q)
     assert p + SPolynomial.zero(Q) == p
-    assert poly_arithmetic(p, SPolynomial.zero(Q), "add") == p
 
 
 def test_square_over_f7():
