@@ -2,10 +2,14 @@
 computation with canonical JSON (sorted keys) or CSV output.
 
 One parser serves every subcommand: the command is its first positional,
-and the twelve flags, declared once, may come before or after it. `stab`
-and `orbits` honour `--budget`, the p^4 matrices a non-diagonal stabilizer
-scan, or the p^4 forms an orbit enumeration, may visit (default 10^6,
-which admits every p <= 31); over it they exit 1 with `budget-exceeded`.
+and the twelve flags, declared once, may come before or after it. A flag
+that takes a value reads the next token whatever it starts with, so
+`--coeffs -75,0,0,-100` works as `--coeffs=-75,0,0,-100` does. `orbits`
+honours `--budget` as the number of forms its lex scan may classify
+(default 10^6; every p = 1 mod 3 below 3000 needs under a hundred), and
+over it exits 1 with `budget-exceeded`. `stab` scans nothing: a
+non-diagonal stabilizer is conjugated from a normal form's, so it ignores
+`--budget`.
 
 Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
 2 usage error.
@@ -112,7 +116,7 @@ def cmd_diagonalize(args, field):
 
 
 def cmd_stab(args, field):
-    return forms.stabilizer(form_from_args(args, field), args.budget).to_json()
+    return forms.stabilizer(form_from_args(args, field)).to_json()
 
 
 def cmd_orbits(args, field):
@@ -256,8 +260,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_flag_values(parser, argv):
+    """argv with each value-taking flag joined to the token after it as
+    `--flag=value`, so that a value starting with `-` is not read as a flag.
+    Each such flag takes exactly one value, so the join is unambiguous."""
+    takes_value = {
+        flag for action in parser._actions if action.nargs is None
+        for flag in action.option_strings
+    }
+    joined = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in takes_value else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(_join_flag_values(parser, sys.argv[1:] if argv is None else argv))
     try:
         field = field_from_args(args)
         result = _HANDLERS[args.command](args, field)

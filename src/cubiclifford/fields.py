@@ -100,6 +100,58 @@ def power(base, n: int, unit, mul=operator.mul):
     return result
 
 
+def distinct_roots_factor(poly, p: int) -> tuple:
+    """The monic gcd over F_p of poly(t) and t^p - t, lowest coefficient first.
+
+    ``poly`` lists residues from the constant term up and is not zero mod p.
+    The gcd is the product of t - a over the distinct roots a of poly in F_p
+    (Cohen, A Course in Computational Algebraic Number Theory, 3.4), so its
+    degree counts those roots and a linear gcd (g0, 1) names the root -g0; a
+    poly with no root, such as an irreducible cubic, gives (1,). t^p is taken
+    modulo poly by ``power``: O(log p) products of degree below deg poly.
+    """
+    m = _poly_trim([c % p for c in poly])
+    if len(m) < 2:  # a nonzero constant has no roots
+        return (1,)
+
+    def mulmod(x, y):
+        prod = [0] * max(len(x) + len(y) - 1, 0)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        return _poly_rem(prod, m, p)
+
+    frob = power(_poly_rem([0, 1], m, p), p, [1], mulmod)
+    frob += [0] * (2 - len(frob))
+    frob[1] -= 1  # t^p - t modulo m
+    a, b = m, _poly_trim([c % p for c in frob])
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+def _poly_trim(a: list) -> list:
+    """a without its zero leading coefficients (lowest coefficient first)."""
+    n = len(a)
+    while n and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
+
+
+def _poly_rem(a, b, p: int) -> list:
+    """The remainder of a by b over F_p; b is trimmed and not zero."""
+    a = [c % p for c in a]
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    for k in range(len(a) - 1, db - 1, -1):
+        q = a[k] * inv % p
+        if q:
+            for i in range(db):
+                a[k - db + i] = (a[k - db + i] - q * b[i]) % p
+    return _poly_trim(a[:db])
+
+
 def prime_power_root_mod(a: int, r: int, p: int) -> int | None:
     """One solution of x^r = a (mod p) for prime r, or None.
 
@@ -499,6 +551,16 @@ def _qw_root(a: Scalar, n: int) -> Scalar | None:
     by bisection on the monotone pieces; t and N(T) leave two lattice points
     per root, tried in ascending first coordinate as a scan of norm N(T)
     would, so the root returned is the one of least first coordinate.
+
+    Tie-break, as it behaves: two cube roots share the least first
+    coordinate only as T = u(1 - w) and w*T = u + 2u*w with scaled u = -k < 0
+    (two square roots only as +-V*w, and ``sqrt_in_field`` picks between
+    those itself). Then s = 3k, and the second coordinates (u + s)/2 = k and
+    (u - s)/2 = -2k are tried in the iteration order of the set
+    {u + s, u - s} = {2k, -4k}: CPython's order for two ints, by the low
+    three bits of their hashes with the first inserted winning a collision.
+    For k below 2^61, where an int hashes to itself, the scaled root
+    returned is -k + k*w when k = 0 or 1 (mod 4) and -k - 2k*w otherwise.
     """
     x, y = a.val
     den = (x.denominator * y.denominator) // gcd(x.denominator, y.denominator)
@@ -535,7 +597,8 @@ def _qw_root(a: Scalar, n: int) -> Scalar | None:
             candidates.update((t + sv) // 2 for sv in (v, -v) if (t + sv) % 2 == 0)
     # U^2 - U*V + V^2 = norm: for each U, V = (U +- s)/2 with s^2 = 4*norm - 3U^2,
     # a square for every candidate U (it is (2V - U)^2); the set's order picks
-    # between the cube roots u(1 - w) and w*u(1 - w), which share U
+    # between the cube roots u(1 - w) and w*u(1 - w), which share U (see the
+    # tie-break above)
     for u in sorted(candidates):
         s = isqrt(4 * norm - 3 * u * u)
         for v2 in {(u + s), (u - s)}:

@@ -9,11 +9,15 @@ the unique orientation compatible with the generator substitution
 x -> a*x + c*y, y -> b*x + d*y on the Clifford side (the cube of a*x + c*y
 is f(a, c)). It composes as act(g, act(h, f)) = act(h*g, f), matching
 freealg.linear_substitute.
+
+Over F_p (p = 1 mod 3) nothing is enumerated by brute force: an orbit is
+named by a complete invariant (``_cell``: the root count on P^1(F_p) and
+Delta mod sixth powers), ``orbit_enumerate`` fills the 13 cells by a short
+lex scan, and stabilizers and equivalences come from one normal form per
+orbit type (``_normal_form``).
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import (
     BudgetExceeded,
@@ -29,12 +33,13 @@ from .fields import (
     FieldSpec,
     Scalar,
     cube_root_in_field,
+    distinct_roots_factor,
     nth_power_class,
     sixth_power_class_token,
     sqrt_in_field,
 )
 
-# the p^4 items (matrices for a stabilizer, forms for the orbits) a scan may visit
+# the forms an orbit scan may classify
 DEFAULT_SCAN_BUDGET = 10**6
 
 
@@ -192,12 +197,6 @@ def _act(g, f):
     return n0, n1, n2, n3
 
 
-def _act_raw(g, f, p):
-    """act_gl2 on raw residue tuples (hot path for enumeration)."""
-    n0, n1, n2, n3 = _act(g, f)
-    return (n0 % p, n1 % p, n2 % p, n3 % p)
-
-
 def act_gl2(g: GL2Element, f: BinaryCubicForm) -> BinaryCubicForm:
     """The form f(a*u + b*v, c*u + d*v)."""
     if g.field != f.field:
@@ -283,43 +282,34 @@ class StabilizerResult:
         }
 
 
-def stabilizer(f: BinaryCubicForm, budget: int | None = None) -> StabilizerResult:
+def stabilizer(f: BinaryCubicForm) -> StabilizerResult:
     """Explicit stabilizer of f in GL2(k).
 
     Diagonal (p, 0, 0, r): the nine diag(u, v) with u, v cube roots of 1,
     plus nine antidiagonals (0, u*l; v/l, 0) whenever l^3 = r/p has a root
-    in k (equivalently p/r is a cube). Non-diagonal forms are enumerated
-    exhaustively over a prime field and unsupported over Q / Q(w); the scan
-    visits p^4 matrices and raises BudgetExceeded before it starts when
-    that exceeds the budget (default DEFAULT_SCAN_BUDGET, which admits
-    every p <= 31).
+    in k (equivalently p/r is a cube). A non-diagonal form over F_p is
+    carried by some g to its normal form n (``_normal_form``), so its
+    stabilizer is g*Stab(n)*g^-1, listed in the order of the raw entries
+    (a, b, c, d) and each element checked to fix f. Its ``kind`` keeps the
+    legacy label "enumerated" from when these elements were found by
+    scanning all p^4 matrices. Non-diagonal forms over Q / Q(w) are
+    unsupported.
     """
     f.require_nondegenerate()
     field = f.field
     if f.is_diagonal():
-        roots = field.cube_roots_of_unity()
-        elements = [GL2Element(field, (u, 0, 0, v)) for u in roots for v in roots]
-        lam = cube_root_in_field(f.coeffs[3] / f.coeffs[0])
-        if lam is not None:
-            inv = lam.inverse()
-            elements += [
-                GL2Element(field, (0, u * lam, v * inv, 0)) for u in roots for v in roots
-            ]
-        return StabilizerResult(f, "diagonal-formula", elements)
+        return StabilizerResult(f, "diagonal-formula", _normal_stabilizer(f))
     if field.kind != "Fp":
         raise UnsupportedField("non-diagonal stabilizers only enumerable over Fp")
-    p = field.p
-    budget = DEFAULT_SCAN_BUDGET if budget is None else budget
-    if p**4 > budget:
-        raise BudgetExceeded(f"the stabilizer scan visits {p}^4 matrices, over budget {budget}")
-    raw = tuple(c.val for c in f.coeffs)
-    # a singular matrix sends f to a form with zero discriminant, so every
-    # matrix fixing the nondegenerate f is invertible
-    elements = [
-        GL2Element(field, g)
-        for g in itertools.product(range(p), repeat=4)
-        if _act_raw(g, raw, p) == raw
-    ]
+    g, n = _normal_form(f)
+    inv = g.inverse()
+    # act(g, f) = n, so act(g*s*g^-1, f) = act(g^-1, act(s, n)) = f for s in Stab(n)
+    elements = sorted(
+        (g.mul(s).mul(inv) for s in _normal_stabilizer(n)),
+        key=lambda h: tuple(e.val for e in h.entries()),
+    )
+    if any(act_gl2(h, f) != f for h in elements):
+        raise AssertionError(f"a conjugated stabilizer element moves {f}")
     return StabilizerResult(f, "enumerated", elements)
 
 
@@ -327,42 +317,60 @@ def gl2_order(p: int) -> int:
     return (p * p - 1) * (p * p - p)
 
 
-# -- orbit machinery over F_p ---------------------------------------------------
+# -- orbits over F_p from the complete invariant ----------------------------------
 
 
-def _primitive_root(p: int) -> int:
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise AssertionError("no primitive root found")
+def _roots_on_line(raw, p: int):
+    """(r, root): the number r of roots of the raw form on P^1(F_p), and a
+    root (x, y) when r = 1 (else None).
+
+    The roots (t:1) are the distinct roots of f(t, 1), counted by the degree
+    of its gcd with t^p - t; (1:0) is a root exactly when c0 = 0.
+    """
+    c0, c1, c2, c3 = raw
+    factor = distinct_roots_factor((c3, c2, c1, c0), p)
+    r = len(factor) - 1
+    if c0 == 0:
+        return r + 1, (1, 0) if r == 0 else None
+    return r, ((-factor[0]) % p, 1) if r == 1 else None
 
 
-def _gl2_generators(p: int):
-    return [(1, 1, 0, 1), (1, 0, 1, 1), (_primitive_root(p), 0, 0, 1)]
+# |Stab| of a nondegenerate form over F_p by its root count r on P^1
+_NONDEGENERATE_STABILIZER = {3: 18, 0: 9, 1: 6}
+
+
+def _cell(raw, field: FieldSpec):
+    """(key, |Stab|) of the orbit of the nonzero raw form over F_p.
+
+    The key is a complete invariant of the GL2(F_p)-orbit (see
+    ``orbit_enumerate``): (r, class of Delta mod sixth powers) for a
+    nondegenerate form, ("triple", cube class of the nonzero one of c0, c3)
+    for a cube lambda*L^3, and ("double",) for L^2*M.
+    """
+    p = field.p
+    c0, c1, c2, c3 = raw
+    delta = _delta(raw) % p
+    if delta:
+        r, _ = _roots_on_line(raw, p)
+        token = sixth_power_class_token(field.scalar(delta))
+        return (r, token), _NONDEGENERATE_STABILIZER[r]
+    # the Hessian covariant vanishes exactly on the cubes lambda*L^3
+    if (c1 * c1 - 3 * c0 * c2) % p or (c2 * c2 - 3 * c1 * c3) % p or (c1 * c2 - 9 * c0 * c3) % p:
+        return ("double",), p - 1
+    return ("triple", pow(c0 or c3, (p - 1) // 3, p)), 3 * p * (p - 1)
 
 
 class Orbit:
     __slots__ = ("field", "representative", "size", "stabilizer_order", "delta", "delta_class6")
 
-    def __init__(self, field, representative, size):
+    def __init__(self, field, representative, stabilizer_order):
         self.field = field
         self.representative = representative
-        self.size = size
+        self.stabilizer_order = stabilizer_order
         total = gl2_order(field.p)
-        if total % size:
-            raise AssertionError("orbit size does not divide |GL2|")
-        self.stabilizer_order = total // size
+        if total % stabilizer_order:
+            raise AssertionError("stabilizer order does not divide |GL2|")
+        self.size = total // stabilizer_order
         rep = BinaryCubicForm(field, representative)
         self.delta = rep.discriminant()
         self.delta_class6 = (
@@ -373,65 +381,135 @@ class Orbit:
         return BinaryCubicForm(self.field, self.representative)
 
 
-def _orbit_raw(f0: tuple, p: int, with_witness=False):
-    """BFS orbit of a raw tuple; optionally track a matrix per member."""
-    gens = _gl2_generators(p)
-    witness = {f0: (1, 0, 0, 1)} if with_witness else None
-    seen = {f0}
-    frontier = [f0]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = _act_raw(g, f, p)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-                    if with_witness:
-                        # act(g, act(G, f0)) = act(G*g, f0)
-                        witness[h] = tuple(x % p for x in _mat_mul(witness[f], g))
-        frontier = nxt
-    return seen, witness
-
-
 def orbit_enumerate(field: FieldSpec, nondegenerate_only: bool = True, budget: int | None = None):
-    """Partition forms over F_p into GL2-orbits (BFS on generator actions).
+    """The GL2-orbits of nonzero forms over F_p, each with its lex-least member.
 
-    The scan and the BFS each visit a form once, so the budget (default
-    DEFAULT_SCAN_BUDGET, which admits every p <= 31) bounds the p^4 forms;
-    BudgetExceeded is raised before the scan when p^4 exceeds it.
+    The orbit of a form is fixed by its cell (``_cell``); with p = 1 (mod 3)
+    there are 13, with |orbit| = |GL2(F_p)| / |Stab|:
+
+        nondegenerate, r roots on P^1(F_p), Delta mod F_p*^6:
+          r = 3, Delta a square      3 cells   |Stab| = 18
+          r = 0, Delta a square      3 cells   |Stab| = 9
+          r = 1, Delta a non-square  3 cells   |Stab| = 6
+        lambda*L^3, lambda mod cubes   3 cells   |Stab| = 3p(p - 1)
+        L^2*M                          1 cell    |Stab| = p - 1
+
+    (A squarefree cubic with r = 1 has a quadratic factor, so Delta is not
+    a square; with r = 0 or 3 it is.) The scan classifies forms in lex order
+    and stops once every wanted cell is filled, so the first form of a cell
+    is its least member. It skips a block of forms only when every wanted
+    cell the block can reach is filled, so no cell's least member is
+    skipped:
+
+    * (0, *, *, *): f(1, 0) = c0 = 0, so (1:0) is a root: r >= 1 or Delta = 0.
+    * (0, 0, *, *): v^2 divides f, a double root at (1:0), so Delta = 0.
+    * (0, 0, 0, *): c3*v^3, a cube of class c3.
+    * (1, 0, 0, *): u^3 (the cube of class 1) or u^3 + c3*v^3 with
+      Delta = -27*c3^2 = (-3)^3*c3^2, whose class mod sixth powers is that
+      of c3^2, because -3 is a square mod p. So Delta is a square in the
+      cube class of c3, and r = 3 exactly when -c3, hence c3, is a cube:
+      only (3, class 1) and the two r = 0 cells of a non-sixth-power Delta
+      can be reached.
+
+    Every classified form counts against the budget (default
+    DEFAULT_SCAN_BUDGET); one more raises BudgetExceeded.
     """
     if field.kind != "Fp":
         raise UnsupportedField("orbit enumeration needs a finite field")
     p = field.p
     budget = DEFAULT_SCAN_BUDGET if budget is None else budget
-    if p**4 > budget:
-        raise BudgetExceeded(f"the orbit scan visits {p}^4 forms, over budget {budget}")
-    remaining = {
-        f
-        for f in itertools.product(range(p), repeat=4)
-        if not nondegenerate_only or _delta(f) % p
-    }
-    remaining.discard((0, 0, 0, 0))  # the zero tuple is not a cubic form
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        members, _ = _orbit_raw(seed, p)
-        # orbits are closed within the (non)degenerate stratum: Delta scales
-        # by det^6, so BFS never leaves `remaining`
-        remaining -= members
-        orbits.append(Orbit(field, min(members), len(members)))
-    orbits.sort(key=lambda o: o.representative)
-    return orbits
+    # Delta mod sixth powers is a square exactly when its token is a cube root
+    # of 1; the cube classes have the same tokens
+    tokens = [w.val for w in field.cube_roots_of_unity()]
+    square = {(r, t) for r in (0, 3) for t in tokens}
+    rooted = {(3, t) for t in tokens} | {(1, p - t) for t in tokens}
+    cubes = {("triple", t) for t in tokens}
+    degenerate = cubes | {("double",)}
+    wanted = square | rooted | (set() if nondegenerate_only else degenerate)
+    # lex index n = c0*p^3 + c1*p^2 + c2*p + c3: [start, end) and the cells reachable there
+    blocks = (
+        (0, p**3, rooted | degenerate),
+        (0, p**2, degenerate),
+        (0, p, cubes),
+        (p**3, p**3 + p, {("triple", 1), (3, 1)} | {(0, t) for t in tokens[1:]}),
+    )
+    orbits = {}
+    classified = 0
+    n = 1  # (0, 0, 0, 0) is not a cubic form
+    while len(orbits) < len(wanted):
+        for start, end, reachable in blocks:
+            if start <= n < end and reachable & wanted <= orbits.keys():
+                n = end
+                break
+        else:
+            classified += 1
+            if classified > budget:
+                raise BudgetExceeded(f"the orbit scan needs more than its budget of {budget} forms")
+            raw = (n // p**3, n // p**2 % p, n // p % p, n % p)
+            key, order = _cell(raw, field)
+            if key in wanted and key not in orbits:
+                orbits[key] = Orbit(field, raw, order)
+            n += 1
+    return sorted(orbits.values(), key=lambda o: o.representative)
+
+
+def _normal_form(f: BinaryCubicForm):
+    """(g, n) with act_gl2(g, f) = n for a nondegenerate f over F_p.
+
+    Delta a square (r = 0 or 3): n is diagonal, by ``diagonalize``, which
+    never raises here. -Delta/108 = Delta/(4*(-27)) is a square, since
+    -27 = (-3)^3 and -3 is a square mod p = 1 (mod 3); and a Hessian
+    coefficient r vanishing for f and its swap leaves a Hessian of shape
+    u*v, whose roots (1:0) and (0:1) make f diagonal, and a diagonal f
+    comes back with the identity.
+    Delta a non-square (r = 1): g sends the rational root to (1:0), making
+    c0 = 0, then u -> u - c2/(2*c1)*v completes the square: n = (0, a, 0, b).
+    """
+    if nth_power_class(f.discriminant(), 2):
+        return diagonalize(f)
+    field = f.field
+    r, root = _roots_on_line(tuple(c.val for c in f.coeffs), field.p)
+    if r != 1:
+        raise AssertionError(f"{f} has a non-square Delta but {r} roots")
+    x, y = root
+    # f(a*u + b*v, c*u + d*v) has c0 = f(a, c) = 0 for (a, c) = (x, y)
+    g = GL2Element(field, (x, 1, y, 0) if y else (1, 0, 0, 1))
+    _, c1, c2, _ = act_gl2(g, f).coeffs
+    g = g.mul(GL2Element(field, (1, -c2 / (2 * c1), 0, 1)))
+    n = act_gl2(g, f)
+    if not (n.coeffs[0].is_zero() and n.coeffs[2].is_zero()):
+        raise AssertionError(f"{g} carries {f} to {n}, not to a (0, a, 0, b)")
+    return g, n
+
+
+def _normal_stabilizer(n: BinaryCubicForm):
+    """Stab(n) for n diagonal (the formula in ``stabilizer``) or (0, a, 0, b).
+
+    act(diag(x, y), (0, a, 0, b)) = (0, a*x^2*y, 0, b*y^3), so the six
+    diag(+-y, y) with y^3 = 1 fix (0, a, 0, b); that is all of its
+    stabilizer, of order 6 (r = 1).
+    """
+    field = n.field
+    roots = field.cube_roots_of_unity()
+    if not n.is_diagonal():
+        return [GL2Element(field, (s * y, 0, 0, y)) for y in roots for s in (1, -1)]
+    elements = [GL2Element(field, (u, 0, 0, v)) for u in roots for v in roots]
+    lam = cube_root_in_field(n.coeffs[3] / n.coeffs[0])
+    if lam is not None:
+        inv = lam.inverse()
+        elements += [GL2Element(field, (0, u * lam, v * inv, 0)) for u in roots for v in roots]
+    return elements
 
 
 def orbit_equivalent(f: BinaryCubicForm, g: BinaryCubicForm):
     """(answer, witness): answer True/False, or None for Unknown.
 
-    Over F_p: decided by orbit BFS with a transformation witness. Over
-    Q / Q(w): False if the sixth-power class of the discriminant ratio or
-    the diagonalizability class separates; True (with witness) when the
+    Over F_p: decided by the complete invariant (``_cell``), with a witness
+    built from the two normal forms (``_normal_form``). Over Q / Q(w):
+    False if the sixth-power class of the discriminant ratio or the
+    diagonalizability class separates; True (with witness) when the
     diagonalize-then-match search finds a transform; None otherwise.
+    Every witness is checked by ``act_gl2``.
     """
     if f.field != g.field:
         raise FieldMismatch("forms over different fields")
@@ -439,37 +517,39 @@ def orbit_equivalent(f: BinaryCubicForm, g: BinaryCubicForm):
     g.require_nondegenerate()
     field = f.field
     if field.kind == "Fp":
-        raw_f = tuple(c.val for c in f.coeffs)
-        raw_g = tuple(c.val for c in g.coeffs)
-        members, witness = _orbit_raw(raw_f, field.p, with_witness=True)
-        if raw_g not in members:
+        raw_f, raw_g = (tuple(c.val for c in h.coeffs) for h in (f, g))
+        if _cell(raw_f, field) != _cell(raw_g, field):
             return False, None
-        w = GL2Element(field, witness[raw_g])
-        assert act_gl2(w, f) == g
-        return True, w
-    ratio = g.discriminant() / f.discriminant()
-    try:
-        if not nth_power_class(ratio, 6):
+        gf, df = _normal_form(f)
+        gg, dg = _normal_form(g)
+        match = _match_diagonal(df, dg) if df.is_diagonal() else _match_rooted(df, dg)
+        if match is None:
+            raise AssertionError(f"{f} and {g} share their invariants but no transform matched")
+    else:
+        ratio = g.discriminant() / f.discriminant()
+        try:
+            if not nth_power_class(ratio, 6):
+                return False, None
+        except UnsupportedFieldForTest:
+            pass  # irrational Q(w) ratio: the class test abstains; fall through
+        diag_f = sqrt_in_field(field.scalar(-108) * f.discriminant()) is not None
+        diag_g = sqrt_in_field(field.scalar(-108) * g.discriminant()) is not None
+        if diag_f != diag_g:
             return False, None
-    except UnsupportedFieldForTest:
-        pass  # irrational Q(w) ratio: the class test abstains; fall through
-    diag_f = sqrt_in_field(field.scalar(-108) * f.discriminant()) is not None
-    diag_g = sqrt_in_field(field.scalar(-108) * g.discriminant()) is not None
-    if diag_f != diag_g:
-        return False, None
-    if not (diag_f and diag_g):
-        return None, None
-    gf, df = diagonalize(f)
-    gg, dg = diagonalize(g)
-    match = _match_diagonal(df, dg)
-    if match is None:
-        # the cube-root searches over Q and Q(w) are exact (not
-        # budget-bounded), and the monomial-matrix criterion is complete
-        # for diagonal forms, so a failed match is a proof
-        return False, None
+        if not (diag_f and diag_g):
+            return None, None
+        gf, df = diagonalize(f)
+        gg, dg = diagonalize(g)
+        match = _match_diagonal(df, dg)
+        if match is None:
+            # the cube-root searches over Q and Q(w) are exact (not
+            # budget-bounded), and the monomial-matrix criterion is complete
+            # for diagonal forms, so a failed match is a proof
+            return False, None
     # act(gf, f) = df, act(m, df) = dg  =>  act(gf*m, f) = dg = act(gg, g)
     total = gf.mul(match).mul(gg.inverse())
-    assert act_gl2(total, f) == g
+    if act_gl2(total, f) != g:
+        raise AssertionError(f"the witness {total} does not carry {f} to {g}")
     return True, total
 
 
@@ -478,6 +558,8 @@ def _match_diagonal(df: BinaryCubicForm, dg: BinaryCubicForm):
 
     act(diag(u, v), (p,0,0,r)) = (p*u^3, 0, 0, r*v^3);
     act((0,b;c,0), (p,0,0,r)) = (r*c^3, 0, 0, p*b^3).
+    Complete: an equivalence of diagonal forms permutes the roots (1:0)
+    and (0:1) of their Hessians, so it is monomial.
     """
     p1, r1 = df.coeffs[0], df.coeffs[3]
     p2, r2 = dg.coeffs[0], dg.coeffs[3]
@@ -489,6 +571,27 @@ def _match_diagonal(df: BinaryCubicForm, dg: BinaryCubicForm):
     b = cube_root_in_field(r2 / p1)
     if b is not None and c is not None:
         return GL2Element(df.field, (0, b, c, 0))
+    return None
+
+
+def _match_rooted(nf: BinaryCubicForm, ng: BinaryCubicForm):
+    """A diagonal m with act(m, nf) = ng for two forms (0, a, 0, b), or None.
+
+    act(diag(x, y), (0, a, 0, b)) = (0, a*x^2*y, 0, b*y^3): y is a cube
+    root of b'/b and x^2 = a'/(a*y), tried for all three y. Complete: an
+    equivalence fixes (1:0), the one rational root, so it is upper
+    triangular, and keeping c2 = 0 makes it diagonal.
+    """
+    field = nf.field
+    a1, b1 = nf.coeffs[1], nf.coeffs[3]
+    a2, b2 = ng.coeffs[1], ng.coeffs[3]
+    y0 = cube_root_in_field(b2 / b1)
+    if y0 is None:
+        return None
+    for w in field.cube_roots_of_unity():
+        x = sqrt_in_field(a2 / (a1 * y0 * w))
+        if x is not None:
+            return GL2Element(field, (x, 0, 0, y0 * w))
     return None
 
 

@@ -1,0 +1,140 @@
+"""Brute-force references for the GL2 action over a small F_p.
+
+The package finds orbits, stabilizers and orbit equivalences from a
+complete invariant and one normal form per orbit type. These routines find
+them without either, by breadth-first search over generators and by
+exhaustive scans, and the tests require equal answers for p <= 31.
+"""
+
+import functools
+
+
+def act_raw(g, f, p):
+    """The coefficients of f(a*u + b*v, c*u + d*v) mod p, g = (a, b, c, d)."""
+    a, b, c, d = g
+    c0, c1, c2, c3 = f
+    return (
+        (c0 * a * a * a + c1 * a * a * c + c2 * a * c * c + c3 * c * c * c) % p,
+        (
+            3 * c0 * a * a * b
+            + c1 * (a * a * d + 2 * a * b * c)
+            + c2 * (2 * a * c * d + b * c * c)
+            + 3 * c3 * c * c * d
+        ) % p,
+        (
+            3 * c0 * a * b * b
+            + c1 * (2 * a * b * d + b * b * c)
+            + c2 * (a * d * d + 2 * b * c * d)
+            + 3 * c3 * c * d * d
+        ) % p,
+        (c0 * b * b * b + c1 * b * b * d + c2 * b * d * d + c3 * d * d * d) % p,
+    )
+
+
+def delta_raw(f, p):
+    c0, c1, c2, c3 = f
+    return (
+        18 * c0 * c1 * c2 * c3 - 4 * c1**3 * c3 + c1**2 * c2**2 - 4 * c0 * c2**3
+        - 27 * c0**2 * c3**2
+    ) % p
+
+
+def primitive_root(p):
+    """The least generator of F_p^*."""
+    factors = [q for q in range(2, p) if (p - 1) % q == 0 and all(q % r for r in range(2, q))]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+def gl2_generators(p):
+    """(1, 1; 0, 1), (1, 0; 1, 1) and diag(g, 1), g a primitive root, generate GL2(F_p)."""
+    return [(1, 1, 0, 1), (1, 0, 1, 1), (primitive_root(p), 0, 0, 1)]
+
+
+def encode(f, p):
+    """The lex index c0*p^3 + c1*p^2 + c2*p + c3 of a raw form."""
+    c0, c1, c2, c3 = f
+    return ((c0 * p + c1) * p + c2) * p + c3
+
+
+def decode(n, p):
+    return (n // p**3, n // p**2 % p, n // p % p, n % p)
+
+
+def generator_images(f, p, g):
+    """act_raw of the three ``gl2_generators`` on f, written out: f(u + v, v),
+    f(u, u + v) and f(g*u, v)."""
+    c0, c1, c2, c3 = f
+    return (
+        (c0, (c1 + 3 * c0) % p, (c2 + 2 * c1 + 3 * c0) % p, (c0 + c1 + c2 + c3) % p),
+        ((c0 + c1 + c2 + c3) % p, (c1 + 2 * c2 + 3 * c3) % p, (c2 + 3 * c3) % p, c3),
+        (c0 * g**3 % p, c1 * g * g % p, c2 * g % p, c3),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_partition(p):
+    """(ids, orbits): ids[encode(f)] is the index of the orbit of the nonzero
+    form f, and orbits lists (least member, size) by least member. Each orbit
+    is found by breadth-first search over ``gl2_generators`` from the least
+    form not yet placed."""
+    g = primitive_root(p)
+    ids = [-1] * p**4
+    orbits = []
+    for start in range(1, p**4):
+        if ids[start] >= 0:
+            continue
+        k = len(orbits)
+        ids[start] = k
+        frontier, size = [start], 1
+        while frontier:
+            nxt = []
+            for n in frontier:
+                for image in generator_images(decode(n, p), p, g):
+                    m = encode(image, p)
+                    if ids[m] < 0:
+                        ids[m] = k
+                        nxt.append(m)
+            size += len(nxt)
+            frontier = nxt
+        orbits.append((decode(start, p), size))
+    return ids, orbits
+
+
+def orbit_of(f, p):
+    """(least member, size) of the orbit of the nonzero raw form f."""
+    ids, orbits = orbit_partition(p)
+    return orbits[ids[encode(f, p)]]
+
+
+def orbit_table(p, nondegenerate_only):
+    """[(representative, size)] as ``orbit_enumerate`` lists them."""
+    return [
+        (rep, size)
+        for rep, size in orbit_partition(p)[1]
+        if not nondegenerate_only or delta_raw(rep, p)
+    ]
+
+
+def scan_stabilizer(f, p):
+    """Every (a, b, c, d) over F_p with act((a, b, c, d), f) = f, in lex order.
+
+    Such a matrix has f(a, c) = c0 and f(b, d) = c3 (the first and last
+    coefficients of the image), so the scan over all p^4 matrices is the
+    scan over the pairs of columns that pass those two tests. A singular
+    matrix sends f to a form with zero discriminant, so for a nondegenerate
+    f every matrix found is invertible.
+    """
+    c0, c1, c2, c3 = f
+
+    def value(u, v):
+        return (c0 * u**3 + c1 * u * u * v + c2 * u * v * v + c3 * v**3) % p
+
+    firsts = [(a, c) for a in range(p) for c in range(p) if value(a, c) == c0]
+    seconds = [(b, d) for b in range(p) for d in range(p) if value(b, d) == c3]
+    found = [
+        (a, b, c, d)
+        for a, c in firsts
+        for b, d in seconds
+        if act_raw((a, b, c, d), f, p) == tuple(f)
+    ]
+    return sorted(found)

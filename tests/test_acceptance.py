@@ -1,4 +1,4 @@
-"""Acceptance suite: the twelve exactness criteria, one line each.
+"""Acceptance suite: the thirteen exactness criteria, one line each.
 
 Every check is exact (tolerance zero). Run with ``pytest -s
 tests/test_acceptance.py`` to see the per-criterion lines.
@@ -7,10 +7,17 @@ tests/test_acceptance.py`` to see the per-criterion lines.
 import random
 
 from conftest import F7, F7B, F13, Q, QW, rand_form, rand_free_element, rand_gl2, rand_scalar
+from oracles import act_raw
 
 from cubiclifford import cliffordf, curves, forms
-from cubiclifford.fields import nth_power_class, sixth_power_class_token, sqrt_in_field
-from cubiclifford.forms import BinaryCubicForm, _act_raw, _hessian_coefficients
+from cubiclifford.fields import (
+    FieldSpec,
+    is_prime,
+    nth_power_class,
+    sixth_power_class_token,
+    sqrt_in_field,
+)
+from cubiclifford.forms import BinaryCubicForm, _hessian_coefficients
 from cubiclifford.freealg import (
     FreeElement,
     delta_element,
@@ -117,7 +124,7 @@ def test_criterion_06_stabilizers_diagonal_f7():
     for p in range(1, 7):
         for r in range(1, 7):
             f = (p, 0, 0, r)
-            brute = {g for g in tuples if _act_raw(g, f, 7) == f}
+            brute = {g for g in tuples if act_raw(g, f, 7) == f}
             st = forms.stabilizer(BinaryCubicForm(F7, f))
             got = {tuple(e.val for e in g.entries()) for g in st.elements}
             cube = len({x for x in range(1, 7) if pow(x, 3, 7) == (r * pow(p, -1, 7)) % 7}) > 0
@@ -240,3 +247,27 @@ def test_criterion_12_orbit_invariance():
             ok = ok and sixth_power_class_token(h.discriminant()) == token
             ok = ok and nth_power_class(curves.jacobian_constant(h) / a_f, 6)
     report(12, "Delta class-6 and Jacobian iso class constant on orbits", ok)
+
+
+def test_criterion_13_orbit_count_by_twist():
+    """A consistency check with the abstract's count, not the paper's
+    theorem: PAPER.md holds only the abstract, which pairs GL2-orbits of
+    nondegenerate forms with j = 0 curves plus CM-invariant 3-torsion
+    classes. Over F_p the class of Delta mod F_p*^6 fixes E_f:
+    s^2 = gamma^3 + Delta/4, one of six twists. The three twists whose
+    theta-fixed 3-torsion (``torsion_points``) is rational, Delta a square,
+    carry two orbits each; the other three carry one each: 3*2 + 3*1 = 9.
+    """
+    primes = [p for p in range(7, 200, 6) if is_prime(p)] + [1009, 10009]
+    ok = True
+    for p in primes:
+        field = FieldSpec.prime(p)
+        twists = {}
+        for orbit in forms.orbit_enumerate(field):
+            twists.setdefault(orbit.delta_class6, []).append(orbit)
+        for orbits in twists.values():
+            a = orbits[0].delta / field.scalar(4)
+            rational_torsion = len(curves.torsion_points(field, a)) == 3
+            ok = ok and len(orbits) == (2 if rational_torsion else 1)
+        ok = ok and sorted(map(len, twists.values())) == [1, 1, 1, 2, 2, 2]
+    report(13, f"9 orbits = 3 twists x 2 + 3 twists x 1 at {len(primes)} primes", ok)

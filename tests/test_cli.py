@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -218,18 +219,28 @@ def test_domain_error_exit_1(capsys):
     assert json.loads(err)["error"] == "singular-matrix"
 
 
-def test_stab_budget_bounds_the_scan(capsys):
-    argv = ("stab", "--field", "Fp", "--p", "13", "--coeffs", "1,1,0,2")  # 13^4 = 28561
-    code, out, err = run_cli(capsys, *argv, "--budget", "28560")
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "budget-exceeded"
-    code, out, _ = run_cli(capsys, *argv, "--budget", "28561")
-    assert code == 0
-    assert out == run_cli(capsys, *argv)[1]
-    # the default budget refuses p^4 ~ 10^12 before scanning
-    code, _, err = run_cli(capsys, "stab", "--field", "Fp", "--p", "1009", "--coeffs", "1,1,0,1")
-    assert code == 1
-    assert json.loads(err)["error"] == "budget-exceeded"
+# one non-diagonal form per root count r on P^1(F_p), with |Stab| = 18, 9, 6 for r = 3, 0, 1
+NONDIAGONAL_BY_ROOT_COUNT = {
+    1009: {(1, 1, 0, 4): 18, (1, 1, 0, 2): 9, (1, 1, 0, 1): 6},
+    P64: {(1, 1, 0, 4): 18, (1, 1, 0, 5): 9, (1, 1, 0, 1): 6},
+}
+
+
+@pytest.mark.parametrize("p", sorted(NONDIAGONAL_BY_ROOT_COUNT))
+def test_stab_nondiagonal_at_large_primes(capsys, p):
+    field = FieldSpec.prime(p)
+    for coeffs, order in NONDIAGONAL_BY_ROOT_COUNT[p].items():
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "stab", "--field", "Fp", "--p", str(p), "--coeffs", ",".join(map(str, coeffs))
+        )
+        assert code == 0 and time.perf_counter() - start < 1
+        blob = json.loads(out)
+        assert blob["order"] == len(blob["elements"]) == order
+        f = BinaryCubicForm(field, coeffs)
+        elements = [GL2Element(field, entries) for entries in blob["elements"]]
+        assert len(set(elements)) == order
+        assert all(act_gl2(g, f) == f for g in elements)
 
 
 def test_orbits_budget_charges_one_visit_per_form(capsys):
@@ -240,11 +251,42 @@ def test_orbits_budget_charges_one_visit_per_form(capsys):
     assert len(orbits) == 9
     assert sum(o["size"] for o in orbits) == 123120  # |GL2(F_19)|
     assert all(o["size"] * o["stabilizer_order"] == 123120 for o in orbits)
-    argv = ("orbits", "--field", "Fp", "--p", "13")  # 13^4 = 28561
-    code, out, err = run_cli(capsys, *argv, "--budget", "28560")
+    # the lex scan classifies 24 forms at p = 13 before all 13 cells are filled
+    argv = ("orbits", "--field", "Fp", "--p", "13")
+    code, out, err = run_cli(capsys, *argv, "--budget", "23")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "budget-exceeded"
-    assert run_cli(capsys, *argv, "--budget", "28561")[0] == 0
+    assert run_cli(capsys, *argv, "--budget", "24") == (0, run_cli(capsys, *argv)[1], "")
+
+
+@pytest.mark.parametrize("p", [1000003, P64])
+def test_orbits_at_large_primes(capsys, p):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "orbits", "--field", "Fp", "--p", str(p), "--nondegenerate")
+    assert code == 0 and time.perf_counter() - start < 1
+    orbits = json.loads(out)["orbits"]
+    assert len(orbits) == 9
+    total = (p * p - 1) * (p * p - p)
+    assert all(o["size"] * o["stabilizer_order"] == total for o in orbits)
+    assert sum(Fraction(1, o["stabilizer_order"]) for o in orbits) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        (("point-search", "--field", "Q", "--coeffs", "-75,0,0,-100", "--budget", "4"),
+         "status", "absent-within-budget"),
+        (("--coeffs", "-1,0,0,-1", "disc", "--field", "Q"), "delta", -27),
+        (("act", "--field", "Q", "--matrix", "-1,0,0,1", "--coeffs", "1,2,3,4"),
+         "coeffs", [-1, 2, -3, 4]),
+        (("reduce", "--field", "Qw", "--expr", "-x*y"),
+         "coords", ["0"] * 4 + ["-1"] + ["0"] * 13),
+    ],
+)
+def test_flag_values_may_start_with_a_minus(capsys, argv, key, want):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)[key] == want
 
 
 def test_qw_cube_roots_of_large_coefficients_return(capsys):

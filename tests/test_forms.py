@@ -1,21 +1,31 @@
 """Binary cubic forms: discriminant, GL2 action, diagonalization, orbits."""
 
 import random
+import time
 
 import pytest
 
 from conftest import F7, F13, Q, QW, rand_form, rand_gl2
+from oracles import (
+    act_raw,
+    encode,
+    generator_images,
+    gl2_generators,
+    orbit_of,
+    orbit_partition,
+    orbit_table,
+    scan_stabilizer,
+)
 
 from cubiclifford.errors import (
     DegenerateForm,
     SquareRootAbsent,
     UnsupportedField,
 )
-from cubiclifford.fields import cube_root_in_field
+from cubiclifford.fields import FieldSpec, cube_root_in_field
 from cubiclifford.forms import (
     BinaryCubicForm,
     GL2Element,
-    _act_raw,
     act_gl2,
     diagonalize,
     discriminant,
@@ -197,7 +207,7 @@ def test_stabilizer_formula_vs_enumeration_all_diagonal_f7():
     for p in range(1, 7):
         for r in range(1, 7):
             f = (p, 0, 0, r)
-            brute = {g for g in tuples if _act_raw(g, f, 7) == f}
+            brute = {g for g in tuples if act_raw(g, f, 7) == f}
             formula = stabilizer(BinaryCubicForm(F7, f))
             got = {tuple(e.val for e in g.entries()) for g in formula.elements}
             assert got == brute
@@ -248,19 +258,79 @@ def test_stabilizer_structure_labels():
 
 
 def test_orbit_of_sum_of_cubes_has_size_112():
-    from cubiclifford.forms import _orbit_raw
-
-    members, _ = _orbit_raw((1, 0, 0, 1), 7)
-    assert len(members) == 2016 // 18 == 112
+    _, size = orbit_of((1, 0, 0, 1), 7)
+    assert size == 2016 // 18 == 112
 
 
 def test_orbit_stabilizer_f13_spot_check():
     # a cheap spot check at the larger prime: orbit of the Fermat-type form
-    from cubiclifford.forms import _orbit_raw
+    _, size = orbit_of((1, 0, 0, 1), 13)
+    assert gl2_order(13) % size == 0
+    assert gl2_order(13) // size == stabilizer(BinaryCubicForm(F13, (1, 0, 0, 1))).order
 
-    members, _ = _orbit_raw((1, 0, 0, 1), 13)
-    assert gl2_order(13) % len(members) == 0
-    assert gl2_order(13) // len(members) == stabilizer(BinaryCubicForm(F13, (1, 0, 0, 1))).order
+
+def test_oracle_generator_images_are_the_action():
+    p = 7
+    for n in range(p**4):
+        f = (n // p**3, n // p**2 % p, n // p % p, n % p)
+        images = generator_images(f, p, gl2_generators(p)[2][0])
+        assert images == tuple(act_raw(g, f, p) for g in gl2_generators(p))
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31])
+def test_orbit_enumerate_matches_the_bfs_oracle(p):
+    field = FieldSpec.prime(p)
+    for nondegenerate_only in (True, False):
+        orbits = orbit_enumerate(field, nondegenerate_only)
+        table = [(o.representative, o.size) for o in orbits]
+        assert table == orbit_table(p, nondegenerate_only)
+        assert len(orbits) == (9 if nondegenerate_only else 13)
+        for o in orbits:
+            assert o.size * o.stabilizer_order == gl2_order(p)
+
+
+def test_stabilizer_matches_the_scan_on_every_nondegenerate_form_f7():
+    p = 7
+    for n in range(1, p**4):
+        f = (n // p**3, n // p**2 % p, n // p % p, n % p)
+        form = BinaryCubicForm(F7, f)
+        if not form.is_nondegenerate():
+            continue
+        got = [tuple(e.val for e in g.entries()) for g in stabilizer(form).elements]
+        want = scan_stabilizer(f, p)
+        # a non-diagonal form lists its stabilizer in raw-entry order, as the scan does
+        assert (got if not form.is_diagonal() else sorted(got)) == want
+
+
+@pytest.mark.parametrize("p", [13, 19])
+def test_stabilizer_matches_the_scan_on_random_forms(p):
+    field = FieldSpec.prime(p)
+    rng = random.Random(p)
+    for _ in range(300):
+        f = rand_form(field, rng)
+        raw = tuple(c.val for c in f.coeffs)
+        st = stabilizer(f)
+        got = [tuple(e.val for e in g.entries()) for g in st.elements]
+        assert sorted(got) == scan_stabilizer(raw, p)
+        assert st.order * orbit_of(raw, p)[1] == gl2_order(p)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_orbit_equivalent_matches_the_bfs_oracle(p):
+    field = FieldSpec.prime(p)
+    ids, _ = orbit_partition(p)
+    rng = random.Random(100 + p)
+    answers = []
+    for i in range(200):
+        f = rand_form(field, rng)
+        h = act_gl2(rand_gl2(field, rng), f) if i % 2 else rand_form(field, rng)
+        raw_f, raw_h = (tuple(c.val for c in x.coeffs) for x in (f, h))
+        answer, witness = orbit_equivalent(f, h)
+        assert answer is (ids[encode(raw_f, p)] == ids[encode(raw_h, p)])
+        if answer:
+            assert act_gl2(witness, f) == h
+        answers.append(answer)
+    assert answers.count(True) > 100 and answers.count(False) > 50
 
 
 def test_orbit_equivalent_by_construction():
@@ -286,6 +356,29 @@ def test_orbit_equivalent_by_construction():
         answer, witness = orbit_equivalent(f, h)
         assert answer is True
         assert act_gl2(witness, f) == h
+
+
+# (1, 1, 0, c3) with r = 0, 1, 3 roots on P^1(F_p), so |Stab| = 9, 6, 18
+FORMS_BY_ROOT_COUNT = {
+    1000003: ((1, 1, 0, 1), (1, 1, 0, 2), (1, 1, 0, 4)),
+    18446744073709551427: ((1, 1, 0, 5), (1, 1, 0, 1), (1, 1, 0, 4)),
+}
+
+
+@pytest.mark.parametrize("p", sorted(FORMS_BY_ROOT_COUNT))
+def test_orbit_equivalent_and_stabilizer_at_large_primes(p):
+    field = FieldSpec.prime(p)
+    rng = random.Random(p)
+    fs = [BinaryCubicForm(field, coeffs) for coeffs in FORMS_BY_ROOT_COUNT[p]]
+    for f, order in zip(fs, (9, 6, 18)):
+        h = act_gl2(rand_gl2(field, rng), f)
+        start = time.perf_counter()
+        answer, witness = orbit_equivalent(f, h)
+        assert answer is True and act_gl2(witness, f) == h
+        st = stabilizer(h)
+        assert time.perf_counter() - start < 1
+        assert st.order == order and all(act_gl2(g, h) == h for g in st.elements)
+    assert orbit_equivalent(fs[0], fs[2]) == (False, None)
 
 
 def test_orbit_equivalent_frozen_f7():
