@@ -24,6 +24,7 @@ from .curves import (
     PlaneCubicPoint,
     cm_theta,
     construct_cover_point,
+    curve_order,
     curve_points,
     ell_add,
     ell_mul,
@@ -31,6 +32,7 @@ from .curves import (
     j_invariant,
     jacobian_constant,
     lambda_isogeny,
+    lambda_kernel,
     point_search,
     torsion_points,
 )
@@ -84,6 +86,7 @@ __all__ = [
     "cm_theta",
     "construct_cover_point",
     "cube_root_in_field",
+    "curve_order",
     "curve_points",
     "diagonalize",
     "discriminant",
@@ -95,6 +98,7 @@ __all__ = [
     "j_invariant",
     "jacobian_constant",
     "lambda_isogeny",
+    "lambda_kernel",
     "linear_substitute",
     "mul_af",
     "nth_power_class",

@@ -9,7 +9,9 @@ honours `--budget` as the number of forms its lex scan may classify
 (default 10^6; every p = 1 mod 3 below 3000 needs under a hundred), and
 over it exits 1 with `budget-exceeded`. `stab` scans nothing: a
 non-diagonal stabilizer is conjugated from a normal form's, so it ignores
-`--budget`.
+`--budget`. Nor do `lambda-kernel` and `cover-point`: the curve order, the
+kernel of lambda, the F_{p^3} modulus and its cube roots come from closed
+forms, so both answer at any prime.
 
 Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
 2 usage error.
@@ -18,6 +20,7 @@ Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -160,12 +163,12 @@ def cmd_torsion(args, field):
 def cmd_lambda_kernel(args, field):
     f = form_from_args(args, field)
     a = curves.jacobian_constant(f)
-    pts = curves.curve_points(field, a)
-    kernel = [p for p in pts if curves.lambda_isogeny(p).is_infinity()]
+    order = curves.curve_order(field, a)
+    kernel = curves.lambda_kernel(field, a)
     torsion = curves.torsion_points(field, a)
     return {
         "A": a.to_json(),
-        "curve_order": len(pts),
+        "curve_order": order,
         "kernel": [p.to_json() for p in kernel],
         "torsion": [p.to_json() for p in torsion],
         "kernel_equals_torsion": sorted(map(repr, kernel)) == sorted(map(repr, torsion)),
@@ -232,7 +235,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built once per process: parsing reads it and
+    leaves it unchanged, and each parse starts from its defaults."""
     parser = argparse.ArgumentParser(
         prog="cubiclifford",
         description="Exact computations with binary cubic forms, their "

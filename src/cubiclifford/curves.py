@@ -1,6 +1,10 @@
 """Plane cubics w^3 = f(u, v), their Jacobians s^2 = g^3 + Delta/4, the
 order-3 automorphism, its fixed 3-torsion, and the degree-3 isogeny.
 
+Over F_p the curve order, the kernel of the isogeny, the modulus of F_{p^3}
+and cube roots there come from closed forms, each result checked; only
+``curve_points`` lists points one by one.
+
 The module is deliberately form-agnostic at the import level: it consumes
 any object with .field, .coeffs, .evaluate, .discriminant (a
 forms.BinaryCubicForm), so the forms module can call back in for orbit
@@ -9,8 +13,10 @@ invariants without an import cycle.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from math import gcd
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BudgetExceeded,
@@ -20,9 +26,14 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import (
+    DEFAULT_SCAN_BUDGET,
     FieldSpec,
     Scalar,
+    _omega_residues,
+    _zw_mul,
     cube_root_in_field,
+    distinct_roots_factor,
+    iroot,
     power,
     prime_power_root_mod,
     sqrt_in_field,
@@ -30,7 +41,6 @@ from .fields import (
 
 DEFAULT_HEIGHT_BUDGET_Q = 20
 DEFAULT_HEIGHT_BUDGET_QW = 4
-MAX_EXTENSION_PRIME = 31
 
 
 # -- the elliptic side -----------------------------------------------------------
@@ -164,6 +174,89 @@ def lambda_isogeny(p: EllipticPoint) -> EllipticPoint:
     return ell_add(cm_theta(p), ell_neg(p))
 
 
+def lambda_kernel(field: FieldSpec, curve_a: Scalar) -> list:
+    """The kernel of lambda = theta - [1] on s^2 = gamma^3 + A over ``field``:
+    infinity and (0, +-sqrt(A)) when the root exists, in the order a scan
+    over gamma = 0, 1, ... lists them (``torsion_points``).
+
+    Proof: lambda(P) = O iff theta(P) = P. Infinity is fixed, and an affine
+    (gamma, s) is fixed iff (omega*gamma, s) = (gamma, s), that is
+    (omega - 1)*gamma = 0, that is gamma = 0 because omega != 1; then
+    s^2 = A. Each listed point is checked by ``lambda_isogeny``.
+    """
+    kernel = torsion_points(field, curve_a)
+    for point in kernel:
+        if not lambda_isogeny(point).is_infinity():
+            raise AssertionError(f"lambda does not kill {point}")
+    return kernel
+
+
+# the six units of Z[w] as pairs (a, b) = a + b*w: 1, w, w^2 = -1 - w and their negatives
+_UNITS = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
+
+
+def _primary_prime(p: int) -> tuple:
+    """(a, b) with a^2 - a*b + b^2 = p, a = 2 and b = 0 (mod 3), for a prime
+    p = 1 (mod 3).
+
+    Cornacchia (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 1.5.3) writes 4p = X^2 + 3Y^2; then X = Y (mod 2) and
+    pi = (X + Y)/2 + Y*w has norm p. Exactly one of its six associates
+    u*pi is primary.
+    """
+    x0 = prime_power_root_mod(p - 3, 2, p)
+    if x0 % 2 == 0:  # Cohen takes the root of D = -3 that is = D (mod 2)
+        x0 = p - x0
+    a, b, bound = 2 * p, x0, isqrt(4 * p)
+    while b > bound:
+        a, b = b, a % b
+    y = isqrt((4 * p - b * b) // 3)
+    if b * b + 3 * y * y != 4 * p:
+        raise AssertionError(f"Cornacchia found no 4p = X^2 + 3Y^2 for p = {p}")
+    pi = ((b + y) // 2, y)
+    for unit in _UNITS:
+        a, b = _zw_mul(unit, pi)
+        if a % 3 == 2 and b % 3 == 0:
+            return a, b
+    raise AssertionError(f"no primary associate of {pi}")
+
+
+def curve_order(field: FieldSpec, curve_a: Scalar) -> int:
+    """The number of points of s^2 = gamma^3 + A over F_p, infinity included.
+
+    With pi = a + b*w the primary prime above p (``_primary_prime``),
+    Ireland & Rosen (A Classical Introduction to Modern Number Theory,
+    ch. 18 §3, Thm 4) give
+
+        #E = p + 1 + Tr(conj(chi) * pi),   chi = (4A/pi)_6,
+
+    the sextic residue symbol: the sixth root of unity congruent to
+    (4A)^((p - 1)/6) modulo pi. Z[w]/pi is F_p with w -> -a/b (pi vanishes
+    there), so chi is the unit whose image mod p is that power. The order
+    is checked by [N]P = O at the first point of least gamma >= 1 (gamma = 0
+    when no such point exists).
+    """
+    if field.kind != "Fp":
+        raise UnsupportedField("curve orders need a finite field")
+    if curve_a.is_zero():
+        raise DegenerateForm("A = 0 gives a singular cubic")
+    p = field.p
+    a, b = _primary_prime(p)
+    w = -a * pow(b, -1, p) % p
+    residue = pow(4 * curve_a.val, (p - 1) // 6, p)
+    chi = next(u for u in _UNITS if (u[0] + u[1] * w) % p == residue)
+    c, d = _zw_mul((chi[0] - chi[1], -chi[1]), (a, b))  # conj(chi) * pi
+    order = p + 1 + 2 * c - d
+    for g in itertools.chain(range(1, p), (0,)):
+        s = sqrt_in_field(field.scalar(g**3) + curve_a)
+        if s is not None:
+            point = EllipticPoint(field, curve_a, (field.scalar(g), s))
+            break
+    if not ell_mul(order, point).is_infinity():
+        raise AssertionError(f"[{order}]{point} is not infinity on s^2 = g^3 + {curve_a}")
+    return order
+
+
 def curve_points(field: FieldSpec, curve_a: Scalar) -> list:
     """All points over F_p (exhaustive scan)."""
     if field.kind != "Fp":
@@ -184,22 +277,30 @@ def curve_points(field: FieldSpec, curve_a: Scalar) -> list:
 
 
 class CubicExtension:
-    """F_p[t]/(m(t)) for the lexicographically least irreducible monic cubic
-    m = t^3 + a2 t^2 + a1 t + a0 (ordered by (a0, a1, a2)). Elements are
-    coefficient triples (e0, e1, e2)."""
+    """F_p[t]/(m(t)), p = 1 (mod 3), for the lexicographically least
+    irreducible monic cubic m = t^3 + a2 t^2 + a1 t + a0 (ordered by
+    (a0, a1, a2)). Elements are coefficient triples (e0, e1, e2)."""
 
     def __init__(self, p: int):
-        if p > MAX_EXTENSION_PRIME:
-            raise BudgetExceeded(f"cubic extension scans are capped at p <= {MAX_EXTENSION_PRIME}")
         self.p = p
         self.modulus = self._least_irreducible()
 
     def _least_irreducible(self):
+        """A cubic with no root in F_p is irreducible, and then its gcd with
+        t^p - t is (1,). a0 = 0 is skipped, since t divides m there. Each
+        candidate counts against DEFAULT_SCAN_BUDGET; the first irreducible
+        one comes within 16 candidates for every p below 20000."""
         p = self.p
-        for a0 in range(p):
+        candidates = 0
+        for a0 in range(1, p):
             for a1 in range(p):
                 for a2 in range(p):
-                    if all((x**3 + a2 * x * x + a1 * x + a0) % p for x in range(p)):
+                    candidates += 1
+                    if candidates > DEFAULT_SCAN_BUDGET:
+                        raise BudgetExceeded(
+                            f"no irreducible cubic within {DEFAULT_SCAN_BUDGET} candidates"
+                        )
+                    if distinct_roots_factor((a0, a1, a2, 1), p) == (1,):
                         return (a0, a1, a2)
         raise AssertionError("no irreducible cubic found")
 
@@ -233,20 +334,50 @@ class CubicExtension:
     def pow(self, u, n):
         return power(u, n, (1, 0, 0), self.mul)
 
-    def elements(self):
-        p = self.p
-        for e0 in range(p):
-            for e1 in range(p):
-                for e2 in range(p):
-                    yield (e0, e1, e2)
-
     def cube_root(self, c: int):
-        """Least element (in tuple order) whose cube is the base-field c."""
-        target = self.embed(c)
-        for u in self.elements():
-            if self.pow(u, 3) == target:
-                return u
-        return None
+        """The least element (in tuple order) whose cube is the base-field c.
+
+        Every c in F_p is a cube here: c^((p^3 - 1)/3) = c^((p - 1)(p^2 + p + 1)/3)
+        = 1, as 3 divides p^2 + p + 1 when p = 1 (mod 3). One root r comes
+        from Adleman-Manders-Miller in the cyclic group F_{p^3}^* of order
+        3^s * t (3 not dividing t); the three roots are r, r*w and r*w^2 for
+        w a primitive cube root of 1 in F_p, and the least is returned.
+        """
+        p = self.p
+        c %= p
+        if c == 0:
+            return (0, 0, 0)
+        s, t = 0, p**3 - 1
+        while t % 3 == 0:
+            t //= 3
+            s += 1
+        # z = k + t is a non-cube iff its norm k^3 - a2 k^2 + a1 k - a0 = -m(-k)
+        # is a non-cube mod p, as z^((p^3 - 1)/3) = N(z)^((p - 1)/3)
+        a0, a1, a2 = self.modulus
+        k = next(
+            k for k in range(p)
+            if pow(k**3 - a2 * k * k + a1 * k - a0, (p - 1) // 3, p) != 1
+        )
+        g = self.pow((k, 1, 0), t)  # generates the 3-Sylow subgroup, of order 3^s
+        # x = c^alpha with 3*alpha = 1 (mod t) lies in F_p, and x^3/c in the Sylow
+        x = pow(c, pow(3, -1, t), p)
+        e = self.embed(pow(x, 3, p) * pow(c, -1, p))
+        # Pohlig-Hellman digits of e in base g; e is a cube in the Sylow, so
+        # the lowest digit vanishes and the division by 3 below is exact
+        unit = self.pow(g, 3 ** (s - 1))
+        d = 0
+        for i in range(s):
+            probe = self.pow(self.mul(e, self.pow(g, 3**s - d)), 3 ** (s - 1 - i))
+            digit, acc = 0, (1, 0, 0)
+            while acc != probe:
+                acc = self.mul(acc, unit)
+                digit += 1
+            d += digit * 3**i
+        if d % 3:
+            return None
+        r = self.mul(self.embed(x), self.pow(g, 3**s - d // 3))
+        w = self.embed(_omega_residues(p)[0])
+        return min(r, self.mul(r, w), self.mul(r, self.mul(w, w)))
 
 
 class PlaneCubicPoint:
@@ -307,7 +438,7 @@ def least_cube_root_mod(c: int, p: int) -> int | None:
     r = prime_power_root_mod(c, 3, p)
     if r is None or (p - 1) % 3:
         return r
-    w = (prime_power_root_mod(-3, 2, p) - 1) * pow(2, -1, p) % p
+    w = _omega_residues(p)[0]
     return min(r, r * w % p, r * w * w % p)
 
 
@@ -318,13 +449,69 @@ def _signed_range(bound: int):
         yield -k
 
 
+def _height_shell(h: int, n: int):
+    """The integer n-tuples of height h (largest |entry| exactly h), h >= 1,
+    in the order of itertools.product(_signed_range(h), repeat=n): a first
+    entry of height h takes any tail, a smaller one a tail of height h."""
+    for first in _signed_range(h):
+        if abs(first) == h:
+            tails = itertools.product(_signed_range(h), repeat=n - 1)
+        elif n > 1:
+            tails = _height_shell(h, n - 1)
+        else:
+            continue
+        for tail in tails:
+            yield (first, *tail)
+
+
+# an integer cube is a cube modulo 7*9*13*19, where 315 of the 15561 residues are
+_CUBE_MODULUS = 7 * 9 * 13 * 19
+
+
+@functools.cache
+def _cube_residues() -> bytes:
+    table = bytearray(_CUBE_MODULUS)
+    for y in range(_CUBE_MODULUS):
+        table[y * y * y % _CUBE_MODULUS] = 1
+    return bytes(table)
+
+
+def _integer_point_search(f, budget: int):
+    """``point_search`` over Q on Python ints.
+
+    With D the least common denominator of the coefficients, F = D*f has
+    integer coefficients and f(u, v) = F(u, v)/D is a cube iff
+    F(u, v)*D^2 = f(u, v)*D^3 is, with cube root D*w. The residue table
+    rejects most non-cubes before the exact root is taken.
+    """
+    field = f.field
+    den = lcm(*(c.val.denominator for c in f.coeffs))
+    c0, c1, c2, c3 = (int(c.val * den) for c in f.coeffs)
+    scale = den * den
+    cubes = _cube_residues()
+    for h in range(1, budget + 1):
+        for v, u in _height_shell(h, 2):
+            if gcd(v, u) != 1:
+                continue
+            m = (((c0 * u + c1 * v) * u + c2 * v * v) * u + c3 * v * v * v) * scale
+            if not cubes[m % _CUBE_MODULUS]:
+                continue
+            r = iroot(abs(m), 3)
+            if r is not None:
+                w = Fraction(r if m >= 0 else -r, den)
+                return PlaneCubicPoint(f, (field.scalar(u), field.scalar(v), field.scalar(w)))
+    return None
+
+
 def point_search(f, budget: int | None = None):
     """A verified point on w^3 = f(u, v), or None within the budget.
 
     F_p: exhaustive projective scan. Q: primitive integer pairs (u, v) of
     height up to the budget with exact cube-root extraction. Q(w):
     Z[omega]-pairs with coefficients up to the budget, same idea. Absence
-    is only ever absence-within-budget.
+    is only ever absence-within-budget. Each height is visited shell by
+    shell, (v, u) over Q and (b1, a1, b2, a2) for u = a1 + b1*w,
+    v = a2 + b2*w over Q(w), the last coordinate fastest.
     """
     field = f.field
     if field.kind == "Fp":
@@ -337,18 +524,13 @@ def point_search(f, budget: int | None = None):
                 if r is not None:
                     return PlaneCubicPoint(f, (u, v, field.scalar(r)))
         return None
-    rational = field.kind == "Q"
+    if field.kind == "Q":
+        return _integer_point_search(f, DEFAULT_HEIGHT_BUDGET_Q if budget is None else budget)
     if budget is None:
-        budget = DEFAULT_HEIGHT_BUDGET_Q if rational else DEFAULT_HEIGHT_BUDGET_QW
+        budget = DEFAULT_HEIGHT_BUDGET_QW
     for h in range(1, budget + 1):
-        # (v, u) over Q, (b1, a1, b2, a2) for u = a1 + b1*w, v = a2 + b2*w over Q(w)
-        for c in itertools.product(_signed_range(h), repeat=2 if rational else 4):
-            if max(map(abs, c)) != h or (rational and gcd(*c) != 1):
-                continue
-            if rational:
-                v, u = field.scalar(c[0]), field.scalar(c[1])
-            else:
-                u, v = field.scalar((c[1], c[0])), field.scalar((c[3], c[2]))
+        for b1, a1, b2, a2 in _height_shell(h, 4):
+            u, v = field.scalar((a1, b1)), field.scalar((a2, b2))
             w = cube_root_in_field(f.evaluate(u, v))
             if w is not None:
                 return PlaneCubicPoint(f, (u, v, w))

@@ -33,6 +33,10 @@ RATIONALS = "Q"
 CYCLOTOMIC = "Qw"
 PRIME = "Fp"
 
+# the candidates one enumeration over F_p may test: forms in an orbit scan,
+# cubics in the search for an irreducible modulus
+DEFAULT_SCAN_BUDGET = 10**6
+
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin with the twelve prime bases 2..37.

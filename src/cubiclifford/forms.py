@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedFieldForTest,
 )
 from .fields import (
+    DEFAULT_SCAN_BUDGET,
     FieldSpec,
     Scalar,
     cube_root_in_field,
@@ -38,9 +39,6 @@ from .fields import (
     sixth_power_class_token,
     sqrt_in_field,
 )
-
-# the forms an orbit scan may classify
-DEFAULT_SCAN_BUDGET = 10**6
 
 
 class BinaryCubicForm:

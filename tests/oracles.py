@@ -1,12 +1,20 @@
-"""Brute-force references for the GL2 action over a small F_p.
+"""Brute-force references for the GL2 action and the curves over a small
+F_p, and for the point search over Q.
 
 The package finds orbits, stabilizers and orbit equivalences from a
 complete invariant and one normal form per orbit type. These routines find
 them without either, by breadth-first search over generators and by
-exhaustive scans, and the tests require equal answers for p <= 31.
+exhaustive scans, and the tests require equal answers for p <= 31. Curve
+orders, the F_{p^3} modulus and its cube roots come from closed forms in
+the package and from counts and scans here; the point search over Q runs
+on integers in the package and on field scalars here.
 """
 
 import functools
+import itertools
+from math import gcd
+
+from cubiclifford.fields import cube_root_in_field
 
 
 def act_raw(g, f, p):
@@ -138,3 +146,74 @@ def scan_stabilizer(f, p):
         if act_raw((a, b, c, d), f, p) == tuple(f)
     ]
     return sorted(found)
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_and_cubes(p):
+    legendre = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+    return legendre, [g**3 % p for g in range(p)]
+
+
+def euler_curve_order(p, a):
+    """#E(F_p) for s^2 = g^3 + A by Euler's criterion: each g contributes
+    1 + (g^3 + A | p) points, and infinity one more."""
+    legendre, cubes = _legendre_and_cubes(p)
+    return 1 + sum(1 + legendre[(c + a) % p] for c in cubes)
+
+
+def least_irreducible_cubic(p):
+    """(a0, a1, a2) of the least monic cubic, by (a0, a1, a2), with no root in F_p."""
+    for a0, a1, a2 in itertools.product(range(p), repeat=3):
+        if all((x**3 + a2 * x * x + a1 * x + a0) % p for x in range(p)):
+            return (a0, a1, a2)
+    raise AssertionError("no irreducible cubic found")
+
+
+def fp3_mul(x, y, modulus, p):
+    """The product of two coefficient triples modulo t^3 + a2 t^2 + a1 t + a0."""
+    a0, a1, a2 = modulus
+    raw = [0] * 5
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            raw[i + j] += xi * yj
+    for k in (4, 3):
+        c = raw[k]
+        raw[k - 1] -= c * a2
+        raw[k - 2] -= c * a1
+        raw[k - 3] -= c * a0
+    return (raw[0] % p, raw[1] % p, raw[2] % p)
+
+
+def least_cube_roots_fp3(p, modulus):
+    """{c: the least triple u with u^3 = c} for every c in F_p, by cubing all
+    p^3 triples in tuple order."""
+    roots = {}
+    for u in itertools.product(range(p), repeat=3):
+        cube = fp3_mul(fp3_mul(u, u, modulus, p), u, modulus, p)
+        if cube[1] == cube[2] == 0:
+            roots.setdefault(cube[0], u)
+    return roots
+
+
+def _signed_range(bound):
+    yield 0
+    for k in range(1, bound + 1):
+        yield k
+        yield -k
+
+
+def scalar_point_search(f, budget):
+    """The first (u, v, w) on w^3 = f(u, v) over Q within the budget, or
+    None: every pair (v, u) of the box of each height is formed, those of a
+    lower height and the non-primitive ones are dropped, and the cube root
+    is taken on field scalars."""
+    field = f.field
+    for h in range(1, budget + 1):
+        for c in itertools.product(_signed_range(h), repeat=2):
+            if max(map(abs, c)) != h or gcd(*c) != 1:
+                continue
+            v, u = field.scalar(c[0]), field.scalar(c[1])
+            w = cube_root_in_field(f.evaluate(u, v))
+            if w is not None:
+                return (u, v, w)
+    return None

@@ -8,9 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import fp3_mul
 
 from cubiclifford.cli import build_parser, main
-from cubiclifford.fields import FieldSpec, Scalar
+from cubiclifford.curves import EllipticPoint, ell_mul
+from cubiclifford.fields import FieldSpec, Scalar, distinct_roots_factor, sqrt_in_field
 from cubiclifford.forms import BinaryCubicForm, GL2Element, act_gl2
 
 
@@ -164,11 +166,69 @@ def test_cover_point(capsys):
     blob = json.loads(out)
     assert blob["field"] == "Fp3"
     assert blob["point"]["modulus"] == [1, 0, 1]
-    code, out, err = run_cli(
+    # 3 is not a cube mod P64, so the point is (r : 0 : r^2) over F_{p^3}
+    start = time.perf_counter()
+    code, out, _ = run_cli(
         capsys, "cover-point", "--field", "Fp", "--p", str(P64), "--coeffs", "3,0,0,1",
         "--which", "1",
     )
-    assert_point_or_typed_error(code, out, err, (3, 0, 0, 1), P64, "u")
+    assert code == 0 and time.perf_counter() - start < 1
+    blob = json.loads(out)
+    assert blob["field"] == "Fp3"
+    pt = blob["point"]
+    modulus = tuple(pt["modulus"])
+    assert distinct_roots_factor((*modulus, 1), P64) == (1,)  # no root: irreducible
+    r = tuple(pt["u"])
+    r2 = fp3_mul(r, r, modulus, P64)
+    assert pt["v"] == [0, 0, 0] and tuple(pt["w"]) == r2
+    assert fp3_mul(r2, r, modulus, P64) == (3, 0, 0)
+    w = FieldSpec.prime(P64).omega_residue
+    assert r == min(r, tuple(c * w % P64 for c in r), tuple(c * w * w % P64 for c in r))
+
+
+@pytest.mark.parametrize("p", [1000003, P64])
+def test_lambda_kernel_at_large_primes(capsys, p):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "lambda-kernel", "--field", "Fp", "--p", str(p), "--coeffs", "1,2,3,5"
+    )
+    assert code == 0 and time.perf_counter() - start < 1
+    blob = json.loads(out)
+    order = blob["curve_order"]
+    assert (order - p - 1) ** 2 <= 4 * p  # Hasse
+    assert blob["kernel_equals_torsion"] is True
+    field = FieldSpec.prime(p)
+    a = field.scalar(blob["A"])
+    points = 0
+    for g in range(2, 40):
+        s = sqrt_in_field(field.scalar(g**3) + a)
+        if s is not None:
+            points += 1
+            assert ell_mul(order, EllipticPoint(field, a, (field.scalar(g), s))).is_infinity()
+    assert points >= 5
+
+
+def test_main_builds_no_state_across_calls(capsys):
+    # the parser is built once per process; each call still starts from the
+    # defaults, and a usage error (exit 2) leaves nothing behind
+    first = run_cli(capsys, "cover-point", "--field", "Fp", "--p", "7", "--coeffs", "3,0,0,1")
+    calls = [
+        ("cover-point", "--field", "Fp", "--p", "7", "--coeffs", "1,1,1,1", "--which", "3"),
+        ("disc", "--field", "Q", "--coeffs", "1,0,0,1", "--threes", "--bogus"),
+        ("disc", "--field", "Q", "--coeffs", "1,1,1,1"),
+        ("cover-point", "--field", "Fp", "--p", "7", "--coeffs", "3,0,0,1"),
+    ]
+    results = []
+    for argv in calls:
+        try:
+            results.append(run_cli(capsys, *argv))
+        except SystemExit as exc:
+            results.append((exc.code, *capsys.readouterr()))
+    assert results[1][0] == 2 and "--bogus" in results[1][2]
+    assert json.loads(results[2][1]) == {"delta": -16}  # no --threes: (1, 3, 3, 1) gives 0
+    assert results[3] == first  # --which back at its default 1
+    assert build_parser() is build_parser()
+    assert vars(build_parser().parse_args(["disc", "--field", "Q"]))["threes"] is False
 
 
 def test_clifford_iso_and_symbol_check(capsys):

@@ -1,18 +1,23 @@
 """Plane cubics, Jacobians, the CM map, torsion, isogeny, point searches."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from conftest import F7, F13, Q, QW, rand_form, rand_gl2
 
 from cubiclifford.curves import (
     CubicExtension,
     EllipticPoint,
     PlaneCubicPoint,
+    _height_shell,
+    _signed_range,
     cm_theta,
     construct_cover_point,
+    curve_order,
     curve_points,
     ell_add,
     ell_mul,
@@ -20,6 +25,7 @@ from cubiclifford.curves import (
     j_invariant,
     jacobian_constant,
     lambda_isogeny,
+    lambda_kernel,
     least_cube_root_mod,
     point_search,
     torsion_points,
@@ -30,7 +36,7 @@ from cubiclifford.errors import (
     PreconditionFailed,
     UnsupportedField,
 )
-from cubiclifford.fields import nth_power_class
+from cubiclifford.fields import FieldSpec, is_prime, nth_power_class
 from cubiclifford.forms import BinaryCubicForm, act_gl2
 
 
@@ -116,10 +122,11 @@ def test_lambda_kernel_equals_torsion_exhaustively():
     for field in (F7, F13):
         a = field.scalar(2)
         pts = curve_points(field, a)
-        kernel = {repr(p) for p in pts if lambda_isogeny(p).is_infinity()}
+        kernel = [p for p in pts if lambda_isogeny(p).is_infinity()]
         torsion = {repr(p) for p in torsion_points(field, a)}
-        assert kernel == torsion
+        assert {repr(p) for p in kernel} == torsion
         assert len(kernel) in (1, 3)
+        assert lambda_kernel(field, a) == kernel
     # F7: sqrt(2) exists -> 3; F13: 2 is a nonsquare -> 1
     assert len(torsion_points(F7, F7.scalar(2))) == 3
     assert len(torsion_points(F13, F13.scalar(2))) == 1
@@ -177,6 +184,70 @@ def test_point_search_keeps_its_first_point():
         for coeffs, coords in cases:
             pt = point_search(BinaryCubicForm(field, coeffs), budget=budget)
             assert pt.to_json() == dict(zip("uvw", coords)), coeffs
+
+
+def test_height_shell_is_the_filtered_product():
+    for n in (1, 2, 4):
+        for h in (1, 2, 3):
+            box = itertools.product(_signed_range(h), repeat=n)
+            assert list(_height_shell(h, n)) == [c for c in box if max(map(abs, c)) == h]
+
+
+def test_point_search_over_q_matches_the_scalar_loop():
+    # half integer, half rational coefficients; a point of height h found at
+    # budget B is the answer at every budget from h to B, and None below h
+    rng = random.Random(45)
+    for i in range(200):
+        if i % 2:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)]
+        else:
+            coeffs = [rng.randint(-9, 9) for _ in range(4)]
+        f = BinaryCubicForm(Q, coeffs)
+        budget = i % 21 if i < 42 else i % 6
+        want = oracles.scalar_point_search(f, budget)
+        height = budget + 1 if want is None else max(abs(want[0].val), abs(want[1].val))
+        for b in range(budget + 1):
+            got = point_search(f, b)
+            assert (None if got is None else got.coords) == (want if height <= b else None)
+
+
+PRIMES_1_MOD_3 = [p for p in range(7, 200) if p % 3 == 1 and is_prime(p)]
+# the primes of the benchmark's lambda-kernel requests
+LAMBDA_PRIMES = [p for p in range(960, 1041) if p % 3 == 1 and is_prime(p)]
+
+
+def test_curve_order_matches_the_euler_count():
+    rng = random.Random(47)
+    cases = [(p, range(1, p)) for p in PRIMES_1_MOD_3]
+    cases += [(p, rng.sample(range(1, p), 20)) for p in LAMBDA_PRIMES]
+    for p, constants in cases:
+        field = FieldSpec.prime(p)
+        for a in constants:
+            assert curve_order(field, field.scalar(a)) == oracles.euler_curve_order(p, a), (p, a)
+    with pytest.raises(UnsupportedField):
+        curve_order(Q, Q.scalar(2))
+    with pytest.raises(DegenerateForm):
+        curve_order(F7, F7.zero())
+
+
+def test_cubic_extension_matches_the_scans():
+    # the modulus, every cube root of a non-cube and the cover points it gives
+    for p in (7, 13, 19, 31):
+        field = FieldSpec.prime(p)
+        ext = CubicExtension(p)
+        assert ext.modulus == oracles.least_irreducible_cubic(p)
+        roots = oracles.least_cube_roots_fp3(p, ext.modulus)
+        for c in range(1, p):
+            if least_cube_root_mod(c, p) is not None:
+                continue
+            r = ext.cube_root(c)
+            assert r == roots[c], (p, c)
+            r2 = oracles.fp3_mul(r, r, ext.modulus, p)
+            pt = construct_cover_point(BinaryCubicForm(field, (c, 0, 0, 1)), 1)
+            assert pt.to_json() == {"u": list(r), "v": [0, 0, 0], "w": list(r2),
+                                    "modulus": list(ext.modulus)}
+            pt = construct_cover_point(BinaryCubicForm(field, (1, 0, 0, c)), 2)
+            assert pt.coords == ((0, 0, 0), r, r2)
 
 
 def test_point_search_always_succeeds_over_f7():
