@@ -3,7 +3,9 @@ order-3 automorphism, its fixed 3-torsion, and the degree-3 isogeny.
 
 Over F_p the curve order, the kernel of the isogeny, the modulus of F_{p^3}
 and cube roots there come from closed forms, each result checked; only
-``curve_points`` lists points one by one.
+``curve_points`` lists points one by one. A cube root in F_{p^3} is a
+Frobenius eigenvector scaled by one F_p cube root, so
+``fields.prime_power_root_mod`` is the only root extraction on the F_p side.
 
 The module is deliberately form-agnostic at the import level: it consumes
 any object with .field, .coeffs, .evaluate, .discriminant (a
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -34,9 +37,11 @@ from .fields import (
     cube_root_in_field,
     distinct_roots_factor,
     iroot,
+    poly_mulmod,
     power,
     prime_power_root_mod,
     sqrt_in_field,
+    triple_root_class,
 )
 
 DEFAULT_HEIGHT_BUDGET_Q = 20
@@ -204,7 +209,7 @@ def _primary_prime(p: int) -> tuple:
     pi = (X + Y)/2 + Y*w has norm p. Exactly one of its six associates
     u*pi is primary.
     """
-    x0 = prime_power_root_mod(p - 3, 2, p)
+    x0 = 2 * _omega_residues(p)[0] + 1  # a root of -3: (2w + 1)^2 = 4(w^2 + w + 1) - 3
     if x0 % 2 == 0:  # Cohen takes the root of D = -3 that is = D (mod 2)
         x0 = p - x0
     a, b, bound = 2 * p, x0, isqrt(4 * p)
@@ -279,7 +284,9 @@ def curve_points(field: FieldSpec, curve_a: Scalar) -> list:
 class CubicExtension:
     """F_p[t]/(m(t)), p = 1 (mod 3), for the lexicographically least
     irreducible monic cubic m = t^3 + a2 t^2 + a1 t + a0 (ordered by
-    (a0, a1, a2)). Elements are coefficient triples (e0, e1, e2)."""
+    (a0, a1, a2)). Elements are coefficient triples (e0, e1, e2), multiplied
+    by ``fields.poly_mulmod``. A cube root of a non-cube of F_p is a
+    Frobenius eigenvector scaled by one F_p cube root (``cube_root``)."""
 
     def __init__(self, p: int):
         self.p = p
@@ -310,26 +317,8 @@ class CubicExtension:
     def add(self, u, v):
         return tuple((a + b) % self.p for a, b in zip(u, v))
 
-    def neg(self, u):
-        return tuple(-a % self.p for a in u)
-
     def mul(self, u, v):
-        p = self.p
-        a0, a1, a2 = self.modulus
-        raw = [0, 0, 0, 0, 0]
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    raw[i + j] += ui * vj
-        # reduce t^4 then t^3 using t^3 = -(a2 t^2 + a1 t + a0)
-        for k in (4, 3):
-            c = raw[k] % p
-            if c:
-                raw[k] = 0
-                raw[k - 1] = (raw[k - 1] - c * a2) % p
-                raw[k - 2] = (raw[k - 2] - c * a1) % p
-                raw[k - 3] = (raw[k - 3] - c * a0) % p
-        return (raw[0] % p, raw[1] % p, raw[2] % p)
+        return poly_mulmod(u, v, self.modulus, self.p)
 
     def pow(self, u, n):
         return power(u, n, (1, 0, 0), self.mul)
@@ -337,47 +326,47 @@ class CubicExtension:
     def cube_root(self, c: int):
         """The least element (in tuple order) whose cube is the base-field c.
 
-        Every c in F_p is a cube here: c^((p^3 - 1)/3) = c^((p - 1)(p^2 + p + 1)/3)
-        = 1, as 3 divides p^2 + p + 1 when p = 1 (mod 3). One root r comes
-        from Adleman-Manders-Miller in the cyclic group F_{p^3}^* of order
-        3^s * t (3 not dividing t); the three roots are r, r*w and r*w^2 for
-        w a primitive cube root of 1 in F_p, and the least is returned.
+        A cube c of F_p has its three cube roots in F_p, the least being
+        ``least_cube_root_mod``'s. Any other c in F_p* is a cube here, as
+        c^((p^3 - 1)/3) = c^((p - 1)(p^2 + p + 1)/3) = 1 (3 | p^2 + p + 1).
+        For r a cube root, r^p = r*(r^3)^((p - 1)/3) = z*r, z = c^((p - 1)/3)
+        != 1: 1, r, r^2 are eigenvectors of the F_p-linear Frobenius for the
+        distinct eigenvalues 1, z, z^2. So P(y) = y + z^-1 y^p + z^-2 y^(p^2)
+        sends r^k to (1 + z^(k-1) + z^(2k-2)) r^k, 3r for k = 1 and 0 for
+        k = 0, 2: P projects F_{p^3} onto F_p*r and sends 1 to 0. As 1, t, t^2
+        is a basis, P(t) or P(t^2) is some v = b*r != 0 with b in F_p. Then
+        v^3 = b^3*c lies in F_p (asserted), and for any cube root b' = b*w^i
+        of v^3/c, v/b' = r*w^(-i) is a cube root of c. The three roots are r,
+        r*w and r*w^2 for w a primitive cube root of 1 in F_p, and the least
+        is returned.
         """
         p = self.p
-        c %= p
-        if c == 0:
-            return (0, 0, 0)
-        s, t = 0, p**3 - 1
-        while t % 3 == 0:
-            t //= 3
-            s += 1
-        # z = k + t is a non-cube iff its norm k^3 - a2 k^2 + a1 k - a0 = -m(-k)
-        # is a non-cube mod p, as z^((p^3 - 1)/3) = N(z)^((p - 1)/3)
-        a0, a1, a2 = self.modulus
-        k = next(
-            k for k in range(p)
-            if pow(k**3 - a2 * k * k + a1 * k - a0, (p - 1) // 3, p) != 1
-        )
-        g = self.pow((k, 1, 0), t)  # generates the 3-Sylow subgroup, of order 3^s
-        # x = c^alpha with 3*alpha = 1 (mod t) lies in F_p, and x^3/c in the Sylow
-        x = pow(c, pow(3, -1, t), p)
-        e = self.embed(pow(x, 3, p) * pow(c, -1, p))
-        # Pohlig-Hellman digits of e in base g; e is a cube in the Sylow, so
-        # the lowest digit vanishes and the division by 3 below is exact
-        unit = self.pow(g, 3 ** (s - 1))
-        d = 0
-        for i in range(s):
-            probe = self.pow(self.mul(e, self.pow(g, 3**s - d)), 3 ** (s - 1 - i))
-            digit, acc = 0, (1, 0, 0)
-            while acc != probe:
-                acc = self.mul(acc, unit)
-                digit += 1
-            d += digit * 3**i
-        if d % 3:
-            return None
-        r = self.mul(self.embed(x), self.pow(g, 3**s - d // 3))
-        w = self.embed(_omega_residues(p)[0])
-        return min(r, self.mul(r, w), self.mul(r, self.mul(w, w)))
+        least = least_cube_root_mod(c, p)
+        if least is not None:
+            return self.embed(least)
+        z = pow(c, (p - 1) // 3, p)  # z^-1 = z^2 and z^-2 = z
+        t = (0, 1, 0)
+        frob = self.pow(t, p)
+        conjugates = (t, frob, self.pow(frob, p))  # t, t^p, t^(p^2)
+        for k in (1, 2):
+            y0, y1, y2 = (self.pow(y, k) for y in conjugates)
+            v = tuple((a + z * z * b + z * e) % p for a, b, e in zip(y0, y1, y2))
+            if any(v):
+                break
+        cube = self.pow(v, 3)
+        if cube[1] or cube[2]:
+            raise AssertionError(f"{v}^3 = {cube} is not in F_{p}")
+        inv = pow(prime_power_root_mod(cube[0] * pow(c, -1, p), 3, p), -1, p)
+        return _least_cube_root(tuple(x * inv % p for x in v), p)
+
+
+def _coordinate_ring(field: FieldSpec, ext: CubicExtension | None):
+    """(lift, add, mul) of the ring a plane point's coordinates live in: the
+    Scalars of ``field`` when ``ext`` is None, else the triples of ``ext``;
+    lift takes an int or a Scalar of ``field`` into the ring."""
+    if ext is None:
+        return field.scalar, operator.add, operator.mul
+    return (lambda c: ext.embed(field.scalar(c).val)), ext.add, ext.mul
 
 
 class PlaneCubicPoint:
@@ -394,31 +383,20 @@ class PlaneCubicPoint:
             raise CurveMismatch(f"{self.coords} does not satisfy w^3 = f(u, v)")
 
     def verify(self) -> bool:
-        u, v, w = self.coords
-        if self.extension is None:
-            if all(c.is_zero() for c in self.coords):
-                return False
-            return w**3 == self.form.evaluate(u, v)
-        ext = self.extension
-        if all(c == (0, 0, 0) for c in self.coords):
+        lift, add, mul = _coordinate_ring(self.form.field, self.extension)
+        if all(c == lift(0) for c in self.coords):
             return False
-        c0, c1, c2, c3 = (ext.embed(c.val) for c in self.form.coeffs)
-        u2, v2 = ext.mul(u, u), ext.mul(v, v)
-        rhs = ext.mul(c0, ext.mul(u2, u))
-        rhs = ext.add(rhs, ext.mul(c1, ext.mul(u2, v)))
-        rhs = ext.add(rhs, ext.mul(c2, ext.mul(u, v2)))
-        rhs = ext.add(rhs, ext.mul(c3, ext.mul(v2, v)))
-        return ext.pow(w, 3) == rhs
+        u, v, w = self.coords
+        c0, c1, c2, c3 = (lift(c) for c in self.form.coeffs)
+        u2, v2 = mul(u, u), mul(v, v)
+        rhs = add(add(mul(c0, mul(u2, u)), mul(c1, mul(u2, v))),
+                  add(mul(c2, mul(u, v2)), mul(c3, mul(v2, v))))
+        return mul(mul(w, w), w) == rhs
 
     def to_json(self):
         if self.extension is None:
-            return {"u": self.coords[0].to_json(), "v": self.coords[1].to_json(), "w": self.coords[2].to_json()}
-        return {
-            "u": list(self.coords[0]),
-            "v": list(self.coords[1]),
-            "w": list(self.coords[2]),
-            "modulus": list(self.extension.modulus),
-        }
+            return dict(zip("uvw", (c.to_json() for c in self.coords)))
+        return {**dict(zip("uvw", map(list, self.coords))), "modulus": list(self.extension.modulus)}
 
     def __repr__(self):
         u, v, w = self.coords
@@ -438,8 +416,15 @@ def least_cube_root_mod(c: int, p: int) -> int | None:
     r = prime_power_root_mod(c, 3, p)
     if r is None or (p - 1) % 3:
         return r
-    w = _omega_residues(p)[0]
-    return min(r, r * w % p, r * w * w % p)
+    return _least_cube_root((r,), p)[0]
+
+
+def _least_cube_root(r: tuple, p: int) -> tuple:
+    """The least in tuple order of r, r*w and r*w^2, for r a vector of
+    residues mod p = 1 (mod 3) and w the primitive cube roots of 1 mod p:
+    of the three cube roots of r^3 in F_p or F_{p^3}, the one returned."""
+    w, w2 = _omega_residues(p)
+    return min(r, tuple(x * w % p for x in r), tuple(x * w2 % p for x in r))
 
 
 def _signed_range(bound: int):
@@ -506,8 +491,10 @@ def _integer_point_search(f, budget: int):
 def point_search(f, budget: int | None = None):
     """A verified point on w^3 = f(u, v), or None within the budget.
 
-    F_p: exhaustive projective scan. Q: primitive integer pairs (u, v) of
-    height up to the budget with exact cube-root extraction. Q(w):
+    F_p: projective scan, (1 : v) for v = 0, 1, ... and then (0 : 1), which
+    for a form lambda*L^3 with lambda a non-cube goes straight to the zero
+    of L, its only point. Q: primitive integer pairs (u, v) of height up to
+    the budget with exact cube-root extraction. Q(w):
     Z[omega]-pairs with coefficients up to the budget, same idea. Absence
     is only ever absence-within-budget. Each height is visited shell by
     shell, (v, u) over Q and (b1, a1, b2, a2) for u = a1 + b1*w,
@@ -516,13 +503,17 @@ def point_search(f, budget: int | None = None):
     field = f.field
     if field.kind == "Fp":
         p = field.p
-        for u, vmax in ((field.one(), p), (field.zero(), 1)):
-            for vv in range(vmax) if vmax > 1 else (1,):
-                v = field.scalar(vv)
-                c = f.evaluate(u, v)
-                r = least_cube_root_mod(c.val, p)
-                if r is not None:
-                    return PlaneCubicPoint(f, (u, v, field.scalar(r)))
+        raw = [c.val for c in f.coeffs]
+        vs = range(p)
+        # lambda*L^3 with lambda a non-cube: f(1, v) is a cube only at
+        # v = -l0/l1 = -c2/(3*c3), where L = l0*u + l1*v vanishes
+        if triple_root_class(raw, p) not in (None, 0, 1):
+            vs = [-raw[2] * pow(3 * raw[3], -1, p) % p] if raw[3] else []
+        for uu, vv in itertools.chain(((1, v) for v in vs), ((0, 1),)):
+            u, v = field.scalar(uu), field.scalar(vv)
+            r = least_cube_root_mod(f.evaluate(u, v).val, p)
+            if r is not None:
+                return PlaneCubicPoint(f, (u, v, field.scalar(r)))
         return None
     if field.kind == "Q":
         return _integer_point_search(f, DEFAULT_HEIGHT_BUDGET_Q if budget is None else budget)
@@ -550,36 +541,19 @@ def construct_cover_point(f, which: int) -> PlaneCubicPoint:
         raise UnsupportedField("cover points are constructed over prime fields")
     if which not in (1, 2, 3, 4):
         raise PreconditionFailed("which must be 1..4")
-    one, mone = field.one(), -field.one()
-    c0, c1, c2, c3 = f.coeffs
-    value = {
-        1: c0,
-        2: c3,
-        3: f.evaluate(one, one),
-        4: f.evaluate(one, mone),
-    }[which]
+    one = field.one()
+    value = (f.coeffs[0], f.coeffs[3], f.evaluate(one, one), f.evaluate(one, -one))[which - 1]
     if value.is_zero():
         raise PreconditionFailed(f"cover {which} needs {_COVER_LABELS[which]} != 0")
-    p = field.p
-    least = least_cube_root_mod(value.val, p)
-    if least is not None:
-        r = field.scalar(least)
-        coords = {
-            1: (r, field.zero(), r * r),
-            2: (field.zero(), r, r * r),
-            3: (one, one, r),
-            4: (one, mone, r),
-        }[which]
-        return PlaneCubicPoint(f, coords)
-    ext = CubicExtension(p)
-    r = ext.cube_root(value.val)
-    if r is None:
-        raise AssertionError("cube root must exist in F_{p^3}")
-    zero_e, one_e = ext.embed(0), ext.embed(1)
+    least = least_cube_root_mod(value.val, field.p)
+    ext = None if least is not None else CubicExtension(field.p)
+    r = field.scalar(least) if ext is None else ext.cube_root(value.val)
+    lift, _, mul = _coordinate_ring(field, ext)
+    zero, one = lift(0), lift(1)
     coords = {
-        1: (r, zero_e, ext.mul(r, r)),
-        2: (zero_e, r, ext.mul(r, r)),
-        3: (one_e, one_e, r),
-        4: (one_e, ext.neg(one_e), r),
+        1: (r, zero, mul(r, r)),
+        2: (zero, r, mul(r, r)),
+        3: (one, one, r),
+        4: (one, lift(-1), r),
     }[which]
     return PlaneCubicPoint(f, coords, ext)

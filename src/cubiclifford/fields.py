@@ -16,6 +16,7 @@ nonnegative residues).
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,28 +112,50 @@ def distinct_roots_factor(poly, p: int) -> tuple:
     The gcd is the product of t - a over the distinct roots a of poly in F_p
     (Cohen, A Course in Computational Algebraic Number Theory, 3.4), so its
     degree counts those roots and a linear gcd (g0, 1) names the root -g0; a
-    poly with no root, such as an irreducible cubic, gives (1,). t^p is taken
-    modulo poly by ``power``: O(log p) products of degree below deg poly.
+    poly with no root, such as an irreducible cubic, gives (1,). poly is
+    first made monic, which keeps its roots, and t^p is taken modulo it by
+    ``power`` and ``poly_mulmod``: O(log p) products of degree below deg poly.
     """
     m = _poly_trim([c % p for c in poly])
     if len(m) < 2:  # a nonzero constant has no roots
         return (1,)
-
-    def mulmod(x, y):
-        prod = [0] * max(len(x) + len(y) - 1, 0)
-        for i, a in enumerate(x):
-            for j, b in enumerate(y):
-                prod[i + j] += a * b
-        return _poly_rem(prod, m, p)
-
-    frob = power(_poly_rem([0, 1], m, p), p, [1], mulmod)
-    frob += [0] * (2 - len(frob))
+    inv = pow(m[-1], -1, p)
+    low = [c * inv % p for c in m[:-1]]  # m / m[-1]: monic, with the same roots
+    frob = [*power((0, 1), p, (1,), lambda x, y: poly_mulmod(x, y, low, p)), 0]
     frob[1] -= 1  # t^p - t modulo m
     a, b = m, _poly_trim([c % p for c in frob])
     while b:
         a, b = b, _poly_rem(a, b, p)
     inv = pow(a[-1], -1, p)
     return tuple(c * inv % p for c in a)
+
+
+def poly_mulmod(x, y, low, p: int) -> tuple:
+    """x*y modulo the monic t^n + low[n-1] t^(n-1) + ... + low[0] over F_p, as
+    n residues, lowest coefficient first like x and y. Each t^k, k >= n, is
+    folded down by t^n = -(low[n-1] t^(n-1) + ... + low[0]), highest first."""
+    n = len(low)
+    prod = [0] * max(len(x) + len(y) - 1, n)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    for k in range(len(prod) - 1, n - 1, -1):
+        q = prod[k] % p
+        if q:
+            for i, c in enumerate(low, k - n):
+                prod[i] -= q * c
+    return tuple(c % p for c in prod[:n])
+
+
+def triple_root_class(raw, p: int) -> int | None:
+    """The cube class (c0 or c3)^((p - 1)/3) of lambda when the raw cubic
+    (c0, c1, c2, c3) over F_p is lambda*L^3, L linear, exactly when its
+    Hessian covariant vanishes (0 for the zero form); else None."""
+    c0, c1, c2, c3 = raw
+    if (c1 * c1 - 3 * c0 * c2) % p or (c2 * c2 - 3 * c1 * c3) % p or (c1 * c2 - 9 * c0 * c3) % p:
+        return None
+    return pow(c0 or c3, (p - 1) // 3, p)
 
 
 def _poly_trim(a: list) -> list:
@@ -198,8 +221,9 @@ def prime_power_root_mod(a: int, r: int, p: int) -> int | None:
     return x * pow(g, (r**s - d // r) % (r**s), p) % p
 
 
+@functools.lru_cache(maxsize=256)
 def _omega_residues(p: int) -> tuple[int, int]:
-    """Both primitive cube roots of unity mod p (roots of t^2 + t + 1)."""
+    """Both primitive cube roots of unity mod p (roots of t^2 + t + 1), least first."""
     s = prime_power_root_mod(p - 3, 2, p)  # sqrt(-3)
     if s is None:
         raise UnsupportedField(f"p = {p} has no primitive cube root of unity")

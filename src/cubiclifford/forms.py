@@ -38,6 +38,7 @@ from .fields import (
     nth_power_class,
     sixth_power_class_token,
     sqrt_in_field,
+    triple_root_class,
 )
 
 
@@ -346,16 +347,15 @@ def _cell(raw, field: FieldSpec):
     for a cube lambda*L^3, and ("double",) for L^2*M.
     """
     p = field.p
-    c0, c1, c2, c3 = raw
     delta = _delta(raw) % p
     if delta:
         r, _ = _roots_on_line(raw, p)
         token = sixth_power_class_token(field.scalar(delta))
         return (r, token), _NONDEGENERATE_STABILIZER[r]
-    # the Hessian covariant vanishes exactly on the cubes lambda*L^3
-    if (c1 * c1 - 3 * c0 * c2) % p or (c2 * c2 - 3 * c1 * c3) % p or (c1 * c2 - 9 * c0 * c3) % p:
+    cube_class = triple_root_class(raw, p)
+    if cube_class is None:
         return ("double",), p - 1
-    return ("triple", pow(c0 or c3, (p - 1) // 3, p)), 3 * p * (p - 1)
+    return ("triple", cube_class), 3 * p * (p - 1)
 
 
 class Orbit:

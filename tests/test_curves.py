@@ -250,6 +250,40 @@ def test_cubic_extension_matches_the_scans():
             assert pt.coords == ((0, 0, 0), r, r2)
 
 
+def test_cube_root_falls_back_to_t_squared():
+    # t^3 + 4t^2 + 3t + 2 = (t - 1)^3 - 4, so t = 1 + r^2 with r^3 = 2 and the
+    # Frobenius projection sends t to 0; the root comes from t^2
+    ext = CubicExtension(7)
+    ext.modulus = (2, 3, 4)
+    assert ext.cube_root(2) == oracles.least_cube_roots_fp3(7, (2, 3, 4))[2] == (1, 5, 1)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 18446744073709551427])
+def test_cube_roots_of_non_cubes_at_64_bit_primes(p):
+    ext = CubicExtension(p)
+    w = FieldSpec.prime(p).omega_residue
+    rng = random.Random(p)
+    non_cubes = []
+    while len(non_cubes) < 10:
+        c = rng.randrange(2, p)
+        if pow(c, (p - 1) // 3, p) != 1:
+            non_cubes.append(c)
+    for c in non_cubes:
+        r = ext.cube_root(c)
+        assert oracles.fp3_mul(oracles.fp3_mul(r, r, ext.modulus, p), r, ext.modulus, p) == (c, 0, 0)
+        others = [tuple(x * w**k % p for x in r) for k in (1, 2)]
+        assert r < min(others), (p, c)
+
+
+def test_cubic_extension_mul_matches_the_oracle():
+    rng = random.Random(48)
+    for p in (7, 13, 18446744073709551427):
+        ext = CubicExtension(p)
+        for _ in range(200):
+            u, v = (tuple(rng.randrange(p) for _ in range(3)) for _ in range(2))
+            assert ext.mul(u, v) == oracles.fp3_mul(u, v, ext.modulus, p), (p, u, v)
+
+
 def test_point_search_always_succeeds_over_f7():
     rng = random.Random(42)
     for _ in range(25):
@@ -314,3 +348,29 @@ def test_plane_point_validation():
     f = BinaryCubicForm(Q, (1, 0, 0, 1))
     with pytest.raises(CurveMismatch):
         PlaneCubicPoint(f, (Q.one(), Q.one(), Q.one()))  # 1 != f(1,1) = 2
+
+
+def test_point_search_on_a_non_cube_times_a_cube_over_fp():
+    # lambda*L^3 with lambda a non-cube has one point, the zero of L; the scan
+    # order gives the same point as a full scan at small p and answers at once
+    # at large p, where a full scan would take ~p steps
+    for p in (7, 13, 19):
+        field = FieldSpec.prime(p)
+        lam = next(c for c in range(2, p) if pow(c, (p - 1) // 3, p) != 1)
+        for l0, l1 in itertools.product(range(p), repeat=2):
+            if not (l0 or l1):
+                continue
+            coeffs = (l0**3, 3 * l0 * l0 * l1, 3 * l0 * l1 * l1, l1**3)
+            f = BinaryCubicForm(field, [lam * c for c in coeffs])
+            scan = next(
+                (u, v) for u, v in itertools.chain(((1, v) for v in range(p)), ((0, 1),))
+                if least_cube_root_mod(f.evaluate(field.scalar(u), field.scalar(v)).val, p) is not None
+            )
+            pt = point_search(f)
+            assert tuple(c.val for c in pt.coords) == (*scan, 0), (p, l0, l1)
+    for p in (1000003, 18446744073709551427):
+        field = FieldSpec.prime(p)
+        assert point_search(BinaryCubicForm(field, (2, 0, 0, 0))).to_json() == {"u": 0, "v": 1, "w": 0}
+        # 2*(u + 5v)^3: the zero of u + 5v is (1 : -1/5)
+        pt = point_search(BinaryCubicForm(field, (2, 30, 150, 250)))
+        assert pt.to_json() == {"u": 1, "v": -pow(5, -1, p) % p, "w": 0}

@@ -1,5 +1,6 @@
 """Scalar arithmetic over Q, Q(w), and F_p."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt, lcm
@@ -18,6 +19,7 @@ from cubiclifford.fields import (
     FieldSpec,
     Scalar,
     cube_root_in_field,
+    distinct_roots_factor,
     iroot,
     nth_power_class,
     power,
@@ -308,6 +310,19 @@ def test_power_of_zero_exponent_is_the_unit():
     assert ell_mul(-4, p) == ell_mul(4, ell_neg(p))
     with pytest.raises(ValueError):
         xy ** -1
+
+
+def test_distinct_roots_factor_on_every_cubic_tuple():
+    # every nonzero (c0, c1, c2, c3), zero leading coefficients included
+    for p in (7, 13):
+        for poly in itertools.product(range(p), repeat=4):
+            if not any(poly):
+                continue
+            roots = [x for x in range(p) if sum(c * x**i for i, c in enumerate(poly)) % p == 0]
+            factor = distinct_roots_factor(poly, p)
+            assert len(factor) - 1 == len(roots) and factor[-1] == 1, (p, poly)
+            if len(roots) == 1:
+                assert -factor[0] % p == roots[0], (p, poly)
 
 
 def test_sixth_power_token():
