@@ -504,9 +504,9 @@ class Rank18Algebra:
     """The rank-18 algebra over a coefficient ring, given by the sparse
     columns ``mx``/``my`` of right multiplication by x and y (column j lists
     the nonzero ``(i, coefficient)`` of b_j * letter). Products fold words
-    letter by letter through the columns; each output coordinate of a fold
-    step, a reduction or a product is one raw sum of products
-    (``Terms._dot`` / ``Terms._lincomb``) with one normalization."""
+    through the columns by ``_fold``, the one fold kernel; each output
+    coordinate of a fold, a reduction or a product is one raw sum of
+    products (``Terms._dot`` / ``Terms._lincomb``) with one normalization."""
 
     ELEMENT = Rank18Element
 
@@ -536,17 +536,21 @@ class Rank18Algebra:
         coords[0] = poly
         return self._element(coords)
 
-    def _mul_letter(self, coords, letter):
-        """Coordinates times the letter: output i is the sum over j of
-        coords[j] * column_j[i], accumulated raw and normalized once."""
-        cols = self.mx if letter == "x" else self.my
+    def _fold(self, items):
+        """Sum of coords times letter over the (coords, letter) items: output
+        i sums coords[j] * column_j[i], accumulated raw and normalized once."""
         rows = [[] for _ in range(18)]
-        for v, col in zip(coords, cols):
-            if v.raw:
-                for i, p in col:
-                    rows[i].append((v, p))
+        for coords, letter in items:
+            for v, col in zip(coords, self.mx if letter == "x" else self.my):
+                if v.raw:
+                    for i, p in col:
+                        rows[i].append((v, p))
         zero = self._zero
         return tuple(zero._dot(r) if r else zero for r in rows)
+
+    def _mul_letter(self, coords, letter):
+        """Coordinates times the letter: the one-item ``_fold``."""
+        return self._fold(((coords, letter),))
 
     def _word_vector(self, w: str, cache: dict):
         """Coordinates of the word w, folded on from its longest prefix in

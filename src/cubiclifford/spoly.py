@@ -7,8 +7,8 @@ monomials. Coefficients are not boxed ``Scalar``s: over F_p a coefficient is
 its residue, and over Q and Q(w) it is an integer pair (a, b) read over one
 denominator per element, FLINT's fmpq_poly layout
 (https://flintlib.org/doc/fmpq_poly.html). A product accumulates unreduced
-integers and normalizes once per output, and the rank-18 letter fold
-(``gca.Rank18Algebra._mul_letter``) sums all its products into an output
+integers and normalizes once per output, and the rank-18 fold kernel
+(``gca.Rank18Algebra._fold``) sums all its products into an output
 coordinate the same way (``Terms._dot``). ``Scalar`` stays the type at the
 boundary: constructors and ``scale`` take Scalars, and ``terms`` is a
 read-only {monomial: Scalar} view.

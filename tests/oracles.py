@@ -8,13 +8,30 @@ exhaustive scans, and the tests require equal answers for p <= 31. Curve
 orders, the F_{p^3} modulus and its cube roots come from closed forms in
 the package and from counts and scans here; the point search over Q runs
 on integers in the package and on field scalars here.
+
+The specialized algebra's freeness, symbol and GL2-isomorphism checks fold
+through the factors of their free elements in the package; here they
+expand the free elements into words and reduce those, and the tests
+require equal reports.
 """
 
 import functools
 import itertools
 from math import gcd
 
+from cubiclifford.cliffordf import IsoReport, SymbolReport, specialized_algebra
 from cubiclifford.fields import cube_root_in_field
+from cubiclifford.forms import act_gl2
+from cubiclifford.freealg import (
+    FreeElement,
+    alpha_element,
+    beta_element,
+    epsilon_commutators,
+    epsilon_element,
+    gamma_element,
+    linear_substitute,
+)
+from cubiclifford.gca import BASIS_WORDS
 
 
 def act_raw(g, f, p):
@@ -217,3 +234,79 @@ def scalar_point_search(f, budget):
             if w is not None:
                 return (u, v, w)
     return None
+
+
+def cubic_sums(field):
+    """x^3, alpha, beta, y^3: the algebra at a form sets them to its
+    coefficients c0, c1, c2, c3."""
+    x3, y3 = FreeElement.word(field, "xxx"), FreeElement.word(field, "yyy")
+    return (x3, alpha_element(field), beta_element(field), y3)
+
+
+def relations_hold_by_reductions(alg):
+    """``SpecializedAlgebra.relations_hold`` by 72 reductions of the free
+    elements b_i (r - c), sharing one prefix cache."""
+    cache = {"": alg.one().coords}
+    for i, word in enumerate(BASIS_WORDS):
+        if alg._word_vector(word, cache) != alg.basis_element(i).coords:
+            return False
+    if alg._reduce(gamma_element(alg.field), cache) != alg.gamma():
+        return False
+    one = FreeElement.one(alg.field)
+    relations = [s - one.scale(c) for s, c in zip(cubic_sums(alg.field), alg.form.coeffs)]
+    return all(
+        alg._reduce(FreeElement.word(alg.field, w) * r, cache).is_zero()
+        for w in BASIS_WORDS
+        for r in relations
+    )
+
+
+def clifford_iso_by_substitution(g, f):
+    """``check_clifford_iso`` on the expanded words of ``linear_substitute``
+    images, each reduced by ``reduce_free``."""
+    field = f.field
+    target = act_gl2(g, f)
+    alg = specialized_algebra(f)
+    one = FreeElement.one(field)
+    names = ("cube-x", "polarization-u2v", "polarization-uv2", "cube-y")
+    relations = {}
+    for name, src, coeff in zip(names, cubic_sums(field), target.coeffs):
+        image = linear_substitute(g, src) - one.scale(coeff)
+        relations[name] = alg.reduce_free(image).is_zero()
+    gamma_image = alg.reduce_free(linear_substitute(g, gamma_element(field)))
+    factor = None
+    if all(gamma_image.coords[i].is_zero() for i in range(1, 18)):
+        head = gamma_image.coords[0]
+        if head.is_zero():
+            factor = field.zero()
+        elif head.raw.keys() == {(1,)}:
+            factor = head.terms[(1,)]
+    return IsoReport(relations, factor, g.det**2)
+
+
+def symbol_check_by_expansion(f):
+    """``symbol_relations_check`` with eps^3 expanded into words before
+    ``reduce_free``."""
+    field = f.field
+    alg = specialized_algebra(f)
+    x = FreeElement.generator(field, "x")
+    y = FreeElement.generator(field, "y")
+    eps3 = epsilon_element(field) ** 3
+    eps_x, eps_y = epsilon_commutators(field)
+    identities = (
+        ("eps-x-commutation", eps_x),
+        ("eps-y-commutation", eps_y),
+        ("eps-cube-central-x", eps3 * x - x * eps3),
+        ("eps-cube-central-y", eps3 * y - y * eps3),
+    )
+    checks = {}
+    first_failure = None
+    for name, elem in identities:
+        value = alg.reduce_free(elem)
+        entry = {"pass": value.is_zero()}
+        if not value.is_zero():
+            entry["witness"] = value.to_json()["coords"]
+            if first_failure is None:
+                first_failure = name
+        checks[name] = entry
+    return SymbolReport(checks, first_failure)

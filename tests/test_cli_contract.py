@@ -1,4 +1,5 @@
-"""The CLI contract under random input, for the forms and curves subcommands.
+"""The CLI contract under random input, for the forms and curves subcommands
+and the specialized-algebra checks.
 
 Every call ends in a verified result on stdout (exit 0), a typed domain
 error with a JSON ``{"error": code}`` as the last line of stderr (exit 1),
@@ -18,6 +19,7 @@ from cubiclifford.cli import main
 COMMANDS = (
     "disc", "act", "diagonalize", "stab", "orbits", "jacobian", "torsion",
     "lambda-kernel", "point-search", "cover-point", "brauer-probe",
+    "clifford-iso", "symbol-check", "gamma-free",
 )
 PRIMES = (7, 13, 19, 31, 37, 43, 2**61 - 1, 18446744073709551427)
 INVALID_P = ("0", "1", "2", "3", "4", "5", "9", "11", "-7", "2305843009213693953", "7.5", "p")
@@ -64,6 +66,8 @@ def argvs(draw):
     searches_qw = field == "Qw" and command in ("point-search", "brauer-probe")
     if searches_qw or draw(st.booleans()):
         argv += ["--budget", str(draw(st.integers(-2, 2)))]
+    if draw(st.booleans()):
+        argv += ["--bound", str(draw(st.integers(-2, 4)))]
     if command == "orbits":
         if draw(st.booleans()):
             argv.append("--nondegenerate")

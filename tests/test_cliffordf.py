@@ -5,6 +5,11 @@ import random
 import pytest
 
 from conftest import F7, F13, Q, QW, rand_form, rand_gl2, rand_scalar
+from oracles import (
+    clifford_iso_by_substitution,
+    relations_hold_by_reductions,
+    symbol_check_by_expansion,
+)
 
 from cubiclifford.cliffordf import (
     SymbolReport,
@@ -21,6 +26,7 @@ from cubiclifford.errors import (
     DegenerateForm,
     FormMismatch,
     HypothesisNotMet,
+    SingularMatrix,
 )
 from cubiclifford.fields import FieldSpec, sqrt_in_field
 from cubiclifford.forms import BinaryCubicForm, GL2Element, diagonalize, _hessian_coefficients
@@ -211,8 +217,10 @@ def test_gamma_independence():
 def test_freeness_check_answers_no_on_a_corrupted_column():
     # doubling one entry of any pushed mx or my column breaks a relation as
     # an operator identity; the columns of words of length >= 3 need the
-    # relations applied beyond the unit vector to show it
+    # relations applied beyond the unit vector to show it. On each broken
+    # column the factored checks report what the word expansions report.
     f = BinaryCubicForm(F13, (1, 0, 0, 3))
+    g = GL2Element(F13, (2, 5, 1, 3))
     alg = specialized_algebra(f)
     try:
         for name, cols in (("mx", alg.mx), ("my", alg.my)):
@@ -221,10 +229,53 @@ def test_freeness_check_answers_no_on_a_corrupted_column():
                 cols[j] = [(i, q + q), *rest]
                 try:
                     assert gamma_independence_check(f, 1) is False, (name, j)
+                    assert relations_hold_by_reductions(alg) is False, (name, j)
+                    iso = check_clifford_iso(g, f).to_json()
+                    assert iso == clifford_iso_by_substitution(g, f).to_json(), (name, j)
+                    symbol = symbol_relations_check(f).to_json()
+                    assert symbol == symbol_check_by_expansion(f).to_json(), (name, j)
                 finally:
                     cols[j] = col
     finally:
         specialized_algebra.cache_clear()
+
+
+def _fractional(field, rng):
+    """A random scalar, divided by a small integer so that Q(w) gets
+    denominators."""
+    return rand_scalar(field, rng) / field.scalar(rng.randint(1, 5))
+
+
+@pytest.mark.parametrize(
+    "field,count",
+    (
+        (F7, 25),
+        (F13, 25),
+        (FieldSpec.prime(2**61 - 1), 15),
+        (FieldSpec.prime(18446744073709551427), 15),
+        (QW, 6),
+    ),
+    ids=("7", "13", "2^61-1", "64bit", "Qw"),
+)
+def test_factored_checks_equal_the_word_expansions(field, count):
+    rng = random.Random(f"factored:{field}")
+    for _ in range(count):
+        while True:
+            f = BinaryCubicForm(field, [_fractional(field, rng) for _ in range(4)])
+            if f.is_nondegenerate():
+                break
+        while True:
+            try:
+                g = GL2Element(field, [_fractional(field, rng) for _ in range(4)])
+                break
+            except SingularMatrix:
+                continue
+        iso = check_clifford_iso(g, f)
+        assert iso.to_json() == clifford_iso_by_substitution(g, f).to_json()
+        assert iso.passed
+        assert symbol_relations_check(f).to_json() == symbol_check_by_expansion(f).to_json()
+        alg = specialized_algebra(f)
+        assert alg.relations_hold() is relations_hold_by_reductions(alg) is True
 
 
 @pytest.mark.parametrize("p", (7, 13, 18446744073709551427))

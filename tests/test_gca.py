@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import F7, F7B, F13, QW, rand_free_element, rand_gl2, rand_scalar
+from conftest import F7, F7B, F13, QW, rand_form, rand_free_element, rand_gl2, rand_scalar
 
+from cubiclifford.cliffordf import specialized_algebra
 from cubiclifford.errors import NonTermination, UnsupportedField
 from cubiclifford.fields import FieldSpec
 from cubiclifford.freealg import (
@@ -103,6 +104,37 @@ def test_defining_relations_as_operator_identities():
         assert fold("xxxy") == fold("yxxx")
         assert fold("xyyy") == fold("yyyx")
         assert fold("xxyy") + fold("xyxy") == fold("yyxx") + fold("yxyx")
+
+
+def _random_coords(alg, rng):
+    """18 random coordinates in the algebra's coefficient ring, some zero."""
+    field, variables = alg.field, alg._zero.variables
+    coords = []
+    for _ in range(18):
+        terms = {
+            tuple(rng.randint(0, 2) for _ in variables): rand_scalar(field, rng)
+            / field.scalar(rng.randint(1, 6))
+            for _ in range(rng.randint(0, 3))
+        }
+        coords.append(SPolynomial(field, variables, terms))
+    return coords
+
+
+@pytest.mark.parametrize("where", ("generic-Qw", "specialized-7", "specialized-64bit"))
+def test_fold_is_the_sum_of_one_letter_folds(where):
+    rng = random.Random(f"fold:{where}")
+    if where == "generic-Qw":
+        algebras = [ALG[QW]] * 3
+    else:
+        field = F7 if where == "specialized-7" else FieldSpec.prime(18446744073709551427)
+        algebras = [specialized_algebra(rand_form(field, rng)) for _ in range(3)]
+    for alg in algebras:
+        for _ in range(10):
+            items = [(_random_coords(alg, rng), rng.choice("xy")) for _ in range(rng.randint(1, 4))]
+            expected = alg.zero()
+            for coords, letter in items:
+                expected = expected + alg._element(alg._mul_letter(coords, letter))
+            assert alg._element(alg._fold(items)) == expected
 
 
 def test_defining_relations_reduce_to_zero():
