@@ -3,9 +3,13 @@
 Tokens: identifiers, integer and ``p/q`` literals, ``+ - * ^`` and
 parentheses; whitespace insignificant. The caller supplies two callables,
 one making a value of a rational literal and one of a name; the operators
-are Python's own ``+ - * **`` and unary ``-`` on those values. So the same
-grammar serves free-algebra expressions, commutative polynomials and
-scalar literals.
+are Python's own ``+ - * **`` and unary ``-`` on those values, applied left
+to right in the order the grammar reads them. So the same grammar serves
+scalar literals (``Scalar`` values), the two term-map parsers
+(``spoly.RawTerms`` values: one unnormalized raw map per value, normalized
+once when the whole expression is read) and ``reduce_text`` in the generic
+algebra (raw terms that become normal forms where a product or a power of
+sums is cheaper in the algebra).
 """
 
 from __future__ import annotations

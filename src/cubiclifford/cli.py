@@ -13,6 +13,16 @@ non-diagonal stabilizer is conjugated from a normal form's, so it ignores
 kernel of lambda, the F_{p^3} modulus and its cube roots come from closed
 forms, so both answer at any prime.
 
+`reduce` evaluates `--expr` in the algebra where that pays: products of
+monomials stay single words, while a power of a sum and a product of two
+sums are products of normal forms (so `(x+y)^16` costs a few products, not
+65536 words). Reduction is a homomorphism onto canonical normal forms, so
+the JSON is that of the expanded element. `--budget` (default 10^6) bounds
+the work in units: the terms of each free value and the S-monomials of each
+normal form made, the letters folded and built into words, and before each
+product of normal forms the product of their sizes. Over it, exit 1 with
+`budget-exceeded` and the units used.
+
 Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
 2 usage error.
 """
@@ -29,7 +39,7 @@ from . import cliffordf, curves, forms, gca
 from ._parsing import ExprParser
 from .errors import CubicliffordError
 from .fields import FieldSpec, Scalar
-from .freealg import parse_free_expression
+from .freealg import parse_free_expression  # noqa: F401 -- a name bench/tracer.py wraps
 
 
 class UsageError(Exception):
@@ -92,8 +102,7 @@ def emit_json(obj) -> str:
 def cmd_reduce(args, field):
     if args.expr is None:
         raise UsageError("reduce requires --expr")
-    alg = gca.GenericCliffordAlgebra(field)
-    return alg.reduce(parse_free_expression(args.expr, field)).to_json()
+    return gca.GenericCliffordAlgebra(field).reduce_text(args.expr, args.budget).to_json()
 
 
 def cmd_verify_identities(args, field):

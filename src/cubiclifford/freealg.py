@@ -7,6 +7,9 @@ denominator over Q and Q(w)) under a read-only {word: Scalar} ``terms``
 view. Products concatenate words, and terms print in ascending
 (length, word) order. This is where inputs live before reduction to the
 rank-18 normal form, and where linear changes of the two generators act.
+``parse_free_expression`` reads an expression into one raw term map
+(``spoly.RawTerms``: a product with a lone word only concatenates words, a
+sum accumulates in place) and normalizes it once.
 
 Composition convention (frozen by the action-law test): substituting
 g = (a b; c d) sends x -> a*x + c*y and y -> b*x + d*y, and
@@ -19,12 +22,12 @@ from __future__ import annotations
 
 from operator import add
 
-from .errors import FieldMismatch, SingularMatrix, UnknownSymbol
-from ._parsing import ExprParser
+from .errors import FieldMismatch, SingularMatrix
 from .fields import FieldSpec
-from .spoly import Terms
+from .spoly import RawRing, Terms
 
 LETTERS = "xy"
+_LETTER_NAMES = {letter: letter for letter in LETTERS}
 
 
 def word_text(word: str) -> str:
@@ -95,18 +98,16 @@ class FreeElement(Terms):
         return [{"word": w, "coeff": c.to_json()} for w, c in self._sorted_terms()]
 
 
+def free_ring(field: FieldSpec) -> RawRing:
+    """k<x, y> as the expression parser sees it: x and y are words."""
+    return RawRing(FreeElement, field, LETTERS, _LETTER_NAMES)
+
+
 def parse_free_expression(text: str, field: FieldSpec) -> FreeElement:
     """Parse the expression grammar: x, y, w, integer and p/q literals,
-    + - * ^ and parentheses."""
-
-    def symbol(name, pos):
-        if name in ("x", "y"):
-            return FreeElement.generator(field, name)
-        if name == "w":
-            return FreeElement(field, {"": field.omega()})
-        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
-
-    return ExprParser(text, lambda q: FreeElement(field, {"": field.scalar(q)}), symbol).parse()
+    + - * ^ and parentheses. The expression is read into one raw term map
+    (``spoly.RawTerms``) and normalized once."""
+    return free_ring(field).parse(text)
 
 
 def linear_substitute(g, e: FreeElement) -> FreeElement:

@@ -46,14 +46,16 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .errors import FieldMismatch, NonTermination, UnsupportedField
-from .fields import FieldSpec, Scalar
+from ._parsing import ExprParser
+from .errors import BudgetExceeded, FieldMismatch, NonTermination, UnsupportedField
+from .fields import DEFAULT_SCAN_BUDGET, FieldSpec, Scalar, power
 from .freealg import (
     FreeElement,
     alpha_element,
     beta_element,
     delta_element,
     epsilon_commutators,
+    free_ring,
     gamma_element,
     gamma_element_alt,
     s_element,
@@ -88,6 +90,11 @@ CENTRAL_EXPANSIONS = {
 }
 
 MAX_ORACLE_DEGREE = 9
+
+# the longest word prefix a word cache stores: a fold of a longer word goes
+# on from it without storing more, so a word of n letters costs n folds but
+# not n^2/2 cached characters
+PREFIX_CACHE_LETTERS = 64
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
@@ -552,27 +559,33 @@ class Rank18Algebra:
         """Coordinates times the letter: the one-item ``_fold``."""
         return self._fold(((coords, letter),))
 
-    def _word_vector(self, w: str, cache: dict):
+    def _word_vector(self, w: str, cache: dict, budget=None):
         """Coordinates of the word w, folded on from its longest prefix in
-        ``cache`` (which holds the empty word); every prefix folded on the
-        way is stored in ``cache``."""
+        ``cache`` (which holds the empty word); every prefix of at most
+        ``PREFIX_CACHE_LETTERS`` letters folded on the way is stored in
+        ``cache``. ``budget.charge`` is told the letters folded first."""
         cached = cache.get(w)
         if cached is not None:
             return cached
         k = len(w) - 1
+        if k > PREFIX_CACHE_LETTERS:
+            k = PREFIX_CACHE_LETTERS
         while w[:k] not in cache:
             k -= 1
+        if budget is not None:
+            budget.charge(len(w) - k)
         coords = cache[w[:k]]
         for pos in range(k, len(w)):
             coords = self._mul_letter(coords, w[pos])
-            cache[w[: pos + 1]] = coords
+            if pos < PREFIX_CACHE_LETTERS:
+                cache[w[: pos + 1]] = coords
         return coords
 
-    def _reduce(self, e: FreeElement, cache: dict):
+    def _reduce(self, e: FreeElement, cache: dict, budget=None):
         """Normal form of a free element: each word folded through mx/my."""
         if e.field != self.field:
             raise FieldMismatch(f"{e.field} vs {self.field}")
-        vectors = [(c, self._word_vector(w, cache)) for w, c in e.raw.items()]
+        vectors = [(c, self._word_vector(w, cache, budget)) for w, c in e.raw.items()]
         zero = self._zero
         return self._element(
             [zero._lincomb([(c, v[i]) for c, v in vectors if v[i].raw], e.den) for i in range(18)]
@@ -603,10 +616,30 @@ class GenericCliffordAlgebra(Rank18Algebra):
         """Normal form of a free element; folded words stay cached."""
         return self._reduce(e, self._word_cache)
 
-    def reduce_text(self, text: str) -> GCAElement:
-        from .freealg import parse_free_expression
+    def reduce_text(self, text: str, budget: int | None = None) -> GCAElement:
+        """Normal form of the expression ``text``, evaluated in the algebra
+        where that pays. A value stays raw free terms (``spoly.RawTerms``)
+        until a product of two values that both have more than one term, or
+        a power n >= 2 of such a value, makes it a normal form by ``mul``
+        and ``fields.power``; a raw operand met by a normal form is reduced
+        through the word cache first. So (x+y)^k costs about log k products
+        instead of 2^k words. Reduction is a homomorphism onto canonical
+        normal forms, so the result is ``reduce`` of the expanded element.
 
-        return self.reduce(parse_free_expression(text, self.field))
+        The work is charged against ``budget`` (default
+        ``DEFAULT_SCAN_BUDGET``): the raw terms of every free value and the
+        S-monomials of every normal form made and every letter folded; and
+        before it is made, the letters of a power of one word and the
+        product of the S-monomial counts of two normal forms multiplied.
+        Over the budget, ``BudgetExceeded`` says how much was used."""
+        run = _Evaluation(self, DEFAULT_SCAN_BUDGET if budget is None else budget)
+        ring = free_ring(self.field)
+        value = ExprParser(
+            text,
+            lambda q: run.free(ring.const(q)),
+            lambda name, pos: run.free(ring.symbol(name, pos)),
+        ).parse()
+        return value.normal()
 
     def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
         u._check(v)
@@ -741,6 +774,93 @@ class GenericCliffordAlgebra(Rank18Algebra):
         # (iv) eps*x = w*x*eps and eps*y = w*y*eps + (1-w)*gamma
         check("epsilon-commutation", *map(self.reduce, epsilon_commutators(field)))
         return report
+
+
+def _size(nf: GCAElement) -> int:
+    """The number of S-monomials of a normal form."""
+    return sum(len(c.raw) for c in nf.coords)
+
+
+class _Evaluation:
+    """One ``reduce_text``: the algebra, and the work charged so far."""
+
+    __slots__ = ("alg", "limit", "used")
+
+    def __init__(self, alg: GenericCliffordAlgebra, limit: int):
+        self.alg = alg
+        self.limit = limit
+        self.used = 0
+
+    def charge(self, n: int):
+        self.used += n
+        if self.used > self.limit:
+            raise BudgetExceeded(
+                f"reduce needs more than its budget of {self.limit} work units "
+                f"({self.used} used)"
+            )
+
+    def counted(self, nf: GCAElement) -> GCAElement:
+        self.charge(_size(nf))
+        return nf
+
+    def free(self, terms) -> "_Value":
+        self.charge(len(terms.raw))
+        return _Value(self, terms, None)
+
+    def held(self, nf: GCAElement) -> "_Value":
+        return _Value(self, None, self.counted(nf))
+
+    def reduce(self, terms) -> GCAElement:
+        alg = self.alg
+        return self.counted(alg._reduce(terms.normalize(), alg._word_cache, self))
+
+    def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
+        """u*v, charged its S-monomial products before it is made."""
+        self.charge(_size(u) * _size(v))
+        return self.counted(self.alg.mul(u, v))
+
+
+class _Value:
+    """A value of ``reduce_text``: raw free terms ``terms`` or a normal form
+    ``nf``. Each operator consumes its operands, as ``RawTerms`` does."""
+
+    __slots__ = ("run", "terms", "nf")
+
+    def __init__(self, run: _Evaluation, terms, nf):
+        self.run = run
+        self.terms = terms
+        self.nf = nf
+
+    def normal(self) -> GCAElement:
+        return self.nf if self.terms is None else self.run.reduce(self.terms)
+
+    def _both_raw(self, other) -> bool:
+        return self.terms is not None and other.terms is not None
+
+    def __add__(self, other):
+        if self._both_raw(other):
+            return self.run.free(self.terms + other.terms)
+        return self.run.held(self.normal() + other.normal())
+
+    def __sub__(self, other):
+        if self._both_raw(other):
+            return self.run.free(self.terms - other.terms)
+        return self.run.held(self.normal() - other.normal())
+
+    def __neg__(self):
+        return self.run.free(-self.terms) if self.terms is not None else self.run.held(-self.nf)
+
+    def __mul__(self, other):
+        if self._both_raw(other) and min(len(self.terms.raw), len(other.terms.raw)) < 2:
+            return self.run.free(self.terms * other.terms)
+        return _Value(self.run, None, self.run.mul(self.normal(), other.normal()))
+
+    def __pow__(self, n: int):
+        run = self.run
+        if self.terms is not None and (n < 2 or len(self.terms.raw) < 2):
+            run.charge(max(map(len, self.terms.raw), default=0) * n)  # the letters it builds
+            return run.free(self.terms**n)
+        return _Value(run, None, power(self.normal(), n, run.alg.one(), run.mul))
 
 
 def validate_structure_columns() -> bool:

@@ -21,6 +21,14 @@ S, and the univariate k[GA] coefficients of the specialized algebras.
 
 Canonical printing orders polynomial terms by total degree descending, then
 exponent tuple descending (first listed variable most significant).
+
+Both term-map parsers (``SPolynomial.parse`` and
+``freealg.parse_free_expression``) run the shared ``ExprParser`` over
+``RawTerms`` values: a raw map and one denominator, left unnormalized
+(zeros kept, no common factor removed) while the expression is read. A sum
+accumulates into the larger operand's map, a product with a lone monomial
+of coefficient 1 only multiplies monomials, and the finished map is
+normalized once, by ``Terms._canonical``.
 """
 
 from __future__ import annotations
@@ -293,6 +301,153 @@ class Terms:
         return f"{type(self).__name__}({self})"
 
 
+class RawRing:
+    """A term-map ring as the expression parser sees it: the element class
+    ``cls`` over ``field`` and ``variables``, and ``names``, the monomial
+    of each variable name. The name ``w`` is omega; any other name is
+    unknown. Literals go through ``field.scalar`` and ``w`` through
+    ``field.omega``, so they raise as the field does."""
+
+    __slots__ = ("cls", "field", "variables", "names", "p", "unit", "one", "mono_mul")
+
+    def __init__(self, cls, field: FieldSpec, variables, names: dict):
+        self.cls = cls
+        self.field = field
+        self.variables = variables
+        self.names = names
+        self.p = field.p
+        self.unit = cls._canonical(field, variables, {})._unit()
+        self.one = 1 if field.p else (1, 0)
+        self.mono_mul = cls._mono_mul
+
+    def scalar(self, c: Scalar) -> "RawTerms":
+        num, den = raw_scalar(c)
+        return RawTerms(self, {self.unit: num}, den)
+
+    def const(self, q: Fraction) -> "RawTerms":
+        return self.scalar(self.field.scalar(q))
+
+    def symbol(self, name: str, pos: int) -> "RawTerms":
+        if name == "w":
+            return self.scalar(self.field.omega())
+        mono = self.names.get(name)
+        if mono is None:
+            raise UnknownSymbol(f"unknown symbol {name!r}", pos)
+        return RawTerms(self, {mono: self.one})
+
+    def parse(self, text: str):
+        """The element of the expression ``text``, normalized once."""
+        return ExprParser(text, self.const, self.symbol).parse().normalize()
+
+
+class RawTerms:
+    """The parser's value of a term map: raw coefficients ``raw`` over the
+    positive ``den``, in the layout of ``Terms`` but unnormalized (zeros
+    kept, no common factor removed, unreduced integers over F_p between
+    products). Each operator consumes its operands: a sum accumulates into
+    the larger operand's map and a negation rewrites its operand."""
+
+    __slots__ = ("ring", "raw", "den")
+
+    def __init__(self, ring: RawRing, raw: dict, den: int = 1):
+        self.ring = ring
+        self.raw = raw
+        self.den = den
+
+    def normalize(self) -> Terms:
+        ring = self.ring
+        return ring.cls._canonical(ring.field, ring.variables, self.raw, self.den)
+
+    def monomial(self):
+        """The monomial m if this is 1*m, else None."""
+        if self.den == 1 and len(self.raw) == 1:
+            ((m, c),) = self.raw.items()
+            if c == self.ring.one:
+                return m
+        return None
+
+    def __neg__(self):
+        if self.ring.p:
+            self.raw = {m: -a for m, a in self.raw.items()}
+        else:
+            self.raw = {m: (-a, -b) for m, (a, b) in self.raw.items()}
+        return self
+
+    def __add__(self, other):
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def _merge(self, other, sign: int):
+        """self + sign*other over the lcm of the denominators, accumulated
+        into the map of the operand with more terms."""
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        big, f_big, small, f_small = self, den // d1, other, sign * (den // d2)
+        if len(big.raw) < len(small.raw):
+            big, f_big, small, f_small = small, f_small, big, f_big
+        acc = big.raw
+        get = acc.get
+        if self.ring.p:
+            if f_big != 1:
+                acc = {m: f_big * a for m, a in acc.items()}
+                get = acc.get
+            for m, a in small.raw.items():
+                acc[m] = get(m, 0) + f_small * a
+        else:
+            if f_big != 1:
+                acc = {m: (f_big * a, f_big * b) for m, (a, b) in acc.items()}
+                get = acc.get
+            for m, (a, b) in small.raw.items():
+                old = get(m)
+                if old is None:
+                    acc[m] = (f_small * a, f_small * b)
+                else:
+                    acc[m] = (old[0] + f_small * a, old[1] + f_small * b)
+        big.raw = acc
+        big.den = den
+        return big
+
+    def __mul__(self, other):
+        ring = self.ring
+        mono_mul = ring.mono_mul
+        # a lone monomial of coefficient 1 moves the other side's monomials
+        m = other.monomial()
+        if m is not None:
+            return RawTerms(ring, {mono_mul(m1, m): a for m1, a in self.raw.items()}, self.den)
+        m = self.monomial()
+        if m is not None:
+            return RawTerms(ring, {mono_mul(m, m2): a for m2, a in other.raw.items()}, other.den)
+        # Terms._dot's accumulation, without its normalization
+        acc = {}
+        get = acc.get
+        p = ring.p
+        if p:
+            for m1, a in self.raw.items():
+                for m2, c in other.raw.items():
+                    m = mono_mul(m1, m2)
+                    acc[m] = get(m, 0) + a * c
+            return RawTerms(ring, {m: v % p for m, v in acc.items()})
+        for m1, (a, b) in self.raw.items():
+            for m2, (c, d) in other.raw.items():
+                m = mono_mul(m1, m2)
+                bd = b * d
+                old = get(m)
+                if old is None:
+                    acc[m] = (a * c - bd, a * d + b * c - bd)
+                else:
+                    acc[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
+        return RawTerms(ring, acc, self.den * other.den)
+
+    def __pow__(self, n: int):
+        ring = self.ring
+        m = self.monomial()
+        if m is not None:
+            return RawTerms(ring, {power(m, n, ring.unit, ring.mono_mul): ring.one})
+        return power(self, n, RawTerms(ring, {ring.unit: ring.one}))
+
+
 class SPolynomial(Terms):
     """A commutative polynomial in ``variables``; monomials are exponent
     tuples in the order of ``variables``."""
@@ -386,14 +541,8 @@ class SPolynomial(Terms):
 
     @staticmethod
     def parse(text: str, field: FieldSpec, variables=GCA_VARS) -> "SPolynomial":
-        def symbol(name, pos):
-            if name == "w":
-                return SPolynomial.const(field, field.omega(), variables)
-            if name in variables:
-                return SPolynomial.variable(field, name, variables)
-            raise UnknownSymbol(f"unknown symbol {name!r}", pos)
-
-        return ExprParser(text, lambda q: SPolynomial.const(field, q, variables), symbol).parse()
+        names = {v: tuple(int(u == v) for u in variables) for v in variables}
+        return RawRing(SPolynomial, field, variables, names).parse(text)
 
 
 def discriminant_polynomial(field: FieldSpec, variables=GCA_VARS) -> SPolynomial:

@@ -13,13 +13,20 @@ The specialized algebra's freeness, symbol and GL2-isomorphism checks fold
 through the factors of their free elements in the package; here they
 expand the free elements into words and reduce those, and the tests
 require equal reports.
+
+The package parses an expression into one raw term map and normalizes it
+once; here every literal and name is a normalized ``FreeElement`` or
+``SPolynomial`` and the parser applies their own operators, and the tests
+require equal elements or equal errors.
 """
 
 import functools
 import itertools
 from math import gcd
 
+from cubiclifford._parsing import ExprParser
 from cubiclifford.cliffordf import IsoReport, SymbolReport, specialized_algebra
+from cubiclifford.errors import UnknownSymbol
 from cubiclifford.fields import cube_root_in_field
 from cubiclifford.forms import act_gl2
 from cubiclifford.freealg import (
@@ -32,6 +39,7 @@ from cubiclifford.freealg import (
     linear_substitute,
 )
 from cubiclifford.gca import BASIS_WORDS
+from cubiclifford.spoly import GCA_VARS, SPolynomial
 
 
 def act_raw(g, f, p):
@@ -310,3 +318,29 @@ def symbol_check_by_expansion(f):
                 first_failure = name
         checks[name] = entry
     return SymbolReport(checks, first_failure)
+
+
+def operator_parse_free(text, field):
+    """The free element of ``text`` by ``FreeElement`` arithmetic."""
+
+    def symbol(name, pos):
+        if name in ("x", "y"):
+            return FreeElement.generator(field, name)
+        if name == "w":
+            return FreeElement(field, {"": field.omega()})
+        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
+
+    return ExprParser(text, lambda q: FreeElement(field, {"": field.scalar(q)}), symbol).parse()
+
+
+def operator_parse_poly(text, field, variables=GCA_VARS):
+    """The polynomial of ``text`` by ``SPolynomial`` arithmetic."""
+
+    def symbol(name, pos):
+        if name == "w":
+            return SPolynomial.const(field, field.omega(), variables)
+        if name in variables:
+            return SPolynomial.variable(field, name, variables)
+        raise UnknownSymbol(f"unknown symbol {name!r}", pos)
+
+    return ExprParser(text, lambda q: SPolynomial.const(field, q, variables), symbol).parse()

@@ -1,5 +1,6 @@
-"""The CLI contract under random input, for the forms and curves subcommands
-and the specialized-algebra checks.
+"""The CLI contract under random input, for the forms and curves subcommands,
+the specialized-algebra checks, and ``reduce`` and ``verify-identities`` in
+the generic algebra.
 
 Every call ends in a verified result on stdout (exit 0), a typed domain
 error with a JSON ``{"error": code}`` as the last line of stderr (exit 1),
@@ -19,7 +20,7 @@ from cubiclifford.cli import main
 COMMANDS = (
     "disc", "act", "diagonalize", "stab", "orbits", "jacobian", "torsion",
     "lambda-kernel", "point-search", "cover-point", "brauer-probe",
-    "clifford-iso", "symbol-check", "gamma-free",
+    "clifford-iso", "symbol-check", "gamma-free", "reduce", "verify-identities",
 )
 PRIMES = (7, 13, 19, 31, 37, 43, 2**61 - 1, 18446744073709551427)
 INVALID_P = ("0", "1", "2", "3", "4", "5", "9", "11", "-7", "2305843009213693953", "7.5", "p")
@@ -41,6 +42,36 @@ def literals(draw):
 
 
 four_literals = st.lists(literals(), min_size=4, max_size=4).map(",".join)
+
+
+@st.composite
+def expressions(draw, depth=3):
+    """Well-formed free-algebra texts: literals (``1/7`` and ``w`` among
+    them), x and y, sums, products, unary minus and powers up to 20 of
+    sums."""
+    if depth == 0 or not draw(st.integers(0, 2)):
+        return draw(st.sampled_from(("x", "y", "w", "1/7", "-w", "x^3")) | literals())
+    a, b = draw(expressions(depth - 1)), draw(expressions(depth - 1))
+    op = draw(st.sampled_from("+-*^n"))
+    if op == "^":
+        return f"({a} + {b})^{draw(st.integers(0, 20))}"
+    if op == "*":
+        return f"({a})*({b})"
+    if op == "n":
+        return f"-({a})"
+    return f"{a} {op} {b}"
+
+
+@st.composite
+def exprs(draw):
+    """A well-formed text, or one with a character dropped or inserted."""
+    text = draw(expressions())
+    if draw(st.booleans()):
+        return text
+    at = draw(st.integers(0, len(text)))
+    if draw(st.booleans()):
+        return text[:at] + text[at + 1:]
+    return text[:at] + draw(st.sampled_from("+-*^()/ 0z")) + text[at:]
 
 
 @st.composite
@@ -68,6 +99,8 @@ def argvs(draw):
         argv += ["--budget", str(draw(st.integers(-2, 2)))]
     if draw(st.booleans()):
         argv += ["--bound", str(draw(st.integers(-2, 4)))]
+    if command == "reduce" and draw(st.integers(0, 9)):
+        argv += ["--expr", draw(exprs())]
     if command == "orbits":
         if draw(st.booleans()):
             argv.append("--nondegenerate")
