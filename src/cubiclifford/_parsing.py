@@ -14,6 +14,7 @@ sums is cheaper in the algebra).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -33,11 +34,19 @@ def tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() reads; isdigit() also admits superscripts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's int<->str digit limit
+                raise ParseError(
+                    f"integer literal of {j - i} digits exceeds the limit of "
+                    f"{sys.get_int_max_str_digits()}",
+                    i,
+                ) from None
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":

@@ -24,7 +24,9 @@ product of normal forms the product of their sizes. Over it, exit 1 with
 `budget-exceeded` and the units used.
 
 Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
-2 usage error.
+2 usage error. An integer literal longer than the interpreter's int<->str
+limit is a parse error, and a result holding such an integer ends in
+`number-too-large`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import sys
 
 from . import cliffordf, curves, forms, gca
 from ._parsing import ExprParser
-from .errors import CubicliffordError
+from .errors import CubicliffordError, NumberTooLarge
 from .fields import FieldSpec, Scalar
 from .freealg import parse_free_expression  # noqa: F401 -- a name bench/tracer.py wraps
 
@@ -297,17 +299,28 @@ def main(argv=None) -> int:
     try:
         field = field_from_args(args)
         result = _HANDLERS[args.command](args, field)
+        text = result if isinstance(result, str) else emit_json(result) + "\n"
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except CubicliffordError as err:
-        print(emit_json({"error": err.code, "message": str(err)}), file=sys.stderr)
-        return 1
-    if isinstance(result, str):
-        sys.stdout.write(result)
-    else:
-        print(emit_json(result))
+        return _domain_error(err)
+    except ValueError as err:
+        if "integer string conversion" not in str(err):  # only the digit limit
+            raise
+        return _domain_error(
+            NumberTooLarge(
+                f"the result has an integer of more than {sys.get_int_max_str_digits()} "
+                "digits, the interpreter's limit for printing one"
+            )
+        )
+    sys.stdout.write(text)
     return 0
+
+
+def _domain_error(err: CubicliffordError) -> int:
+    print(emit_json({"error": err.code, "message": str(err)}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -104,6 +104,12 @@ class BudgetExceeded(CubicliffordError):
     code = "budget-exceeded"
 
 
+class NumberTooLarge(CubicliffordError):
+    """A number in the result is too long for the interpreter to print."""
+
+    code = "number-too-large"
+
+
 class CurveMismatch(CubicliffordError):
     """Points lie on different curves."""
 

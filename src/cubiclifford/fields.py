@@ -115,6 +115,8 @@ def distinct_roots_factor(poly, p: int) -> tuple:
     poly with no root, such as an irreducible cubic, gives (1,). poly is
     first made monic, which keeps its roots, and t^p is taken modulo it by
     ``power`` and ``poly_mulmod``: O(log p) products of degree below deg poly.
+    ``poly_mulmod`` also gives Euclid's remainders: a mod b is a*1 modulo
+    b / b[-1], which divides the same polynomials as b.
     """
     m = _poly_trim([c % p for c in poly])
     if len(m) < 2:  # a nonzero constant has no roots
@@ -124,10 +126,11 @@ def distinct_roots_factor(poly, p: int) -> tuple:
     frob = [*power((0, 1), p, (1,), lambda x, y: poly_mulmod(x, y, low, p)), 0]
     frob[1] -= 1  # t^p - t modulo m
     a, b = m, _poly_trim([c % p for c in frob])
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    inv = pow(a[-1], -1, p)
-    return tuple(c * inv % p for c in a)
+    while b:  # low is always a's monic part, so the gcd is (*low, 1)
+        inv = pow(b[-1], -1, p)
+        low = [c * inv % p for c in b[:-1]]
+        a, b = b, _poly_trim(list(poly_mulmod(a, (1,), low, p)))
+    return (*low, 1)
 
 
 def poly_mulmod(x, y, low, p: int) -> tuple:
@@ -148,13 +151,22 @@ def poly_mulmod(x, y, low, p: int) -> tuple:
     return tuple(c % p for c in prod[:n])
 
 
+def hessian(c):
+    """The Hessian covariant h0*u^2 + h1*u*v + h2*v^2 of the cubic with
+    coefficients c = (c0, c1, c2, c3), as (h0, h1, h2) =
+    (c1^2 - 3*c0*c2, c1*c2 - 9*c0*c3, c2^2 - 3*c1*c3): -1/4 of
+    f_uu*f_vv - f_uv^2. The coefficients are raw ints or Scalars."""
+    c0, c1, c2, c3 = c
+    return c1 * c1 - 3 * c0 * c2, c1 * c2 - 9 * c0 * c3, c2 * c2 - 3 * c1 * c3
+
+
 def triple_root_class(raw, p: int) -> int | None:
     """The cube class (c0 or c3)^((p - 1)/3) of lambda when the raw cubic
     (c0, c1, c2, c3) over F_p is lambda*L^3, L linear, exactly when its
     Hessian covariant vanishes (0 for the zero form); else None."""
-    c0, c1, c2, c3 = raw
-    if (c1 * c1 - 3 * c0 * c2) % p or (c2 * c2 - 3 * c1 * c3) % p or (c1 * c2 - 9 * c0 * c3) % p:
+    if any(h % p for h in hessian(raw)):
         return None
+    c0, _, _, c3 = raw
     return pow(c0 or c3, (p - 1) // 3, p)
 
 
@@ -164,19 +176,6 @@ def _poly_trim(a: list) -> list:
     while n and a[n - 1] == 0:
         n -= 1
     return a[:n]
-
-
-def _poly_rem(a, b, p: int) -> list:
-    """The remainder of a by b over F_p; b is trimmed and not zero."""
-    a = [c % p for c in a]
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    for k in range(len(a) - 1, db - 1, -1):
-        q = a[k] * inv % p
-        if q:
-            for i in range(db):
-                a[k - db + i] = (a[k - db + i] - q * b[i]) % p
-    return _poly_trim(a[:db])
 
 
 def prime_power_root_mod(a: int, r: int, p: int) -> int | None:
@@ -347,8 +346,9 @@ class FieldSpec:
         return "Q(w)" if self.kind == CYCLOTOMIC else "Q"
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _frac_json(q: Fraction):
+    """A rational in JSON: its integer when whole, else the text "num/den"."""
+    return q.numerator if q.denominator == 1 else str(q)
 
 
 class Scalar:
@@ -462,23 +462,19 @@ class Scalar:
             return self.val[0] == 0 and self.val[1] == 0
         return self.val == 0
 
-    def is_rational(self) -> bool:
-        """True if the value lies in Q (always true off Qw)."""
-        return self.field.kind != CYCLOTOMIC or self.val[1] == 0
-
     def __str__(self):
         k = self.field.kind
         if k == PRIME:
             return str(self.val)
         if k == RATIONALS:
-            return _frac_str(self.val)
+            return str(self.val)
         a, b = self.val
         if b == 0:
-            return _frac_str(a)
-        wpart = "w" if b == 1 else "-w" if b == -1 else f"{_frac_str(b)}*w"
+            return str(a)
+        wpart = "w" if b == 1 else "-w" if b == -1 else f"{b}*w"
         if a == 0:
             return wpart
-        return f"{_frac_str(a)}{'+' if not wpart.startswith('-') else ''}{wpart}"
+        return f"{a}{'+' if not wpart.startswith('-') else ''}{wpart}"
 
     def __repr__(self):
         return f"Scalar({self.field}, {self})"
@@ -494,16 +490,11 @@ class Scalar:
         if k == PRIME:
             return self.val
         if k == RATIONALS:
-            v = self.val
-            return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-        def part(q):
-            return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
+            return _frac_json(self.val)
         a, b = self.val
         if b == 0 and a.denominator == 1:
             return a.numerator
-        return {"a": part(a), "b": part(b)}
+        return {"a": _frac_json(a), "b": _frac_json(b)}
 
     @staticmethod
     def from_json(field: FieldSpec, obj) -> "Scalar":
@@ -639,8 +630,9 @@ def nth_power_class(a: Scalar, n: int) -> bool:
     """True iff ``a`` is an n-th power in the multiplicative group.
 
     Fp: a^((p-1)/gcd(n, p-1)) = 1. Q: exact integer root extraction.
-    Q(w): only n in {2, 3, 6} and only for rational elements, by the Z[w]
-    root extraction (a sixth power is exactly a square that is also a cube).
+    Q(w): only n in {2, 3, 6}, for every element, by the Z[w] root
+    extraction; a sixth power is exactly a square that is also a cube, since
+    a = (s/c)^6 when a = s^2 = c^3.
     """
     if n < 1:
         raise UnsupportedFieldForTest("n must be positive")
@@ -654,8 +646,6 @@ def nth_power_class(a: Scalar, n: int) -> bool:
         return _rational_nth_power_root(a.val, n) is not None
     if n not in (2, 3, 6):
         raise UnsupportedFieldForTest(f"Q(w) power-class test limited to n in {{2,3,6}}, got {n}")
-    if not a.is_rational():
-        raise UnsupportedFieldForTest("Q(w) power-class test limited to rational elements")
     return (n == 3 or _qw_root(a, 2) is not None) and (n == 2 or _qw_root(a, 3) is not None)
 
 

@@ -27,7 +27,6 @@ from .errors import (
     SingularMatrix,
     SquareRootAbsent,
     UnsupportedField,
-    UnsupportedFieldForTest,
 )
 from .fields import (
     DEFAULT_SCAN_BUDGET,
@@ -35,6 +34,7 @@ from .fields import (
     Scalar,
     cube_root_in_field,
     distinct_roots_factor,
+    hessian,
     nth_power_class,
     sixth_power_class_token,
     sqrt_in_field,
@@ -207,14 +207,11 @@ def act_gl2(g: GL2Element, f: BinaryCubicForm) -> BinaryCubicForm:
 
 
 def _hessian_coefficients(f: BinaryCubicForm):
-    """(r, s, t) with Hessian/36 = r*u^2 + 2*s*u*v + t*v^2."""
-    c0, c1, c2, c3 = f.coeffs
-    third = f.field.scalar(1) / f.field.scalar(3)
-    ninth = third * third
-    r = c0 * c2 * third - c1 * c1 * ninth
-    s = (c0 * c3 - c1 * c2 * ninth) / f.field.scalar(2)
-    t = c1 * c3 * third - c2 * c2 * ninth
-    return r, s, t
+    """(r, s, t) with Hessian/36 = r*u^2 + 2*s*u*v + t*v^2, which is
+    -(h0, h1/2, h2)/9 for the covariant (h0, h1, h2) of ``fields.hessian``."""
+    h0, h1, h2 = hessian(f.coeffs)
+    k = f.field.scalar(-1) / 9
+    return h0 * k, h1 * k / 2, h2 * k
 
 
 def diagonalize(f: BinaryCubicForm):
@@ -524,12 +521,8 @@ def orbit_equivalent(f: BinaryCubicForm, g: BinaryCubicForm):
         if match is None:
             raise AssertionError(f"{f} and {g} share their invariants but no transform matched")
     else:
-        ratio = g.discriminant() / f.discriminant()
-        try:
-            if not nth_power_class(ratio, 6):
-                return False, None
-        except UnsupportedFieldForTest:
-            pass  # irrational Q(w) ratio: the class test abstains; fall through
+        if not nth_power_class(g.discriminant() / f.discriminant(), 6):
+            return False, None
         diag_f = sqrt_in_field(field.scalar(-108) * f.discriminant()) is not None
         diag_g = sqrt_in_field(field.scalar(-108) * g.discriminant()) is not None
         if diag_f != diag_g:

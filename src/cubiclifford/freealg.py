@@ -3,8 +3,8 @@
 Words are plain strings over the alphabet "xy". An element is the same
 sparse term map as a commutative polynomial (``spoly.Terms``), with words
 as monomials: raw coefficients (residues over F_p, integer pairs over one
-denominator over Q and Q(w)) under a read-only {word: Scalar} ``terms``
-view. Products concatenate words, and terms print in ascending
+denominator over Q and Q(w)), and ``terms`` returns a new {word: Scalar}
+dict of them. Products concatenate words, and terms print in ascending
 (length, word) order. This is where inputs live before reduction to the
 rank-18 normal form, and where linear changes of the two generators act.
 ``parse_free_expression`` reads an expression into one raw term map
@@ -100,7 +100,7 @@ class FreeElement(Terms):
 
 def free_ring(field: FieldSpec) -> RawRing:
     """k<x, y> as the expression parser sees it: x and y are words."""
-    return RawRing(FreeElement, field, LETTERS, _LETTER_NAMES)
+    return RawRing(FreeElement.zero(field), _LETTER_NAMES)
 
 
 def parse_free_expression(text: str, field: FieldSpec) -> FreeElement:

@@ -10,8 +10,8 @@ denominator per element, FLINT's fmpq_poly layout
 integers and normalizes once per output, and the rank-18 fold kernel
 (``gca.Rank18Algebra._fold``) sums all its products into an output
 coordinate the same way (``Terms._dot``). ``Scalar`` stays the type at the
-boundary: constructors and ``scale`` take Scalars, and ``terms`` is a
-read-only {monomial: Scalar} view.
+boundary: constructors and ``scale`` take Scalars, and ``terms`` returns a
+new {monomial: Scalar} dict.
 
 ``SPolynomial`` is the commutative ring with exponent tuples as monomials.
 It hosts the coefficient ring S = k[X3, AL, BE, Y3, GA] of the rank-18
@@ -33,7 +33,6 @@ normalized once, by ``Terms._canonical``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -61,24 +60,6 @@ def raw_scalar(c: Scalar):
     return (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)), den
 
 
-class ScalarView(Mapping):
-    """The read-only {monomial: Scalar} view of a term map's coefficients."""
-
-    __slots__ = ("_element",)
-
-    def __init__(self, element):
-        self._element = element
-
-    def __getitem__(self, mono):
-        return self._element._scalar(self._element.raw[mono])
-
-    def __iter__(self):
-        return iter(self._element.raw)
-
-    def __len__(self):
-        return len(self._element.raw)
-
-
 class Terms:
     """A sparse k-linear combination of monomials with raw coefficients.
 
@@ -87,7 +68,7 @@ class Terms:
     pair (a, b), not both 0, standing for (a + b*w)/den (b = 0 over Q);
     ``den`` is positive and the gcd of ``den`` and all the a's and b's is 1.
     Both layouts are canonical, so ``==`` and ``hash`` compare ``raw`` and
-    ``den``. ``terms`` is the read-only {monomial: Scalar} view.
+    ``den``. ``terms`` returns a new {monomial: Scalar} dict of them.
 
     A subclass fixes the monomials by supplying ``_mono_mul`` (the product
     of two monomials), ``_unit()`` (the unit monomial), ``_sorted_terms()``
@@ -151,8 +132,9 @@ class Terms:
         return Scalar(field, (Fraction(v[0], self.den), Fraction(v[1], self.den)))
 
     @property
-    def terms(self) -> ScalarView:
-        return ScalarView(self)
+    def terms(self) -> dict:
+        scalar = self._scalar
+        return {m: scalar(v) for m, v in self.raw.items()}
 
     def _check(self, other):
         if self.field != other.field:
@@ -302,23 +284,23 @@ class Terms:
 
 
 class RawRing:
-    """A term-map ring as the expression parser sees it: the element class
-    ``cls`` over ``field`` and ``variables``, and ``names``, the monomial
-    of each variable name. The name ``w`` is omega; any other name is
-    unknown. Literals go through ``field.scalar`` and ``w`` through
-    ``field.omega``, so they raise as the field does."""
+    """A term-map ring as the expression parser sees it: its element
+    ``zero`` (which fixes the class, the field and the variables) and
+    ``names``, the monomial of each variable name. The name ``w`` is omega;
+    any other name is unknown. Literals go through ``field.scalar`` and
+    ``w`` through ``field.omega``, so they raise as the field does. The
+    rest is read off ``zero`` once, for the parser's per-token use."""
 
-    __slots__ = ("cls", "field", "variables", "names", "p", "unit", "one", "mono_mul")
+    __slots__ = ("zero", "names", "field", "p", "unit", "one", "mono_mul")
 
-    def __init__(self, cls, field: FieldSpec, variables, names: dict):
-        self.cls = cls
-        self.field = field
-        self.variables = variables
+    def __init__(self, zero: Terms, names: dict):
+        self.zero = zero
         self.names = names
-        self.p = field.p
-        self.unit = cls._canonical(field, variables, {})._unit()
-        self.one = 1 if field.p else (1, 0)
-        self.mono_mul = cls._mono_mul
+        self.field = zero.field
+        self.p = zero.field.p
+        self.unit = zero._unit()
+        self.one = zero._units()[0]
+        self.mono_mul = zero._mono_mul
 
     def scalar(self, c: Scalar) -> "RawTerms":
         num, den = raw_scalar(c)
@@ -345,7 +327,8 @@ class RawTerms:
     positive ``den``, in the layout of ``Terms`` but unnormalized (zeros
     kept, no common factor removed, unreduced integers over F_p between
     products). Each operator consumes its operands: a sum accumulates into
-    the larger operand's map and a negation rewrites its operand."""
+    the larger operand's map, and a negation is the sum of an empty value
+    and -1 times its operand, so it rewrites its operand's map."""
 
     __slots__ = ("ring", "raw", "den")
 
@@ -355,8 +338,7 @@ class RawTerms:
         self.den = den
 
     def normalize(self) -> Terms:
-        ring = self.ring
-        return ring.cls._canonical(ring.field, ring.variables, self.raw, self.den)
+        return self.ring.zero._make(self.raw, self.den)
 
     def monomial(self):
         """The monomial m if this is 1*m, else None."""
@@ -367,11 +349,7 @@ class RawTerms:
         return None
 
     def __neg__(self):
-        if self.ring.p:
-            self.raw = {m: -a for m, a in self.raw.items()}
-        else:
-            self.raw = {m: (-a, -b) for m, (a, b) in self.raw.items()}
-        return self
+        return RawTerms(self.ring, {}, self.den)._merge(self, -1)
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -542,7 +520,7 @@ class SPolynomial(Terms):
     @staticmethod
     def parse(text: str, field: FieldSpec, variables=GCA_VARS) -> "SPolynomial":
         names = {v: tuple(int(u == v) for u in variables) for v in variables}
-        return RawRing(SPolynomial, field, variables, names).parse(text)
+        return RawRing(SPolynomial.zero(field, variables), names).parse(text)
 
 
 def discriminant_polynomial(field: FieldSpec, variables=GCA_VARS) -> SPolynomial:

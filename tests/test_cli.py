@@ -411,6 +411,35 @@ def test_usage_error_exit_2(capsys):
     assert code in (1, 2)  # unknown symbol is a grammar violation
 
 
+LONG_LITERAL = "1" * 5000  # past the interpreter's default int<->str limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["disc", "--field", "Q", "--coeffs", "10^5000,0,0,1"], 1, "number-too-large"),
+        (["reduce", "--field", "Qw", "--expr", "10^5000*x"], 1, "number-too-large"),
+        (["disc", "--field", "Q", "--coeffs", f"{LONG_LITERAL},0,0,1"], 2, None),
+        (["act", "--field", "Q", "--matrix", f"1,0,0,{LONG_LITERAL}", "--coeffs", "1,0,0,1"],
+         2, None),
+        (["reduce", "--field", "Qw", "--expr", f"{LONG_LITERAL}*x"], 1, "syntax-error"),
+        (["disc", "--field", "Q", "--coeffs", "1\u00b2,0,0,1"], 2, None),  # a digit to isdigit(), not to int()
+        (["disc", "--field", "Fp", "--p", "7", "--coeffs", "10^5000,0,0,1"], 0, None),
+    ],
+)
+def test_integers_past_the_digit_limit_end_typed(capsys, argv, code, error):
+    limit = sys.get_int_max_str_digits()
+    got, out, err = run_cli(capsys, *argv)
+    assert sys.get_int_max_str_digits() == limit
+    assert got == code
+    if code == 0:
+        assert json.loads(out) == {"delta": 4}  # -27 * 1 mod 7
+    elif code == 1:
+        assert out == "" and json.loads(err)["error"] == error
+    else:
+        assert out == "" and err.startswith("usage error: bad scalar literal")
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cubiclifford.cli", "disc", "--field", "Q", "--coeffs", "0,1,1,0"],

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
+from conftest import rand_scalar
 
 from cubiclifford.curves import CubicExtension, EllipticPoint, ell_mul, ell_neg
 from cubiclifford.errors import (
@@ -20,6 +21,7 @@ from cubiclifford.fields import (
     Scalar,
     cube_root_in_field,
     distinct_roots_factor,
+    hessian,
     iroot,
     nth_power_class,
     power,
@@ -28,6 +30,7 @@ from cubiclifford.fields import (
     sqrt_in_field,
 )
 from cubiclifford.freealg import FreeElement
+from cubiclifford.spoly import SPolynomial
 
 Q = FieldSpec.rationals()
 QW = FieldSpec.cyclotomic()
@@ -169,14 +172,25 @@ def test_nth_power_class_qw():
     assert nth_power_class(QW.scalar(-3), 2) is True
     assert nth_power_class(QW.scalar(-3), 3) is False
     assert nth_power_class(QW.scalar(64), 6) is True
-    # -27/4 is neither a square nor a sixth power in Q(w): -(-27/4)/3 = 9/4 is
-    # a square, so -27/4 IS a square there, but not a cube.
+    # -27/4 = (3/2)^2 * (-3) is a square in Q(w), but not a cube (2 is prime
+    # in Z[w]), so not a sixth power
     assert nth_power_class(QW.scalar(Fraction(-27, 4)), 2) is True
     assert nth_power_class(QW.scalar(Fraction(-27, 4)), 6) is False
-    with pytest.raises(UnsupportedFieldForTest):
-        nth_power_class(QW.omega(), 2)
+    assert nth_power_class(QW.omega(), 2) is True  # w = (w^2)^2
     with pytest.raises(UnsupportedFieldForTest):
         nth_power_class(QW.scalar(2), 5)
+
+
+def test_nth_power_class_qw_irrational_elements():
+    rng = random.Random(17)
+    two, w = QW.scalar(2), QW.omega()
+    for _ in range(200):
+        a, c, d = rng.randint(-9, 9), rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 6)
+        b6 = QW.scalar((Fraction(a, d), Fraction(c, d))) ** 6  # b is irrational: c != 0
+        assert all(nth_power_class(b6, n) for n in (2, 3, 6))
+        # 2 is not a square in Q(w) and w is not a cube (Q(w) has no ninth root of 1)
+        assert not nth_power_class(two * b6, 2) and not nth_power_class(two * b6, 6)
+        assert not nth_power_class(w * b6, 3) and not nth_power_class(w * b6, 6)
 
 
 def test_nth_power_class_invariant_under_nth_power_factors():
@@ -323,6 +337,29 @@ def test_distinct_roots_factor_on_every_cubic_tuple():
             assert len(factor) - 1 == len(roots) and factor[-1] == 1, (p, poly)
             if len(roots) == 1:
                 assert -factor[0] % p == roots[0], (p, poly)
+
+
+def test_hessian_is_minus_a_quarter_of_the_second_derivative_determinant():
+    rng = random.Random(29)
+
+    def d(f, k):  # the partial derivative of a {(i, j): c} form in u (k = 0) or v (k = 1)
+        out = {}
+        for e, c in f.terms.items():
+            if e[k]:
+                out[(e[0] - (k == 0), e[1] - (k == 1))] = c * e[k]
+        return SPolynomial(f.field, f.variables, out)
+
+    for field in (Q, QW, F13):
+        for _ in range(200):
+            c = [rand_scalar(field, rng) for _ in range(4)]
+            f = SPolynomial(field, ("u", "v"), {(3 - i, i): c[i] for i in range(4)})
+            fu, fv = d(f, 0), d(f, 1)
+            det = d(fu, 0) * d(fv, 1) - d(fu, 1) * d(fu, 1)
+            h = hessian(c)
+            want = SPolynomial(field, ("u", "v"), {(2 - i, i): h[i] for i in range(3)})
+            assert det.scale(field.scalar(Fraction(-1, 4))) == want, (field, c)
+            if field.p:  # on raw residues too, as triple_root_class passes them
+                assert [v % field.p for v in hessian([x.val for x in c])] == [x.val for x in h]
 
 
 def test_sixth_power_token():

@@ -405,11 +405,19 @@ def test_orbit_equivalent_q_with_witness():
 
 
 def test_orbit_equivalent_unknown_over_qw():
-    # nondiagonalizable pair with irrational discriminant ratio: semi-decision
+    # a nondiagonalizable pair with equal discriminants (both -31): neither the
+    # sixth-power class of the ratio nor diagonalizability separates them
     f = BinaryCubicForm(QW, (1, 1, 0, 1))
     g = BinaryCubicForm(QW, (1, 0, 1, 1))
     answer, _ = orbit_equivalent(f, g)
     assert answer is None
+
+
+def test_orbit_equivalent_qw_refutes_an_irrational_ratio_that_is_no_sixth_power():
+    # Delta(g.f) = det(g)^6 * Delta(f), and the ratio -31/(27 + 23w) is not a sixth power
+    f = BinaryCubicForm(QW, (1, 1, 0, 1))
+    g = BinaryCubicForm(QW, (1, 1, 0, QW.omega()))
+    assert orbit_equivalent(f, g) == (False, None)
 
 
 def test_orbit_invariants_constant_on_orbits():

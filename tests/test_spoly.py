@@ -167,6 +167,21 @@ def test_qw_coefficient_round_trip():
     assert "(" in str(p)
 
 
+def test_terms_is_a_new_dict():
+    for e in (
+        SPolynomial.parse("X3^2 - 3/2*GA + w*AL", QW),
+        SPolynomial.parse("X3^2 - 3*GA + 5", F7),
+        FreeElement.word(Q, "xy", Fraction(-2, 3)) + FreeElement.one(Q),
+    ):
+        before, h, twin = dict(e.terms), hash(e), e._make(dict(e.raw), e.den)
+        terms = e.terms
+        terms[next(iter(terms))] = e.field.scalar(6)
+        terms[e._unit()] = e.field.scalar(4)
+        del terms[next(iter(terms))]
+        assert e.terms == before and e.terms is not terms
+        assert e == twin and hash(e) == h == hash(twin)
+
+
 def test_unknown_symbol_position():
     with pytest.raises(UnknownSymbol):
         SPolynomial.parse("X3 + bogus", Q)
