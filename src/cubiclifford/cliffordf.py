@@ -90,8 +90,6 @@ class SpecializedAlgebra(Rank18Algebra):
         return self._reduce(e, {"": self.one().coords})
 
     def mul(self, u: CliffordFElement, v: CliffordFElement) -> CliffordFElement:
-        if u.form != self.form or v.form != self.form:
-            raise FormMismatch("elements from a different specialization")
         return self._mul(u, v)
 
     def relations_hold(self) -> bool:
@@ -132,8 +130,6 @@ def specialize(u: GCAElement, f: BinaryCubicForm) -> CliffordFElement:
 
 
 def mul_af(u: CliffordFElement, v: CliffordFElement) -> CliffordFElement:
-    if u.form != v.form:
-        raise FormMismatch("elements specialized at different forms")
     return specialized_algebra(u.form).mul(u, v)
 
 

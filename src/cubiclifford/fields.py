@@ -9,16 +9,16 @@ Three fields are supported, all exact:
   with a chosen cube root of unity ``omega`` (smallest such residue unless
   overridden).
 
-Scalars are immutable; equality is representation equality, and every
-representation is canonical (reduced fractions, reduced pairs, least
-nonnegative residues).
+Each field is one shared ``FieldSpec`` instance, compared by identity. Scalars
+are immutable; equality is representation equality, and every representation
+is canonical (reduced fractions, reduced pairs, least nonnegative residues).
+Fields, scalars and the values built on them pickle and copy.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -232,47 +232,39 @@ def _omega_residues(p: int) -> tuple[int, int]:
     return (min(r1, r2), max(r1, r2))
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """One of Q, Q(w), or F_p with its chosen omega residue."""
+    """One of Q, Q(w), or F_p with its chosen omega residue. Immutable; each
+    field is one shared instance, so fields compare and hash by identity."""
 
-    kind: str
-    p: int | None = None
-    omega_residue: int | None = None
+    __slots__ = ("kind", "p", "omega_residue")
 
-    def __post_init__(self):
-        if self.kind not in (RATIONALS, CYCLOTOMIC, PRIME):
-            raise UnsupportedField(f"unknown field kind {self.kind!r}")
-        if self.kind == PRIME:
-            p = self.p
-            if p is None or p in (2, 3) or p % 3 != 1 or not is_prime(p):
-                raise UnsupportedField(
-                    f"p must be a prime = 1 (mod 3), not in {{2, 3}}; got {p}"
-                )
-            w = self.omega_residue
-            roots = _omega_residues(p)
-            if w is None:
-                object.__setattr__(self, "omega_residue", roots[0])
-            elif w % p not in roots:
-                raise UnsupportedField(f"{w} is not a cube root of 1 mod {p} (roots: {roots})")
-            else:
-                object.__setattr__(self, "omega_residue", w % p)
-        elif self.p is not None or self.omega_residue is not None:
-            raise UnsupportedField("p/omega only apply to Fp")
+    def __setattr__(self, *_):
+        raise AttributeError("FieldSpec is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _registered, (self.kind, self.p, self.omega_residue)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rationals() -> "FieldSpec":
-        return FieldSpec(RATIONALS)
+        return _registered(RATIONALS, None, None)
 
     @staticmethod
     def cyclotomic() -> "FieldSpec":
-        return FieldSpec(CYCLOTOMIC)
+        return _registered(CYCLOTOMIC, None, None)
 
     @staticmethod
     def prime(p: int, omega: int | None = None) -> "FieldSpec":
-        return FieldSpec(PRIME, p, omega)
+        if p is None or p in (2, 3) or p % 3 != 1 or not is_prime(p):
+            raise UnsupportedField(f"p must be a prime = 1 (mod 3), not in {{2, 3}}; got {p}")
+        roots = _omega_residues(p)
+        w = roots[0] if omega is None else omega % p
+        if w not in roots:
+            raise UnsupportedField(f"{omega} is not a cube root of 1 mod {p} (roots: {roots})")
+        return _registered(PRIME, p, w)
 
     # -- scalar factories ---------------------------------------------
 
@@ -290,9 +282,8 @@ class FieldSpec:
             return Scalar(self, int(value) % self.p)
         if self.kind == RATIONALS:
             return Scalar(self, Fraction(value))
-        if isinstance(value, tuple):
-            return Scalar(self, (Fraction(value[0]), Fraction(value[1])))
-        return Scalar(self, (Fraction(value), Fraction(0)))
+        a, b = value if isinstance(value, tuple) else (value, 0)
+        return Scalar(self, (Fraction(a), Fraction(b)))
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -337,13 +328,30 @@ class FieldSpec:
         if kind == "Fp":
             return FieldSpec.prime(obj["p"], obj.get("omega"))
         if kind in (RATIONALS, CYCLOTOMIC):
-            return FieldSpec(kind)
+            return _registered(kind, None, None)
         raise UnsupportedField(f"unknown field kind {kind!r}")
 
     def __str__(self):
         if self.kind == PRIME:
             return f"F{self.p}(w={self.omega_residue})"
         return "Q(w)" if self.kind == CYCLOTOMIC else "Q"
+
+    __repr__ = __str__
+
+
+_FIELDS: dict = {}
+
+
+def _registered(kind: str, p: int | None, omega_residue: int | None) -> FieldSpec:
+    """The shared FieldSpec of a valid, normalized (kind, p, omega residue):
+    every constructor, ``from_json``, unpickling and copying return it."""
+    key = (kind, p, omega_residue)
+    if key not in _FIELDS:
+        field = object.__new__(FieldSpec)
+        for name, value in zip(FieldSpec.__slots__, key):
+            object.__setattr__(field, name, value)
+        _FIELDS.setdefault(key, field)  # of two racing threads, the first one wins
+    return _FIELDS[key]
 
 
 def _frac_json(q: Fraction):
@@ -362,6 +370,9 @@ class Scalar:
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        return Scalar, (self.field, self.val)
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
@@ -443,13 +454,11 @@ class Scalar:
         return power(self, n, self.field.one())
 
     def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return self.field is other.field and self.val == other.val
         if isinstance(other, (int, Fraction)):
-            other = self.field.scalar(other)
-        return (
-            isinstance(other, Scalar)
-            and self.field == other.field
-            and self.val == other.val
-        )
+            return self.val == self.field.scalar(other).val
+        return False
 
     def __hash__(self):
         return hash((self.field, self.val))
@@ -458,15 +467,10 @@ class Scalar:
         return not self.is_zero()
 
     def is_zero(self) -> bool:
-        if self.field.kind == CYCLOTOMIC:
-            return self.val[0] == 0 and self.val[1] == 0
-        return self.val == 0
+        return self.val == ((0, 0) if self.field.kind == CYCLOTOMIC else 0)
 
     def __str__(self):
-        k = self.field.kind
-        if k == PRIME:
-            return str(self.val)
-        if k == RATIONALS:
+        if self.field.kind != CYCLOTOMIC:
             return str(self.val)
         a, b = self.val
         if b == 0:

@@ -71,7 +71,6 @@ BASIS_WORDS = (
     "xxyyx", "xyxyy",
     "xxyyxy",
 )
-BASIS_INDEX = {w: i for i, w in enumerate(BASIS_WORDS)}
 
 # defining relations, all homogeneous of degree 4
 RELATIONS = (
@@ -593,7 +592,9 @@ class Rank18Algebra:
 
     def _mul(self, u, v):
         """Product of normal forms: u folded through the basis words of v
-        (sharing prefixes), times v's coordinates."""
+        (sharing prefixes), times v's coordinates; both have the algebra's base."""
+        if u.base != self.base or v.base != self.base:
+            raise self.ELEMENT.MISMATCH(f"{u.base} and {v.base} in an algebra over {self.base}")
         cache = {"": u.coords}
         folds = [
             (self._word_vector(BASIS_WORDS[j], cache), vj) for j, vj in enumerate(v.coords) if vj.raw
@@ -642,7 +643,6 @@ class GenericCliffordAlgebra(Rank18Algebra):
         return value.normal()
 
     def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
-        u._check(v)
         return self._mul(u, v)
 
     def is_central(self, u: GCAElement) -> bool:

@@ -42,7 +42,6 @@ from ._parsing import ExprParser
 from .fields import RATIONALS, FieldSpec, Scalar, power
 
 GCA_VARS = ("X3", "AL", "BE", "Y3", "GA")
-CENTER_VARS = ("X3", "AL", "BE", "Y3", "GA", "S")
 GAMMA_VARS = ("GA",)
 
 _ZERO = Fraction(0)

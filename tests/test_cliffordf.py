@@ -78,6 +78,10 @@ def test_mul_af_examples():
     assert alg.mul(ga, y) == alg.mul(y, ga)
     with pytest.raises(FormMismatch):
         mul_af(u, specialized_algebra(BinaryCubicForm(F7, (1, 0, 0, 1))).one())
+    v = specialized_algebra(BinaryCubicForm(F7, (1, 0, 0, 1))).basis_element(3)
+    for a, b in ((v, v), (x, v), (v, x)):
+        with pytest.raises(FormMismatch):
+            alg.mul(a, b)
 
 
 def test_specialization_is_algebra_map():

@@ -1,13 +1,18 @@
 """Scalar arithmetic over Q, Q(w), and F_p."""
 
+import copy
 import itertools
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from conftest import rand_scalar
+from conftest import rand_form, rand_free_element, rand_gl2, rand_scalar
 
+from cubiclifford.cliffordf import specialized_algebra
 from cubiclifford.curves import CubicExtension, EllipticPoint, ell_mul, ell_neg
 from cubiclifford.errors import (
     DivisionByZero,
@@ -30,7 +35,8 @@ from cubiclifford.fields import (
     sqrt_in_field,
 )
 from cubiclifford.freealg import FreeElement
-from cubiclifford.spoly import SPolynomial
+from cubiclifford.gca import GenericCliffordAlgebra
+from cubiclifford.spoly import GCA_VARS, SPolynomial
 
 Q = FieldSpec.rationals()
 QW = FieldSpec.cyclotomic()
@@ -393,3 +399,78 @@ def test_str_forms():
     assert str(QW.scalar((1, -2))) == "1-2*w"
     assert str(QW.scalar((0, 2))) == "2*w"
     assert str(F7.scalar(5)) == "5"
+
+
+SHARED = (Q, QW, F7, FieldSpec.prime(7, 4), FieldSpec.prime(18446744073709551427))
+
+
+def test_each_field_is_one_shared_instance():
+    assert FieldSpec.prime(7) is FieldSpec.prime(7, 2) is FieldSpec.prime(7, 9) is F7
+    assert FieldSpec.prime(7) is not FieldSpec.prime(7, 4)
+    assert FieldSpec.rationals() is Q and FieldSpec.cyclotomic() is QW
+    assert len({Q, QW, F7, FieldSpec.prime(7, 4), FieldSpec.prime(7, 2)}) == 4
+
+
+@pytest.mark.parametrize("field", SHARED, ids=str)
+def test_every_path_to_a_field_returns_the_shared_instance(field):
+    assert FieldSpec.from_json(field.to_json()) is field
+    assert pickle.loads(pickle.dumps(field)) is field
+    assert copy.copy(field) is field
+    assert copy.deepcopy(field) is field
+
+
+def test_fields_are_immutable():
+    with pytest.raises(AttributeError):
+        F7.p = 13
+    with pytest.raises(AttributeError):
+        F7.omega_residue = 4
+    with pytest.raises(AttributeError):
+        del QW.kind
+    assert F7.p == 7 and F7.omega_residue == 2 and QW.kind == "Qw"
+
+
+def test_scalars_of_different_fields_differ():
+    assert F7.scalar(3) != F13.scalar(3)
+    assert F7.scalar(2) != FieldSpec.prime(7, 4).scalar(2)
+    assert Q.one() != F7.one() and QW.zero() != Q.zero()
+    assert F7.scalar(3) == 10 and Q.scalar(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def _values(field, rng):
+    """One value of each kind built on scalars of ``field``."""
+    g, s = rand_scalar(field, rng), rand_scalar(field, rng)
+    values = [
+        rand_scalar(field, rng, nonzero=True),
+        rand_form(field, rng),
+        rand_gl2(field, rng),
+        SPolynomial.parse("2*X3*AL^2 - GA + 3", field, GCA_VARS),
+        rand_free_element(field, rng),
+        EllipticPoint.affine(field, s * s - g**3, g, s),
+    ]
+    if field.has_omega():
+        free = rand_free_element(field, rng)
+        values.append(GenericCliffordAlgebra(field).reduce(free))
+        values.append(specialized_algebra(rand_form(field, rng)).reduce_free(free))
+    return values
+
+
+def _field_of(value):
+    return value.form.field if hasattr(value, "form") else value.field
+
+
+@pytest.mark.parametrize("field", (Q, QW, F7), ids=str)
+def test_values_pickle_and_copy_onto_the_shared_field(field):
+    for value in _values(field, random.Random(18)):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert twin == value, type(value).__name__
+            assert _field_of(twin) is _field_of(value) is field
+
+
+def test_import_loads_no_dataclasses():
+    code = (
+        "import sys; before = set(sys.modules); import cubiclifford; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ import pytest
 from conftest import F7, F7B, F13, QW, rand_form, rand_free_element, rand_gl2, rand_scalar
 
 from cubiclifford.cliffordf import specialized_algebra
-from cubiclifford.errors import NonTermination, UnsupportedField
+from cubiclifford.errors import FieldMismatch, NonTermination, UnsupportedField
 from cubiclifford.fields import FieldSpec
 from cubiclifford.freealg import (
     FreeElement,
@@ -187,6 +187,20 @@ def test_mul_examples():
     assert alg.mul(alg.one(), u) == u
     ga = alg.reduce(gamma_element(QW))
     assert alg.mul(ga, x) == alg.mul(x, ga)
+
+
+def test_mul_rejects_operands_from_another_field():
+    # u*u over the algebra's own field would be xx*xx = x^4; it must not
+    # come back labelled with another field, nor fail untyped over Q(w)
+    for home, alg in ALG.items():
+        mine = alg.basis_element(3)
+        for other in ALG:
+            if other is home:
+                continue
+            u = ALG[other].basis_element(3)
+            for a, b in ((u, u), (mine, u), (u, mine)):
+                with pytest.raises(FieldMismatch):
+                    alg.mul(a, b)
 
 
 def test_centrality():
