@@ -4,18 +4,19 @@ binary cubic form, leaving the degree-4 central generator formal.
 Elements are 18-vectors of univariate polynomials in GA over k. The
 specialized algebra is the generic algebra with its structure columns
 pushed through the specialization map S -> k[GA], (X3, AL, BE, Y3) -> the
-form's coefficients, the same map that ``specialize`` applies to elements.
+form's coefficients, the same map that ``specialize`` applies to elements
+(the integer columns are evaluated at the coefficients into flat triples).
 So the specialization map is an algebra homomorphism by construction; the
 tests cross-check it as one. The freeness, symbol and GL2-isomorphism checks
-fold through factors, not expanded words: whatever the columns, folding is a
-right action of k<x, y>, v.(ab) = (v.a).b, linear in the columns, so the
-answers are the same.
+fold sparse raw vectors through factors, not expanded words: whatever the
+columns, folding is a right action of k<x, y>, v.(ab) = (v.a).b, linear in
+the columns, so the answers are the same.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .errors import (
     FieldMismatch,
@@ -34,8 +35,8 @@ from .freealg import (
     linear_substitute,
 )
 from .gca import BASIS_WORDS, CENTRAL_EXPANSIONS, GCAElement, Rank18Algebra, Rank18Element
-from .gca import _Echelon, structure_matrices
-from .spoly import GAMMA_VARS, GCA_VARS, SPolynomial, raw_scalar
+from .gca import _Echelon, _gathered, evaluated_columns
+from .spoly import GAMMA_VARS, GCA_VARS, SPolynomial, accumulate, raw_scalar
 
 from . import curves
 
@@ -61,6 +62,15 @@ def _specialization(f: BinaryCubicForm):
     return lambda p: p.substitute(assign, GAMMA_VARS)
 
 
+def specialized_columns(f: BinaryCubicForm):
+    """(columns, den): the integer generic columns with each S-monomial
+    X3^a AL^b BE^c Y3^d GA^e evaluated at f, as c0^a c1^b c2^c c3^d GA^e."""
+    one = f.field.one()
+    return evaluated_columns(
+        f.field, lambda e: ((e[4],), prod((c**k for c, k in zip(f.coeffs, e) if k), start=one))
+    )
+
+
 class SpecializedAlgebra(Rank18Algebra):
     """The rank-18 module over k[GA] at one nondegenerate form: the generic
     algebra with its structure columns pushed through the specialization
@@ -73,13 +83,7 @@ class SpecializedAlgebra(Rank18Algebra):
             raise UnsupportedField("the specialized algebra needs omega in the field")
         form.require_nondegenerate()
         self.form = form
-        at_f = _specialization(form)
-
-        def push(cols):
-            return [[(i, q) for i, p in col if not (q := at_f(p)).is_zero()] for col in cols]
-
-        generic = structure_matrices(form.field)
-        super().__init__(form, form.field, GAMMA_VARS, push(generic.mx), push(generic.my))
+        super().__init__(form, form.field, GAMMA_VARS, *specialized_columns(form))
 
     def gamma(self) -> CliffordFElement:
         return self.scalar_element(SPolynomial.variable(self.field, "GA", GAMMA_VARS))
@@ -87,7 +91,7 @@ class SpecializedAlgebra(Rank18Algebra):
     def reduce_free(self, e: FreeElement) -> CliffordFElement:
         """Normal form of a free element; words share prefixes within the
         call and nothing is cached between calls."""
-        return self._reduce(e, {"": self.one().coords})
+        return self._element(self._reduce(e, {"": self._scalar_vector(0, self.field.one())}))
 
     def mul(self, u: CliffordFElement, v: CliffordFElement) -> CliffordFElement:
         return self._mul(u, v)
@@ -100,18 +104,18 @@ class SpecializedAlgebra(Rank18Algebra):
         v -> v.(r - c) is k[GA]-linear. As v.(ab) = (v.a).b, each row v.r at
         v = e_i is one ``_fold`` of the cached v.xx, v.xy, v.yx, v.yy, and
         must be c*e_i; the first row that is not ends the check."""
-        cache = {"": self.one().coords}
+        one = self.field.one()
+        cache = {"": self._scalar_vector(0, one)}
         for i, word in enumerate(BASIS_WORDS):
-            if self._word_vector(word, cache) != self.basis_element(i).coords:
+            if self._word_vector(word, cache) != self._scalar_vector(i, one):
                 return False
-        if self._reduce(gamma_element(self.field), cache) != self.gamma():
+        if self._reduce(gamma_element(self.field), cache) != self._vector(self.gamma().coords):
             return False
         sums = [CENTRAL_EXPANSIONS[v] for v in GCA_VARS[:4]]  # 3-letter words, coefficients 1
-        consts = [SPolynomial.const(self.field, c, GAMMA_VARS) for c in self.form.coeffs]
         for i, word in enumerate(BASIS_WORDS):
-            for words, c in zip(sums, consts):
+            for words, c in zip(sums, self.form.coeffs):
                 row = self._fold([(self._word_vector(word + w[:2], cache), w[2]) for w in words])
-                if row[i] != c or any(q.raw for j, q in enumerate(row) if j != i):
+                if row != self._scalar_vector(i, c):
                     return False
         return True
 
@@ -155,19 +159,16 @@ class IsoReport:
 
 
 def _substituted_columns(alg: SpecializedAlgebra, g: GL2Element):
-    """M_{g.x} = a*M_x + c*M_y and M_{g.y} = b*M_x + d*M_y, each entry one raw sum."""
+    """(columns, den) of M_{g.x} = a*M_x + c*M_y and M_{g.y} = b*M_x + d*M_y."""
     den = lcm(*(raw_scalar(e)[1] for e in g.entries()))
     a, b, c, d = (raw_scalar(e * g.field.scalar(den))[0] for e in g.entries())
-
-    def combine(s, t):
-        for col_x, col_y in zip(alg.mx, alg.my):
-            rows = {}
-            for coeff, col in ((s, col_x), (t, col_y)):
-                for i, q in col:
-                    rows.setdefault(i, []).append((coeff, q))
-            yield [(i, q) for i, r in sorted(rows.items()) if (q := alg._zero._lincomb(r, den)).raw]
-
-    return list(combine(a, c)), list(combine(b, d))
+    items = [
+        ((moved, j), {(i, m): coeff for i, m, coeff in col}, None, k)
+        for moved, ks in (("x", (a, c)), ("y", (b, d)))
+        for k, letter in zip(ks, "xy")
+        for j, col in enumerate(alg.columns[letter])
+    ]
+    return _gathered(g.field.p, accumulate(g.field.p, {}, items, None), alg.den * den)
 
 
 def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
@@ -185,18 +186,17 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     target = act_gl2(g, f)
     alg = specialized_algebra(f)
     moved = Rank18Algebra(f, field, GAMMA_VARS, *_substituted_columns(alg, g))
-    cache = {"": moved.one().coords}
+    cache = {"": moved._scalar_vector(0, field.one())}
     one = FreeElement.one(field)
     names = ("cube-x", "polarization-u2v", "polarization-uv2", "cube-y")
     relations = {}
     for name, var, coeff in zip(names, GCA_VARS, target.coeffs):
         src = FreeElement(field, CENTRAL_EXPANSIONS[var]) - one.scale(coeff)
-        relations[name] = moved._reduce(src, cache).is_zero()
-    gamma_image = moved._reduce(gamma_element(field), cache)
-    head, *rest = gamma_image.coords
+        relations[name] = not moved._reduce(src, cache)[0]
+    rows, den = moved._reduce(gamma_element(field), cache)
     factor = None
-    if not any(q.raw for q in rest) and head.raw.keys() <= {(1,)}:
-        factor = head.terms.get((1,), field.zero())
+    if rows.keys() <= {0} and rows.get(0, {}).keys() <= {(1,)}:
+        factor = moved._element((rows, den)).coords[0].terms.get((1,), field.zero())
     return IsoReport(relations, factor, g.det**2)
 
 
@@ -230,22 +230,22 @@ def symbol_relations_check(f: BinaryCubicForm) -> SymbolReport:
 
     def times_eps3(v):
         for _ in range(3):
-            v = alg._reduce(eps, {"": v}).coords
+            v = alg._reduce(eps, {"": v})
         return v
 
-    unit = alg.one().coords
+    unit = alg._scalar_vector(0, field.one())
+    cache = {"": unit}
     eps3 = times_eps3(unit)
-    values = [alg.reduce_free(e) for e in epsilon_commutators(field)] + [
-        alg._element(alg._mul_letter(eps3, z)) - alg._element(times_eps3(alg._mul_letter(unit, z)))
-        for z in "xy"
+    sides = [(alg._reduce(e, cache), ({}, 1)) for e in epsilon_commutators(field)] + [
+        (alg._fold(((eps3, z),)), times_eps3(alg._fold(((unit, z),)))) for z in "xy"
     ]
     names = ("eps-x-commutation", "eps-y-commutation", "eps-cube-central-x", "eps-cube-central-y")
     checks = {}
     first_failure = None
-    for name, value in zip(names, values):
-        entry = {"pass": value.is_zero()}
-        if not value.is_zero():
-            entry["witness"] = value.to_json()["coords"]
+    for name, (lhs, rhs) in zip(names, sides):
+        entry = {"pass": lhs == rhs}
+        if lhs != rhs:
+            entry["witness"] = (alg._element(lhs) - alg._element(rhs)).to_json()["coords"]
             if first_failure is None:
                 first_failure = name
         checks[name] = entry

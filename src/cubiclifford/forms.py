@@ -29,6 +29,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import (
+    CYCLOTOMIC,
     DEFAULT_SCAN_BUDGET,
     FieldSpec,
     Scalar,
@@ -53,7 +54,9 @@ class BinaryCubicForm:
         self.coeffs = cs
 
     def discriminant(self) -> Scalar:
-        return _delta(self.coeffs)
+        if self.field.kind == CYCLOTOMIC:
+            return _delta(self.coeffs)
+        return self.field.scalar(_delta([c.val for c in self.coeffs]))  # residues or Fractions
 
     def is_nondegenerate(self) -> bool:
         return not self.discriminant().is_zero()

@@ -60,7 +60,8 @@ from .freealg import (
     gamma_element_alt,
     s_element,
 )
-from .spoly import GCA_VARS, SPolynomial, discriminant_polynomial, raw_scalar
+from .spoly import GCA_VARS, SPolynomial, accumulate, canonical, discriminant_polynomial
+from .spoly import raw_scalar, scaled
 
 BASIS_WORDS = (
     "",
@@ -366,11 +367,6 @@ def _word_coords_int(w: str) -> tuple:
     return tuple(tuple(sorted(col.items())) for col in coords)
 
 
-def _int_poly(field: FieldSpec, col) -> SPolynomial:
-    """The S-polynomial over ``field`` of (exponent, integer) pairs."""
-    return SPolynomial._canonical(field, GCA_VARS, {e: c if field.p else (c, 0) for e, c in col})
-
-
 @lru_cache(maxsize=None)
 def _conversion_table_int():
     """Irreducible word -> its integer coordinate polynomials."""
@@ -379,12 +375,15 @@ def _conversion_table_int():
 
 @lru_cache(maxsize=None)
 def _structure_columns_int():
-    """(letter, j) -> integer coordinate polys of BASIS_WORDS[j] * letter."""
-    return {
-        (letter, j): _word_coords_int(bword + letter)
+    """The ((letter, j, i), S-exponent, integer) terms of the coordinates
+    i of BASIS_WORDS[j] * letter."""
+    return [
+        ((letter, j, i), e, c)
         for j, bword in enumerate(BASIS_WORDS)
         for letter in "xy"
-    }
+        for i, col in enumerate(_word_coords_int(bword + letter))
+        for e, c in col
+    ]
 
 
 # -- the algebra over a coefficient ring -------------------------------------------
@@ -475,29 +474,55 @@ class GCAElement(Rank18Element):
         )
 
 
-class StructureMatrices:
-    """Sparse columns of right multiplication by x and y on the basis."""
+def evaluated_columns(field: FieldSpec, value):
+    """({letter: columns}, den): column j lists the (i, monomial, raw
+    numerator) triples of b_j * letter over den, each S-monomial e of the
+    integer columns replaced by ``value(e)`` = (monomial, Scalar), and the
+    monomial None when it is the unit."""
+    entries = _structure_columns_int()
+    values = {}
+    for e in dict.fromkeys(e for _, e, _ in entries):
+        m, c = value(e)
+        values[e] = (m if any(m) else None, *raw_scalar(c))
+    den = lcm(*(d for _, _, d in values.values()))
+    values = {e: (m, scaled(den // d, num)) for e, (m, num, d) in values.items()}
+    p = field.p
+    items = [
+        ((letter, j), {(i, values[e][0]): c if p else (c, 0)}, None, values[e][1])
+        for (letter, j, i), e, c in entries
+    ]
+    return _gathered(p, accumulate(p, {}, items, None), den)
 
-    __slots__ = ("field", "mx", "my")
+
+def _gathered(p, rows: dict, den: int):
+    """({letter: columns}, den) of the canonical ``rows``, the map of column
+    (letter, j) keyed (i, monomial)."""
+    rows, den = canonical(p, rows, den)
+    columns = {letter: [[] for _ in range(18)] for letter in "xy"}
+    for (letter, j), row in rows.items():
+        columns[letter][j] = [(i, m, c) for (i, m), c in row.items()]
+    return columns, den
+
+
+class StructureMatrices:
+    """The columns of right multiplication by x and y on the basis, as flat
+    (row, S-monomial, raw coefficient) triples over denominator 1."""
+
+    __slots__ = ("field", "columns")
 
     def __init__(self, field: FieldSpec):
         if not field.has_omega():
             raise UnsupportedField("the algebra needs a field containing omega")
         self.field = field
-        cols = _structure_columns_int()
-        self.mx = []
-        self.my = []
-        for j in range(18):
-            for letter, store in (("x", self.mx), ("y", self.my)):
-                polys = (_int_poly(field, col) for col in cols[(letter, j)])
-                store.append([(i, p) for i, p in enumerate(polys) if not p.is_zero()])
+        one = field.one()
+        self.columns, _ = evaluated_columns(field, lambda e: (e, one))
 
     def column(self, letter: str, j: int) -> GCAElement:
-        source = self.mx if letter == "x" else self.my
-        coords = [SPolynomial.zero(self.field, GCA_VARS) for _ in range(18)]
-        for i, p in source[j]:
-            coords[i] = p
-        return GCAElement(self.field, coords)
+        zero = SPolynomial.zero(self.field, GCA_VARS)
+        raws = [{} for _ in range(18)]
+        for i, m, c in self.columns[letter][j]:
+            raws[i][m or zero._unit()] = c
+        return GCAElement(self.field, [zero._make(r) for r in raws])
 
 
 @lru_cache(maxsize=16)
@@ -507,27 +532,44 @@ def structure_matrices(field: FieldSpec) -> StructureMatrices:
 
 
 class Rank18Algebra:
-    """The rank-18 algebra over a coefficient ring, given by the sparse
-    columns ``mx``/``my`` of right multiplication by x and y (column j lists
-    the nonzero ``(i, coefficient)`` of b_j * letter). Products fold words
-    through the columns by ``_fold``, the one fold kernel; each output
-    coordinate of a fold, a reduction or a product is one raw sum of
-    products (``Terms._dot`` / ``Terms._lincomb``) with one normalization."""
+    """The rank-18 algebra over a coefficient ring, given by the flat
+    ``columns`` of right multiplication by x and y over ``den``. Its kernel
+    works on sparse raw vectors (rows, den): rows maps each nonzero
+    coordinate i to its raw map (``spoly.Terms``'s layout) over the one den,
+    canonical (``spoly.canonical``) so that equal vectors compare equal. A
+    fold, a reduction and a product are each one ``accumulate``, normalized
+    once; ``_element`` alone makes ``SPolynomial``s, for results."""
 
     ELEMENT = Rank18Element
 
-    def __init__(self, base, field: FieldSpec, variables, mx, my):
+    def __init__(self, base, field: FieldSpec, variables, columns, den: int):
         self.base = base
         self.field = field
-        self.mx, self.my = mx, my
+        self.columns, self.den = columns, den
         self._zero = SPolynomial.zero(field, variables)
         self._unit = SPolynomial.const(field, 1, variables)
 
-    def _element(self, coords):
+    def _element(self, vector):
+        rows, den = vector
+        zero = self._zero
+        coords = [zero._make(rows[i], den) if i in rows else zero for i in range(18)]
         return self.ELEMENT(self.base, coords)
 
+    def _vector(self, coords):
+        """The canonical vector of 18 coordinates."""
+        den = lcm(*(c.den for c in coords))
+        return {
+            i: {m: scaled(den // c.den, a) for m, a in c.raw.items()} if c.den != den else c.raw
+            for i, c in enumerate(coords) if c.raw
+        }, den
+
+    def _scalar_vector(self, i: int, c: Scalar):
+        """The canonical vector of c * e_i."""
+        num, den = raw_scalar(c)
+        return ({i: {self._zero._unit(): num}}, den) if not c.is_zero() else ({}, 1)
+
     def zero(self):
-        return self._element([self._zero] * 18)
+        return self._element(({}, 1))
 
     def one(self):
         return self.basis_element(0)
@@ -535,31 +577,31 @@ class Rank18Algebra:
     def basis_element(self, i: int):
         coords = [self._zero] * 18
         coords[i] = self._unit
-        return self._element(coords)
+        return self.ELEMENT(self.base, coords)
 
     def scalar_element(self, poly: SPolynomial):
         coords = [self._zero] * 18
         coords[0] = poly
-        return self._element(coords)
+        return self.ELEMENT(self.base, coords)
 
     def _fold(self, items):
-        """Sum of coords times letter over the (coords, letter) items: output
-        i sums coords[j] * column_j[i], accumulated raw and normalized once."""
-        rows = [[] for _ in range(18)]
-        for coords, letter in items:
-            for v, col in zip(coords, self.mx if letter == "x" else self.my):
-                if v.raw:
-                    for i, p in col:
-                        rows[i].append((v, p))
-        zero = self._zero
-        return tuple(zero._dot(r) if r else zero for r in rows)
-
-    def _mul_letter(self, coords, letter):
-        """Coordinates times the letter: the one-item ``_fold``."""
-        return self._fold(((coords, letter),))
+        """The canonical sum of vector times letter over the (vector,
+        letter) items: row j of a vector times the triple (i, m, c) of
+        column j adds its map times c*m to row i."""
+        common = lcm(*(vec[1] for vec, _ in items))
+        acc = {}
+        for (rows, den), letter in items:
+            cols, f = self.columns[letter], common // den
+            entries = [
+                (i, terms, m, c if f == 1 else scaled(f, c))
+                for j, terms in rows.items()
+                for i, m, c in cols[j]
+            ]
+            accumulate(self.field.p, acc, entries, SPolynomial._mono_mul)
+        return canonical(self.field.p, acc, common * self.den)
 
     def _word_vector(self, w: str, cache: dict, budget=None):
-        """Coordinates of the word w, folded on from its longest prefix in
+        """The vector of the word w, folded on from its longest prefix in
         ``cache`` (which holds the empty word); every prefix of at most
         ``PREFIX_CACHE_LETTERS`` letters folded on the way is stored in
         ``cache``. ``budget.charge`` is told the letters folded first."""
@@ -573,36 +615,41 @@ class Rank18Algebra:
             k -= 1
         if budget is not None:
             budget.charge(len(w) - k)
-        coords = cache[w[:k]]
+        vector = cache[w[:k]]
         for pos in range(k, len(w)):
-            coords = self._mul_letter(coords, w[pos])
+            vector = self._fold(((vector, w[pos]),))
             if pos < PREFIX_CACHE_LETTERS:
-                cache[w[: pos + 1]] = coords
-        return coords
+                cache[w[: pos + 1]] = vector
+        return vector
 
     def _reduce(self, e: FreeElement, cache: dict, budget=None):
-        """Normal form of a free element: each word folded through mx/my."""
+        """The canonical vector of a free element: the sum of its word
+        vectors times their coefficients."""
         if e.field != self.field:
             raise FieldMismatch(f"{e.field} vs {self.field}")
         vectors = [(c, self._word_vector(w, cache, budget)) for w, c in e.raw.items()]
-        zero = self._zero
-        return self._element(
-            [zero._lincomb([(c, v[i]) for c, v in vectors if v[i].raw], e.den) for i in range(18)]
-        )
+        common = lcm(*(den for _, (_, den) in vectors))
+        items = [
+            (i, terms, None, scaled(common // den, c))
+            for c, (rows, den) in vectors for i, terms in rows.items()
+        ]
+        return canonical(self.field.p, accumulate(self.field.p, {}, items, None), common * e.den)
 
     def _mul(self, u, v):
         """Product of normal forms: u folded through the basis words of v
         (sharing prefixes), times v's coordinates; both have the algebra's base."""
         if u.base != self.base or v.base != self.base:
             raise self.ELEMENT.MISMATCH(f"{u.base} and {v.base} in an algebra over {self.base}")
-        cache = {"": u.coords}
-        folds = [
-            (self._word_vector(BASIS_WORDS[j], cache), vj) for j, vj in enumerate(v.coords) if vj.raw
+        cache = {"": self._vector(u.coords)}
+        folds = [(self._word_vector(b, cache), vj) for b, vj in zip(BASIS_WORDS, v.coords) if vj.raw]
+        common = lcm(*(vec[1] * vj.den for vec, vj in folds))
+        items = [
+            (i, terms, m, scaled(common // (den * vj.den), c))
+            for (rows, den), vj in folds
+            for m, c in vj.raw.items()
+            for i, terms in rows.items()
         ]
-        zero = self._zero
-        return self._element(
-            [zero._dot([(u_j[i], vj) for u_j, vj in folds if u_j[i].raw]) for i in range(18)]
-        )
+        return self._element((accumulate(self.field.p, {}, items, SPolynomial._mono_mul), common))
 
 
 class GenericCliffordAlgebra(Rank18Algebra):
@@ -610,12 +657,12 @@ class GenericCliffordAlgebra(Rank18Algebra):
 
     def __init__(self, field: FieldSpec):
         self.matrices = structure_matrices(field)
-        super().__init__(field, field, GCA_VARS, self.matrices.mx, self.matrices.my)
-        self._word_cache = {"": self.one().coords}
+        super().__init__(field, field, GCA_VARS, self.matrices.columns, 1)
+        self._word_cache = {"": self._scalar_vector(0, field.one())}
 
     def reduce(self, e: FreeElement) -> GCAElement:
         """Normal form of a free element; folded words stay cached."""
-        return self._reduce(e, self._word_cache)
+        return self._element(self._reduce(e, self._word_cache))
 
     def reduce_text(self, text: str, budget: int | None = None) -> GCAElement:
         """Normal form of the expression ``text``, evaluated in the algebra
@@ -707,7 +754,8 @@ class GenericCliffordAlgebra(Rank18Algebra):
             if not redexes:
                 for i, col in enumerate(_conversion_table_int()[w]):
                     if col:
-                        rows[i].append((coeff, _int_poly(self.field, col)))
+                        raw = {e: c if self.field.p else (c, 0) for e, c in col}
+                        rows[i].append((coeff, self._zero._make(raw)))
                 continue
             if steps >= budget:
                 raise NonTermination(f"rewrite budget {budget} exhausted")
@@ -812,7 +860,7 @@ class _Evaluation:
 
     def reduce(self, terms) -> GCAElement:
         alg = self.alg
-        return self.counted(alg._reduce(terms.normalize(), alg._word_cache, self))
+        return self.counted(alg._element(alg._reduce(terms.normalize(), alg._word_cache, self)))
 
     def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
         """u*v, charged its S-monomial products before it is made."""
@@ -856,10 +904,12 @@ class _Value:
         return _Value(self.run, None, self.run.mul(self.normal(), other.normal()))
 
     def __pow__(self, n: int):
-        run = self.run
-        if self.terms is not None and (n < 2 or len(self.terms.raw) < 2):
-            run.charge(max(map(len, self.terms.raw), default=0) * n)  # the letters it builds
-            return run.free(self.terms**n)
+        run, terms = self.run, self.terms
+        letters = 0 if terms is None else max(map(len, terms.raw), default=0) * n
+        # a word power longer than a prefix cache holds would fold a letter at a time
+        if terms is not None and (n < 2 or len(terms.raw) < 2 and letters <= PREFIX_CACHE_LETTERS):
+            run.charge(letters)  # the letters it builds
+            return run.free(terms**n)
         return _Value(run, None, power(self.normal(), n, run.alg.one(), run.mul))
 
 
@@ -867,17 +917,15 @@ def validate_structure_columns() -> bool:
     """Re-expand every structure column back into the free algebra and check
     membership of the difference in the defining ideal over Q (independent
     of the mod-p pivoting that produced the columns)."""
-    cols = _structure_columns_int()
-    for (letter, j), coords in cols.items():
-        target = BASIS_WORDS[j] + letter
-        diff = {target: -1}
-        for i, col in enumerate(coords):
-            for expo, c in col:
-                for w, k in _monomial_expansion(expo):
-                    key = w + BASIS_WORDS[i]
-                    diff[key] = diff.get(key, 0) + c * k
+    diffs = {}
+    for (letter, j, i), expo, c in _structure_columns_int():
+        diff = diffs.setdefault((letter, j), {BASIS_WORDS[j] + letter: -1})
+        for w, k in _monomial_expansion(expo):
+            key = w + BASIS_WORDS[i]
+            diff[key] = diff.get(key, 0) + c * k
+    for (letter, j), diff in diffs.items():
         diff = {w: c for w, c in diff.items() if c}
-        if diff and not ideal_membership(diff, len(target)):
+        if diff and not ideal_membership(diff, len(BASIS_WORDS[j]) + 1):
             return False
     return True
 

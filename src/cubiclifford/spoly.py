@@ -6,12 +6,12 @@ share the arithmetic and the printer of ``Terms``; they differ only in their
 monomials. Coefficients are not boxed ``Scalar``s: over F_p a coefficient is
 its residue, and over Q and Q(w) it is an integer pair (a, b) read over one
 denominator per element, FLINT's fmpq_poly layout
-(https://flintlib.org/doc/fmpq_poly.html). A product accumulates unreduced
-integers and normalizes once per output, and the rank-18 fold kernel
-(``gca.Rank18Algebra._fold``) sums all its products into an output
-coordinate the same way (``Terms._dot``). ``Scalar`` stays the type at the
-boundary: constructors and ``scale`` take Scalars, and ``terms`` returns a
-new {monomial: Scalar} dict.
+(https://flintlib.org/doc/fmpq_poly.html). ``accumulate``, the one
+multiply-add loop of each layout, sums unreduced integers into raw maps for
+``Terms``, ``RawTerms`` and the rank-18 kernel (``gca.Rank18Algebra``), and
+``canonical`` normalizes them once per output. ``Scalar`` stays the type at
+the boundary: constructors and ``scale`` take Scalars, and ``terms``
+returns a new {monomial: Scalar} dict.
 
 ``SPolynomial`` is the commutative ring with exponent tuples as monomials.
 It hosts the coefficient ring S = k[X3, AL, BE, Y3, GA] of the rank-18
@@ -34,6 +34,7 @@ normalized once, by ``Terms._canonical``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 
@@ -57,6 +58,58 @@ def raw_scalar(c: Scalar):
     a, b = (v, _ZERO) if c.field.kind == RATIONALS else v
     den = lcm(a.denominator, b.denominator)
     return (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)), den
+
+
+def scaled(f: int, c):
+    """The raw numerator c times the integer f, for bringing it onto a
+    common denominator. Only pairs are ever scaled: residue denominators are 1."""
+    return c if f == 1 else (f * c[0], f * c[1])
+
+
+def canonical(p, rows: dict, den: int = 1):
+    """The raw maps ``rows`` over ``den`` without zeros or empty maps, residues
+    reduced mod ``p``; over Q and Q(w) den shares no factor with all numerators."""
+    if p:
+        rows = ((i, {m: x for m, v in row.items() if (x := v % p)}) for i, row in rows.items())
+        return {i: row for i, row in rows if row}, 1
+    rows = ((i, {m: v for m, v in row.items() if v != (0, 0)}) for i, row in rows.items())
+    out = {i: row for i, row in rows if row}
+    g = den
+    for row in out.values():
+        if g == 1:
+            break
+        g = gcd(g, *chain.from_iterable(row.values()))
+    if g == 1:
+        return out, den if out else 1
+    out = {i: {m: (a // g, b // g) for m, (a, b) in row.items()} for i, row in out.items()}
+    return out, den // g
+
+
+def accumulate(p, rows: dict, items, mono_mul) -> dict:
+    """``rows[i][m1 * m] += a * c`` for each (i, terms, m, c) in ``items`` and
+    (m1, a) in ``terms.items()``, m1 * m being ``mono_mul(m1, m)`` or, when m
+    is None, m1. The a's and c's are raw numerators: residues when ``p`` is
+    set, else integer pairs a + b*w (w^2 = -1 - w). Returns ``rows``."""
+    if p:
+        for i, terms, m2, c in items:
+            row = rows.setdefault(i, {})
+            get = row.get
+            for m1, a in terms.items():
+                m = m1 if m2 is None else mono_mul(m1, m2)
+                row[m] = get(m, 0) + a * c
+        return rows
+    for i, terms, m2, (c, d) in items:
+        row = rows.setdefault(i, {})
+        get = row.get
+        for m1, (a, b) in terms.items():
+            m = m1 if m2 is None else mono_mul(m1, m2)
+            bd = b * d
+            old = get(m)
+            if old is None:
+                row[m] = (a * c - bd, a * d + b * c - bd)
+            else:
+                row[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
+    return rows
 
 
 class Terms:
@@ -96,24 +149,11 @@ class Terms:
         """The element whose raw coefficients are ``acc`` over ``den``:
         unreduced ints over F_p (where ``den`` is 1), integer pairs over Q
         and Q(w)."""
-        p = field.p
-        if p:
-            raw = {m: r for m, v in acc.items() if (r := v % p)}
-        else:
-            raw = {m: v for m, v in acc.items() if v[0] or v[1]}
-            if den != 1:
-                g = den
-                for a, b in raw.values():
-                    g = gcd(g, a, b)
-                    if g == 1:
-                        break
-                if g != 1:
-                    den //= g
-                    raw = {m: (a // g, b // g) for m, (a, b) in raw.items()}
+        rows, den = canonical(field.p, {0: acc}, den)
         new = object.__new__(cls)
         new.field = field
         new.variables = variables
-        new.raw = raw
+        new.raw = rows.get(0, {})
         new.den = den
         return new
 
@@ -162,60 +202,22 @@ class Terms:
         """Sum of c * t over the (c, t) in ``items``, divided by ``den``, in
         one raw accumulation with one normalization. Each c is a raw scalar
         numerator (see ``raw_scalar``), each t an element of this ring."""
-        acc = {}
-        get = acc.get
-        if self.field.p:
-            for c, t in items:
-                for m, a in t.raw.items():
-                    acc[m] = get(m, 0) + c * a
-            return self._make(acc)
         common = lcm(*(t.den for _, t in items))
-        for (c, d), t in items:
-            f = common // t.den
-            c *= f
-            d *= f
-            for m, (a, b) in t.raw.items():
-                bd = b * d
-                old = get(m)
-                if old is None:
-                    acc[m] = (a * c - bd, a * d + b * c - bd)
-                else:
-                    acc[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
-        return self._make(acc, common * den)
+        acc = accumulate(
+            self.field.p, {}, [(0, t.raw, None, scaled(common // t.den, c)) for c, t in items], None
+        )
+        return self._make(acc.get(0, {}), common * den)
 
     def _dot(self, pairs):
         """Sum of u * v over the (u, v) in ``pairs``, elements of this ring,
         in one raw accumulation with one normalization."""
-        mono_mul = self._mono_mul
-        acc = {}
-        get = acc.get
-        if self.field.p:
-            for u, v in pairs:
-                vitems = v.raw.items()
-                for m1, a in u.raw.items():
-                    for m2, c in vitems:
-                        m = mono_mul(m1, m2)
-                        acc[m] = get(m, 0) + a * c
-            return self._make(acc)
         common = lcm(*(u.den * v.den for u, v in pairs))
-        for u, v in pairs:
-            uitems, vitems = u.raw.items(), v.raw.items()
-            f = common // (u.den * v.den)
-            if f != 1:  # bring the shorter operand onto the common denominator
-                if len(uitems) < len(vitems):
-                    uitems = [(m, (f * a, f * b)) for m, (a, b) in uitems]
-                else:
-                    vitems = [(m, (f * a, f * b)) for m, (a, b) in vitems]
-            for m1, (a, b) in uitems:
-                for m2, (c, d) in vitems:
-                    m = mono_mul(m1, m2)
-                    bd = b * d
-                    old = get(m)
-                    if old is None:
-                        acc[m] = (a * c - bd, a * d + b * c - bd)
-                    else:
-                        acc[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
-        return self._make(acc, common)
+        items = [
+            (0, u.raw, m, scaled(common // (u.den * v.den), c))
+            for u, v in pairs
+            for m, c in v.raw.items()
+        ]
+        return self._make(accumulate(self.field.p, {}, items, self._mono_mul).get(0, {}), common)
 
     def _units(self):
         """The raw numerators of 1 and -1."""
@@ -397,24 +399,11 @@ class RawTerms:
         if m is not None:
             return RawTerms(ring, {mono_mul(m, m2): a for m2, a in other.raw.items()}, other.den)
         # Terms._dot's accumulation, without its normalization
-        acc = {}
-        get = acc.get
         p = ring.p
+        items = [(0, self.raw, m2, c) for m2, c in other.raw.items()]
+        acc = accumulate(p, {}, items, mono_mul).get(0, {})
         if p:
-            for m1, a in self.raw.items():
-                for m2, c in other.raw.items():
-                    m = mono_mul(m1, m2)
-                    acc[m] = get(m, 0) + a * c
             return RawTerms(ring, {m: v % p for m, v in acc.items()})
-        for m1, (a, b) in self.raw.items():
-            for m2, (c, d) in other.raw.items():
-                m = mono_mul(m1, m2)
-                bd = b * d
-                old = get(m)
-                if old is None:
-                    acc[m] = (a * c - bd, a * d + b * c - bd)
-                else:
-                    acc[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
         return RawTerms(ring, acc, self.den * other.den)
 
     def __pow__(self, n: int):

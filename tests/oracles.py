@@ -14,6 +14,11 @@ through the factors of their free elements in the package; here they
 expand the free elements into words and reduce those, and the tests
 require equal reports.
 
+The rank-18 kernel folds sparse raw vectors through flat column triples;
+here folds, reductions and products run on dense 18-tuples of polynomials,
+one ``Terms._dot`` or ``Terms._lincomb`` per output coordinate over all 18
+inputs, and the tests require equal elements.
+
 The package parses an expression into one raw term map and normalizes it
 once; here every literal and name is a normalized ``FreeElement`` or
 ``SPolynomial`` and the parser applies their own operators, and the tests
@@ -254,19 +259,67 @@ def cubic_sums(field):
 def relations_hold_by_reductions(alg):
     """``SpecializedAlgebra.relations_hold`` by 72 reductions of the free
     elements b_i (r - c), sharing one prefix cache."""
-    cache = {"": alg.one().coords}
+    cache = {"": alg._vector(alg.one().coords)}
     for i, word in enumerate(BASIS_WORDS):
-        if alg._word_vector(word, cache) != alg.basis_element(i).coords:
+        if alg._element(alg._word_vector(word, cache)) != alg.basis_element(i):
             return False
-    if alg._reduce(gamma_element(alg.field), cache) != alg.gamma():
+    if alg._element(alg._reduce(gamma_element(alg.field), cache)) != alg.gamma():
         return False
     one = FreeElement.one(alg.field)
     relations = [s - one.scale(c) for s, c in zip(cubic_sums(alg.field), alg.form.coeffs)]
     return all(
-        alg._reduce(FreeElement.word(alg.field, w) * r, cache).is_zero()
+        alg._element(alg._reduce(FreeElement.word(alg.field, w) * r, cache)).is_zero()
         for w in BASIS_WORDS
         for r in relations
     )
+
+
+def column_polys(alg, letter, j):
+    """Column j of ``alg``'s ``letter`` as the nonzero (i, polynomial) pairs."""
+    zero = alg._zero
+    raws = [{} for _ in range(18)]
+    for i, m, c in alg.columns[letter][j]:
+        raws[i][m or zero._unit()] = c
+    return [(i, q) for i, raw in enumerate(raws) if (q := zero._make(raw, alg.den)).raw]
+
+
+def dense_fold(alg, items):
+    """Sum of coords times letter over the (coords, letter) items, coords
+    18 polynomials: output i sums coords[j] * column_j[i] in one ``_dot``."""
+    rows = [[] for _ in range(18)]
+    for coords, letter in items:
+        for j, v in enumerate(coords):
+            if v.raw:
+                for i, q in column_polys(alg, letter, j):
+                    rows[i].append((v, q))
+    zero = alg._zero
+    return tuple(zero._dot(r) if r else zero for r in rows)
+
+
+def dense_word(alg, coords, w):
+    """coords folded through the word w one letter at a time."""
+    for letter in w:
+        coords = dense_fold(alg, ((coords, letter),))
+    return coords
+
+
+def dense_reduce(alg, e):
+    """The normal form of the free element e: its words folded from the
+    unit, each output coordinate one ``_lincomb`` of them."""
+    vectors = [(c, dense_word(alg, alg.one().coords, w)) for w, c in e.raw.items()]
+    zero = alg._zero
+    coords = [zero._lincomb([(c, v[i]) for c, v in vectors], e.den) for i in range(18)]
+    return alg.ELEMENT(alg.base, coords)
+
+
+def dense_mul(alg, u, v):
+    """u*v: u folded through the basis words of v, each output coordinate
+    one ``_dot`` with v's coordinates."""
+    folds = [
+        (dense_word(alg, u.coords, word), vj) for word, vj in zip(BASIS_WORDS, v.coords) if vj.raw
+    ]
+    zero = alg._zero
+    return alg.ELEMENT(alg.base, [zero._dot([(u_j[i], vj) for u_j, vj in folds]) for i in range(18)])
 
 
 def clifford_iso_by_substitution(g, f):

@@ -34,6 +34,7 @@ from cubiclifford.forms import (
     orbit_equivalent,
     orbit_invariants,
     stabilizer,
+    _delta,
 )
 
 # frozen F_7 regression data from the first brute-force enumeration:
@@ -67,6 +68,16 @@ def test_discriminant_examples():
         coeffs = [rng.randint(-6, 6) for _ in range(4)]
         f = BinaryCubicForm(Q, coeffs)
         assert f.discriminant() == Q.scalar(delta_int(*coeffs))
+
+
+def test_discriminant_equals_the_scalar_formula():
+    # raw residues over F_p and Fractions over Q, against Delta on Scalars
+    rng = random.Random(34)
+    for field in (F7, FieldSpec.prime(18446744073709551427), Q, QW):
+        for _ in range(100):
+            f = rand_form(field, rng, nondegenerate=False)
+            assert f.discriminant() == _delta(f.coeffs), (field, f.coeffs)
+            assert f.discriminant().field is field
 
 
 def test_act_identity_swap_scaling():

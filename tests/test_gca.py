@@ -1,15 +1,19 @@
 """The rank-18 algebra: structure matrices, reduction, center identities."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import F7, F7B, F13, QW, rand_form, rand_free_element, rand_gl2, rand_scalar
+import oracles
+from conftest import F7, F7B, F13, Q, QW, rand_form, rand_free_element, rand_gl2, rand_scalar
 
-from cubiclifford.cliffordf import specialized_algebra
+from cubiclifford.cliffordf import SpecializedAlgebra, specialized_algebra, specialized_columns
 from cubiclifford.errors import FieldMismatch, NonTermination, UnsupportedField
 from cubiclifford.fields import FieldSpec
+from cubiclifford.forms import BinaryCubicForm
 from cubiclifford.freealg import (
     FreeElement,
     delta_element,
@@ -23,12 +27,14 @@ from cubiclifford.gca import (
     BASIS_WORDS,
     GCAElement,
     GenericCliffordAlgebra,
+    Rank18Algebra,
+    evaluated_columns,
     gamma_expansions_agree,
     irreducible_words,
     validate_structure_columns,
     words_of_degree,
 )
-from cubiclifford.spoly import GCA_VARS, SPolynomial
+from cubiclifford.spoly import GAMMA_VARS, GCA_VARS, SPolynomial
 
 F103 = FieldSpec.prime(103)
 
@@ -67,6 +73,19 @@ def test_structure_column_regressions():
     assert alg.matrices.column("x", 3) == alg.scalar_element(poly("X3", QW))
 
 
+def test_import_builds_no_structure_tables():
+    # the columns and degree systems are built on first use, never at import:
+    # every interpreter compiles and imports the package before its first call
+    code = (
+        "import cubiclifford, cubiclifford.cli; from cubiclifford import gca; "
+        "print([f.cache_info().currsize for f in "
+        "(gca._structure_columns_int, gca._degree_system, gca.structure_matrices)])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0]"
+
+
 def test_structure_columns_ideal_membership():
     # every column re-expands into the free algebra modulo the defining
     # ideal (exact membership over Q, independent of the mod-p derivation)
@@ -94,10 +113,10 @@ def test_defining_relations_as_operator_identities():
         e = alg.basis_element(j)
 
         def fold(word, start=e):
-            coords = start.coords
+            vector = alg._vector(start.coords)
             for letter in word:
-                coords = alg._mul_letter(coords, letter)
-            return GCAElement(QW, coords)
+                vector = alg._fold(((vector, letter),))
+            return alg._element(vector)
 
         assert fold("xxx") == e.scale_poly(x3)
         assert fold("yyy") == e.scale_poly(y3)
@@ -130,11 +149,60 @@ def test_fold_is_the_sum_of_one_letter_folds(where):
         algebras = [specialized_algebra(rand_form(field, rng)) for _ in range(3)]
     for alg in algebras:
         for _ in range(10):
-            items = [(_random_coords(alg, rng), rng.choice("xy")) for _ in range(rng.randint(1, 4))]
+            items = [
+                (alg._vector(_random_coords(alg, rng)), rng.choice("xy"))
+                for _ in range(rng.randint(1, 4))
+            ]
             expected = alg.zero()
-            for coords, letter in items:
-                expected = expected + alg._element(alg._mul_letter(coords, letter))
+            for vector, letter in items:
+                expected = expected + alg._element(alg._fold(((vector, letter),)))
             assert alg._element(alg._fold(items)) == expected
+
+
+def _kernel_algebra(field, generic, rng):
+    """A generic or specialized algebra over ``field``, built from the same
+    column routines as the package's algebras; over Q, which has no omega,
+    the package builds neither, but the columns are integral."""
+    if generic:
+        if field.has_omega():
+            return GenericCliffordAlgebra(field)
+        columns, den = evaluated_columns(field, lambda e: (e, field.one()))
+        return Rank18Algebra(field, field, GCA_VARS, columns, den)
+    while True:  # coefficients with denominators over Q and Q(w)
+        coeffs = [rand_scalar(field, rng) / field.scalar(rng.randint(1, 4)) for _ in range(4)]
+        f = BinaryCubicForm(field, coeffs)
+        if f.is_nondegenerate():
+            break
+    if field.has_omega():
+        return SpecializedAlgebra(f)
+    return Rank18Algebra(f, field, GAMMA_VARS, *specialized_columns(f))
+
+
+KERNEL_FIELDS = (F7, FieldSpec.prime(2**61 - 1), FieldSpec.prime(18446744073709551427), Q, QW)
+
+
+@pytest.mark.parametrize("generic", (True, False), ids=("generic", "specialized"))
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=("7", "2^61-1", "64bit", "Q", "Qw"))
+def test_sparse_kernel_equals_the_dense_kernel(field, generic):
+    # random vectors with zero coordinates and, over Q and Q(w), with
+    # denominators other than 1: the sparse fold, reduction and product
+    # give the dense answers, and every vector they return is canonical
+    rng = random.Random(f"kernel:{field}:{generic}")
+    for _ in range(2):
+        alg = _kernel_algebra(field, generic, rng)
+        for _ in range(6):
+            items = [(_random_coords(alg, rng), rng.choice("xy")) for _ in range(rng.randint(1, 3))]
+            got = alg._fold([(alg._vector(coords), letter) for coords, letter in items])
+            assert alg._element(got).coords == oracles.dense_fold(alg, items)
+            assert got == alg._vector(oracles.dense_fold(alg, items))
+            e = rand_free_element(field, rng, max_len=7) * FreeElement(
+                field, {"": field.one() / field.scalar(rng.randint(1, 6))}
+            )
+            got = alg._reduce(e, {"": alg._vector(alg.one().coords)})
+            assert alg._element(got) == oracles.dense_reduce(alg, e)
+            assert got == alg._vector(alg._element(got).coords)
+            u, v = (alg._element(alg._vector(_random_coords(alg, rng))) for _ in range(2))
+            assert alg._mul(u, v) == oracles.dense_mul(alg, u, v)
 
 
 def test_defining_relations_reduce_to_zero():

@@ -167,13 +167,29 @@ def test_reduce_budget_counts_work_and_says_how_much_was_used():
     code, _, err = run("reduce", "--field", "Qw", "--expr", "x^5 + y", "--budget", "4")
     assert code == 1 and "budget of 4 work units (6 used)" in err
     assert run("reduce", "--field", "Qw", "--expr", "x^5 + y", "--budget", "100")[0] == 0
+    # a word power past the prefix cache is a power of the word's normal
+    # form, so its letters are never built, and its products are charged
     alg = ALGEBRAS[F7]
+    x = alg.basis_element(1)
+    assert alg.reduce_text("x^1000000000") == power(x, 10**9, alg.one(), alg.mul)
     try:
-        alg.reduce_text("x^1000000000")  # refused before the word is built
+        alg.reduce_text("x^1000000000", budget=10)
     except BudgetExceeded as err:
-        assert "(1000000001 used)" in str(err)
+        assert "budget of 10 work units" in str(err)
     else:
-        raise AssertionError("a word over the budget was built")
+        raise AssertionError("a word power ran past its budget")
+
+
+def test_a_long_word_power_is_a_power_of_its_normal_form():
+    # equal to folding the expanded word letter by letter in a second algebra
+    alg, folding = GenericCliffordAlgebra(QW), GenericCliffordAlgebra(QW)
+    for text, word in (("x^100000", "x" * 100000), ("(x*y)^40", "xy" * 40), ("y^65", "y" * 65)):
+        start = time.perf_counter()
+        got = alg.reduce_text(text)
+        seconds = time.perf_counter() - start
+        assert got == folding.reduce(FreeElement.word(QW, word)), text
+        if text == "x^100000":
+            assert seconds < 0.05, seconds
 
 
 def test_a_long_word_caches_bounded_prefixes():
