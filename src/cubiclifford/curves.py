@@ -238,28 +238,70 @@ def curve_order(field: FieldSpec, curve_a: Scalar) -> int:
     the sextic residue symbol: the sixth root of unity congruent to
     (4A)^((p - 1)/6) modulo pi. Z[w]/pi is F_p with w -> -a/b (pi vanishes
     there), so chi is the unit whose image mod p is that power. The order
-    is checked by [N]P = O at the first point of least gamma >= 1 (gamma = 0
-    when no such point exists).
+    is checked by [N]P = O (``_jacobian_multiple``) at the first point P of
+    least gamma >= 1 (gamma = 0 when no such point exists).
     """
     if field.kind != "Fp":
         raise UnsupportedField("curve orders need a finite field")
     if curve_a.is_zero():
         raise DegenerateForm("A = 0 gives a singular cubic")
-    p = field.p
+    p, a_raw = field.p, curve_a.val
     a, b = _primary_prime(p)
     w = -a * pow(b, -1, p) % p
-    residue = pow(4 * curve_a.val, (p - 1) // 6, p)
+    residue = pow(4 * a_raw, (p - 1) // 6, p)
     chi = next(u for u in _UNITS if (u[0] + u[1] * w) % p == residue)
     c, d = _zw_mul((chi[0] - chi[1], -chi[1]), (a, b))  # conj(chi) * pi
     order = p + 1 + 2 * c - d
     for g in itertools.chain(range(1, p), (0,)):
-        s = sqrt_in_field(field.scalar(g**3) + curve_a)
+        s = prime_power_root_mod(g * g * g + a_raw, 2, p)
         if s is not None:
-            point = EllipticPoint(field, curve_a, (field.scalar(g), s))
             break
-    if not ell_mul(order, point).is_infinity():
+    point = EllipticPoint(field, curve_a, (field.scalar(g), field.scalar(s)))
+    if _jacobian_multiple(order, g, s, p)[2]:
         raise AssertionError(f"[{order}]{point} is not infinity on s^2 = g^3 + {curve_a}")
     return order
+
+
+def _jacobian_multiple(n: int, g: int, s: int, p: int) -> tuple:
+    """[n]P for n >= 1 and P = (g, s) on s^2 = gamma^3 + A over F_p, as
+    Jacobian residues (X, Y, Z), which stand for (X/Z^2, Y/Z^3); Z = 0 is
+    infinity. Left-to-right double-and-add with no inversion: ``ell_add``'s
+    tangent and chord formulas with gamma = X/Z^2, s = Y/Z^3 substituted
+    and the denominators cleared,
+
+        2(X, Y, Z) = (M^2 - 2S, M(S - X') - 8Y^4, 2YZ),
+            S = 4XY^2, M = 3X^2, X' the new X; infinity when Y = 0;
+        (X, Y, Z) + (g, s, 1) = (R^2 - H^3 - 2XH^2, R(XH^2 - X') - YH^3, ZH),
+            H = g*Z^2 - X, R = s*Z^3 - Y; when H = 0 the points share
+            gamma, so the sum is a doubling when R = 0 and infinity else.
+    """
+
+    def double(x, y, z):
+        if not y:  # 2-torsion or infinity
+            return 1, 1, 0
+        yy = y * y % p
+        big_s, m = 4 * x * yy % p, 3 * x * x % p
+        x3 = (m * m - 2 * big_s) % p
+        return x3, (m * (big_s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+
+    x, y, z = g, s, 1
+    for bit in bin(n)[3:]:
+        x, y, z = double(x, y, z)
+        if bit == "0":
+            continue
+        if not z:
+            x, y, z = g, s, 1
+            continue
+        zz = z * z % p
+        h, r = (g * zz - x) % p, (s * zz * z - y) % p
+        if not h:
+            x, y, z = double(x, y, z) if not r else (1, 1, 0)
+            continue
+        hh = h * h % p
+        hhh, v = h * hh % p, x * hh % p
+        x3 = (r * r - hhh - 2 * v) % p
+        x, y, z = x3, (r * (v - x3) - y * hhh) % p, z * h % p
+    return x, y, z
 
 
 def curve_points(field: FieldSpec, curve_a: Scalar) -> list:
@@ -383,10 +425,12 @@ class PlaneCubicPoint:
             raise CurveMismatch(f"{self.coords} does not satisfy w^3 = f(u, v)")
 
     def verify(self) -> bool:
+        u, v, w = self.coords
+        if self.extension is None:
+            return any(not c.is_zero() for c in self.coords) and w * w * w == self.form.evaluate(u, v)
         lift, add, mul = _coordinate_ring(self.form.field, self.extension)
         if all(c == lift(0) for c in self.coords):
             return False
-        u, v, w = self.coords
         c0, c1, c2, c3 = (lift(c) for c in self.form.coeffs)
         u2, v2 = mul(u, u), mul(v, v)
         rhs = add(add(mul(c0, mul(u2, u)), mul(c1, mul(u2, v))),
@@ -436,17 +480,14 @@ def _signed_range(bound: int):
 
 def _height_shell(h: int, n: int):
     """The integer n-tuples of height h (largest |entry| exactly h), h >= 1,
-    in the order of itertools.product(_signed_range(h), repeat=n): a first
-    entry of height h takes any tail, a smaller one a tail of height h."""
-    for first in _signed_range(h):
-        if abs(first) == h:
-            tails = itertools.product(_signed_range(h), repeat=n - 1)
-        elif n > 1:
-            tails = _height_shell(h, n - 1)
-        else:
-            continue
-        for tail in tails:
-            yield (first, *tail)
+    in the order of itertools.product(_signed_range(h), repeat=n), the last
+    entry fastest: after a head that holds +-h the last entry takes every
+    value, after any other head only h and -h."""
+    signed = tuple(_signed_range(h))
+    every, tops = tuple((x,) for x in signed), ((h,), (-h,))
+    for head in itertools.product(signed, repeat=n - 1):
+        for last in every if h in head or -h in head else tops:
+            yield head + last
 
 
 # an integer cube is a cube modulo 7*9*13*19, where 315 of the 15561 residues are
@@ -488,6 +529,41 @@ def _integer_point_search(f, budget: int):
     return None
 
 
+def _zw_point_search(f, budget: int):
+    """``point_search`` over Q(w) on pairs of ints.
+
+    With D the least common denominator of the coefficients' parts, F = D*f
+    has coefficients in Z[w] and f(u, v) = F(u, v)/D. A cube of Q(w) has a
+    norm that is a cube of Q, and N(f(u, v))*D^6 = N(F(u, v))*D^4 is an
+    integer, so the residue table rejects most values before
+    ``cube_root_in_field`` takes the exact root of f(u, v).
+    """
+    field = f.field
+    den = lcm(*(x.denominator for c in f.coeffs for x in c.val))
+    c0, c1, c2, c3 = (tuple(int(x * den) for x in c.val) for c in f.coeffs)
+    scale = den**4
+    cubes = _cube_residues()
+    for h in range(1, budget + 1):
+        for b1, a1, b2, a2 in _height_shell(h, 4):
+            u, v = (a1, b1), (a2, b2)
+            uu, vv = _zw_mul(u, u), _zw_mul(v, v)
+            x, y = (
+                sum(t)
+                for t in zip(
+                    _zw_mul(c0, _zw_mul(uu, u)),
+                    _zw_mul(c1, _zw_mul(uu, v)),
+                    _zw_mul(c2, _zw_mul(u, vv)),
+                    _zw_mul(c3, _zw_mul(vv, v)),
+                )
+            )
+            if not cubes[(x * x - x * y + y * y) * scale % _CUBE_MODULUS]:
+                continue
+            w = cube_root_in_field(field.scalar((Fraction(x, den), Fraction(y, den))))
+            if w is not None:
+                return PlaneCubicPoint(f, (field.scalar(u), field.scalar(v), w))
+    return None
+
+
 def point_search(f, budget: int | None = None):
     """A verified point on w^3 = f(u, v), or None within the budget.
 
@@ -498,33 +574,25 @@ def point_search(f, budget: int | None = None):
     Z[omega]-pairs with coefficients up to the budget, same idea. Absence
     is only ever absence-within-budget. Each height is visited shell by
     shell, (v, u) over Q and (b1, a1, b2, a2) for u = a1 + b1*w,
-    v = a2 + b2*w over Q(w), the last coordinate fastest.
+    v = a2 + b2*w over Q(w), the last coordinate fastest. Every search runs
+    on residues or ints and wraps the point it finds once.
     """
     field = f.field
-    if field.kind == "Fp":
-        p = field.p
-        raw = [c.val for c in f.coeffs]
-        vs = range(p)
-        # lambda*L^3 with lambda a non-cube: f(1, v) is a cube only at
-        # v = -l0/l1 = -c2/(3*c3), where L = l0*u + l1*v vanishes
-        if triple_root_class(raw, p) not in (None, 0, 1):
-            vs = [-raw[2] * pow(3 * raw[3], -1, p) % p] if raw[3] else []
-        for uu, vv in itertools.chain(((1, v) for v in vs), ((0, 1),)):
-            u, v = field.scalar(uu), field.scalar(vv)
-            r = least_cube_root_mod(f.evaluate(u, v).val, p)
-            if r is not None:
-                return PlaneCubicPoint(f, (u, v, field.scalar(r)))
-        return None
     if field.kind == "Q":
         return _integer_point_search(f, DEFAULT_HEIGHT_BUDGET_Q if budget is None else budget)
-    if budget is None:
-        budget = DEFAULT_HEIGHT_BUDGET_QW
-    for h in range(1, budget + 1):
-        for b1, a1, b2, a2 in _height_shell(h, 4):
-            u, v = field.scalar((a1, b1)), field.scalar((a2, b2))
-            w = cube_root_in_field(f.evaluate(u, v))
-            if w is not None:
-                return PlaneCubicPoint(f, (u, v, w))
+    if field.kind == "Qw":
+        return _zw_point_search(f, DEFAULT_HEIGHT_BUDGET_QW if budget is None else budget)
+    p = field.p
+    c0, c1, c2, c3 = raw = [c.val for c in f.coeffs]
+    vs = range(p)
+    # lambda*L^3 with lambda a non-cube: f(1, v) is a cube only at
+    # v = -l0/l1 = -c2/(3*c3), where L = l0*u + l1*v vanishes
+    if triple_root_class(raw, p) not in (None, 0, 1):
+        vs = [-c2 * pow(3 * c3, -1, p) % p] if c3 else []
+    for u, v in itertools.chain(((1, v) for v in vs), ((0, 1),)):
+        r = least_cube_root_mod(((c0 * u + c1 * v) * u + c2 * v * v) * u + c3 * v * v * v, p)
+        if r is not None:
+            return PlaneCubicPoint(f, (field.scalar(u), field.scalar(v), field.scalar(r)))
     return None
 
 

@@ -37,6 +37,7 @@ from .fields import (
     distinct_roots_factor,
     hessian,
     nth_power_class,
+    prime_power_root_mod,
     sixth_power_class_token,
     sqrt_in_field,
     triple_root_class,
@@ -65,9 +66,13 @@ class BinaryCubicForm:
         if not self.is_nondegenerate():
             raise DegenerateForm(f"discriminant of {self} vanishes")
 
-    def evaluate(self, u: Scalar, v: Scalar) -> Scalar:
-        c0, c1, c2, c3 = self.coeffs
-        return c0 * u**3 + c1 * (u**2 * v) + c2 * (u * v**2) + c3 * v**3
+    def evaluate(self, u, v) -> Scalar:
+        """f(u, v) for u, v in the field: Scalars, or what ``field.scalar`` takes."""
+        field = self.field
+        if field.kind == CYCLOTOMIC:
+            return _value(self.coeffs, u, v)
+        raw = [c.val for c in self.coeffs]
+        return field.scalar(_value(raw, field.scalar(u).val, field.scalar(v).val))
 
     def is_diagonal(self) -> bool:
         return self.coeffs[1].is_zero() and self.coeffs[2].is_zero()
@@ -109,7 +114,10 @@ class GL2Element:
         self.field = field
         a, b, c, d = (field.scalar(e) for e in entries)
         self.a, self.b, self.c, self.d = a, b, c, d
-        self.det = a * d - b * c
+        if field.kind == CYCLOTOMIC:
+            self.det = a * d - b * c
+        else:  # on residues or Fractions
+            self.det = field.scalar(a.val * d.val - b.val * c.val)
         if self.det.is_zero():
             raise SingularMatrix(f"det of {entries} is zero")
 
@@ -171,6 +179,12 @@ def _delta(f):
     )
 
 
+def _value(f, u, v):
+    """f(u, v) for the coefficient tuple f."""
+    c0, c1, c2, c3 = f
+    return ((c0 * u + c1 * v) * u + c2 * v * v) * u + c3 * v * v * v
+
+
 def _mat_mul(m, n):
     """The 2x2 matrix product m*n of entry tuples (a, b, c, d)."""
     a, b, c, d = m
@@ -200,10 +214,13 @@ def _act(g, f):
 
 
 def act_gl2(g: GL2Element, f: BinaryCubicForm) -> BinaryCubicForm:
-    """The form f(a*u + b*v, c*u + d*v)."""
+    """The form f(a*u + b*v, c*u + d*v), on residues or Fractions over F_p
+    and Q, on Scalars over Q(w)."""
     if g.field != f.field:
         raise FieldMismatch("matrix and form fields differ")
-    return BinaryCubicForm(f.field, _act(g.entries(), f.coeffs))
+    if f.field.kind == CYCLOTOMIC:
+        return BinaryCubicForm(f.field, _act(g.entries(), f.coeffs))
+    return BinaryCubicForm(f.field, _act([e.val for e in g.entries()], [c.val for c in f.coeffs]))
 
 
 # -- diagonalization ---------------------------------------------------------
@@ -288,28 +305,33 @@ def stabilizer(f: BinaryCubicForm) -> StabilizerResult:
     plus nine antidiagonals (0, u*l; v/l, 0) whenever l^3 = r/p has a root
     in k (equivalently p/r is a cube). A non-diagonal form over F_p is
     carried by some g to its normal form n (``_normal_form``), so its
-    stabilizer is g*Stab(n)*g^-1, listed in the order of the raw entries
-    (a, b, c, d) and each element checked to fix f. Its ``kind`` keeps the
-    legacy label "enumerated" from when these elements were found by
-    scanning all p^4 matrices. Non-diagonal forms over Q / Q(w) are
-    unsupported.
+    stabilizer is g*Stab(n)*g^-1, conjugated and checked to fix f on
+    residues, and listed in the order of the raw entries (a, b, c, d). Its
+    ``kind`` keeps the legacy label "enumerated" from when these elements
+    were found by scanning all p^4 matrices. Non-diagonal forms over Q /
+    Q(w) are unsupported.
     """
     f.require_nondegenerate()
     field = f.field
     if f.is_diagonal():
-        return StabilizerResult(f, "diagonal-formula", _normal_stabilizer(f))
+        elements = [GL2Element(field, e) for e in _normal_stabilizer(f)]
+        return StabilizerResult(f, "diagonal-formula", elements)
     if field.kind != "Fp":
         raise UnsupportedField("non-diagonal stabilizers only enumerable over Fp")
+    p = field.p
+    raw = tuple(c.val for c in f.coeffs)
     g, n = _normal_form(f)
-    inv = g.inverse()
+    a, b, c, d = g
+    k = pow(a * d - b * c, -1, p)
+    inv = (d * k, -b * k, -c * k, a * k)
     # act(g, f) = n, so act(g*s*g^-1, f) = act(g^-1, act(s, n)) = f for s in Stab(n)
     elements = sorted(
-        (g.mul(s).mul(inv) for s in _normal_stabilizer(n)),
-        key=lambda h: tuple(e.val for e in h.entries()),
+        tuple(e % p for e in _mat_mul(_mat_mul(g, s), inv))
+        for s in _normal_stabilizer(BinaryCubicForm(field, n))
     )
-    if any(act_gl2(h, f) != f for h in elements):
+    if any(tuple(c % p for c in _act(h, raw)) != raw for h in elements):
         raise AssertionError(f"a conjugated stabilizer element moves {f}")
-    return StabilizerResult(f, "enumerated", elements)
+    return StabilizerResult(f, "enumerated", [GL2Element(field, h) for h in elements])
 
 
 def gl2_order(p: int) -> int:
@@ -319,19 +341,32 @@ def gl2_order(p: int) -> int:
 # -- orbits over F_p from the complete invariant ----------------------------------
 
 
-def _roots_on_line(raw, p: int):
-    """(r, root): the number r of roots of the raw form on P^1(F_p), and a
-    root (x, y) when r = 1 (else None).
-
-    The roots (t:1) are the distinct roots of f(t, 1), counted by the degree
-    of its gcd with t^p - t; (1:0) is a root exactly when c0 = 0.
-    """
+def _root_count(raw, delta: int, p: int) -> int:
+    """r, the number of roots on P^1(F_p) of the raw form with discriminant
+    delta != 0 (mod p); the proof is in ``_cell``."""
+    if pow(delta, (p - 1) // 2, p) != 1:
+        return 1
     c0, c1, c2, c3 = raw
-    factor = distinct_roots_factor((c3, c2, c1, c0), p)
-    r = len(factor) - 1
     if c0 == 0:
-        return r + 1, (1, 0) if r == 0 else None
-    return r, ((-factor[0]) % p, 1) if r == 1 else None
+        return 3
+    h0 = hessian(raw)[0]
+    g = 2 * c1 * c1 * c1 - 9 * c0 * c1 * c2 + 27 * c0 * c0 * c3
+    s = 3 * c0 * prime_power_root_mod(-3 * delta, 2, p)
+    z = (s - g) * (p + 1) // 2 % p or (-s - g) * (p + 1) // 2 % p  # (+-s - G)/2
+    return 3 if pow(z, (p - 1) // 3, p) == 1 else 0
+
+
+def _lone_root(raw, p: int) -> tuple:
+    """The root (x, y) on P^1(F_p) of a nondegenerate raw form with r = 1:
+    (1, 0) when c0 = 0, else (-g0, 1) for the linear gcd (g0, 1) of f(t, 1)
+    and t^p - t (``distinct_roots_factor``)."""
+    c0, c1, c2, c3 = raw
+    if c0 == 0:
+        return 1, 0
+    factor = distinct_roots_factor((c3, c2, c1, c0), p)
+    if len(factor) != 2:
+        raise AssertionError(f"{raw} has {len(factor) - 1} roots with c0 != 0, not 1")
+    return -factor[0] % p, 1
 
 
 # |Stab| of a nondegenerate form over F_p by its root count r on P^1
@@ -345,11 +380,36 @@ def _cell(raw, field: FieldSpec):
     ``orbit_enumerate``): (r, class of Delta mod sixth powers) for a
     nondegenerate form, ("triple", cube class of the nonzero one of c0, c3)
     for a cube lambda*L^3, and ("double",) for L^2*M.
+
+    r, the number of roots on P^1(F_p), comes from Delta and one cubic
+    character (``_root_count``). A nondegenerate f is a product of three
+    distinct linear forms over the algebraic closure, so over F_p it is
+    three lines (r = 3), a line times an irreducible quadratic (r = 1) or
+    irreducible (r = 0). Stickelberger's criterion (a squarefree polynomial
+    of degree n with k irreducible factors over F_p has a square
+    discriminant iff n - k is even; for a binary form, move a non-root to
+    (1:0) first, which scales Delta by a sixth power) gives: Delta is a
+    non-square iff r = 1.
+
+    Delta a square, so r is 3 or 0. If c0 = 0, (1:0) is a root and r = 3.
+    Otherwise x = 3*c0*t + c1 turns 27*c0^2*f(t, 1) into x^3 - 3*h0*x + G,
+    with h0 = c1^2 - 3*c0*c2 and G = 2*c1^3 - 9*c0*c1*c2 + 27*c0^2*c3, and
+    G^2 - 4*h0^3 = -27*c0^2*Delta, a square s^2 because -3 is a square mod
+    p = 1 (mod 3). Let z = (s - G)/2 and z' = (-s - G)/2: z + z' = -G and
+    z*z' = h0^3, so they are not both 0 (else G = h0 = 0 and Delta = 0);
+    take z != 0. Let u^3 = z in the algebraic closure and v = h0/u, so
+    v^3 = z' and u^3 + v^3 = -G; then x = u + v has
+    x^3 = -G + 3*u*v*x = -G + 3*h0*x. With w a primitive cube root of 1,
+    the three choices w^k*u give the roots x_k = w^k*u + w^-k*v, k = 0, 1, 2,
+    distinct as Delta != 0. If z is a cube of F_p, u is in F_p, and so is
+    every x_k: r = 3. If r = 3, then u = (x_0 + w^2*x_1 + w*x_2)/3 (the
+    v-terms sum to v*(1 + w + w^2) = 0) lies in F_p, so z = u^3 is a cube.
+    So r = 3 iff z^((p - 1)/3) = 1, and r = 0 otherwise.
     """
     p = field.p
     delta = _delta(raw) % p
     if delta:
-        r, _ = _roots_on_line(raw, p)
+        r = _root_count(raw, delta, p)
         token = sixth_power_class_token(field.scalar(delta))
         return (r, token), _NONDEGENERATE_STABILIZER[r]
     cube_class = triple_root_class(raw, p)
@@ -369,8 +429,7 @@ class Orbit:
         if total % stabilizer_order:
             raise AssertionError("stabilizer order does not divide |GL2|")
         self.size = total // stabilizer_order
-        rep = BinaryCubicForm(field, representative)
-        self.delta = rep.discriminant()
+        self.delta = field.scalar(_delta(representative))
         self.delta_class6 = (
             sixth_power_class_token(self.delta) if not self.delta.is_zero() else None
         )
@@ -452,7 +511,8 @@ def orbit_enumerate(field: FieldSpec, nondegenerate_only: bool = True, budget: i
 
 
 def _normal_form(f: BinaryCubicForm):
-    """(g, n) with act_gl2(g, f) = n for a nondegenerate f over F_p.
+    """(g, n), raw entry and coefficient tuples with act(g, f) = n, for a
+    nondegenerate f over F_p.
 
     Delta a square (r = 0 or 3): n is diagonal, by ``diagonalize``, which
     never raises here. -Delta/108 = Delta/(4*(-27)) is a square, since
@@ -464,38 +524,37 @@ def _normal_form(f: BinaryCubicForm):
     c0 = 0, then u -> u - c2/(2*c1)*v completes the square: n = (0, a, 0, b).
     """
     if nth_power_class(f.discriminant(), 2):
-        return diagonalize(f)
-    field = f.field
-    r, root = _roots_on_line(tuple(c.val for c in f.coeffs), field.p)
-    if r != 1:
-        raise AssertionError(f"{f} has a non-square Delta but {r} roots")
-    x, y = root
+        g, d = diagonalize(f)
+        return tuple(e.val for e in g.entries()), tuple(c.val for c in d.coeffs)
+    p = f.field.p
+    raw = tuple(c.val for c in f.coeffs)
+    x, y = _lone_root(raw, p)
     # f(a*u + b*v, c*u + d*v) has c0 = f(a, c) = 0 for (a, c) = (x, y)
-    g = GL2Element(field, (x, 1, y, 0) if y else (1, 0, 0, 1))
-    _, c1, c2, _ = act_gl2(g, f).coeffs
-    g = g.mul(GL2Element(field, (1, -c2 / (2 * c1), 0, 1)))
-    n = act_gl2(g, f)
-    if not (n.coeffs[0].is_zero() and n.coeffs[2].is_zero()):
+    g = (x, 1, y, 0) if y else (1, 0, 0, 1)
+    _, c1, c2, _ = _act(g, raw)
+    g = tuple(e % p for e in _mat_mul(g, (1, -c2 * pow(2 * c1, -1, p), 0, 1)))
+    n = tuple(c % p for c in _act(g, raw))
+    if n[0] or n[2]:
         raise AssertionError(f"{g} carries {f} to {n}, not to a (0, a, 0, b)")
     return g, n
 
 
 def _normal_stabilizer(n: BinaryCubicForm):
-    """Stab(n) for n diagonal (the formula in ``stabilizer``) or (0, a, 0, b).
+    """Stab(n) for n diagonal (the formula in ``stabilizer``) or (0, a, 0, b),
+    as raw entry tuples (the ``val`` of each entry).
 
     act(diag(x, y), (0, a, 0, b)) = (0, a*x^2*y, 0, b*y^3), so the six
     diag(+-y, y) with y^3 = 1 fix (0, a, 0, b); that is all of its
     stabilizer, of order 6 (r = 1).
     """
-    field = n.field
-    roots = field.cube_roots_of_unity()
+    roots = n.field.cube_roots_of_unity()
     if not n.is_diagonal():
-        return [GL2Element(field, (s * y, 0, 0, y)) for y in roots for s in (1, -1)]
-    elements = [GL2Element(field, (u, 0, 0, v)) for u in roots for v in roots]
+        return [((s * y).val, 0, 0, y.val) for y in roots for s in (1, -1)]
+    elements = [(u.val, 0, 0, v.val) for u in roots for v in roots]
     lam = cube_root_in_field(n.coeffs[3] / n.coeffs[0])
     if lam is not None:
         inv = lam.inverse()
-        elements += [GL2Element(field, (0, u * lam, v * inv, 0)) for u in roots for v in roots]
+        elements += [(0, (u * lam).val, (v * inv).val, 0) for u in roots for v in roots]
     return elements
 
 
@@ -518,8 +577,9 @@ def orbit_equivalent(f: BinaryCubicForm, g: BinaryCubicForm):
         raw_f, raw_g = (tuple(c.val for c in h.coeffs) for h in (f, g))
         if _cell(raw_f, field) != _cell(raw_g, field):
             return False, None
-        gf, df = _normal_form(f)
-        gg, dg = _normal_form(g)
+        (gf, df), (gg, dg) = (
+            (GL2Element(field, m), BinaryCubicForm(field, n)) for m, n in map(_normal_form, (f, g))
+        )
         match = _match_diagonal(df, dg) if df.is_diagonal() else _match_rooted(df, dg)
         if match is None:
             raise AssertionError(f"{f} and {g} share their invariants but no transform matched")

@@ -7,7 +7,8 @@ them without either, by breadth-first search over generators and by
 exhaustive scans, and the tests require equal answers for p <= 31. Curve
 orders, the F_{p^3} modulus and its cube roots come from closed forms in
 the package and from counts and scans here; the point search over Q runs
-on integers in the package and on field scalars here.
+on integers in the package and on field scalars here, and its height
+shells come from one flat loop in the package and by recursion here.
 
 The specialized algebra's freeness, symbol and GL2-isomorphism checks fold
 through the factors of their free elements in the package; here they
@@ -230,6 +231,27 @@ def _signed_range(bound):
     for k in range(1, bound + 1):
         yield k
         yield -k
+
+
+def height_shell(h, n):
+    """The integer n-tuples of height h (largest |entry| exactly h), h >= 1,
+    in the order of itertools.product(_signed_range(h), repeat=n), by
+    recursion on n: a first entry of height h takes any tail, a smaller one
+    a tail of height h."""
+    for first in _signed_range(h):
+        if abs(first) == h:
+            tails = itertools.product(_signed_range(h), repeat=n - 1)
+        elif n > 1:
+            tails = height_shell(h, n - 1)
+        else:
+            continue
+        for tail in tails:
+            yield (first, *tail)
+
+
+def brute_force_curve_order(p, a):
+    """#E(F_p) for s^2 = g^3 + A by testing every pair (g, s), plus infinity."""
+    return 1 + sum((s * s - g * g * g - a) % p == 0 for g in range(p) for s in range(p))
 
 
 def scalar_point_search(f, budget):

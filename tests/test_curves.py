@@ -14,6 +14,7 @@ from cubiclifford.curves import (
     EllipticPoint,
     PlaneCubicPoint,
     _height_shell,
+    _jacobian_multiple,
     _signed_range,
     cm_theta,
     construct_cover_point,
@@ -193,6 +194,12 @@ def test_height_shell_is_the_filtered_product():
             assert list(_height_shell(h, n)) == [c for c in box if max(map(abs, c)) == h]
 
 
+def test_height_shell_equals_the_recursive_oracle():
+    for n in (1, 2, 3, 4):
+        for h in range(1, 13):
+            assert list(_height_shell(h, n)) == list(oracles.height_shell(h, n)), (h, n)
+
+
 def test_point_search_over_q_matches_the_scalar_loop():
     # half integer, half rational coefficients; a point of height h found at
     # budget B is the answer at every budget from h to B, and None below h
@@ -228,6 +235,58 @@ def test_curve_order_matches_the_euler_count():
         curve_order(Q, Q.scalar(2))
     with pytest.raises(DegenerateForm):
         curve_order(F7, F7.zero())
+
+
+def test_curve_order_matches_the_brute_force_count():
+    for p in (7, 13, 19):
+        field = FieldSpec.prime(p)
+        for a in range(1, p):
+            assert curve_order(field, field.scalar(a)) == oracles.brute_force_curve_order(p, a)
+
+
+def test_curve_order_raises_when_the_order_does_not_kill_its_point(monkeypatch):
+    # the negated prime gives p + 1 - Tr instead of p + 1 + Tr: 28 at p = 19,
+    # A = 1, where #E = 12 and [28](2, 16) is not infinity
+    from cubiclifford import curves
+
+    primary = curves._primary_prime
+    monkeypatch.setattr(curves, "_primary_prime", lambda p: tuple(-x for x in primary(p)))
+    field = FieldSpec.prime(19)
+    with pytest.raises(AssertionError, match=r"\[28\]"):
+        curve_order(field, field.scalar(1))
+
+
+def _affine(jacobian, p):
+    x, y, z = jacobian
+    if z % p == 0:
+        return None
+    zi = pow(z, -1, p)
+    return x * zi * zi % p, y * zi * zi * zi % p
+
+
+def test_jacobian_multiple_kills_a_point_exactly_at_the_curve_order():
+    # #E kills every point; #E +- 1 gives +-P, never infinity; and every
+    # multiple agrees with the affine group law of ell_mul
+    rng = random.Random(51)
+    for _ in range(200):
+        p = rng.choice(PRIMES_1_MOD_3 + LAMBDA_PRIMES)
+        field = FieldSpec.prime(p)
+        a = rng.randrange(1, p)
+        while True:
+            g = rng.randrange(p)
+            squares = [x for x in range(p) if (x * x - g**3 - a) % p == 0]
+            if squares:
+                s = rng.choice(squares)
+                break
+        order = oracles.euler_curve_order(p, a)
+        assert _jacobian_multiple(order, g, s, p)[2] % p == 0, (p, a, g, s)
+        assert _jacobian_multiple(order - 1, g, s, p)[2] % p != 0
+        assert _jacobian_multiple(order + 1, g, s, p)[2] % p != 0
+        point = EllipticPoint(field, field.scalar(a), (field.scalar(g), field.scalar(s)))
+        for n in (1, 2, 3, order - 1, order + 1, rng.randrange(1, 3 * order)):
+            multiple = ell_mul(n, point)
+            want = None if multiple.is_infinity() else tuple(c.val for c in multiple.xy)
+            assert _affine(_jacobian_multiple(n, g, s, p), p) == want, (p, a, g, s, n)
 
 
 def test_cubic_extension_matches_the_scans():
