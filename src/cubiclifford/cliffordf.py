@@ -187,17 +187,32 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     alg = specialized_algebra(f)
     moved = Rank18Algebra(f, field, GAMMA_VARS, *_substituted_columns(alg, g))
     cache = {"": moved._scalar_vector(0, field.one())}
-    one = FreeElement.one(field)
+    one, sums, gamma = _iso_elements(field)
     names = ("cube-x", "polarization-u2v", "polarization-uv2", "cube-y")
     relations = {}
-    for name, var, coeff in zip(names, GCA_VARS, target.coeffs):
-        src = FreeElement(field, CENTRAL_EXPANSIONS[var]) - one.scale(coeff)
-        relations[name] = not moved._reduce(src, cache)[0]
-    rows, den = moved._reduce(gamma_element(field), cache)
+    for name, word_sum, coeff in zip(names, sums, target.coeffs):
+        relations[name] = not moved._reduce(word_sum - one.scale(coeff), cache)[0]
+    rows, den = moved._reduce(gamma, cache)
     factor = None
     if rows.keys() <= {0} and rows.get(0, {}).keys() <= {(1,)}:
         factor = moved._element((rows, den)).coords[0].terms.get((1,), field.zero())
     return IsoReport(relations, factor, g.det**2)
+
+
+@lru_cache(maxsize=16)
+def _iso_elements(field) -> tuple:
+    """The free elements of ``check_clifford_iso`` that depend on the field
+    alone, built once per field: 1, the central word sums of X3, AL, BE and
+    Y3 (``CENTRAL_EXPANSIONS``) and gamma."""
+    sums = tuple(FreeElement(field, CENTRAL_EXPANSIONS[var]) for var in GCA_VARS[:4])
+    return FreeElement.one(field), sums, gamma_element(field)
+
+
+@lru_cache(maxsize=16)
+def _symbol_elements(field) -> tuple:
+    """epsilon and its two commutators (``epsilon_commutators``), built once
+    per field for ``symbol_relations_check``."""
+    return epsilon_element(field), epsilon_commutators(field)
 
 
 class SymbolReport:
@@ -226,7 +241,7 @@ def symbol_relations_check(f: BinaryCubicForm) -> SymbolReport:
     f.require_nondegenerate()
     field = f.field
     alg = specialized_algebra(f)
-    eps = epsilon_element(field)
+    eps, commutators = _symbol_elements(field)
 
     def times_eps3(v):
         for _ in range(3):
@@ -236,7 +251,7 @@ def symbol_relations_check(f: BinaryCubicForm) -> SymbolReport:
     unit = alg._scalar_vector(0, field.one())
     cache = {"": unit}
     eps3 = times_eps3(unit)
-    sides = [(alg._reduce(e, cache), ({}, 1)) for e in epsilon_commutators(field)] + [
+    sides = [(alg._reduce(e, cache), ({}, 1)) for e in commutators] + [
         (alg._fold(((eps3, z),)), times_eps3(alg._fold(((unit, z),)))) for z in "xy"
     ]
     names = ("eps-x-commutation", "eps-y-commutation", "eps-cube-central-x", "eps-cube-central-y")

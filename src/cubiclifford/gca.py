@@ -775,17 +775,7 @@ class GenericCliffordAlgebra(Rank18Algebra):
 
     def verify_center_identities(self) -> dict:
         """The four center/symbol identity groups, each reduced to zero."""
-        field = self.field
-        w = field.omega()
-        one = field.one()
-        x = FreeElement.generator(field, "x")
-        y = FreeElement.generator(field, "y")
-        d = delta_element(field)
-        al, be, ga = alpha_element(field), beta_element(field), gamma_element(field)
-        x3 = FreeElement.word(field, "xxx")
-        y3 = FreeElement.word(field, "yyy")
-        w2 = w * w
-
+        commutators, delta_six, s, s_target, eps_commutators = _identity_elements(self.field)
         report = {}
 
         def check(name, *differences):
@@ -794,34 +784,49 @@ class GenericCliffordAlgebra(Rank18Algebra):
             if witnesses:
                 report[name]["witness"] = witnesses[0].to_json()
 
-        # (i) delta*x = w^2*x*delta + alpha and y*delta = w^2*delta*y + beta
-        check(
-            "delta-commutation",
-            self.reduce(d * x - (x * d).scale(w2) - al),
-            self.reduce(y * d - (d * y).scale(w2) - be),
-        )
-        # (ii) delta^6 = 3w(1-w) x^3y^3 delta^3 + (1+2w^2) ab delta^3
-        #      + gamma^3 - x^3 b^3 - y^3 a^3 + a^2 b^2
-        d3 = d**3
-        rhs = (
-            (x3 * y3 * d3).scale(field.scalar(3) * w * (one - w))
-            + (al * be * d3).scale(one + field.scalar(2) * w2)
-            + ga**3
-            - x3 * be**3
-            - y3 * al**3
-            + al**2 * be**2
-        )
-        check("delta-six", self.reduce(d**6 - rhs))
-        # (iii) s^2 = gamma^3 + Delta/4
-        s_red = self.reduce(s_element(field))
-        quarter = one / field.scalar(4)
-        target = SPolynomial.variable(field, "GA", GCA_VARS) ** 3 + discriminant_polynomial(
-            field
-        ).scale(quarter)
-        check("s-squared", self.mul(s_red, s_red) - self.scalar_element(target))
-        # (iv) eps*x = w*x*eps and eps*y = w*y*eps + (1-w)*gamma
-        check("epsilon-commutation", *map(self.reduce, epsilon_commutators(field)))
+        check("delta-commutation", *map(self.reduce, commutators))
+        check("delta-six", self.reduce(delta_six))
+        s_red = self.reduce(s)
+        check("s-squared", self.mul(s_red, s_red) - self.scalar_element(s_target))
+        check("epsilon-commutation", *map(self.reduce, eps_commutators))
         return report
+
+
+@lru_cache(maxsize=16)
+def _identity_elements(field: FieldSpec) -> tuple:
+    """What ``verify_center_identities`` reduces, which depends on the field
+    alone, built once per field: the two delta-commutators, delta^6 minus
+    its right side, s and the polynomial s^2 must equal, and the two
+    epsilon-commutators."""
+    w = field.omega()
+    one = field.one()
+    x = FreeElement.generator(field, "x")
+    y = FreeElement.generator(field, "y")
+    d = delta_element(field)
+    al, be, ga = alpha_element(field), beta_element(field), gamma_element(field)
+    x3 = FreeElement.word(field, "xxx")
+    y3 = FreeElement.word(field, "yyy")
+    w2 = w * w
+    # (i) delta*x = w^2*x*delta + alpha and y*delta = w^2*delta*y + beta
+    commutators = (d * x - (x * d).scale(w2) - al, y * d - (d * y).scale(w2) - be)
+    # (ii) delta^6 = 3w(1-w) x^3y^3 delta^3 + (1+2w^2) ab delta^3
+    #      + gamma^3 - x^3 b^3 - y^3 a^3 + a^2 b^2
+    d3 = d**3
+    rhs = (
+        (x3 * y3 * d3).scale(field.scalar(3) * w * (one - w))
+        + (al * be * d3).scale(one + field.scalar(2) * w2)
+        + ga**3
+        - x3 * be**3
+        - y3 * al**3
+        + al**2 * be**2
+    )
+    # (iii) s^2 = gamma^3 + Delta/4
+    quarter = one / field.scalar(4)
+    s_target = SPolynomial.variable(field, "GA", GCA_VARS) ** 3 + discriminant_polynomial(
+        field
+    ).scale(quarter)
+    # (iv) eps*x = w*x*eps and eps*y = w*y*eps + (1-w)*gamma
+    return commutators, d**6 - rhs, s_element(field), s_target, epsilon_commutators(field)
 
 
 def _size(nf: GCAElement) -> int:

@@ -12,6 +12,7 @@ from oracles import (
     symbol_check_by_expansion,
 )
 
+from cubiclifford import cliffordf
 from cubiclifford.cliffordf import (
     SymbolReport,
     brauer_triviality_probe,
@@ -251,6 +252,48 @@ def test_freeness_check_answers_no_on_a_corrupted_column():
                         cols[j] = col
         finally:
             specialized_algebra.cache_clear()
+
+
+def _cached_and_fresh_reports(g, f):
+    """The iso and symbol reports of a call that reuses the field's free
+    elements, and of one that builds them afresh."""
+
+    def reports():
+        return check_clifford_iso(g, f).to_json(), symbol_relations_check(f).to_json()
+
+    reports()
+    cached = reports()
+    assert cliffordf._iso_elements(f.field) is cliffordf._iso_elements(f.field)
+    assert cliffordf._symbol_elements(f.field) is cliffordf._symbol_elements(f.field)
+    cliffordf._iso_elements.cache_clear()
+    cliffordf._symbol_elements.cache_clear()
+    return cached, reports()
+
+
+def test_field_elements_of_the_checks_are_built_once_per_field():
+    rng = random.Random(52)
+    for field in (F7, FieldSpec.prime(18446744073709551427), QW):
+        for _ in range(3):
+            cached, fresh = _cached_and_fresh_reports(rand_gl2(field, rng), rand_form(field, rng))
+            assert cached == fresh
+            assert cached[0]["pass"] and cached[1]["pass"]
+
+
+def test_field_elements_of_the_checks_on_corrupted_columns():
+    f, g = CORRUPTED[0]
+    alg = specialized_algebra(f)
+    try:
+        for cols in alg.columns.values():
+            for j, col in enumerate(cols):
+                (i, m, c), *rest = col
+                cols[j] = [(i, m, 2 * c), *rest]
+                try:
+                    cached, fresh = _cached_and_fresh_reports(g, f)
+                    assert cached == fresh, j
+                finally:
+                    cols[j] = col
+    finally:
+        specialized_algebra.cache_clear()
 
 
 def _fractional(field, rng):

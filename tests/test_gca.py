@@ -24,6 +24,7 @@ from cubiclifford.freealg import (
     s_element,
 )
 from cubiclifford.gca import (
+    _identity_elements,
     BASIS_WORDS,
     GCAElement,
     GenericCliffordAlgebra,
@@ -290,6 +291,18 @@ def test_centrality():
         assert alg.is_central(alg.reduce(e))
     for e in noncentral:
         assert not alg.is_central(alg.reduce(e))
+
+
+def test_identity_elements_are_built_once_per_field():
+    # a second call reuses the field's elements, and reports what a call
+    # that builds them afresh reports
+    for field in (F7, FieldSpec.prime(18446744073709551427), QW):
+        alg = GenericCliffordAlgebra(field)
+        _identity_elements.cache_clear()
+        fresh = alg.verify_center_identities()
+        assert _identity_elements(field) is _identity_elements(field)
+        assert alg.verify_center_identities() == fresh
+        assert all(entry["pass"] for entry in fresh.values())
 
 
 def test_center_identities_all_fields():
