@@ -26,7 +26,8 @@ product of normal forms the product of their sizes. Over it, exit 1 with
 Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
 2 usage error. An integer literal longer than the interpreter's int<->str
 limit is a parse error, and a result holding such an integer ends in
-`number-too-large`.
+`number-too-large`; so does, before it is computed, a literal power over Q
+or Q(w) whose exponent times bit length is over 2^18 (``Scalar.__pow__``).
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def parse_scalar_literal(field: FieldSpec, text: str) -> Scalar:
 
     try:
         return ExprParser(text.strip(), field.scalar, symbol).parse()
+    except NumberTooLarge:  # a power over its cap (``Scalar.__pow__``): a domain error
+        raise
     except CubicliffordError as err:
         raise UsageError(f"bad scalar literal {text!r}: {err}") from err
 

@@ -25,6 +25,7 @@ from math import gcd, isqrt
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    NumberTooLarge,
     UnsupportedField,
     UnsupportedFieldForTest,
     ZeroInput,
@@ -37,6 +38,9 @@ PRIME = "Fp"
 # the candidates one enumeration over F_p may test: forms in an orbit scan,
 # cubics in the search for an irreducible modulus
 DEFAULT_SCAN_BUDGET = 10**6
+
+# the most bits a power over Q or Q(w) may be charged (``Scalar.__pow__``)
+POWER_BIT_CAP = 2**18
 
 
 def is_prime(n: int) -> bool:
@@ -449,8 +453,41 @@ class Scalar:
         return self.inverse() * other
 
     def __pow__(self, n: int):
+        """self^n. Over Q and Q(w) the power is first charged n*b bits, b
+        the largest bit length of the numerators and denominators of the
+        coordinates of self (0 and the roots of unity +-1, +-w, +-w^2 are
+        charged nothing), and a charge over POWER_BIT_CAP = 2^18 ends in
+        NumberTooLarge before anything is computed. F_p is not charged.
+
+        Every power whose value prints within the interpreter's default
+        limit of 4300 digits (M = 10^4300, log2 M < 14285) is under the
+        cap. Over Q: x or 1/x has an integer of b bits, so x^n has one of
+        at least n*(b - 1) + 1 bits; hence n*(b - 1) < log2 M, and
+        n*b <= 2*n*(b - 1) < 2^15 when b >= 2. Over Q(w): write
+        x = (A + B*w)/D with D the common denominator, so that
+        b <= 1 + log2 max(|A|, |B|, D), and no prime q divides A, B and D.
+        For q^e exactly dividing D, a prime of Z[w] over q that does not
+        divide A + B*w (or the prime over 3, which divides it at most once)
+        leaves at least q^(ne/2) in a denominator of x^n, so n*log2 D <=
+        4*log2 M (two denominators, each below M). The norm
+        N(x)^n = N(x^n) <= 3*M^2 with N(x) = K/D^2, K = A^2 - A*B + B^2 >=
+        3/4*max(|A|, |B|)^2, gives n*log2 max(|A|, |B|) <= 5*log2 M + 1 +
+        n*log2(4/3)/2. So n*log2 max(|A|, |B|, D) < 90500 when that max is
+        at least 2, and n*b < 2^18. When it is 1, x is a unit (not
+        charged) or +-(1 - w) (b = 1, |N| = 3), and 3^n <= 3*M^2 gives
+        n*b < 2^15.
+        """
         if n < 0:
             return self.inverse() ** (-n)
+        kind = self.field.kind
+        if kind != PRIME:
+            a, b = self.val if kind == CYCLOTOMIC else (self.val, Fraction(0))
+            if a.denominator != 1 or b.denominator != 1 or a * a - a * b + b * b > 1:
+                bits = max(q.bit_length() for x in (a, b) for q in (x.numerator, x.denominator))
+                if n * bits > POWER_BIT_CAP:
+                    raise NumberTooLarge(
+                        f"a power charged {n} * {bits} bits, over the cap of {POWER_BIT_CAP}"
+                    )
         return power(self, n, self.field.one())
 
     def __eq__(self, other):

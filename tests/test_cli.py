@@ -13,6 +13,7 @@ from oracles import fp3_mul
 from cubiclifford.cli import build_parser, main
 from cubiclifford.curves import EllipticPoint, ell_mul
 from cubiclifford.fields import FieldSpec, Scalar, distinct_roots_factor, sqrt_in_field
+from cubiclifford.errors import NumberTooLarge
 from cubiclifford.forms import BinaryCubicForm, GL2Element, act_gl2
 
 
@@ -438,6 +439,36 @@ def test_integers_past_the_digit_limit_end_typed(capsys, argv, code, error):
         assert out == "" and json.loads(err)["error"] == error
     else:
         assert out == "" and err.startswith("usage error: bad scalar literal")
+
+
+@pytest.mark.parametrize("field", ("Q", "Qw"))
+def test_a_literal_power_over_its_cap_ends_at_once(capsys, field):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "disc", "--field", field, "--coeffs", "10^3000000,0,0,1")
+    assert time.perf_counter() - start < 0.1
+    assert code == 1 and out == "" and json.loads(err)["error"] == "number-too-large"
+    with pytest.raises(NumberTooLarge):
+        FieldSpec.rationals().scalar(10) ** 3000000
+
+
+@pytest.mark.parametrize(
+    "field, literal, value",
+    [
+        ("Q", "2^14284", 2**14284),  # 4300 digits
+        ("Q", "(1/3)^9000", f"1/{3**9000}"),
+        ("Q", "(-1)^1000000000000000000001", -1),
+        ("Q", "0^1000000000000000000000", 0),
+        ("Qw", "w^1000000000000000000000", {"a": 0, "b": 1}),  # 10^21 = 1 (mod 3)
+        ("Qw", "(1-w)^18000", 3**9000),  # (1-w)^2 = -3w; 4295 digits
+        ("Qw", "(1/3+2/3*w)^18000", {"a": f"1/{3**9000}", "b": 0}),  # its square is -1/3
+    ],
+)
+def test_powers_whose_value_prints_still_evaluate(capsys, field, literal, value):
+    code, out, _ = run_cli(
+        capsys, "act", "--field", field, "--matrix", "1,0,0,1", "--coeffs", f"{literal},0,0,1"
+    )
+    assert code == 0
+    assert json.loads(out)["coeffs"][0] == value
 
 
 def test_console_script_runs():

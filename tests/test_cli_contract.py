@@ -1,6 +1,6 @@
 """The CLI contract under random input, for the forms and curves subcommands,
 the specialized-algebra checks, and ``reduce`` and ``verify-identities`` in
-the generic algebra.
+the generic algebra. ``disc`` and ``act`` also draw literal powers.
 
 Every call ends in a verified result on stdout (exit 0), a typed domain
 error with a JSON ``{"error": code}`` as the last line of stderr (exit 1),
@@ -41,7 +41,18 @@ def literals(draw):
     return draw(st.sampled_from((f"{a}*w", f"{a}+{draw(integers)}*w", "w", "-w", "w^2", "-1/2*w")))
 
 
+@st.composite
+def powered_literals(draw):
+    """A literal, or now and then one raised to a power of up to 10^7,
+    most of whose charges are past the cap of ``Scalar.__pow__``."""
+    base = draw(literals())
+    if draw(st.integers(0, 2)):
+        return base
+    return f"({base})^{draw(st.integers(0, 20) | st.integers(0, 10**7))}"
+
+
 four_literals = st.lists(literals(), min_size=4, max_size=4).map(",".join)
+four_powered_literals = st.lists(powered_literals(), min_size=4, max_size=4).map(",".join)
 
 
 @st.composite
@@ -84,10 +95,12 @@ def argvs(draw):
         argv += ["--p", draw(st.sampled_from(PRIMES).map(str) if valid else st.sampled_from(INVALID_P))]
     if not draw(st.integers(0, 3)):
         argv += ["--omega", str(draw(st.integers(-3, 20)))]
+    # literal powers in the two commands that only read and print scalars
+    four = four_powered_literals if command in ("disc", "act") else four_literals
     if draw(st.integers(0, 9)):
-        argv += ["--coeffs", draw(four_literals)]
+        argv += ["--coeffs", draw(four)]
     if draw(st.booleans()):
-        argv += ["--matrix", draw(four_literals)]
+        argv += ["--matrix", draw(four)]
     if draw(st.booleans()):
         argv += ["--which", str(draw(st.integers(0, 5)))]
     if draw(st.booleans()):
