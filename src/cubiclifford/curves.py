@@ -36,6 +36,7 @@ from .fields import (
     _zw_mul,
     cube_root_in_field,
     distinct_roots_factor,
+    form_value,
     iroot,
     poly_mulmod,
     power,
@@ -512,14 +513,14 @@ def _integer_point_search(f, budget: int):
     """
     field = f.field
     den = lcm(*(c.val.denominator for c in f.coeffs))
-    c0, c1, c2, c3 = (int(c.val * den) for c in f.coeffs)
+    coeffs = [int(c.val * den) for c in f.coeffs]
     scale = den * den
     cubes = _cube_residues()
     for h in range(1, budget + 1):
         for v, u in _height_shell(h, 2):
             if gcd(v, u) != 1:
                 continue
-            m = (((c0 * u + c1 * v) * u + c2 * v * v) * u + c3 * v * v * v) * scale
+            m = form_value(coeffs, u, v) * scale
             if not cubes[m % _CUBE_MODULUS]:
                 continue
             r = iroot(abs(m), 3)
@@ -583,14 +584,14 @@ def point_search(f, budget: int | None = None):
     if field.kind == "Qw":
         return _zw_point_search(f, DEFAULT_HEIGHT_BUDGET_QW if budget is None else budget)
     p = field.p
-    c0, c1, c2, c3 = raw = [c.val for c in f.coeffs]
+    raw = [c.val for c in f.coeffs]
     vs = range(p)
     # lambda*L^3 with lambda a non-cube: f(1, v) is a cube only at
     # v = -l0/l1 = -c2/(3*c3), where L = l0*u + l1*v vanishes
     if triple_root_class(raw, p) not in (None, 0, 1):
-        vs = [-c2 * pow(3 * c3, -1, p) % p] if c3 else []
+        vs = [-raw[2] * pow(3 * raw[3], -1, p) % p] if raw[3] else []
     for u, v in itertools.chain(((1, v) for v in vs), ((0, 1),)):
-        r = least_cube_root_mod(((c0 * u + c1 * v) * u + c2 * v * v) * u + c3 * v * v * v, p)
+        r = least_cube_root_mod(form_value(raw, u, v), p)
         if r is not None:
             return PlaneCubicPoint(f, (field.scalar(u), field.scalar(v), field.scalar(r)))
     return None

@@ -164,6 +164,14 @@ def hessian(c):
     return c1 * c1 - 3 * c0 * c2, c1 * c2 - 9 * c0 * c3, c2 * c2 - 3 * c1 * c3
 
 
+def form_value(c, u, v):
+    """The value at (u, v) of the cubic form with coefficients
+    c = (c0, c1, c2, c3), c0*u^3 + c1*u^2*v + c2*u*v^2 + c3*v^3, by Horner's
+    rule. The coefficients and arguments are raw ints or Scalars."""
+    c0, c1, c2, c3 = c
+    return ((c0 * u + c1 * v) * u + c2 * v * v) * u + c3 * v * v * v
+
+
 def triple_root_class(raw, p: int) -> int | None:
     """The cube class (c0 or c3)^((p - 1)/3) of lambda when the raw cubic
     (c0, c1, c2, c3) over F_p is lambda*L^3, L linear, exactly when its

@@ -35,6 +35,7 @@ from .fields import (
     Scalar,
     cube_root_in_field,
     distinct_roots_factor,
+    form_value,
     hessian,
     nth_power_class,
     prime_power_root_mod,
@@ -70,9 +71,9 @@ class BinaryCubicForm:
         """f(u, v) for u, v in the field: Scalars, or what ``field.scalar`` takes."""
         field = self.field
         if field.kind == CYCLOTOMIC:
-            return _value(self.coeffs, u, v)
+            return form_value(self.coeffs, u, v)
         raw = [c.val for c in self.coeffs]
-        return field.scalar(_value(raw, field.scalar(u).val, field.scalar(v).val))
+        return field.scalar(form_value(raw, field.scalar(u).val, field.scalar(v).val))
 
     def is_diagonal(self) -> bool:
         return self.coeffs[1].is_zero() and self.coeffs[2].is_zero()
@@ -177,12 +178,6 @@ def _delta(f):
         - 4 * c0 * c2**3
         - 27 * c0**2 * c3**2
     )
-
-
-def _value(f, u, v):
-    """f(u, v) for the coefficient tuple f."""
-    c0, c1, c2, c3 = f
-    return ((c0 * u + c1 * v) * u + c2 * v * v) * u + c3 * v * v * v
 
 
 def _mat_mul(m, n):
