@@ -239,8 +239,18 @@ def curve_order(field: FieldSpec, curve_a: Scalar) -> int:
     the sextic residue symbol: the sixth root of unity congruent to
     (4A)^((p - 1)/6) modulo pi. Z[w]/pi is F_p with w -> -a/b (pi vanishes
     there), so chi is the unit whose image mod p is that power. The order
-    is checked by [N]P = O (``_jacobian_multiple``) at the first point P of
-    least gamma >= 1 (gamma = 0 when no such point exists).
+    is checked by [N]P = O at the first point P of least gamma >= 1
+    (gamma = 0 when no such point exists), by left-to-right double-and-add
+    on Jacobian residues (X, Y, Z), which stand for (X/Z^2, Y/Z^3), with
+    Z = 0 for infinity (``_jacobian_multiple``). These are ``ell_add``'s
+    tangent and chord formulas with gamma = X/Z^2, s = Y/Z^3 substituted
+    and the denominators cleared, so no inversion is needed:
+
+        2(X, Y, Z) = (M^2 - 2S, M(S - X') - 8Y^4, 2YZ),
+            S = 4XY^2, M = 3X^2, X' the new X; infinity when Y = 0;
+        (X, Y, Z) + (g, s, 1) = (R^2 - H^3 - 2XH^2, R(XH^2 - X') - YH^3, ZH),
+            H = g*Z^2 - X, R = s*Z^3 - Y; when H = 0 the points share
+            gamma, so the sum is a doubling when R = 0 and infinity else.
     """
     if field.kind != "Fp":
         raise UnsupportedField("curve orders need a finite field")
@@ -265,17 +275,8 @@ def curve_order(field: FieldSpec, curve_a: Scalar) -> int:
 
 def _jacobian_multiple(n: int, g: int, s: int, p: int) -> tuple:
     """[n]P for n >= 1 and P = (g, s) on s^2 = gamma^3 + A over F_p, as
-    Jacobian residues (X, Y, Z), which stand for (X/Z^2, Y/Z^3); Z = 0 is
-    infinity. Left-to-right double-and-add with no inversion: ``ell_add``'s
-    tangent and chord formulas with gamma = X/Z^2, s = Y/Z^3 substituted
-    and the denominators cleared,
-
-        2(X, Y, Z) = (M^2 - 2S, M(S - X') - 8Y^4, 2YZ),
-            S = 4XY^2, M = 3X^2, X' the new X; infinity when Y = 0;
-        (X, Y, Z) + (g, s, 1) = (R^2 - H^3 - 2XH^2, R(XH^2 - X') - YH^3, ZH),
-            H = g*Z^2 - X, R = s*Z^3 - Y; when H = 0 the points share
-            gamma, so the sum is a doubling when R = 0 and infinity else.
-    """
+    Jacobian residues (X, Y, Z) with Z = 0 for infinity, by the formulas in
+    ``curve_order``."""
 
     def double(x, y, z):
         if not y:  # 2-torsion or infinity
@@ -428,7 +429,8 @@ class PlaneCubicPoint:
     def verify(self) -> bool:
         u, v, w = self.coords
         if self.extension is None:
-            return any(not c.is_zero() for c in self.coords) and w * w * w == self.form.evaluate(u, v)
+            nonzero = any(not c.is_zero() for c in self.coords)
+            return nonzero and w * w * w == self.form.evaluate(u, v)
         lift, add, mul = _coordinate_ring(self.form.field, self.extension)
         if all(c == lift(0) for c in self.coords):
             return False

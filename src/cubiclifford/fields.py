@@ -469,9 +469,10 @@ class Scalar:
 
         Every power whose value prints within the interpreter's default
         limit of 4300 digits (M = 10^4300, log2 M < 14285) is under the
-        cap. Over Q: x or 1/x has an integer of b bits, so x^n has one of
-        at least n*(b - 1) + 1 bits; hence n*(b - 1) < log2 M, and
-        n*b <= 2*n*(b - 1) < 2^15 when b >= 2. Over Q(w): write
+        cap. Over Q: the numerator or the denominator of x has b bits, so
+        that of x^n has at least n*(b - 1) + 1; hence n*(b - 1) < log2 M,
+        and n*b <= 2*n*(b - 1) < 2^15, as b >= 2 for every charged x (b = 1
+        only for +-1). Over Q(w): write
         x = (A + B*w)/D with D the common denominator, so that
         b <= 1 + log2 max(|A|, |B|, D), and no prime q divides A, B and D.
         For q^e exactly dividing D, a prime of Z[w] over q that does not

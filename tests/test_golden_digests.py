@@ -26,6 +26,7 @@ import json
 import random
 from pathlib import Path
 
+import oracles
 import pytest
 
 from cubiclifford.cli import main
@@ -34,16 +35,12 @@ GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 LAMBDA_PRIMES = [p for p in range(960, 1041) if p % 3 == 1 and all(p % d for d in range(2, 32))]
 
 
-def _delta(c0, c1, c2, c3):
-    return 18 * c0 * c1 * c2 * c3 - 4 * c1**3 * c3 + c1**2 * c2**2 - 4 * c0 * c2**3 - 27 * c0**2 * c3**2
-
-
 def _fp(command, p, coeffs):
     return [command, "--field", "Fp", "--p", str(p), "--coeffs", ",".join(map(str, coeffs))]
 
 
 def _nondegenerate_f7():
-    return [f for f in itertools.product(range(7), repeat=4) if _delta(*f) % 7]
+    return [f for f in itertools.product(range(7), repeat=4) if oracles.delta_raw(f, 7)]
 
 
 def _q_literal(rng, fractional):
