@@ -10,7 +10,12 @@ commands are made here from fixed seeds:
 * ``point-search --field Q --budget 20`` on 300 seeded forms, every third
   with fractional coefficients;
 * ``point-search --field Qw --budget 2`` on 50 seeded forms;
-* ``lambda-kernel`` and ``torsion`` on 200 seeded forms at primes near 1000.
+* ``lambda-kernel`` and ``torsion`` on 200 seeded forms at primes near 1000;
+* ``cover-point`` with each ``--which`` on 6 seeded forms at each of
+  p = 7, 13, 19, 31, the primes near 1000, 2^61 - 1 and
+  18446744073709551427, most of them over F_{p^3};
+* ``stab`` on 40 seeded non-diagonal forms at each of 1000003 and
+  18446744073709551427, about half of them with one root on P^1(F_p).
 
 Any change in what these commands print shows here. To record the digests
 of the current code (only when an output change is intended):
@@ -33,6 +38,8 @@ from cubiclifford.cli import main
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 LAMBDA_PRIMES = [p for p in range(960, 1041) if p % 3 == 1 and all(p % d for d in range(2, 32))]
+COVER_PRIMES = [7, 13, 19, 31, *LAMBDA_PRIMES, 2**61 - 1, 18446744073709551427]
+STAB_PRIMES = [1000003, 18446744073709551427]
 
 
 def _fp(command, p, coeffs):
@@ -84,6 +91,19 @@ def commands():
         curve_forms.append((p, [rng.randrange(p) for _ in range(4)]))
     groups["lambda-kernel"] = [_fp("lambda-kernel", p, f) for p, f in curve_forms]
     groups["torsion"] = [_fp("torsion", p, f) for p, f in curve_forms]
+    rng = random.Random("golden:cover-point")
+    groups["cover-point"] = [
+        [*_fp("cover-point", p, f), "--which", str(which)]
+        for p in COVER_PRIMES
+        for f in [[rng.randrange(p) for _ in range(4)] for _ in range(6)]
+        for which in (1, 2, 3, 4)
+    ]
+    rng = random.Random("golden:stab-large")
+    groups["stab-large"] = [
+        _fp("stab", p, (rng.randrange(p), rng.randrange(1, p), rng.randrange(p), rng.randrange(p)))
+        for p in STAB_PRIMES
+        for _ in range(40)
+    ]
     return groups
 
 
@@ -100,7 +120,7 @@ def digest(argvs):
 
 GROUPS = (
     "stab-f7", "diagonalize-f7", "orbits", "point-search-q", "point-search-qw",
-    "lambda-kernel", "torsion",
+    "lambda-kernel", "torsion", "cover-point", "stab-large",
 )
 
 
