@@ -3,8 +3,9 @@ order-3 automorphism, its fixed 3-torsion, and the degree-3 isogeny.
 
 Over F_p the curve order, the kernel of the isogeny, the modulus of F_{p^3}
 and cube roots there come from closed forms, each result checked; only
-``curve_points`` lists points one by one. A cube root in F_{p^3} is a
-Frobenius eigenvector scaled by one F_p cube root, so
+``curve_points`` lists points one by one. The modulus is the least cubic
+with no root, by Cardano's resolvent (``fields.root_count``), and a cube
+root in F_{p^3} is a Frobenius eigenvector scaled by one F_p cube root, so
 ``fields.prime_power_root_mod`` is the only root extraction on the F_p side.
 
 The module is deliberately form-agnostic at the import level: it consumes
@@ -35,12 +36,13 @@ from .fields import (
     _omega_residues,
     _zw_mul,
     cube_root_in_field,
-    distinct_roots_factor,
+    form_discriminant,
     form_value,
     iroot,
     poly_mulmod,
     power,
     prime_power_root_mod,
+    root_count,
     sqrt_in_field,
     triple_root_class,
 )
@@ -330,15 +332,22 @@ class CubicExtension:
     irreducible monic cubic m = t^3 + a2 t^2 + a1 t + a0 (ordered by
     (a0, a1, a2)). Elements are coefficient triples (e0, e1, e2), multiplied
     by ``fields.poly_mulmod``. A cube root of a non-cube of F_p is a
-    Frobenius eigenvector scaled by one F_p cube root (``cube_root``)."""
+    Frobenius eigenvector scaled by one F_p cube root (``cube_root``).
+    ``cubic_extension(p)`` shares one instance per p."""
 
     def __init__(self, p: int):
         self.p = p
         self.modulus = self._least_irreducible()
+        t = (0, 1, 0)
+        frob = self.pow(t, p)
+        self.conjugates = (t, frob, self.pow(frob, p))  # t, t^p, t^(p^2)
 
     def _least_irreducible(self):
-        """A cubic with no root in F_p is irreducible, and then its gcd with
-        t^p - t is (1,). a0 = 0 is skipped, since t divides m there. Each
+        """m is irreducible exactly when the form (1, a2, a1, a0), whose
+        f(t, 1) is m, has Delta != 0 and no root on P^1(F_p)
+        (``fields.root_count``): a cubic with no root in F_p is irreducible,
+        a repeated root of a cubic over F_p lies in F_p, and (1:0) is no
+        root, as c0 = 1. a0 = 0 is skipped, since t divides m there. Each
         candidate counts against DEFAULT_SCAN_BUDGET; the first irreducible
         one comes within 16 candidates for every p below 20000."""
         p = self.p
@@ -351,7 +360,9 @@ class CubicExtension:
                         raise BudgetExceeded(
                             f"no irreducible cubic within {DEFAULT_SCAN_BUDGET} candidates"
                         )
-                    if distinct_roots_factor((a0, a1, a2, 1), p) == (1,):
+                    form = (1, a2, a1, a0)
+                    delta = form_discriminant(form) % p
+                    if delta and root_count(form, delta, p) == 0:
                         return (a0, a1, a2)
         raise AssertionError("no irreducible cubic found")
 
@@ -389,11 +400,8 @@ class CubicExtension:
         if least is not None:
             return self.embed(least)
         z = pow(c, (p - 1) // 3, p)  # z^-1 = z^2 and z^-2 = z
-        t = (0, 1, 0)
-        frob = self.pow(t, p)
-        conjugates = (t, frob, self.pow(frob, p))  # t, t^p, t^(p^2)
         for k in (1, 2):
-            y0, y1, y2 = (self.pow(y, k) for y in conjugates)
+            y0, y1, y2 = (self.pow(y, k) for y in self.conjugates)
             v = tuple((a + z * z * b + z * e) % p for a, b, e in zip(y0, y1, y2))
             if any(v):
                 break
@@ -402,6 +410,12 @@ class CubicExtension:
             raise AssertionError(f"{v}^3 = {cube} is not in F_{p}")
         inv = pow(prime_power_root_mod(cube[0] * pow(c, -1, p), 3, p), -1, p)
         return _least_cube_root(tuple(x * inv % p for x in v), p)
+
+
+@functools.lru_cache(maxsize=16)
+def cubic_extension(p: int) -> CubicExtension:
+    """The ``CubicExtension`` of p, built once per p for ``construct_cover_point``."""
+    return CubicExtension(p)
 
 
 def _coordinate_ring(field: FieldSpec, ext: CubicExtension | None):
@@ -617,7 +631,7 @@ def construct_cover_point(f, which: int) -> PlaneCubicPoint:
     if value.is_zero():
         raise PreconditionFailed(f"cover {which} needs {_COVER_LABELS[which]} != 0")
     least = least_cube_root_mod(value.val, field.p)
-    ext = None if least is not None else CubicExtension(field.p)
+    ext = None if least is not None else cubic_extension(field.p)
     r = field.scalar(least) if ext is None else ext.cube_root(value.val)
     lift, _, mul = _coordinate_ring(field, ext)
     zero, one = lift(0), lift(1)

@@ -109,34 +109,6 @@ def power(base, n: int, unit, mul=operator.mul):
     return result
 
 
-def distinct_roots_factor(poly, p: int) -> tuple:
-    """The monic gcd over F_p of poly(t) and t^p - t, lowest coefficient first.
-
-    ``poly`` lists residues from the constant term up and is not zero mod p.
-    The gcd is the product of t - a over the distinct roots a of poly in F_p
-    (Cohen, A Course in Computational Algebraic Number Theory, 3.4), so its
-    degree counts those roots and a linear gcd (g0, 1) names the root -g0; a
-    poly with no root, such as an irreducible cubic, gives (1,). poly is
-    first made monic, which keeps its roots, and t^p is taken modulo it by
-    ``power`` and ``poly_mulmod``: O(log p) products of degree below deg poly.
-    ``poly_mulmod`` also gives Euclid's remainders: a mod b is a*1 modulo
-    b / b[-1], which divides the same polynomials as b.
-    """
-    m = _poly_trim([c % p for c in poly])
-    if len(m) < 2:  # a nonzero constant has no roots
-        return (1,)
-    inv = pow(m[-1], -1, p)
-    low = [c * inv % p for c in m[:-1]]  # m / m[-1]: monic, with the same roots
-    frob = [*power((0, 1), p, (1,), lambda x, y: poly_mulmod(x, y, low, p)), 0]
-    frob[1] -= 1  # t^p - t modulo m
-    a, b = m, _poly_trim([c % p for c in frob])
-    while b:  # low is always a's monic part, so the gcd is (*low, 1)
-        inv = pow(b[-1], -1, p)
-        low = [c * inv % p for c in b[:-1]]
-        a, b = b, _poly_trim(list(poly_mulmod(a, (1,), low, p)))
-    return (*low, 1)
-
-
 def poly_mulmod(x, y, low, p: int) -> tuple:
     """x*y modulo the monic t^n + low[n-1] t^(n-1) + ... + low[0] over F_p, as
     n residues, lowest coefficient first like x and y. Each t^k, k >= n, is
@@ -164,6 +136,26 @@ def hessian(c):
     return c1 * c1 - 3 * c0 * c2, c1 * c2 - 9 * c0 * c3, c2 * c2 - 3 * c1 * c3
 
 
+def arith(c: Scalar):
+    """What the raw formulas below compute on for the Scalar c: its residue
+    over F_p or its Fraction over Q, and c itself over Q(w), whose pairs
+    have no arithmetic of their own."""
+    return c if c.field.kind == CYCLOTOMIC else c.val
+
+
+def form_discriminant(c):
+    """The discriminant of the cubic with coefficients c = (c0, c1, c2, c3),
+    raw ints or Scalars."""
+    c0, c1, c2, c3 = c
+    return (
+        18 * c0 * c1 * c2 * c3
+        - 4 * c1**3 * c3
+        + c1**2 * c2**2
+        - 4 * c0 * c2**3
+        - 27 * c0**2 * c3**2
+    )
+
+
 def form_value(c, u, v):
     """The value at (u, v) of the cubic form with coefficients
     c = (c0, c1, c2, c3), c0*u^3 + c1*u^2*v + c2*u*v^2 + c3*v^3, by Horner's
@@ -182,12 +174,75 @@ def triple_root_class(raw, p: int) -> int | None:
     return pow(c0 or c3, (p - 1) // 3, p)
 
 
-def _poly_trim(a: list) -> list:
-    """a without its zero leading coefficients (lowest coefficient first)."""
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
+def resolvent(c):
+    """Cardano's (h0, G) of the raw cubic c = (c0, c1, c2, c3), with
+    h0 = c1^2 - 3*c0*c2 (the u^2 coefficient of ``hessian``) and
+    G = 2*c1^3 - 9*c0*c1*c2 + 27*c0^2*c3: x = 3*c0*t + c1 turns 27*c0^2*f(t, 1)
+    into x^3 - 3*h0*x + G, and G^2 - 4*h0^3 = -27*c0^2*Delta. For z a root of
+    z^2 + G*z + h0^3 and u^3 = z, x = u + h0/u is a root, as
+    x^3 = u^3 + h0^3/u^3 + 3*h0*x = -G + 3*h0*x."""
+    c0, c1, c2, c3 = c
+    return c1 * c1 - 3 * c0 * c2, 2 * c1 * c1 * c1 - 9 * c0 * c1 * c2 + 27 * c0 * c0 * c3
+
+
+def root_count(c, delta: int, p: int) -> int:
+    """r, the number of roots on P^1(F_p) of the raw cubic c over F_p,
+    p = 1 (mod 3), with discriminant delta != 0 (mod p).
+
+    c is three distinct lines over the algebraic closure, so over F_p it is
+    three lines (r = 3), a line times an irreducible quadratic (r = 1) or
+    irreducible (r = 0). Stickelberger's criterion (a squarefree polynomial
+    of degree n with k irreducible factors over F_p has a square
+    discriminant iff n - k is even; for a binary form, move a non-root to
+    (1:0) first, which scales Delta by a sixth power) gives: Delta is a
+    non-square iff r = 1.
+
+    Delta a square, so r is 3 or 0. If c0 = 0, (1:0) is a root and r = 3.
+    Otherwise G^2 - 4*h0^3 (``resolvent``) is a square s^2, since -3 is a
+    square mod p = 1 (mod 3). The roots z = (s - G)/2 and z' = (-s - G)/2 of
+    z^2 + G*z + h0^3 are not both 0 (else G = h0 = 0 and Delta = 0); take
+    z != 0. With w a primitive cube root of 1 and u^3 = z, the three roots
+    are x_k = w^k*u + w^-k*v, v = h0/u, distinct as Delta != 0. If z is a
+    cube of F_p, every x_k is in F_p: r = 3. If r = 3, then
+    u = (x_0 + w^2*x_1 + w*x_2)/3 lies in F_p (the v-terms sum to
+    v*(1 + w + w^2) = 0), so z = u^3 is a cube. So r = 3 iff
+    z^((p - 1)/3) = 1.
+    """
+    if pow(delta, (p - 1) // 2, p) != 1:
+        return 1
+    if c[0] % p == 0:
+        return 3
+    h0, g = resolvent(c)
+    s = 3 * c[0] * prime_power_root_mod(-3 * delta, 2, p)
+    z = (s - g) * (p + 1) // 2 % p or (-s - g) * (p + 1) // 2 % p  # (+-s - G)/2
+    return 3 if pow(z, (p - 1) // 3, p) == 1 else 0
+
+
+def lone_root(c, p: int) -> tuple:
+    """The root (x, y) on P^1(F_p) of the raw cubic c over F_p, p = 1 (mod 3),
+    when it has only one (r = 1 in ``root_count``).
+
+    If c0 = 0 it is (1, 0). Otherwise d = G^2 - 4*h0^3 (``resolvent``) is a
+    non-square like Delta, and so h0 != 0. In F_p(sqrt(d)), conjugation is
+    the Frobenius, so z = (-G + sqrt(d))/2 has norm z^(p + 1) = h0^3. Then
+    u = z^((p + 2)/3)/h0 has u^3 = z and norm h0^(p + 2)/h0^2 = h0, so its
+    conjugate is h0/u, and the root x = u + h0/u of x^3 - 3*h0*x + G is the
+    trace of u, in F_p. The root is (t, 1) with t = (x - c1)/(3*c0), checked:
+    a failed f(t, 1) = 0 raises.
+    """
+    c0, c1 = c[0], c[1]
+    if c0 % p == 0:
+        return 1, 0
+    h0, g = resolvent(c)
+    d, half = (g * g - 4 * h0 * h0 * h0) % p, (p + 1) // 2
+    z = power(  # z^((p + 2)/3) in F_p[s]/(s^2 - d)
+        (-g * half % p, half), (p + 2) // 3, (1, 0),
+        lambda x, y: ((x[0] * y[0] + x[1] * y[1] * d) % p, (x[0] * y[1] + x[1] * y[0]) % p),
+    )
+    t = (2 * z[0] * pow(h0, -1, p) - c1) * pow(3 * c0, -1, p) % p
+    if form_value(c, t, 1) % p:
+        raise AssertionError(f"{tuple(c)} has no root at ({t} : 1) mod {p}")
+    return t, 1
 
 
 def prime_power_root_mod(a: int, r: int, p: int) -> int | None:

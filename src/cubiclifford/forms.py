@@ -29,16 +29,17 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import (
-    CYCLOTOMIC,
     DEFAULT_SCAN_BUDGET,
     FieldSpec,
     Scalar,
+    arith,
     cube_root_in_field,
-    distinct_roots_factor,
+    form_discriminant,
     form_value,
     hessian,
+    lone_root,
     nth_power_class,
-    prime_power_root_mod,
+    root_count,
     sixth_power_class_token,
     sqrt_in_field,
     triple_root_class,
@@ -56,9 +57,7 @@ class BinaryCubicForm:
         self.coeffs = cs
 
     def discriminant(self) -> Scalar:
-        if self.field.kind == CYCLOTOMIC:
-            return _delta(self.coeffs)
-        return self.field.scalar(_delta([c.val for c in self.coeffs]))  # residues or Fractions
+        return self.field.scalar(form_discriminant([arith(c) for c in self.coeffs]))
 
     def is_nondegenerate(self) -> bool:
         return not self.discriminant().is_zero()
@@ -70,10 +69,8 @@ class BinaryCubicForm:
     def evaluate(self, u, v) -> Scalar:
         """f(u, v) for u, v in the field: Scalars, or what ``field.scalar`` takes."""
         field = self.field
-        if field.kind == CYCLOTOMIC:
-            return form_value(self.coeffs, u, v)
-        raw = [c.val for c in self.coeffs]
-        return field.scalar(form_value(raw, field.scalar(u).val, field.scalar(v).val))
+        u, v = (arith(field.scalar(x)) for x in (u, v))
+        return field.scalar(form_value([arith(c) for c in self.coeffs], u, v))
 
     def is_diagonal(self) -> bool:
         return self.coeffs[1].is_zero() and self.coeffs[2].is_zero()
@@ -115,10 +112,7 @@ class GL2Element:
         self.field = field
         a, b, c, d = (field.scalar(e) for e in entries)
         self.a, self.b, self.c, self.d = a, b, c, d
-        if field.kind == CYCLOTOMIC:
-            self.det = a * d - b * c
-        else:  # on residues or Fractions
-            self.det = field.scalar(a.val * d.val - b.val * c.val)
+        self.det = field.scalar(arith(a) * arith(d) - arith(b) * arith(c))
         if self.det.is_zero():
             raise SingularMatrix(f"det of {entries} is zero")
 
@@ -163,21 +157,10 @@ def discriminant(f: BinaryCubicForm) -> Scalar:
     return f.discriminant()
 
 
-# The formulas below take entry and coefficient tuples over any ring: raw
-# integers (reduced mod p by the callers that enumerate over F_p) or
-# Scalars (int * Scalar coerces).
-
-
-def _delta(f):
-    """The discriminant of the coefficient tuple f."""
-    c0, c1, c2, c3 = f
-    return (
-        18 * c0 * c1 * c2 * c3
-        - 4 * c1**3 * c3
-        + c1**2 * c2**2
-        - 4 * c0 * c2**3
-        - 27 * c0**2 * c3**2
-    )
+# The formulas below, like those of ``fields``, take entry and coefficient
+# tuples over any ring: raw integers (reduced mod p by the callers that
+# enumerate over F_p), Fractions, or Scalars (int * Scalar coerces); the
+# methods above pass ``fields.arith`` of their Scalars.
 
 
 def _mat_mul(m, n):
@@ -210,12 +193,11 @@ def _act(g, f):
 
 def act_gl2(g: GL2Element, f: BinaryCubicForm) -> BinaryCubicForm:
     """The form f(a*u + b*v, c*u + d*v), on residues or Fractions over F_p
-    and Q, on Scalars over Q(w)."""
+    and Q, on Scalars over Q(w) (``fields.arith``)."""
     if g.field != f.field:
         raise FieldMismatch("matrix and form fields differ")
-    if f.field.kind == CYCLOTOMIC:
-        return BinaryCubicForm(f.field, _act(g.entries(), f.coeffs))
-    return BinaryCubicForm(f.field, _act([e.val for e in g.entries()], [c.val for c in f.coeffs]))
+    entries, coeffs = ([arith(x) for x in xs] for xs in (g.entries(), f.coeffs))
+    return BinaryCubicForm(f.field, _act(entries, coeffs))
 
 
 # -- diagonalization ---------------------------------------------------------
@@ -336,34 +318,6 @@ def gl2_order(p: int) -> int:
 # -- orbits over F_p from the complete invariant ----------------------------------
 
 
-def _root_count(raw, delta: int, p: int) -> int:
-    """r, the number of roots on P^1(F_p) of the raw form with discriminant
-    delta != 0 (mod p); the proof is in ``_cell``."""
-    if pow(delta, (p - 1) // 2, p) != 1:
-        return 1
-    c0, c1, c2, c3 = raw
-    if c0 == 0:
-        return 3
-    h0 = hessian(raw)[0]
-    g = 2 * c1 * c1 * c1 - 9 * c0 * c1 * c2 + 27 * c0 * c0 * c3
-    s = 3 * c0 * prime_power_root_mod(-3 * delta, 2, p)
-    z = (s - g) * (p + 1) // 2 % p or (-s - g) * (p + 1) // 2 % p  # (+-s - G)/2
-    return 3 if pow(z, (p - 1) // 3, p) == 1 else 0
-
-
-def _lone_root(raw, p: int) -> tuple:
-    """The root (x, y) on P^1(F_p) of a nondegenerate raw form with r = 1:
-    (1, 0) when c0 = 0, else (-g0, 1) for the linear gcd (g0, 1) of f(t, 1)
-    and t^p - t (``distinct_roots_factor``)."""
-    c0, c1, c2, c3 = raw
-    if c0 == 0:
-        return 1, 0
-    factor = distinct_roots_factor((c3, c2, c1, c0), p)
-    if len(factor) != 2:
-        raise AssertionError(f"{raw} has {len(factor) - 1} roots with c0 != 0, not 1")
-    return -factor[0] % p, 1
-
-
 # |Stab| of a nondegenerate form over F_p by its root count r on P^1
 _NONDEGENERATE_STABILIZER = {3: 18, 0: 9, 1: 6}
 
@@ -377,34 +331,13 @@ def _cell(raw, field: FieldSpec):
     for a cube lambda*L^3, and ("double",) for L^2*M.
 
     r, the number of roots on P^1(F_p), comes from Delta and one cubic
-    character (``_root_count``). A nondegenerate f is a product of three
-    distinct linear forms over the algebraic closure, so over F_p it is
-    three lines (r = 3), a line times an irreducible quadratic (r = 1) or
-    irreducible (r = 0). Stickelberger's criterion (a squarefree polynomial
-    of degree n with k irreducible factors over F_p has a square
-    discriminant iff n - k is even; for a binary form, move a non-root to
-    (1:0) first, which scales Delta by a sixth power) gives: Delta is a
-    non-square iff r = 1.
-
-    Delta a square, so r is 3 or 0. If c0 = 0, (1:0) is a root and r = 3.
-    Otherwise x = 3*c0*t + c1 turns 27*c0^2*f(t, 1) into x^3 - 3*h0*x + G,
-    with h0 = c1^2 - 3*c0*c2 and G = 2*c1^3 - 9*c0*c1*c2 + 27*c0^2*c3, and
-    G^2 - 4*h0^3 = -27*c0^2*Delta, a square s^2 because -3 is a square mod
-    p = 1 (mod 3). Let z = (s - G)/2 and z' = (-s - G)/2: z + z' = -G and
-    z*z' = h0^3, so they are not both 0 (else G = h0 = 0 and Delta = 0);
-    take z != 0. Let u^3 = z in the algebraic closure and v = h0/u, so
-    v^3 = z' and u^3 + v^3 = -G; then x = u + v has
-    x^3 = -G + 3*u*v*x = -G + 3*h0*x. With w a primitive cube root of 1,
-    the three choices w^k*u give the roots x_k = w^k*u + w^-k*v, k = 0, 1, 2,
-    distinct as Delta != 0. If z is a cube of F_p, u is in F_p, and so is
-    every x_k: r = 3. If r = 3, then u = (x_0 + w^2*x_1 + w*x_2)/3 (the
-    v-terms sum to v*(1 + w + w^2) = 0) lies in F_p, so z = u^3 is a cube.
-    So r = 3 iff z^((p - 1)/3) = 1, and r = 0 otherwise.
+    character by Cardano's resolvent (``fields.root_count``, where the
+    proof is): Delta is a non-square exactly when r = 1.
     """
     p = field.p
-    delta = _delta(raw) % p
+    delta = form_discriminant(raw) % p
     if delta:
-        r = _root_count(raw, delta, p)
+        r = root_count(raw, delta, p)
         token = sixth_power_class_token(field.scalar(delta))
         return (r, token), _NONDEGENERATE_STABILIZER[r]
     cube_class = triple_root_class(raw, p)
@@ -424,7 +357,7 @@ class Orbit:
         if total % stabilizer_order:
             raise AssertionError("stabilizer order does not divide |GL2|")
         self.size = total // stabilizer_order
-        self.delta = field.scalar(_delta(representative))
+        self.delta = field.scalar(form_discriminant(representative))
         self.delta_class6 = (
             sixth_power_class_token(self.delta) if not self.delta.is_zero() else None
         )
@@ -515,15 +448,16 @@ def _normal_form(f: BinaryCubicForm):
     coefficient r vanishing for f and its swap leaves a Hessian of shape
     u*v, whose roots (1:0) and (0:1) make f diagonal, and a diagonal f
     comes back with the identity.
-    Delta a non-square (r = 1): g sends the rational root to (1:0), making
-    c0 = 0, then u -> u - c2/(2*c1)*v completes the square: n = (0, a, 0, b).
+    Delta a non-square (r = 1): g sends the rational root, a trace from
+    F_{p^2} (``fields.lone_root``), to (1:0), making c0 = 0, then
+    u -> u - c2/(2*c1)*v completes the square: n = (0, a, 0, b).
     """
     if nth_power_class(f.discriminant(), 2):
         g, d = diagonalize(f)
         return tuple(e.val for e in g.entries()), tuple(c.val for c in d.coeffs)
     p = f.field.p
     raw = tuple(c.val for c in f.coeffs)
-    x, y = _lone_root(raw, p)
+    x, y = lone_root(raw, p)
     # f(a*u + b*v, c*u + d*v) has c0 = f(a, c) = 0 for (a, c) = (x, y)
     g = (x, 1, y, 0) if y else (1, 0, 0, 1)
     _, c1, c2, _ = _act(g, raw)

@@ -360,31 +360,19 @@ class RawTerms:
 
     def _merge(self, other, sign: int):
         """self + sign*other over the lcm of the denominators, accumulated
-        into the map of the operand with more terms."""
+        (``accumulate``) into the map of the operand with more terms, or
+        into a new map when that operand must be scaled first."""
         d1, d2 = self.den, other.den
         den = d1 if d1 == d2 else lcm(d1, d2)
         big, f_big, small, f_small = self, den // d1, other, sign * (den // d2)
         if len(big.raw) < len(small.raw):
             big, f_big, small, f_small = small, f_small, big, f_big
-        acc = big.raw
-        get = acc.get
-        if self.ring.p:
-            if f_big != 1:
-                acc = {m: f_big * a for m, a in acc.items()}
-                get = acc.get
-            for m, a in small.raw.items():
-                acc[m] = get(m, 0) + f_small * a
-        else:
-            if f_big != 1:
-                acc = {m: (f_big * a, f_big * b) for m, (a, b) in acc.items()}
-                get = acc.get
-            for m, (a, b) in small.raw.items():
-                old = get(m)
-                if old is None:
-                    acc[m] = (f_small * a, f_small * b)
-                else:
-                    acc[m] = (old[0] + f_small * a, old[1] + f_small * b)
-        big.raw = acc
+        p = self.ring.p
+        items = [(0, small.raw, None, f_small if p else (f_small, 0))]
+        if f_big != 1:
+            items.insert(0, (0, big.raw, None, f_big if p else (f_big, 0)))
+            big.raw = {}
+        big.raw = accumulate(p, {0: big.raw}, items, None)[0]
         big.den = den
         return big
 
@@ -407,10 +395,17 @@ class RawTerms:
         return RawTerms(ring, acc, self.den * other.den)
 
     def __pow__(self, n: int):
+        """self^n. A single term c*m is c^n * m^n, with c^n a ``Scalar``
+        power, which over Q and Q(w) is charged before it is computed."""
         ring = self.ring
         m = self.monomial()
         if m is not None:
             return RawTerms(ring, {power(m, n, ring.unit, ring.mono_mul): ring.one})
+        if len(self.raw) == 1:
+            ((m, c),) = self.raw.items()
+            coeff = ring.zero._make({m: c}, self.den).terms.get(m, ring.field.zero())
+            num, den = raw_scalar(coeff**n)
+            return RawTerms(ring, {power(m, n, ring.unit, ring.mono_mul): num}, den)
         return power(self, n, RawTerms(ring, {ring.unit: ring.one}))
 
 

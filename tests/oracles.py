@@ -6,7 +6,9 @@ complete invariant and one normal form per orbit type. These routines find
 them without either, by breadth-first search over generators and by
 exhaustive scans, and the tests require equal answers for p <= 31. Curve
 orders, the F_{p^3} modulus and its cube roots come from closed forms in
-the package and from counts and scans here; the point search over Q runs
+the package and from counts and scans here; the root count and the lone
+root of a cubic come from Cardano's resolvent in the package and from a
+polynomial gcd with t^p - t here; the point search over Q runs
 on integers in the package and on field scalars here, and its height
 shells come from one flat loop in the package and by recursion here.
 
@@ -33,7 +35,7 @@ from math import gcd
 from cubiclifford._parsing import ExprParser
 from cubiclifford.cliffordf import IsoReport, SymbolReport, specialized_algebra
 from cubiclifford.errors import UnknownSymbol
-from cubiclifford.fields import cube_root_in_field
+from cubiclifford.fields import cube_root_in_field, poly_mulmod, power
 from cubiclifford.forms import act_gl2
 from cubiclifford.freealg import (
     FreeElement,
@@ -198,6 +200,42 @@ def least_irreducible_cubic(p):
         if all((x**3 + a2 * x * x + a1 * x + a0) % p for x in range(p)):
             return (a0, a1, a2)
     raise AssertionError("no irreducible cubic found")
+
+
+def _poly_trim(a):
+    """a without its zero leading coefficients (lowest coefficient first)."""
+    n = len(a)
+    while n and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
+
+
+def distinct_roots_factor(poly, p):
+    """The monic gcd over F_p of poly(t) and t^p - t, lowest coefficient first.
+
+    ``poly`` lists residues from the constant term up and is not zero mod p.
+    The gcd is the product of t - a over the distinct roots a of poly in F_p
+    (Cohen, A Course in Computational Algebraic Number Theory, 3.4), so its
+    degree counts those roots and a linear gcd (g0, 1) names the root -g0; a
+    poly with no root, such as an irreducible cubic, gives (1,). poly is
+    first made monic, which keeps its roots, and t^p is taken modulo it by
+    ``power`` and ``poly_mulmod``: O(log p) products of degree below deg poly.
+    ``poly_mulmod`` also gives Euclid's remainders: a mod b is a*1 modulo
+    b / b[-1], which divides the same polynomials as b.
+    """
+    m = _poly_trim([c % p for c in poly])
+    if len(m) < 2:  # a nonzero constant has no roots
+        return (1,)
+    inv = pow(m[-1], -1, p)
+    low = [c * inv % p for c in m[:-1]]  # m / m[-1]: monic, with the same roots
+    frob = [*power((0, 1), p, (1,), lambda x, y: poly_mulmod(x, y, low, p)), 0]
+    frob[1] -= 1  # t^p - t modulo m
+    a, b = m, _poly_trim([c % p for c in frob])
+    while b:  # low is always a's monic part, so the gcd is (*low, 1)
+        inv = pow(b[-1], -1, p)
+        low = [c * inv % p for c in b[:-1]]
+        a, b = b, _poly_trim(list(poly_mulmod(a, (1,), low, p)))
+    return (*low, 1)
 
 
 def fp3_mul(x, y, modulus, p):

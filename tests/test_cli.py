@@ -8,11 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import fp3_mul
+from oracles import distinct_roots_factor, fp3_mul
 
 from cubiclifford.cli import build_parser, main
 from cubiclifford.curves import EllipticPoint, ell_mul
-from cubiclifford.fields import FieldSpec, Scalar, distinct_roots_factor, sqrt_in_field
+from cubiclifford.fields import FieldSpec, Scalar, sqrt_in_field
 from cubiclifford.errors import NumberTooLarge
 from cubiclifford.forms import BinaryCubicForm, GL2Element, act_gl2
 
@@ -449,6 +449,30 @@ def test_a_literal_power_over_its_cap_ends_at_once(capsys, field):
     assert code == 1 and out == "" and json.loads(err)["error"] == "number-too-large"
     with pytest.raises(NumberTooLarge):
         FieldSpec.rationals().scalar(10) ** 3000000
+
+
+@pytest.mark.parametrize("expr", ("10^3000000*x", "0*10^3000000*x", "(1/2)^3000000*x"))
+def test_a_literal_power_in_reduce_over_its_cap_ends_at_once(capsys, expr):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "reduce", "--field", "Qw", "--expr", expr)
+    assert time.perf_counter() - start < 0.1
+    assert code == 1 and out == "" and json.loads(err)["error"] == "number-too-large"
+
+
+@pytest.mark.parametrize(
+    "argv, index, coord",
+    [
+        (["--field", "Qw", "--expr", "2^14284*x"], 1, str(2**14284)),  # 4300 digits
+        (["--field", "Qw", "--expr", "(1-w)^18000*x"], 1, str(3**9000)),
+        (["--field", "Qw", "--expr", "w^1000000000000000000000*x"], 1, "w"),  # 10^21 = 1 (mod 3)
+        (["--field", "Qw", "--expr", "(-2*w*x)^3"], 0, "-8*X3"),
+        (["--field", "Fp", "--p", "7", "--expr", "10^3000000*x"], 1, "1"),  # F_p is not charged
+    ],
+)
+def test_literal_powers_in_reduce_within_the_cap_evaluate(capsys, argv, index, coord):
+    code, out, _ = run_cli(capsys, "reduce", *argv)
+    assert code == 0
+    assert json.loads(out)["coords"] == [coord if i == index else "0" for i in range(18)]
 
 
 @pytest.mark.parametrize(

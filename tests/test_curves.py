@@ -18,6 +18,7 @@ from cubiclifford.curves import (
     _signed_range,
     cm_theta,
     construct_cover_point,
+    cubic_extension,
     curve_order,
     curve_points,
     ell_add,
@@ -312,8 +313,11 @@ def test_cubic_extension_matches_the_scans():
 def test_cube_root_falls_back_to_t_squared():
     # t^3 + 4t^2 + 3t + 2 = (t - 1)^3 - 4, so t = 1 + r^2 with r^3 = 2 and the
     # Frobenius projection sends t to 0; the root comes from t^2
-    ext = CubicExtension(7)
-    ext.modulus = (2, 3, 4)
+    class WithThisModulus(CubicExtension):
+        def _least_irreducible(self):
+            return (2, 3, 4)
+
+    ext = WithThisModulus(7)
     assert ext.cube_root(2) == oracles.least_cube_roots_fp3(7, (2, 3, 4))[2] == (1, 5, 1)
 
 
@@ -379,6 +383,19 @@ def test_cover_point_examples():
         for c in range(p):
             roots = [x for x in range(p) if pow(x, 3, p) == c]
             assert least_cube_root_mod(c, p) == (roots[0] if roots else None)
+
+
+def test_cover_points_share_one_extension_per_prime():
+    p = 18446744073709551427
+    f = BinaryCubicForm(FieldSpec.prime(p), (3, 0, 0, 1))  # 3 is not a cube mod p
+    first = construct_cover_point(f, 1)
+    second = construct_cover_point(f, 1)
+    assert first.extension is second.extension is cubic_extension(p)
+    assert first.to_json() == second.to_json()
+    fresh = CubicExtension(p)  # still public, and builds its own
+    assert fresh is not cubic_extension(p) and fresh.modulus == cubic_extension(p).modulus
+    assert fresh.cube_root(3) == first.coords[0]
+    assert cubic_extension.cache_info().maxsize == 16
 
 
 def test_cover_points_50_random_forms_all_four():

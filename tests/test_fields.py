@@ -11,6 +11,7 @@ from math import isqrt, lcm
 
 import pytest
 from conftest import rand_form, rand_free_element, rand_gl2, rand_scalar
+from oracles import distinct_roots_factor
 
 from cubiclifford.cliffordf import specialized_algebra
 from cubiclifford.curves import CubicExtension, EllipticPoint, ell_mul, ell_neg
@@ -25,12 +26,15 @@ from cubiclifford.fields import (
     FieldSpec,
     Scalar,
     cube_root_in_field,
-    distinct_roots_factor,
+    form_discriminant,
+    form_value,
     hessian,
     iroot,
+    lone_root,
     nth_power_class,
     power,
     prime_power_root_mod,
+    root_count,
     sixth_power_class_token,
     sqrt_in_field,
 )
@@ -332,8 +336,9 @@ def test_power_of_zero_exponent_is_the_unit():
         xy ** -1
 
 
-def test_distinct_roots_factor_on_every_cubic_tuple():
-    # every nonzero (c0, c1, c2, c3), zero leading coefficients included
+def test_gcd_oracle_on_every_cubic_tuple():
+    # the reference of the closed forms below: every nonzero (c0, c1, c2, c3),
+    # zero leading coefficients included
     for p in (7, 13):
         for poly in itertools.product(range(p), repeat=4):
             if not any(poly):
@@ -343,6 +348,42 @@ def test_distinct_roots_factor_on_every_cubic_tuple():
             assert len(factor) - 1 == len(roots) and factor[-1] == 1, (p, poly)
             if len(roots) == 1:
                 assert -factor[0] % p == roots[0], (p, poly)
+
+
+def test_root_count_and_lone_root_on_every_nondegenerate_cubic():
+    # against the roots on P^1(F_p) found one by one
+    for p in (7, 13):
+        for c in itertools.product(range(p), repeat=4):
+            delta = form_discriminant(c) % p
+            if not delta:
+                continue
+            roots = [(x, 1) for x in range(p) if form_value(c, x, 1) % p == 0]
+            roots += [(1, 0)] * (c[0] == 0)
+            assert root_count(c, delta, p) == len(roots), (p, c)
+            if len(roots) == 1:
+                assert lone_root(c, p) == roots[0], (p, c)
+
+
+@pytest.mark.parametrize("p", [1000003, 2**61 - 1, 18446744073709551427])
+def test_root_count_and_lone_root_against_the_gcd_at_large_primes(p):
+    rng = random.Random(p)
+    lone = 0
+    for _ in range(500):
+        c = tuple(rng.randrange(p) for _ in range(4))
+        delta = form_discriminant(c) % p
+        factor = distinct_roots_factor(c[::-1], p)  # f(t, 1), lowest coefficient first
+        assert root_count(c, delta, p) == len(factor) - 1 + (c[0] == 0), (p, c)
+        if len(factor) == 2:
+            assert lone_root(c, p) == (-factor[0] % p, 1), (p, c)
+            lone += 1
+    assert lone > 150  # about half of all cubics have one root
+
+
+def test_lone_root_raises_on_a_cubic_without_roots():
+    # t^3 + t^2 + 1, the modulus of F_{7^3}, has no root to find, so the
+    # check of f(t, 1) = 0 fails
+    with pytest.raises(AssertionError):
+        lone_root((1, 1, 0, 1), 7)
 
 
 def test_hessian_is_minus_a_quarter_of_the_second_derivative_determinant():

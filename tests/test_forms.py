@@ -22,7 +22,7 @@ from cubiclifford.errors import (
     SquareRootAbsent,
     UnsupportedField,
 )
-from cubiclifford.fields import FieldSpec, cube_root_in_field
+from cubiclifford.fields import FieldSpec, cube_root_in_field, form_discriminant
 from cubiclifford.forms import (
     BinaryCubicForm,
     GL2Element,
@@ -34,7 +34,6 @@ from cubiclifford.forms import (
     orbit_equivalent,
     orbit_invariants,
     stabilizer,
-    _delta,
 )
 
 # frozen F_7 regression data from the first brute-force enumeration:
@@ -76,7 +75,7 @@ def test_discriminant_equals_the_scalar_formula():
     for field in (F7, FieldSpec.prime(18446744073709551427), Q, QW):
         for _ in range(100):
             f = rand_form(field, rng, nondegenerate=False)
-            assert f.discriminant() == _delta(f.coeffs), (field, f.coeffs)
+            assert f.discriminant() == form_discriminant(f.coeffs), (field, f.coeffs)
             assert f.discriminant().field is field
 
 
