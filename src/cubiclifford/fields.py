@@ -212,7 +212,7 @@ def root_count(c, delta: int, p: int) -> int:
         return 1
     if c[0] % p == 0:
         return 3
-    h0, g = resolvent(c)
+    _, g = resolvent(c)
     s = 3 * c[0] * prime_power_root_mod(-3 * delta, 2, p)
     z = (s - g) * (p + 1) // 2 % p or (-s - g) * (p + 1) // 2 % p  # (+-s - G)/2
     return 3 if pow(z, (p - 1) // 3, p) == 1 else 0
