@@ -15,7 +15,18 @@ commands are made here from fixed seeds:
   p = 7, 13, 19, 31, the primes near 1000, 2^61 - 1 and
   18446744073709551427, most of them over F_{p^3};
 * ``stab`` on 40 seeded non-diagonal forms at each of 1000003 and
-  18446744073709551427, about half of them with one root on P^1(F_p).
+  18446744073709551427, about half of them with one root on P^1(F_p);
+* ``reduce`` on 40 seeded texts at each of Q(w), F_13, F_{2^61 - 1} and
+  F_18446744073709551427 (sums, products and powers of sums, powers of one
+  word under and over 64 letters, ``w`` and p/q literals), ten of them at
+  ``--budget 1000``, and on three texts over Q, which has no omega;
+* ``clifford-iso``, ``symbol-check`` and ``gamma-free`` on 25 seeded forms
+  at each of F_7, F_13, F_18446744073709551427 and Q(w), every third one
+  diagonal and every fifth degenerate, and ``verify-identities`` once per
+  field.
+
+The ``reduce`` and ``algebra`` groups also hash the error code that a
+command ending in a domain error prints on stderr.
 
 Any change in what these commands print shows here. To record the digests
 of the current code (only when an output change is intended):
@@ -40,6 +51,9 @@ GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 LAMBDA_PRIMES = [p for p in range(960, 1041) if p % 3 == 1 and all(p % d for d in range(2, 32))]
 COVER_PRIMES = [7, 13, 19, 31, *LAMBDA_PRIMES, 2**61 - 1, 18446744073709551427]
 STAB_PRIMES = [1000003, 18446744073709551427]
+REDUCE_FIELDS = (("Qw",), ("Fp", 13), ("Fp", 2**61 - 1), ("Fp", 18446744073709551427))
+ALGEBRA_FIELDS = (("Fp", 7), ("Fp", 13), ("Fp", 18446744073709551427), ("Qw",))
+ERROR_CODE_GROUPS = ("reduce", "algebra")
 
 
 def _fp(command, p, coeffs):
@@ -57,6 +71,50 @@ def _q_literal(rng, fractional):
 
 def _qw_literal(rng):
     return f"{rng.randint(-3, 3)}+{rng.randint(-3, 3)}*w"
+
+
+def _field_args(spec):
+    return ["--field", spec[0], *(["--p", str(spec[1])] if len(spec) > 1 else [])]
+
+
+def _atom(rng):
+    k = rng.randrange(5)
+    if k == 0:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"
+    if k == 1:
+        return str(rng.randint(-9, 9))
+    return "w" if k == 2 else rng.choice("xy")
+
+
+def _term(rng):
+    return "*".join(_atom(rng) for _ in range(rng.randint(1, 3)))
+
+
+def _sum(rng):
+    return _term(rng) + "".join(f" {rng.choice('+-')} {_term(rng)}" for _ in range(rng.randint(1, 3)))
+
+
+def _word(rng, n):
+    return "*".join(rng.choice("xy") for _ in range(n))
+
+
+def _reduce_text(rng, kind):
+    if kind == 0:
+        return _sum(rng)
+    if kind == 1:
+        return f"({_sum(rng)})*({_sum(rng)})"
+    if kind == 2:
+        return f"({_sum(rng)})^{rng.randint(2, 9)}"
+    n = rng.randint(2, 5)
+    if kind == 3:  # a word power of at most 64 letters
+        return f"{_term(rng)}*({_word(rng, n)})^{rng.randint(2, 64 // n)}"
+    if kind == 4:  # a word power of more than 64 letters
+        return f"({_word(rng, n)})^{rng.randint(64 // n + 1, 96 // n)}"
+    return f"w*x - {n}/{rng.randint(2, 7)}*y^{rng.randint(0, 9)} + ({_sum(rng)})^2*x"
+
+
+def _algebra_literal(rng, spec):
+    return _qw_literal(rng) if spec[0] == "Qw" else str(rng.randrange(spec[1]))
 
 
 def commands():
@@ -104,23 +162,53 @@ def commands():
         for p in STAB_PRIMES
         for _ in range(40)
     ]
+    rng = random.Random("golden:reduce")
+    groups["reduce"] = [["reduce", "--field", "Q", "--expr", t] for t in ("x", "x*y - 2/3", "(x+y)^2")]
+    for spec in REDUCE_FIELDS:
+        field = _field_args(spec)
+        groups["reduce"] += [["reduce", *field, "--expr", _reduce_text(rng, i % 6)] for i in range(30)]
+        texts = [_reduce_text(rng, i) for i in range(6)]
+        texts += [f"({_sum(rng)})^{rng.randint(6, 12)}" for _ in range(4)]
+        groups["reduce"] += [["reduce", *field, "--budget", "1000", "--expr", t] for t in texts]
+    rng = random.Random("golden:algebra")
+    groups["algebra"] = []
+    for spec in ALGEBRA_FIELDS:
+        field = _field_args(spec)
+        groups["algebra"].append(["verify-identities", *field])
+        for i in range(25):
+            c = [_algebra_literal(rng, spec) for _ in range(4)]
+            if i % 3 == 0:  # diagonal, so -108*Delta is a square
+                c[1] = c[2] = "0"
+            if i % 5 == 4:  # degenerate
+                c[0] = c[1] = "0"
+            form = ["--coeffs", ",".join(c)]
+            matrix = ["--matrix", ",".join(_algebra_literal(rng, spec) for _ in range(4))]
+            groups["algebra"] += [
+                ["clifford-iso", *field, *form, *matrix],
+                ["symbol-check", *field, *form],
+                ["gamma-free", *field, *form],
+            ]
     return groups
 
 
-def digest(argvs):
-    """The sha256 of the (exit code, stdout) of each command, in order."""
+def digest(argvs, error_codes=False):
+    """The sha256 of the (exit code, stdout) of each command, in order, with
+    ``error_codes`` followed by the code of a domain error on stderr."""
     h = hashlib.sha256()
     for argv in argvs:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
-        h.update(json.dumps([code, out.getvalue()]).encode() + b"\n")
+        row = [code, out.getvalue()]
+        if error_codes and code == 1:
+            row.append(json.loads(err.getvalue())["error"])
+        h.update(json.dumps(row).encode() + b"\n")
     return h.hexdigest()
 
 
 GROUPS = (
     "stab-f7", "diagonalize-f7", "orbits", "point-search-q", "point-search-qw",
-    "lambda-kernel", "torsion", "cover-point", "stab-large",
+    "lambda-kernel", "torsion", "cover-point", "stab-large", "reduce", "algebra",
 )
 
 
@@ -129,7 +217,7 @@ def test_cli_output_matches_its_digest(group):
     golden = json.loads(GOLDEN_PATH.read_text())[group]
     argvs = commands()[group]
     assert len(argvs) == golden["count"]
-    assert digest(argvs) == golden["sha256"]
+    assert digest(argvs, group in ERROR_CODE_GROUPS) == golden["sha256"]
 
 
 def test_every_group_is_recorded():
@@ -137,5 +225,8 @@ def test_every_group_is_recorded():
 
 
 if __name__ == "__main__":
-    record = {g: {"count": len(a), "sha256": digest(a)} for g, a in commands().items()}
+    record = {
+        g: {"count": len(a), "sha256": digest(a, g in ERROR_CODE_GROUPS)}
+        for g, a in commands().items()
+    }
     GOLDEN_PATH.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
