@@ -56,12 +56,7 @@ from .forms import (
     stabilizer,
 )
 from .freealg import FreeElement, linear_substitute, parse_free_expression
-from .gca import (
-    BASIS_WORDS,
-    GCAElement,
-    GenericCliffordAlgebra,
-    StructureMatrices,
-)
+from .gca import BASIS_WORDS, GCAElement, GenericCliffordAlgebra
 from .spoly import SPolynomial, discriminant_polynomial
 
 __all__ = [
@@ -79,7 +74,6 @@ __all__ = [
     "SPolynomial",
     "Scalar",
     "SpecializedAlgebra",
-    "StructureMatrices",
     "act_gl2",
     "brauer_triviality_probe",
     "check_clifford_iso",

@@ -10,7 +10,10 @@ So the specialization map is an algebra homomorphism by construction; the
 tests cross-check it as one. The freeness, symbol and GL2-isomorphism checks
 fold sparse raw vectors through factors, not expanded words: whatever the
 columns, folding is a right action of k<x, y>, v.(ab) = (v.a).b, linear in
-the columns, so the answers are the same.
+the columns, so the answers are the same. The freeness and isomorphism
+checks test the four central relations by one helper,
+``Rank18Algebra._central_relation``: the freeness check at every basis
+vector, the isomorphism check at the unit of the moved algebra.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .freealg import (
     gamma_element,
     linear_substitute,
 )
-from .gca import BASIS_WORDS, CENTRAL_EXPANSIONS, GCAElement, Rank18Algebra, Rank18Element
+from .gca import BASIS_WORDS, GCAElement, Rank18Algebra, Rank18Element
 from .gca import _Echelon, _gathered, evaluated_columns
 from .spoly import GAMMA_VARS, GCA_VARS, SPolynomial, accumulate, raw_scalar
 
@@ -101,9 +104,8 @@ class SpecializedAlgebra(Rank18Algebra):
         with 1.b_i = e_i and 1.GA = GA*1, where 1 is e_0 and v.a folds the
         free element a from v. A relation r = c holds as an operator
         identity once v.(r - c) = 0 on the unit vectors e_i = 1.b_i, since
-        v -> v.(r - c) is k[GA]-linear. As v.(ab) = (v.a).b, each row v.r at
-        v = e_i is one ``_fold`` of the cached v.xx, v.xy, v.yx, v.yy, and
-        must be c*e_i; the first row that is not ends the check."""
+        v -> v.(r - c) is k[GA]-linear. So each relation is checked at every
+        e_i by ``_central_relation``; the first row that fails ends the check."""
         one = self.field.one()
         cache = {"": self._scalar_vector(0, one)}
         for i, word in enumerate(BASIS_WORDS):
@@ -111,13 +113,11 @@ class SpecializedAlgebra(Rank18Algebra):
                 return False
         if self._reduce(gamma_element(self.field), cache) != self._vector(self.gamma().coords):
             return False
-        sums = [CENTRAL_EXPANSIONS[v] for v in GCA_VARS[:4]]  # 3-letter words, coefficients 1
-        for i, word in enumerate(BASIS_WORDS):
-            for words, c in zip(sums, self.form.coeffs):
-                row = self._fold([(self._word_vector(word + w[:2], cache), w[2]) for w in words])
-                if row != self._scalar_vector(i, c):
-                    return False
-        return True
+        return all(
+            self._central_relation(i, var, c, cache)
+            for i in range(18)
+            for var, c in zip(GCA_VARS, self.form.coeffs)
+        )
 
 
 @lru_cache(maxsize=64)
@@ -175,8 +175,9 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     """Verify that x -> g.x, y -> g.y carries the defining relations of the
     transformed form's algebra into identities at f, and report the induced
     scaling of the degree-4 central generator (must be det(g)^2). The fold
-    is linear in the columns, so reducing over the columns of g.x and g.y
-    equals reducing the ``linear_substitute`` images over M_x and M_y."""
+    is linear in the columns, so folding over the columns of g.x and g.y
+    equals reducing the ``linear_substitute`` images over M_x and M_y. Each
+    relation (word sum) = c is one ``_central_relation`` at the unit e_0."""
     if g.field != f.field:
         raise FieldMismatch("matrix and form fields differ")
     f.require_nondegenerate()
@@ -187,25 +188,16 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     alg = specialized_algebra(f)
     moved = Rank18Algebra(f, field, GAMMA_VARS, *_substituted_columns(alg, g))
     cache = {"": moved._scalar_vector(0, field.one())}
-    one, sums, gamma = _iso_elements(field)
     names = ("cube-x", "polarization-u2v", "polarization-uv2", "cube-y")
-    relations = {}
-    for name, word_sum, coeff in zip(names, sums, target.coeffs):
-        relations[name] = not moved._reduce(word_sum - one.scale(coeff), cache)[0]
-    rows, den = moved._reduce(gamma, cache)
+    relations = {
+        name: moved._central_relation(0, var, c, cache)
+        for name, var, c in zip(names, GCA_VARS, target.coeffs)
+    }
+    rows, den = moved._reduce(gamma_element(field), cache)
     factor = None
     if rows.keys() <= {0} and rows.get(0, {}).keys() <= {(1,)}:
         factor = moved._element((rows, den)).coords[0].terms.get((1,), field.zero())
     return IsoReport(relations, factor, g.det**2)
-
-
-@lru_cache(maxsize=16)
-def _iso_elements(field) -> tuple:
-    """The free elements of ``check_clifford_iso`` that depend on the field
-    alone, built once per field: 1, the central word sums of X3, AL, BE and
-    Y3 (``CENTRAL_EXPANSIONS``) and gamma."""
-    sums = tuple(FreeElement(field, CENTRAL_EXPANSIONS[var]) for var in GCA_VARS[:4])
-    return FreeElement.one(field), sums, gamma_element(field)
 
 
 @lru_cache(maxsize=16)
@@ -296,7 +288,8 @@ def gamma_independence_check(f: BinaryCubicForm, degree_bound: int) -> bool:
 
     psi(p) = sum p_i(GA) b_i maps k[GA]^18 onto A_f: the generic columns
     write each b_j * letter as an S-combination of basis words modulo the
-    defining ideal (certified over Q by ``validate_structure_columns``),
+    defining ideal (certified over Q by ``validate_structure_columns`` in
+    ``tests/oracles.py``, on every test run),
     and specializing at f keeps that. ``relations_hold`` makes phi(a) = 1.a
     a map A_f -> k[GA]^18 with phi(psi(p)) = sum p_i(GA) e_i = p, so psi is
     also injective and a -> 1.a is an isomorphism A_f -> k[GA]^18. Freeness

@@ -117,14 +117,14 @@ def poly_mulmod(x, y, low, p: int) -> tuple:
     prod = [0] * max(len(x) + len(y) - 1, n)
     for i, a in enumerate(x):
         if a:
-            for j, b in enumerate(y):
-                prod[i + j] += a * b
+            for j, b in enumerate(y, i):
+                prod[j] += a * b
     for k in range(len(prod) - 1, n - 1, -1):
-        q = prod[k] % p
+        q = prod.pop() % p
         if q:
             for i, c in enumerate(low, k - n):
                 prod[i] -= q * c
-    return tuple(c % p for c in prod[:n])
+    return tuple([c % p for c in prod])
 
 
 def hessian(c):
@@ -236,8 +236,7 @@ def lone_root(c, p: int) -> tuple:
     h0, g = resolvent(c)
     d, half = (g * g - 4 * h0 * h0 * h0) % p, (p + 1) // 2
     z = power(  # z^((p + 2)/3) in F_p[s]/(s^2 - d)
-        (-g * half % p, half), (p + 2) // 3, (1, 0),
-        lambda x, y: ((x[0] * y[0] + x[1] * y[1] * d) % p, (x[0] * y[1] + x[1] * y[0]) % p),
+        (-g * half % p, half), (p + 2) // 3, (1, 0), lambda x, y: poly_mulmod(x, y, (-d, 0), p)
     )
     t = (2 * z[0] * pow(h0, -1, p) - c1) * pow(3 * c0, -1, p) % p
     if form_value(c, t, 1) % p:

@@ -24,7 +24,7 @@ from operator import add
 
 from .errors import FieldMismatch, SingularMatrix
 from .fields import FieldSpec
-from .spoly import RawRing, Terms
+from .spoly import RawRing, RawTerms, Terms
 
 LETTERS = "xy"
 _LETTER_NAMES = {letter: letter for letter in LETTERS}
@@ -133,7 +133,10 @@ def linear_substitute(g, e: FreeElement) -> FreeElement:
                 prefix = w[:i]
                 if prefix not in cache:
                     cache[prefix] = cache[prefix[:-1]] * images[prefix[-1]]
-    return e._lincomb([(c, cache[w]) for w, c in e.raw.items()], e.den)
+    total = RawTerms(e, {})
+    for w, c in e.raw.items():
+        total = total + RawTerms(e, cache[w].raw, cache[w].den) * RawTerms(e, {"": c}, e.den)
+    return total.normalize()
 
 
 # -- the distinguished elements -------------------------------------------

@@ -33,15 +33,18 @@ field values. Its callers and their exact checks:
   solution over Z;
 * ``GenericCliffordAlgebra.oracle_reduce``: one echelon per field and
   degree; a target outside the span is reported as an inconsistent system;
-* ``ideal_membership``: over Q, and a "member" answer is certified by
-  verifying its combination of ideal columns over Z.
+* ``cliffordf._rank``, which nothing in the package calls.
+
+The certificate of the structure columns, which decides over Q that each
+column re-expands into its word modulo the defining ideal, is a test:
+``ideal_membership`` and ``validate_structure_columns`` in
+``tests/oracles.py`` run the same kernel on every test run.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
@@ -57,11 +60,10 @@ from .freealg import (
     epsilon_commutators,
     free_ring,
     gamma_element,
-    gamma_element_alt,
     s_element,
 )
-from .spoly import GCA_VARS, SPolynomial, accumulate, canonical, discriminant_polynomial
-from .spoly import raw_scalar, scaled
+from .spoly import GCA_VARS, RawTerms, SPolynomial, accumulate, canonical
+from .spoly import discriminant_polynomial, raw_scalar, scaled
 
 BASIS_WORDS = (
     "",
@@ -295,26 +297,6 @@ def _oracle_echelon(field: FieldSpec, n: int):
     return sysd, sysd.echelon(field.p, int if field.p else field.scalar)
 
 
-def ideal_membership(vec: dict, n: int) -> bool:
-    """Exact membership of an integer word-vector in the degree-n ideal
-    component, decided over Q (independent of the mod-p solver). A "member"
-    answer is certified by checking its combination of ideal columns over Z."""
-    index = {w: k for k, w in enumerate(words_of_degree(n))}
-    if any(w not in index for w in vec):
-        return False
-    cols = _ideal_columns(n)
-    ech = _Echelon()
-    for j, col in enumerate(cols):
-        ech.add({index[w]: Fraction(c) for w, c in col.items()}, j)
-    rem, combo = ech.reduce({index[w]: Fraction(c) for w, c in vec.items()})
-    if rem:
-        return False
-    den = lcm(*(q.denominator for q in combo.values()))
-    coeffs = {j: q.numerator * (den // q.denominator) for j, q in combo.items()}
-    _verify_over_z({w: den * c for w, c in vec.items()}, cols, coeffs, "ideal membership")
-    return True
-
-
 # -- rewriting route ----------------------------------------------------------
 
 _REWRITE_RULES = (
@@ -428,11 +410,7 @@ class Rank18Element:
         return self._like([a * s for a in self.coords])
 
     def scale(self, c: Scalar):
-        """Every coordinate times ``c``, converted to raw form once."""
-        if c.field != self.coords[0].field:
-            raise FieldMismatch("scalar from a different field")
-        num, den = raw_scalar(c)
-        return self._like([a._lincomb(((num, a),), den) for a in self.coords])
+        return self._like([a.scale(c) for a in self.coords])
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
@@ -504,31 +482,15 @@ def _gathered(p, rows: dict, den: int):
     return columns, den
 
 
-class StructureMatrices:
-    """The columns of right multiplication by x and y on the basis, as flat
-    (row, S-monomial, raw coefficient) triples over denominator 1."""
-
-    __slots__ = ("field", "columns")
-
-    def __init__(self, field: FieldSpec):
-        if not field.has_omega():
-            raise UnsupportedField("the algebra needs a field containing omega")
-        self.field = field
-        one = field.one()
-        self.columns, _ = evaluated_columns(field, lambda e: (e, one))
-
-    def column(self, letter: str, j: int) -> GCAElement:
-        zero = SPolynomial.zero(self.field, GCA_VARS)
-        raws = [{} for _ in range(18)]
-        for i, m, c in self.columns[letter][j]:
-            raws[i][m or zero._unit()] = c
-        return GCAElement(self.field, [zero._make(r) for r in raws])
-
-
 @lru_cache(maxsize=16)
-def structure_matrices(field: FieldSpec) -> StructureMatrices:
-    """The structure matrices over ``field``, derived once per field."""
-    return StructureMatrices(field)
+def generic_columns(field: FieldSpec):
+    """(columns, 1): the columns of right multiplication by x and y on the
+    basis over ``field`` (``evaluated_columns`` at each S-monomial itself),
+    derived once per field."""
+    if not field.has_omega():
+        raise UnsupportedField("the algebra needs a field containing omega")
+    one = field.one()
+    return evaluated_columns(field, lambda e: (e, one))
 
 
 class Rank18Algebra:
@@ -600,6 +562,16 @@ class Rank18Algebra:
             accumulate(self.field.p, acc, entries, SPolynomial._mono_mul)
         return canonical(self.field.p, acc, common * self.den)
 
+    def _central_relation(self, i: int, var: str, c: Scalar, cache: dict) -> bool:
+        """Whether b_i times the word sum of ``var`` (X3, AL, BE or Y3, whose
+        words have three letters and coefficient 1) is c*e_i, by one
+        ``_fold`` of the vectors of b_i w[:2] (from ``cache``) by w[2]."""
+        word = BASIS_WORDS[i]
+        row = self._fold(
+            [(self._word_vector(word + w[:2], cache), w[2]) for w in CENTRAL_EXPANSIONS[var]]
+        )
+        return row == self._scalar_vector(i, c)
+
     def _word_vector(self, w: str, cache: dict, budget=None):
         """The vector of the word w, folded on from its longest prefix in
         ``cache`` (which holds the empty word); every prefix of at most
@@ -656,8 +628,7 @@ class GenericCliffordAlgebra(Rank18Algebra):
     ELEMENT = GCAElement
 
     def __init__(self, field: FieldSpec):
-        self.matrices = structure_matrices(field)
-        super().__init__(field, field, GCA_VARS, self.matrices.columns, 1)
+        super().__init__(field, field, GCA_VARS, *generic_columns(field))
         self._word_cache = {"": self._scalar_vector(0, field.one())}
 
     def reduce(self, e: FreeElement) -> GCAElement:
@@ -731,14 +702,16 @@ class GenericCliffordAlgebra(Rank18Algebra):
         yields strictly smaller words, so the largest pending word already
         has its final coefficient and each word is rewritten at most once.
         A word's leftmost redex is contracted, or with ``rng`` a random one
-        (confluence evidence). Returns (element, steps_used).
+        (confluence evidence). Each output coordinate accumulates raw
+        (``spoly.RawTerms``) and is normalized once. Returns (element,
+        steps_used).
         """
         if e.field != self.field:
             raise FieldMismatch(f"{e.field} vs {self.field}")
         state = {w: SPolynomial.const(self.field, c, GCA_VARS) for w, c in e.terms.items()}
         heap = [_deglex_desc(w) for w in state]
         heapq.heapify(heap)
-        rows = [[] for _ in range(18)]
+        rows = [RawTerms(self._zero, {}) for _ in range(18)]
         steps = 0
         while heap:
             w = heapq.heappop(heap)[2]
@@ -752,10 +725,11 @@ class GenericCliffordAlgebra(Rank18Algebra):
                 if w.startswith(lhs, k)
             ]
             if not redexes:
+                term = RawTerms(self._zero, coeff.raw, coeff.den)
                 for i, col in enumerate(_conversion_table_int()[w]):
                     if col:
                         raw = {e: c if self.field.p else (c, 0) for e, c in col}
-                        rows[i].append((coeff, self._zero._make(raw)))
+                        rows[i] = rows[i] + term * RawTerms(self._zero, raw)
                 continue
             if steps >= budget:
                 raise NonTermination(f"rewrite budget {budget} exhausted")
@@ -769,7 +743,7 @@ class GenericCliffordAlgebra(Rank18Algebra):
                 if new_word not in state:
                     heapq.heappush(heap, _deglex_desc(new_word))
                 state[new_word] = state.get(new_word, self._zero) + c
-        return GCAElement(self.field, [self._zero._dot(r) for r in rows]), steps
+        return GCAElement(self.field, [r.normalize() for r in rows]), steps
 
     # -- identity suite ---------------------------------------------------------
 
@@ -916,29 +890,3 @@ class _Value:
             run.charge(letters)  # the letters it builds
             return run.free(terms**n)
         return _Value(run, None, power(self.normal(), n, run.alg.one(), run.mul))
-
-
-def validate_structure_columns() -> bool:
-    """Re-expand every structure column back into the free algebra and check
-    membership of the difference in the defining ideal over Q (independent
-    of the mod-p pivoting that produced the columns)."""
-    diffs = {}
-    for (letter, j, i), expo, c in _structure_columns_int():
-        diff = diffs.setdefault((letter, j), {BASIS_WORDS[j] + letter: -1})
-        for w, k in _monomial_expansion(expo):
-            key = w + BASIS_WORDS[i]
-            diff[key] = diff.get(key, 0) + c * k
-    for (letter, j), diff in diffs.items():
-        diff = {w: c for w, c in diff.items() if c}
-        if diff and not ideal_membership(diff, len(BASIS_WORDS[j]) + 1):
-            return False
-    return True
-
-
-def gamma_expansions_agree(field: FieldSpec) -> bool:
-    """(yx)^2 - x^2y^2 and (xy)^2 - y^2x^2 reduce to the same element GA*1."""
-    alg = GenericCliffordAlgebra(field)
-    lhs = alg.reduce(gamma_element(field))
-    rhs = alg.reduce(gamma_element_alt(field))
-    ga = alg.scalar_element(SPolynomial.variable(field, "GA", GCA_VARS))
-    return lhs == rhs == ga

@@ -2,16 +2,27 @@
 and the free algebra k<x, y> in ``freealg``.
 
 Both rings store an element as one map from monomial to raw coefficient and
-share the arithmetic and the printer of ``Terms``; they differ only in their
-monomials. Coefficients are not boxed ``Scalar``s: over F_p a coefficient is
-its residue, and over Q and Q(w) it is an integer pair (a, b) read over one
-denominator per element, FLINT's fmpq_poly layout
-(https://flintlib.org/doc/fmpq_poly.html). ``accumulate``, the one
-multiply-add loop of each layout, sums unreduced integers into raw maps for
-``Terms``, ``RawTerms`` and the rank-18 kernel (``gca.Rank18Algebra``), and
-``canonical`` normalizes them once per output. ``Scalar`` stays the type at
-the boundary: constructors and ``scale`` take Scalars, and ``terms``
-returns a new {monomial: Scalar} dict.
+share the class ``Terms``; they differ only in their monomials. Coefficients
+are not boxed ``Scalar``s: over F_p a coefficient is its residue, and over Q
+and Q(w) it is an integer pair (a, b) read over one denominator per
+element, FLINT's fmpq_poly layout (https://flintlib.org/doc/fmpq_poly.html).
+``accumulate``, the one multiply-add loop of each layout, sums unreduced
+integers into raw maps for ``RawTerms`` and the rank-18 kernel
+(``gca.Rank18Algebra``), and ``canonical`` normalizes them once per output.
+``Scalar`` stays the type at the boundary: constructors and ``scale`` take
+Scalars, and ``terms`` returns a new {monomial: Scalar} dict.
+
+``Terms`` stores, compares and prints. ``RawTerms`` is the one arithmetic:
+a raw map and one denominator, left unnormalized (zeros kept, no common
+factor removed) between operations. A sum accumulates into the larger
+operand's map, a product with a lone monomial of coefficient 1 only
+multiplies monomials, and a product with a constant multiplies none. The
+operators of ``Terms`` wrap their operands' maps in ``RawTerms`` values
+(a sum copies the map it accumulates into) and normalize the result once,
+by ``RawTerms.normalize``; a power is square-and-multiply over those
+products. Both term-map parsers (``SPolynomial.parse`` and
+``freealg.parse_free_expression``) run the shared ``ExprParser`` over
+``RawTerms`` values and normalize the finished map once.
 
 ``SPolynomial`` is the commutative ring with exponent tuples as monomials.
 It hosts the coefficient ring S = k[X3, AL, BE, Y3, GA] of the rank-18
@@ -21,14 +32,6 @@ S, and the univariate k[GA] coefficients of the specialized algebras.
 
 Canonical printing orders polynomial terms by total degree descending, then
 exponent tuple descending (first listed variable most significant).
-
-Both term-map parsers (``SPolynomial.parse`` and
-``freealg.parse_free_expression``) run the shared ``ExprParser`` over
-``RawTerms`` values: a raw map and one denominator, left unnormalized
-(zeros kept, no common factor removed) while the expression is read. A sum
-accumulates into the larger operand's map, a product with a lone monomial
-of coefficient 1 only multiplies monomials, and the finished map is
-normalized once, by ``Terms._canonical``.
 """
 
 from __future__ import annotations
@@ -69,11 +72,16 @@ def scaled(f: int, c):
 def canonical(p, rows: dict, den: int = 1):
     """The raw maps ``rows`` over ``den`` without zeros or empty maps, residues
     reduced mod ``p``; over Q and Q(w) den shares no factor with all numerators."""
+    out = {}
+    for i, row in rows.items():
+        if p:
+            row = {m: x for m, v in row.items() if (x := v % p)}
+        else:
+            row = {m: v for m, v in row.items() if v != (0, 0)}
+        if row:
+            out[i] = row
     if p:
-        rows = ((i, {m: x for m, v in row.items() if (x := v % p)}) for i, row in rows.items())
-        return {i: row for i, row in rows if row}, 1
-    rows = ((i, {m: v for m, v in row.items() if v != (0, 0)}) for i, row in rows.items())
-    out = {i: row for i, row in rows if row}
+        return out, 1
     g = den
     for row in out.values():
         if g == 1:
@@ -123,9 +131,11 @@ class Terms:
     ``den``. ``terms`` returns a new {monomial: Scalar} dict of them.
 
     A subclass fixes the monomials by supplying ``_mono_mul`` (the product
-    of two monomials), ``_unit()`` (the unit monomial), ``_sorted_terms()``
-    (the print order) and ``_mono_text`` (the text of a non-unit monomial).
-    Operands must share the field and the ``variables`` of the ring.
+    of two monomials), ``_unit()`` (the unit monomial, the one with no
+    letter or all exponents 0), ``_sorted_terms()`` (the print order) and
+    ``_mono_text`` (the text of a non-unit monomial). Operands must share
+    the field and the ``variables`` of the ring. The arithmetic runs on
+    ``RawTerms``.
     """
 
     __slots__ = ("field", "variables", "raw", "den")
@@ -196,62 +206,40 @@ class Terms:
     def __hash__(self):
         return hash((self.field, self.variables, frozenset(self.raw.items()), self.den))
 
-    # -- the two kernels ------------------------------------------------------
+    # -- arithmetic: one route, through ``RawTerms`` ----------------------
 
-    def _lincomb(self, items, den: int = 1):
-        """Sum of c * t over the (c, t) in ``items``, divided by ``den``, in
-        one raw accumulation with one normalization. Each c is a raw scalar
-        numerator (see ``raw_scalar``), each t an element of this ring."""
-        common = lcm(*(t.den for _, t in items))
-        acc = accumulate(
-            self.field.p, {}, [(0, t.raw, None, scaled(common // t.den, c)) for c, t in items], None
-        )
-        return self._make(acc.get(0, {}), common * den)
-
-    def _dot(self, pairs):
-        """Sum of u * v over the (u, v) in ``pairs``, elements of this ring,
-        in one raw accumulation with one normalization."""
-        common = lcm(*(u.den * v.den for u, v in pairs))
-        items = [
-            (0, u.raw, m, scaled(common // (u.den * v.den), c))
-            for u, v in pairs
-            for m, c in v.raw.items()
-        ]
-        return self._make(accumulate(self.field.p, {}, items, self._mono_mul).get(0, {}), common)
-
-    def _units(self):
-        """The raw numerators of 1 and -1."""
-        return (1, -1) if self.field.p else ((1, 0), (-1, 0))
-
-    # -- arithmetic --------------------------------------------------------
+    def _sum(self, other, sign: int):
+        """self + sign*other. ``RawTerms._merge`` accumulates into the map of
+        the operand with more terms (self on a tie), so that map is copied."""
+        self._check(other)
+        a, b = RawTerms(self, self.raw, self.den), RawTerms(self, other.raw, other.den)
+        big = a if len(a.raw) >= len(b.raw) else b
+        big.raw = dict(big.raw)
+        return a._merge(b, sign).normalize()
 
     def __add__(self, other):
-        self._check(other)
-        one = self._units()[0]
-        return self._lincomb(((one, self), (one, other)))
+        return self._sum(other, 1)
 
     def __neg__(self):
-        return self._lincomb(((self._units()[1], self),))
+        return (-RawTerms(self, self.raw, self.den)).normalize()
 
     def __sub__(self, other):
-        self._check(other)
-        one, minus = self._units()
-        return self._lincomb(((one, self), (minus, other)))
+        return self._sum(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        return self._dot(((self, other),))
+        return raw_product(self, self, other.raw, other.den).normalize()
 
     def scale(self, c: Scalar):
         if c.field != self.field:
             raise FieldMismatch("scalar from a different field")
         num, den = raw_scalar(c)
-        return self._lincomb(((num, self),), den)
+        return raw_product(self, self, {self._unit(): num}, den).normalize()
 
     def __pow__(self, n: int):
-        return power(self, n, self._make({self._unit(): self._units()[0]}))
+        return power(self, n, self._make({self._unit(): 1 if self.field.p else (1, 0)}))
 
     # -- printing ------------------------------------------------------------
 
@@ -284,6 +272,34 @@ class Terms:
         return f"{type(self).__name__}({self})"
 
 
+def raw_product(like: Terms, u, raw: dict, den: int) -> "RawTerms":
+    """u times the raw map ``raw`` over ``den``, residues unreduced, with u
+    a value of ``like``'s ring (a ``Terms`` or a ``RawTerms``)."""
+    mono_mul = like._mono_mul
+    # a lone monomial of coefficient 1 moves the other side's monomials
+    m = lone_monomial(raw, den)
+    if m is not None:
+        return RawTerms(like, {mono_mul(m1, m): a for m1, a in u.raw.items()}, u.den)
+    m = lone_monomial(u.raw, u.den)
+    if m is not None:
+        return RawTerms(like, {mono_mul(m, m2): a for m2, a in raw.items()}, den)
+    # the unit monomial (no letter, or all exponents 0) is passed as None,
+    # so a scalar factor multiplies no monomials
+    items = [(0, u.raw, m2 if any(m2) else None, c) for m2, c in raw.items()]
+    acc = accumulate(like.field.p, {}, items, mono_mul).get(0, {})
+    return RawTerms(like, acc, u.den * den)
+
+
+def lone_monomial(raw: dict, den: int):
+    """The monomial m if ``raw`` over ``den`` is 1*m and m is not the unit,
+    else None."""
+    if den == 1 and len(raw) == 1:
+        ((m, c),) = raw.items()
+        if c in (1, (1, 0)) and any(m):
+            return m
+    return None
+
+
 class RawRing:
     """A term-map ring as the expression parser sees it: its element
     ``zero`` (which fixes the class, the field and the variables) and
@@ -292,20 +308,18 @@ class RawRing:
     ``w`` through ``field.omega``, so they raise as the field does. The
     rest is read off ``zero`` once, for the parser's per-token use."""
 
-    __slots__ = ("zero", "names", "field", "p", "unit", "one", "mono_mul")
+    __slots__ = ("zero", "names", "field", "unit", "one")
 
     def __init__(self, zero: Terms, names: dict):
         self.zero = zero
         self.names = names
         self.field = zero.field
-        self.p = zero.field.p
         self.unit = zero._unit()
-        self.one = zero._units()[0]
-        self.mono_mul = zero._mono_mul
+        self.one = 1 if zero.field.p else (1, 0)
 
     def scalar(self, c: Scalar) -> "RawTerms":
         num, den = raw_scalar(c)
-        return RawTerms(self, {self.unit: num}, den)
+        return RawTerms(self.zero, {self.unit: num}, den)
 
     def const(self, q: Fraction) -> "RawTerms":
         return self.scalar(self.field.scalar(q))
@@ -316,7 +330,7 @@ class RawRing:
         mono = self.names.get(name)
         if mono is None:
             raise UnknownSymbol(f"unknown symbol {name!r}", pos)
-        return RawTerms(self, {mono: self.one})
+        return RawTerms(self.zero, {mono: self.one})
 
     def parse(self, text: str):
         """The element of the expression ``text``, normalized once."""
@@ -324,33 +338,30 @@ class RawRing:
 
 
 class RawTerms:
-    """The parser's value of a term map: raw coefficients ``raw`` over the
-    positive ``den``, in the layout of ``Terms`` but unnormalized (zeros
-    kept, no common factor removed, unreduced integers over F_p between
-    products). Each operator consumes its operands: a sum accumulates into
-    the larger operand's map, and a negation is the sum of an empty value
-    and -1 times its operand, so it rewrites its operand's map."""
+    """A value of the one term-map arithmetic: raw coefficients ``raw``
+    over the positive ``den``, in the layout of ``Terms`` but unnormalized
+    (zeros kept, no common factor removed, unreduced integers over F_p
+    between products). ``like`` is an element of the ring, which fixes the
+    class, the field and the variables. A sum consumes its operands: it
+    accumulates into the map of the operand with more terms. A negation, a
+    product and a power build new maps and leave their operands' alone."""
 
-    __slots__ = ("ring", "raw", "den")
+    __slots__ = ("like", "raw", "den")
 
-    def __init__(self, ring: RawRing, raw: dict, den: int = 1):
-        self.ring = ring
+    def __init__(self, like: Terms, raw: dict, den: int = 1):
+        self.like = like
         self.raw = raw
         self.den = den
 
     def normalize(self) -> Terms:
-        return self.ring.zero._make(self.raw, self.den)
-
-    def monomial(self):
-        """The monomial m if this is 1*m, else None."""
-        if self.den == 1 and len(self.raw) == 1:
-            ((m, c),) = self.raw.items()
-            if c == self.ring.one:
-                return m
-        return None
+        like = self.like
+        return like._canonical(like.field, like.variables, self.raw, self.den)
 
     def __neg__(self):
-        return RawTerms(self.ring, {}, self.den)._merge(self, -1)
+        p = self.like.field.p
+        raw = self.raw
+        neg = {m: -a for m, a in raw.items()} if p else {m: (-a, -b) for m, (a, b) in raw.items()}
+        return RawTerms(self.like, neg, self.den)
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -360,14 +371,14 @@ class RawTerms:
 
     def _merge(self, other, sign: int):
         """self + sign*other over the lcm of the denominators, accumulated
-        (``accumulate``) into the map of the operand with more terms, or
-        into a new map when that operand must be scaled first."""
+        (``accumulate``) into the map of the operand with more terms (self
+        on a tie), or into a new map when that operand must be scaled first."""
         d1, d2 = self.den, other.den
         den = d1 if d1 == d2 else lcm(d1, d2)
         big, f_big, small, f_small = self, den // d1, other, sign * (den // d2)
         if len(big.raw) < len(small.raw):
             big, f_big, small, f_small = small, f_small, big, f_big
-        p = self.ring.p
+        p = self.like.field.p
         items = [(0, small.raw, None, f_small if p else (f_small, 0))]
         if f_big != 1:
             items.insert(0, (0, big.raw, None, f_big if p else (f_big, 0)))
@@ -377,36 +388,28 @@ class RawTerms:
         return big
 
     def __mul__(self, other):
-        ring = self.ring
-        mono_mul = ring.mono_mul
-        # a lone monomial of coefficient 1 moves the other side's monomials
-        m = other.monomial()
-        if m is not None:
-            return RawTerms(ring, {mono_mul(m1, m): a for m1, a in self.raw.items()}, self.den)
-        m = self.monomial()
-        if m is not None:
-            return RawTerms(ring, {mono_mul(m, m2): a for m2, a in other.raw.items()}, other.den)
-        # Terms._dot's accumulation, without its normalization
-        p = ring.p
-        items = [(0, self.raw, m2, c) for m2, c in other.raw.items()]
-        acc = accumulate(p, {}, items, mono_mul).get(0, {})
+        """The product, its residues reduced over F_p so that a chain of
+        products keeps its integers small."""
+        product = raw_product(self.like, self, other.raw, other.den)
+        p = self.like.field.p
         if p:
-            return RawTerms(ring, {m: v % p for m, v in acc.items()})
-        return RawTerms(ring, acc, self.den * other.den)
+            product.raw = {m: v % p for m, v in product.raw.items()}
+        return product
 
     def __pow__(self, n: int):
         """self^n. A single term c*m is c^n * m^n, with c^n a ``Scalar``
         power, which over Q and Q(w) is charged before it is computed."""
-        ring = self.ring
-        m = self.monomial()
+        like = self.like
+        field, unit, one = like.field, like._unit(), 1 if like.field.p else (1, 0)
+        m = lone_monomial(self.raw, self.den)
         if m is not None:
-            return RawTerms(ring, {power(m, n, ring.unit, ring.mono_mul): ring.one})
+            return RawTerms(like, {power(m, n, unit, like._mono_mul): one})
         if len(self.raw) == 1:
             ((m, c),) = self.raw.items()
-            coeff = ring.zero._make({m: c}, self.den).terms.get(m, ring.field.zero())
+            coeff = like._make({m: c}, self.den).terms.get(m, field.zero())
             num, den = raw_scalar(coeff**n)
-            return RawTerms(ring, {power(m, n, ring.unit, ring.mono_mul): num}, den)
-        return power(self, n, RawTerms(ring, {ring.unit: ring.one}))
+            return RawTerms(like, {power(m, n, unit, like._mono_mul): num}, den)
+        return power(self, n, RawTerms(like, {unit: one}))
 
 
 class SPolynomial(Terms):
@@ -461,13 +464,12 @@ class SPolynomial(Terms):
 
     def evaluate(self, assignment: dict) -> Scalar:
         """Full evaluation; every variable must be assigned."""
-        for v in self.variables:
-            if v in assignment and assignment[v].field != self.field:
-                raise FieldMismatch(f"assignment for {v!r} is in {assignment[v].field}")
         return self.substitute(assignment, ()).terms.get((), self.field.zero())
 
     def substitute(self, assignment: dict, keep: tuple[str, ...]) -> "SPolynomial":
         """Evaluate some variables, keeping ``keep`` formal (in their order).
+        Each value goes through ``field.scalar``, so a value of another
+        field raises ``FieldMismatch``.
 
         Over F_p the residues are multiplied unreduced and each output
         coefficient is reduced once."""
@@ -477,7 +479,8 @@ class SPolynomial(Terms):
             if v in keep:
                 positions.append(("keep", keep.index(v)))
             elif v in assignment:
-                positions.append(("eval", assignment[v].val if p else assignment[v]))
+                value = self.field.scalar(assignment[v])
+                positions.append(("eval", value.val if p else value))
             else:
                 raise MissingAssignment(f"no value for {v!r}")
         out = {}

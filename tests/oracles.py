@@ -18,9 +18,14 @@ expand the free elements into words and reduce those, and the tests
 require equal reports.
 
 The rank-18 kernel folds sparse raw vectors through flat column triples;
-here folds, reductions and products run on dense 18-tuples of polynomials,
-one ``Terms._dot`` or ``Terms._lincomb`` per output coordinate over all 18
-inputs, and the tests require equal elements.
+here folds, reductions and products run on dense 18-tuples of polynomials
+by their own operators, each output coordinate a sum over all 18 inputs,
+and the tests require equal elements.
+
+The structure columns are derived by elimination mod a prime and verified
+over Z; here every column is re-expanded into the free algebra and its
+difference from its word is decided a member of the defining ideal over Q,
+with each "member" answer certified over Z.
 
 The package parses an expression into one raw term map and normalizes it
 once; here every literal and name is a normalized ``FreeElement`` or
@@ -30,7 +35,8 @@ require equal elements or equal errors.
 
 import functools
 import itertools
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from cubiclifford._parsing import ExprParser
 from cubiclifford.cliffordf import IsoReport, SymbolReport, specialized_algebra
@@ -46,7 +52,15 @@ from cubiclifford.freealg import (
     gamma_element,
     linear_substitute,
 )
-from cubiclifford.gca import BASIS_WORDS
+from cubiclifford.gca import (
+    BASIS_WORDS,
+    _Echelon,
+    _ideal_columns,
+    _monomial_expansion,
+    _structure_columns_int,
+    _verify_over_z,
+    words_of_degree,
+)
 from cubiclifford.spoly import GCA_VARS, SPolynomial
 
 
@@ -345,15 +359,14 @@ def column_polys(alg, letter, j):
 
 def dense_fold(alg, items):
     """Sum of coords times letter over the (coords, letter) items, coords
-    18 polynomials: output i sums coords[j] * column_j[i] in one ``_dot``."""
-    rows = [[] for _ in range(18)]
+    18 polynomials: output i sums coords[j] * column_j[i]."""
+    out = [alg._zero] * 18
     for coords, letter in items:
         for j, v in enumerate(coords):
             if v.raw:
                 for i, q in column_polys(alg, letter, j):
-                    rows[i].append((v, q))
-    zero = alg._zero
-    return tuple(zero._dot(r) if r else zero for r in rows)
+                    out[i] = out[i] + v * q
+    return tuple(out)
 
 
 def dense_word(alg, coords, w):
@@ -365,21 +378,57 @@ def dense_word(alg, coords, w):
 
 def dense_reduce(alg, e):
     """The normal form of the free element e: its words folded from the
-    unit, each output coordinate one ``_lincomb`` of them."""
-    vectors = [(c, dense_word(alg, alg.one().coords, w)) for w, c in e.raw.items()]
-    zero = alg._zero
-    coords = [zero._lincomb([(c, v[i]) for c, v in vectors], e.den) for i in range(18)]
+    unit, each output coordinate the sum of their coordinates scaled."""
+    vectors = [(c, dense_word(alg, alg.one().coords, w)) for w, c in e.terms.items()]
+    coords = [sum((v[i].scale(c) for c, v in vectors), alg._zero) for i in range(18)]
     return alg.ELEMENT(alg.base, coords)
 
 
 def dense_mul(alg, u, v):
     """u*v: u folded through the basis words of v, each output coordinate
-    one ``_dot`` with v's coordinates."""
+    the sum of those folds times v's coordinates."""
     folds = [
         (dense_word(alg, u.coords, word), vj) for word, vj in zip(BASIS_WORDS, v.coords) if vj.raw
     ]
-    zero = alg._zero
-    return alg.ELEMENT(alg.base, [zero._dot([(u_j[i], vj) for u_j, vj in folds]) for i in range(18)])
+    coords = [sum((u_j[i] * vj for u_j, vj in folds), alg._zero) for i in range(18)]
+    return alg.ELEMENT(alg.base, coords)
+
+
+def ideal_membership(vec: dict, n: int) -> bool:
+    """Exact membership of an integer word-vector in the degree-n ideal
+    component, decided over Q (independent of the mod-p solver). A "member"
+    answer is certified by checking its combination of ideal columns over Z."""
+    index = {w: k for k, w in enumerate(words_of_degree(n))}
+    if any(w not in index for w in vec):
+        return False
+    cols = _ideal_columns(n)
+    ech = _Echelon()
+    for j, col in enumerate(cols):
+        ech.add({index[w]: Fraction(c) for w, c in col.items()}, j)
+    rem, combo = ech.reduce({index[w]: Fraction(c) for w, c in vec.items()})
+    if rem:
+        return False
+    den = lcm(*(q.denominator for q in combo.values()))
+    coeffs = {j: q.numerator * (den // q.denominator) for j, q in combo.items()}
+    _verify_over_z({w: den * c for w, c in vec.items()}, cols, coeffs, "ideal membership")
+    return True
+
+
+def validate_structure_columns() -> bool:
+    """Re-expand every structure column back into the free algebra and check
+    membership of the difference in the defining ideal over Q (independent
+    of the mod-p pivoting that produced the columns)."""
+    diffs = {}
+    for (letter, j, i), expo, c in _structure_columns_int():
+        diff = diffs.setdefault((letter, j), {BASIS_WORDS[j] + letter: -1})
+        for w, k in _monomial_expansion(expo):
+            key = w + BASIS_WORDS[i]
+            diff[key] = diff.get(key, 0) + c * k
+    for (letter, j), diff in diffs.items():
+        diff = {w: c for w, c in diff.items() if c}
+        if diff and not ideal_membership(diff, len(BASIS_WORDS[j]) + 1):
+            return False
+    return True
 
 
 def clifford_iso_by_substitution(g, f):

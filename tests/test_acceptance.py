@@ -58,7 +58,7 @@ def test_criterion_01_defining_relations():
 
 def test_criterion_02_b17_column():
     alg = algebra(QW)
-    col = alg.matrices.column("x", 17)
+    col = alg.mul(alg.basis_element(17), alg.basis_element(1))
     expected = {
         7: SPolynomial.parse("GA", QW, GCA_VARS),
         11: SPolynomial.parse("AL", QW, GCA_VARS),

@@ -102,6 +102,21 @@ def test_evaluation_checks_the_field_of_each_value():
     assert SPolynomial.zero(F7).evaluate({v: F7.one() for v in GCA_VARS}) == F7.zero()
 
 
+def test_substitute_rejects_a_value_of_another_field():
+    # over F_p the residue of a value from another field was read as is
+    poly = SPolynomial.parse("X3*GA+AL", F7)
+    for other in (FieldSpec.prime(13), Q):
+        point = {"X3": other.scalar(12), "AL": other.scalar(5), "BE": other.zero(), "Y3": other.zero()}
+        with pytest.raises(FieldMismatch):
+            poly.substitute(point, ("GA",))
+    for field, other in ((Q, F7), (QW, Q)):
+        point = {v: other.one() for v in GCA_VARS[:4]}
+        with pytest.raises(FieldMismatch):
+            SPolynomial.parse("X3*GA+AL", field).substitute(point, ("GA",))
+    point = {"X3": F7.scalar(12), "AL": F7.scalar(5), "BE": F7.zero(), "Y3": F7.zero()}
+    assert str(poly.substitute(point, ("GA",))) == "5*GA + 5"
+
+
 def test_evaluation_is_ring_hom():
     rng = random.Random(6)
 
@@ -294,3 +309,62 @@ def test_kernel_agrees_with_scalar_reference(ring, field, data):
     for got, want in routes:
         assert got == want and hash(got) == hash(want)
     assert (p - p).is_zero() and (p * zero).is_zero()
+
+
+# -- the one arithmetic (RawTerms) on seeded operands ---------------------------
+
+
+def seeded_coefficient(field, rng):
+    """A Scalar of ``field``; over Q and Q(w) an even or a multiple of 3 over
+    12, so that sums often share a factor with the common denominator."""
+    if field.p:
+        return field.scalar(rng.randrange(field.p))
+
+    def frac():
+        return Fraction(rng.randint(-6, 6) * rng.choice((2, 3)), 12)
+
+    return field.scalar(frac() if field.kind == "Q" else (frac(), frac()))
+
+
+def seeded_operands(ring, field, rng):
+    """(p, q) pairs: random ones, q = -p, and q sharing some of p's terms
+    with opposite coefficients, so that sums cancel in full or in part."""
+    _, build, _, _ = RINGS[ring]
+
+    def mono():
+        if ring == "SPolynomial":
+            return tuple(rng.randint(0, 2) for _ in GCA_VARS)
+        return "".join(rng.choice("xy") for _ in range(rng.randint(0, 3)))
+
+    def element():
+        return build(field, {mono(): seeded_coefficient(field, rng) for _ in range(rng.randint(0, 5))})
+
+    for _ in range(12):
+        p = element()
+        yield p, element()
+        yield p, build(field, {m: -c for m, c in p.terms.items()})
+        shared = {m: -c for m, c in list(p.terms.items())[:2]}
+        yield p, build(field, {**element().terms, **shared})
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS.values(), ids=KERNEL_FIELDS.keys())
+@pytest.mark.parametrize("ring", RINGS)
+def test_one_arithmetic_on_seeded_operands(ring, field):
+    _, _, mono_mul, _ = RINGS[ring]
+    rng = random.Random(f"one-arithmetic:{ring}:{field.kind}:{field.p}")
+    for p, q in seeded_operands(ring, field, rng):
+        before = [(dict(t.raw), t.den) for t in (p, q)]
+        c = rng.choice((field.zero(), -field.one(), seeded_coefficient(field, rng)))
+        results = {
+            "+": (p + q, reference([*p.terms.items(), *q.terms.items()])),
+            "-": (p - q, reference([*p.terms.items(), *((m, -k) for m, k in q.terms.items())])),
+            "neg": (-p, reference((m, -k) for m, k in p.terms.items())),
+            "*": (p * q, reference_mul(p, q, mono_mul)),
+            "scale": (p.scale(c), reference((m, k * c) for m, k in p.terms.items())),
+            "scale by -1": (p.scale(-field.one()), reference((m, -k) for m, k in p.terms.items())),
+            "scale by 0": (p.scale(field.zero()), {}),
+        }
+        for op, (got, want) in results.items():
+            assert_canonical(got)
+            assert dict(got.terms) == want, op
+        assert [(dict(t.raw), t.den) for t in (p, q)] == before
