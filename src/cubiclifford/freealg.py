@@ -24,7 +24,7 @@ from operator import add
 
 from .errors import FieldMismatch, SingularMatrix
 from .fields import FieldSpec
-from .spoly import RawRing, RawTerms, Terms
+from .spoly import RawRing, RawTerms, Terms, raw_product
 
 LETTERS = "xy"
 _LETTER_NAMES = {letter: letter for letter in LETTERS}
@@ -135,7 +135,7 @@ def linear_substitute(g, e: FreeElement) -> FreeElement:
                     cache[prefix] = cache[prefix[:-1]] * images[prefix[-1]]
     total = RawTerms(e, {})
     for w, c in e.raw.items():
-        total = total + RawTerms(e, cache[w].raw, cache[w].den) * RawTerms(e, {"": c}, e.den)
+        total = total + raw_product(e, cache[w], {"": c}, e.den)
     return total.normalize()
 
 

@@ -63,7 +63,7 @@ from .freealg import (
     s_element,
 )
 from .spoly import GCA_VARS, RawTerms, SPolynomial, accumulate, canonical
-from .spoly import discriminant_polynomial, raw_scalar, scaled
+from .spoly import discriminant_polynomial, raw_product, raw_scalar, scaled
 
 BASIS_WORDS = (
     "",
@@ -725,11 +725,10 @@ class GenericCliffordAlgebra(Rank18Algebra):
                 if w.startswith(lhs, k)
             ]
             if not redexes:
-                term = RawTerms(self._zero, coeff.raw, coeff.den)
                 for i, col in enumerate(_conversion_table_int()[w]):
                     if col:
                         raw = {e: c if self.field.p else (c, 0) for e, c in col}
-                        rows[i] = rows[i] + term * RawTerms(self._zero, raw)
+                        rows[i] = rows[i] + raw_product(self._zero, coeff, raw, 1)
                 continue
             if steps >= budget:
                 raise NonTermination(f"rewrite budget {budget} exhausted")
