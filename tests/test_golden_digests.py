@@ -91,7 +91,8 @@ def _term(rng):
 
 
 def _sum(rng):
-    return _term(rng) + "".join(f" {rng.choice('+-')} {_term(rng)}" for _ in range(rng.randint(1, 3)))
+    head = _term(rng)
+    return head + "".join(f" {rng.choice('+-')} {_term(rng)}" for _ in range(rng.randint(1, 3)))
 
 
 def _word(rng, n):
@@ -163,10 +164,14 @@ def commands():
         for _ in range(40)
     ]
     rng = random.Random("golden:reduce")
-    groups["reduce"] = [["reduce", "--field", "Q", "--expr", t] for t in ("x", "x*y - 2/3", "(x+y)^2")]
+    groups["reduce"] = [
+        ["reduce", "--field", "Q", "--expr", t] for t in ("x", "x*y - 2/3", "(x+y)^2")
+    ]
     for spec in REDUCE_FIELDS:
         field = _field_args(spec)
-        groups["reduce"] += [["reduce", *field, "--expr", _reduce_text(rng, i % 6)] for i in range(30)]
+        groups["reduce"] += [
+            ["reduce", *field, "--expr", _reduce_text(rng, i % 6)] for i in range(30)
+        ]
         texts = [_reduce_text(rng, i) for i in range(6)]
         texts += [f"({_sum(rng)})^{rng.randint(6, 12)}" for _ in range(4)]
         groups["reduce"] += [["reduce", *field, "--budget", "1000", "--expr", t] for t in texts]

@@ -106,7 +106,8 @@ def test_substitute_rejects_a_value_of_another_field():
     # over F_p the residue of a value from another field was read as is
     poly = SPolynomial.parse("X3*GA+AL", F7)
     for other in (FieldSpec.prime(13), Q):
-        point = {"X3": other.scalar(12), "AL": other.scalar(5), "BE": other.zero(), "Y3": other.zero()}
+        point = {"X3": other.scalar(12), "AL": other.scalar(5)}
+        point.update(BE=other.zero(), Y3=other.zero())
         with pytest.raises(FieldMismatch):
             poly.substitute(point, ("GA",))
     for field, other in ((Q, F7), (QW, Q)):
@@ -337,7 +338,8 @@ def seeded_operands(ring, field, rng):
         return "".join(rng.choice("xy") for _ in range(rng.randint(0, 3)))
 
     def element():
-        return build(field, {mono(): seeded_coefficient(field, rng) for _ in range(rng.randint(0, 5))})
+        terms = {mono(): seeded_coefficient(field, rng) for _ in range(rng.randint(0, 5))}
+        return build(field, terms)
 
     for _ in range(12):
         p = element()
