@@ -103,7 +103,7 @@ def test_evaluation_checks_the_field_of_each_value():
 
 
 def test_substitute_rejects_a_value_of_another_field():
-    # over F_p the residue of a value from another field was read as is
+    # a value of another field is refused on every field, F_p included
     poly = SPolynomial.parse("X3*GA+AL", F7)
     for other in (FieldSpec.prime(13), Q):
         point = {"X3": other.scalar(12), "AL": other.scalar(5)}
