@@ -16,6 +16,10 @@ commands are made here from fixed seeds:
   18446744073709551427, most of them over F_{p^3};
 * ``stab`` on 40 seeded non-diagonal forms at each of 1000003 and
   18446744073709551427, about half of them with one root on P^1(F_p);
+* ``stab`` on 20 seeded diagonal forms over Q(w), every other one with
+  c3/c0 a cube (orders 18 and 9), and on 20 seeded non-diagonal forms at
+  each of Q and Q(w) whose -3*Delta is not a square, so whose Hessian does
+  not split: these end in ``unsupported-field``;
 * ``reduce`` on 40 seeded texts at each of Q(w), F_13, F_{2^61 - 1} and
   F_18446744073709551427 (sums, products and powers of sums, powers of one
   word under and over 64 letters, ``w`` and p/q literals), ten of them at
@@ -25,7 +29,7 @@ commands are made here from fixed seeds:
   diagonal and every fifth degenerate, and ``verify-identities`` once per
   field.
 
-The ``reduce`` and ``algebra`` groups also hash the error code that a
+The ``stab-q-qw``, ``reduce`` and ``algebra`` groups also hash the error code that a
 command ending in a domain error prints on stderr.
 
 Any change in what these commands print shows here. To record the digests
@@ -45,7 +49,8 @@ from pathlib import Path
 import oracles
 import pytest
 
-from cubiclifford.cli import main
+from cubiclifford.cli import main, parse_scalar_literal
+from cubiclifford.fields import FieldSpec, form_discriminant, nth_power_class
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 LAMBDA_PRIMES = [p for p in range(960, 1041) if p % 3 == 1 and all(p % d for d in range(2, 32))]
@@ -53,7 +58,8 @@ COVER_PRIMES = [7, 13, 19, 31, *LAMBDA_PRIMES, 2**61 - 1, 18446744073709551427]
 STAB_PRIMES = [1000003, 18446744073709551427]
 REDUCE_FIELDS = (("Qw",), ("Fp", 13), ("Fp", 2**61 - 1), ("Fp", 18446744073709551427))
 ALGEBRA_FIELDS = (("Fp", 7), ("Fp", 13), ("Fp", 18446744073709551427), ("Qw",))
-ERROR_CODE_GROUPS = ("reduce", "algebra")
+ERROR_CODE_GROUPS = ("stab-q-qw", "reduce", "algebra")
+Q, QW = FieldSpec.rationals(), FieldSpec.cyclotomic()
 
 
 def _fp(command, p, coeffs):
@@ -71,6 +77,17 @@ def _q_literal(rng, fractional):
 
 def _qw_literal(rng):
     return f"{rng.randint(-3, 3)}+{rng.randint(-3, 3)}*w"
+
+
+def _split_free(field, literal, rng):
+    """Four literals of a nondegenerate non-diagonal form over ``field`` whose
+    -3*Delta is not a square, so whose Hessian does not split."""
+    while True:
+        texts = [literal(rng) for _ in range(4)]
+        c = [parse_scalar_literal(field, t) for t in texts]
+        delta = form_discriminant(c)
+        if (c[1] or c[2]) and delta and not nth_power_class(-3 * delta, 2):
+            return texts
 
 
 def _field_args(spec):
@@ -163,6 +180,20 @@ def commands():
         for p in STAB_PRIMES
         for _ in range(40)
     ]
+    rng = random.Random("golden:stab-q-qw")
+    diagonal = []
+    for i in range(20):
+        c0, c3 = (_qw_literal(rng) for _ in range(2))
+        if i % 2:  # c3/c0 a cube: order 18
+            c3 = f"({c0})*({c3})^3"
+        diagonal.append([c0, "0", "0", c3])
+    split_free_q = [_split_free(Q, lambda r: _q_literal(r, False), rng) for _ in range(20)]
+    split_free_qw = [_split_free(QW, _qw_literal, rng) for _ in range(20)]
+    groups["stab-q-qw"] = [
+        ["stab", "--field", kind, "--coeffs", ",".join(c)]
+        for kind, cs in (("Qw", diagonal), ("Q", split_free_q), ("Qw", split_free_qw))
+        for c in cs
+    ]
     rng = random.Random("golden:reduce")
     groups["reduce"] = [
         ["reduce", "--field", "Q", "--expr", t] for t in ("x", "x*y - 2/3", "(x+y)^2")
@@ -213,7 +244,7 @@ def digest(argvs, error_codes=False):
 
 GROUPS = (
     "stab-f7", "diagonalize-f7", "orbits", "point-search-q", "point-search-qw",
-    "lambda-kernel", "torsion", "cover-point", "stab-large", "reduce", "algebra",
+    "lambda-kernel", "torsion", "cover-point", "stab-large", "stab-q-qw", "reduce", "algebra",
 )
 
 
