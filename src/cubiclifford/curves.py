@@ -30,7 +30,9 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import (
+    CYCLOTOMIC,
     DEFAULT_SCAN_BUDGET,
+    RATIONALS,
     FieldSpec,
     Scalar,
     _omega_residues,
@@ -212,9 +214,8 @@ def _primary_prime(p: int) -> tuple:
     pi = (X + Y)/2 + Y*w has norm p. Exactly one of its six associates
     u*pi is primary.
     """
-    x0 = 2 * _omega_residues(p)[0] + 1  # a root of -3: (2w + 1)^2 = 4(w^2 + w + 1) - 3
-    if x0 % 2 == 0:  # Cohen takes the root of D = -3 that is = D (mod 2)
-        x0 = p - x0
+    # odd, as Cohen asks (x0 = D mod 2), and a root of D = -3: (2w + 1)^2 = 4(w^2 + w + 1) - 3
+    x0 = 2 * _omega_residues(p)[0] + 1
     a, b, bound = 2 * p, x0, isqrt(4 * p)
     while b > bound:
         a, b = b, a % b
@@ -254,7 +255,7 @@ def curve_order(field: FieldSpec, curve_a: Scalar) -> int:
             H = g*Z^2 - X, R = s*Z^3 - Y; when H = 0 the points share
             gamma, so the sum is a doubling when R = 0 and infinity else.
     """
-    if field.kind != "Fp":
+    if not field.p:
         raise UnsupportedField("curve orders need a finite field")
     if curve_a.is_zero():
         raise DegenerateForm("A = 0 gives a singular cubic")
@@ -310,7 +311,7 @@ def _jacobian_multiple(n: int, g: int, s: int, p: int) -> tuple:
 
 def curve_points(field: FieldSpec, curve_a: Scalar) -> list:
     """All points over F_p (exhaustive scan)."""
-    if field.kind != "Fp":
+    if not field.p:
         raise UnsupportedField("exhaustive point lists need a finite field")
     points = [EllipticPoint.infinity(field, curve_a)]
     for g in field.elements():
@@ -595,9 +596,9 @@ def point_search(f, budget: int | None = None):
     on residues or ints and wraps the point it finds once.
     """
     field = f.field
-    if field.kind == "Q":
+    if field.kind == RATIONALS:
         return _integer_point_search(f, DEFAULT_HEIGHT_BUDGET_Q if budget is None else budget)
-    if field.kind == "Qw":
+    if field.kind == CYCLOTOMIC:
         return _zw_point_search(f, DEFAULT_HEIGHT_BUDGET_QW if budget is None else budget)
     p = field.p
     raw = [c.val for c in f.coeffs]
@@ -622,7 +623,7 @@ def construct_cover_point(f, which: int) -> PlaneCubicPoint:
     t^3 = f(1,1); (1:-1:t) with t^3 = f(1,-1). Built over F_p when the cube
     root lives there, else over F_{p^3}."""
     field = f.field
-    if field.kind != "Fp":
+    if not field.p:
         raise UnsupportedField("cover points are constructed over prime fields")
     if which not in (1, 2, 3, 4):
         raise PreconditionFailed("which must be 1..4")

@@ -225,20 +225,23 @@ def lone_root(c, p: int) -> tuple:
     If c0 = 0 it is (1, 0). Otherwise d = G^2 - 4*h0^3 (``resolvent``) is a
     non-square like Delta, and so h0 != 0. In F_p(sqrt(d)), conjugation is
     the Frobenius, so z = (-G + sqrt(d))/2 has norm z^(p + 1) = h0^3. Then
-    u = z^((p + 2)/3)/h0 has u^3 = z and norm h0^(p + 2)/h0^2 = h0, so its
-    conjugate is h0/u, and the root x = u + h0/u of x^3 - 3*h0*x + G is the
-    trace of u, in F_p. The root is (t, 1) with t = (x - c1)/(3*c0), checked:
-    a failed f(t, 1) = 0 raises.
+    u = z^k/h0, k = (p + 2)/3, has u^3 = z and norm h0^(p + 2)/h0^2 = h0, so
+    its conjugate is h0/u, and the root x = u + h0/u of x^3 - 3*h0*x + G is
+    the trace V_k/h0, V_n = z^n + conj(z)^n the Lucas sequence of P = -G and
+    Q = h0^3, by the ladder V_2n = V_n^2 - 2Q^n, V_2n+1 = V_n V_n+1 - P Q^n.
+    The root is (t, 1), t = (x - c1)/(3*c0), checked: f(t, 1) != 0 raises.
     """
     c0, c1 = c[0], c[1]
     if c0 % p == 0:
         return 1, 0
     h0, g = resolvent(c)
-    d, half = (g * g - 4 * h0 * h0 * h0) % p, (p + 1) // 2
-    z = power(  # z^((p + 2)/3) in F_p[s]/(s^2 - d)
-        (-g * half % p, half), (p + 2) // 3, (1, 0), lambda x, y: poly_mulmod(x, y, (-d, 0), p)
-    )
-    t = (2 * z[0] * pow(h0, -1, p) - c1) * pow(3 * c0, -1, p) % p
+    h3, v, w, q = pow(h0, 3, p), 2, -g % p, 1  # V_n, V_n+1, Q^n from n = 0 up to k
+    for bit in bin((p + 2) // 3)[2:]:  # n -> 2n + 1 on a 1, n -> 2n on a 0
+        if bit == "1":
+            v, w, q = (v * w + g * q) % p, (w * w - 2 * q * h3) % p, q * q * h3 % p
+        else:
+            v, w, q = (v * v - 2 * q) % p, (v * w + g * q) % p, q * q % p
+    t = (v * pow(h0, -1, p) - c1) * pow(3 * c0, -1, p) % p
     if form_value(c, t, 1) % p:
         raise AssertionError(f"{tuple(c)} has no root at ({t} : 1) mod {p}")
     return t, 1

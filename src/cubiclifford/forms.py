@@ -12,9 +12,10 @@ freealg.linear_substitute.
 
 Over F_p (p = 1 mod 3) nothing is enumerated by brute force: an orbit is
 named by a complete invariant (``_cell``: the root count on P^1(F_p) and
-Delta mod sixth powers), ``orbit_enumerate`` fills the 13 cells by a short
-lex scan, and stabilizers and equivalences come from one normal form per
-orbit type (``_normal_form``).
+Delta mod sixth powers), and ``orbit_enumerate`` fills the 13 cells by a
+short lex scan. Over every field, stabilizers and equivalences come from one
+normal form per orbit (``_normal_form``): diagonal when the Hessian splits,
+else (0, a, 0, b) over F_p.
 """
 
 from __future__ import annotations
@@ -261,8 +262,9 @@ class StabilizerResult:
 
     @property
     def structure(self):
-        """Isomorphism type for the diagonal classification, else the order."""
-        if self.kind == "diagonal-formula":
+        """The isomorphism type of a diagonal form's stabilizer of order 18 or
+        9, else the order."""
+        if self.kind == "diagonal-formula" and self.order in (9, 18):
             return "(Z/3 x Z/3) : Z/2" if self.order == 18 else "Z/3 x Z/3"
         return f"order-{self.order}"
 
@@ -278,37 +280,36 @@ class StabilizerResult:
 def stabilizer(f: BinaryCubicForm) -> StabilizerResult:
     """Explicit stabilizer of f in GL2(k).
 
-    Diagonal (p, 0, 0, r): the nine diag(u, v) with u, v cube roots of 1,
-    plus nine antidiagonals (0, u*l; v/l, 0) whenever l^3 = r/p has a root
-    in k (equivalently p/r is a cube). A non-diagonal form over F_p is
-    carried by some g to its normal form n (``_normal_form``), so its
-    stabilizer is g*Stab(n)*g^-1, conjugated and checked to fix f on
-    residues, and listed in the order of the raw entries (a, b, c, d). Its
-    ``kind`` keeps the legacy label "enumerated" from when these elements
-    were found by scanning all p^4 matrices. Non-diagonal forms over Q /
-    Q(w) are unsupported.
+    Diagonal (p, 0, 0, r): the diag(u, v) with u, v cube roots of 1, then,
+    whenever l^3 = r/p has a root in k (p/r a cube), the antidiagonals
+    (0, u*l; v/l, 0). Any other f is carried by some g to its normal form n
+    (``_normal_form``), so its stabilizer is g*Stab(n)*g^-1: conjugated on
+    ``fields.arith`` values, checked to fix f, and sorted by the entries'
+    values, so the list does not depend on g. Its ``kind`` keeps the legacy
+    label "enumerated". Where f has no normal form (over Q or Q(w), a
+    Hessian that does not split) it raises UnsupportedField.
     """
     f.require_nondegenerate()
     field = f.field
     if f.is_diagonal():
         elements = [GL2Element(field, e) for e in _normal_stabilizer(f)]
         return StabilizerResult(f, "diagonal-formula", elements)
-    if field.kind != "Fp":
-        raise UnsupportedField("non-diagonal stabilizers only enumerable over Fp")
-    p = field.p
-    raw = tuple(c.val for c in f.coeffs)
-    g, n = _normal_form(f)
-    a, b, c, d = g
-    k = pow(a * d - b * c, -1, p)
+    normal = _normal_form(f)
+    if normal is None:
+        raise UnsupportedField(f"the Hessian of {f} does not split over {field}")
+    g, n = normal
+    m = a, b, c, d = tuple(arith(e) for e in g.entries())
+    k = arith(g.det.inverse())
     inv = (d * k, -b * k, -c * k, a * k)
+    raw = tuple(arith(x) for x in f.coeffs)
+    mod = (lambda x: x % field.p) if field.p else (lambda x: x)
     # act(g, f) = n, so act(g*s*g^-1, f) = act(g^-1, act(s, n)) = f for s in Stab(n)
-    elements = sorted(
-        tuple(e % p for e in _mat_mul(_mat_mul(g, s), inv))
-        for s in _normal_stabilizer(BinaryCubicForm(field, n))
-    )
-    if any(tuple(c % p for c in _act(h, raw)) != raw for h in elements):
+    conjugates = [tuple(map(mod, _mat_mul(_mat_mul(m, s), inv))) for s in _normal_stabilizer(n)]
+    if any(tuple(map(mod, _act(h, raw))) != raw for h in conjugates):
         raise AssertionError(f"a conjugated stabilizer element moves {f}")
-    return StabilizerResult(f, "enumerated", [GL2Element(field, h) for h in elements])
+    elements = [GL2Element(field, h) for h in conjugates]
+    elements.sort(key=lambda e: (e.a.val, e.b.val, e.c.val, e.d.val))
+    return StabilizerResult(f, "enumerated", elements)
 
 
 def gl2_order(p: int) -> int:
@@ -399,7 +400,7 @@ def orbit_enumerate(field: FieldSpec, nondegenerate_only: bool = True, budget: i
     Every classified form counts against the budget (default
     DEFAULT_SCAN_BUDGET); one more raises BudgetExceeded.
     """
-    if field.kind != "Fp":
+    if not field.p:
         raise UnsupportedField("orbit enumeration needs a finite field")
     p = field.p
     budget = DEFAULT_SCAN_BUDGET if budget is None else budget
@@ -439,23 +440,26 @@ def orbit_enumerate(field: FieldSpec, nondegenerate_only: bool = True, budget: i
 
 
 def _normal_form(f: BinaryCubicForm):
-    """(g, n), raw entry and coefficient tuples with act(g, f) = n, for a
-    nondegenerate f over F_p.
+    """(g, n), a GL2Element and a BinaryCubicForm with act_gl2(g, f) = n, or
+    None, for a nondegenerate f over any field.
 
-    Delta a square (r = 0 or 3): n is diagonal, by ``diagonalize``, which
-    never raises here. -Delta/108 = Delta/(4*(-27)) is a square, since
-    -27 = (-3)^3 and -3 is a square mod p = 1 (mod 3); and a Hessian
-    coefficient r vanishing for f and its swap leaves a Hessian of shape
-    u*v, whose roots (1:0) and (0:1) make f diagonal, and a diagonal f
-    comes back with the identity.
-    Delta a non-square (r = 1): g sends the rational root, a trace from
-    F_{p^2} (``fields.lone_root``), to (1:0), making c0 = 0, then
-    u -> u - c2/(2*c1)*v completes the square: n = (0, a, 0, b).
+    -3*Delta a square, so the Hessian splits (over F_p, where -3 is a
+    square, Delta a square: 0 or 3 roots on P^1(F_p)): n is diagonal, by
+    ``diagonalize``, which never raises here. Its D = -Delta/108 =
+    -3*Delta/18^2 is a square; and a Hessian coefficient r vanishing for f
+    and its swap leaves a Hessian of shape u*v, whose roots (1:0) and (0:1)
+    make f diagonal, and a diagonal f comes back with the identity.
+    Otherwise, over F_p (one root): g sends the root, a trace from F_{p^2}
+    (``fields.lone_root``), to (1:0), making c0 = 0, then
+    u -> u - c2/(2*c1)*v completes the square: n = (0, a, 0, b). Over Q and
+    Q(w): None.
     """
-    if nth_power_class(f.discriminant(), 2):
-        g, d = diagonalize(f)
-        return tuple(e.val for e in g.entries()), tuple(c.val for c in d.coeffs)
-    p = f.field.p
+    field = f.field
+    if nth_power_class(-3 * f.discriminant(), 2):
+        return diagonalize(f)
+    p = field.p
+    if not p:
+        return None
     raw = tuple(c.val for c in f.coeffs)
     x, y = lone_root(raw, p)
     # f(a*u + b*v, c*u + d*v) has c0 = f(a, c) = 0 for (a, c) = (x, y)
@@ -465,12 +469,12 @@ def _normal_form(f: BinaryCubicForm):
     n = tuple(c % p for c in _act(g, raw))
     if n[0] or n[2]:
         raise AssertionError(f"{g} carries {f} to {n}, not to a (0, a, 0, b)")
-    return g, n
+    return GL2Element(field, g), BinaryCubicForm(field, n)
 
 
 def _normal_stabilizer(n: BinaryCubicForm):
     """Stab(n) for n diagonal (the formula in ``stabilizer``) or (0, a, 0, b),
-    as raw entry tuples (the ``val`` of each entry).
+    as entry tuples of ``fields.arith`` values.
 
     act(diag(x, y), (0, a, 0, b)) = (0, a*x^2*y, 0, b*y^3), so the six
     diag(+-y, y) with y^3 = 1 fix (0, a, 0, b); that is all of its
@@ -478,57 +482,46 @@ def _normal_stabilizer(n: BinaryCubicForm):
     """
     roots = n.field.cube_roots_of_unity()
     if not n.is_diagonal():
-        return [((s * y).val, 0, 0, y.val) for y in roots for s in (1, -1)]
-    elements = [(u.val, 0, 0, v.val) for u in roots for v in roots]
+        return [(arith(s * y), 0, 0, arith(y)) for y in roots for s in (1, -1)]
+    elements = [(arith(u), 0, 0, arith(v)) for u in roots for v in roots]
     lam = cube_root_in_field(n.coeffs[3] / n.coeffs[0])
     if lam is not None:
         inv = lam.inverse()
-        elements += [(0, (u * lam).val, (v * inv).val, 0) for u in roots for v in roots]
+        elements += [(0, arith(u * lam), arith(v * inv), 0) for u in roots for v in roots]
     return elements
 
 
 def orbit_equivalent(f: BinaryCubicForm, g: BinaryCubicForm):
     """(answer, witness): answer True/False, or None for Unknown.
 
-    Over F_p: decided by the complete invariant (``_cell``), with a witness
-    built from the two normal forms (``_normal_form``). Over Q / Q(w):
-    False if the sixth-power class of the discriminant ratio or the
-    diagonalizability class separates; True (with witness) when the
-    diagonalize-then-match search finds a transform; None otherwise.
-    Every witness is checked by ``act_gl2``.
+    First the invariant, False on a mismatch: the cell over F_p (``_cell``,
+    complete), the class of Delta_g/Delta_f mod sixth powers over Q / Q(w).
+    Then the normal forms (``_normal_form``), None without them, are matched
+    by ``_match_diagonal`` or ``_match_rooted``, each complete. A failed
+    match is False over Q / Q(w), where the cube-root searches are exact,
+    and cannot happen over F_p. Every witness is checked by ``act_gl2``.
     """
     if f.field != g.field:
         raise FieldMismatch("forms over different fields")
     f.require_nondegenerate()
     g.require_nondegenerate()
     field = f.field
-    if field.kind == "Fp":
+    if field.p:
         raw_f, raw_g = (tuple(c.val for c in h.coeffs) for h in (f, g))
         if _cell(raw_f, field) != _cell(raw_g, field):
             return False, None
-        (gf, df), (gg, dg) = (
-            (GL2Element(field, m), BinaryCubicForm(field, n)) for m, n in map(_normal_form, (f, g))
-        )
-        match = _match_diagonal(df, dg) if df.is_diagonal() else _match_rooted(df, dg)
-        if match is None:
+    elif not nth_power_class(g.discriminant() / f.discriminant(), 6):
+        return False, None
+    # -3*Delta_g = -3*Delta_f*t^6 is a square iff -3*Delta_f is: both None or of one kind
+    normal_f = _normal_form(f)
+    if normal_f is None:
+        return None, None
+    (gf, df), (gg, dg) = normal_f, _normal_form(g)
+    match = _match_diagonal(df, dg) if df.is_diagonal() else _match_rooted(df, dg)
+    if match is None:
+        if field.p:
             raise AssertionError(f"{f} and {g} share their invariants but no transform matched")
-    else:
-        if not nth_power_class(g.discriminant() / f.discriminant(), 6):
-            return False, None
-        diag_f = sqrt_in_field(field.scalar(-108) * f.discriminant()) is not None
-        diag_g = sqrt_in_field(field.scalar(-108) * g.discriminant()) is not None
-        if diag_f != diag_g:
-            return False, None
-        if not (diag_f and diag_g):
-            return None, None
-        gf, df = diagonalize(f)
-        gg, dg = diagonalize(g)
-        match = _match_diagonal(df, dg)
-        if match is None:
-            # the cube-root searches over Q and Q(w) are exact (not
-            # budget-bounded), and the monomial-matrix criterion is complete
-            # for diagonal forms, so a failed match is a proof
-            return False, None
+        return False, None
     # act(gf, f) = df, act(m, df) = dg  =>  act(gf*m, f) = dg = act(gg, g)
     total = gf.mul(match).mul(gg.inverse())
     if act_gl2(total, f) != g:

@@ -362,6 +362,16 @@ def test_qw_cube_roots_of_large_coefficients_return(capsys):
     for entries in elements:
         g = GL2Element(QW, [Scalar.from_json(QW, x) for x in entries])
         assert act_gl2(g, f) == f
+    # u^3 + big*v^3 moved by (1, 1; 0, 1): diagonalized, then conjugated
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "stab", "--field", "Qw", "--coeffs", f"1,3,3,{big + 1}")
+    assert code == 0 and time.perf_counter() - start < 2
+    moved = BinaryCubicForm(QW, (1, 3, 3, big + 1))
+    elements = json.loads(out)["elements"]
+    assert len(elements) == 18
+    for entries in elements:
+        g = GL2Element(QW, [Scalar.from_json(QW, x) for x in entries])
+        assert act_gl2(g, moved) == moved
     start = time.perf_counter()
     code, out, _ = run_cli(
         capsys, "point-search", "--field", "Qw", "--coeffs", f"2,0,0,{big}", "--budget", "1"

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import F7, F13, Q, QW, rand_form, rand_gl2
+from conftest import F7, F13, Q, QW, rand_form, rand_gl2, rand_scalar
 from oracles import (
     act_raw,
     encode,
@@ -265,6 +265,54 @@ def test_stabilizer_structure_labels():
     assert stabilizer(BinaryCubicForm(F7, (1, 0, 0, 1))).structure == "(Z/3 x Z/3) : Z/2"
     assert stabilizer(BinaryCubicForm(F7, (1, 0, 0, 3))).structure == "Z/3 x Z/3"
     assert stabilizer(BinaryCubicForm(F7, (1, 0, 3, 2))).structure == "order-9"
+
+
+def test_stabilizer_structure_names_only_orders_18_and_9():
+    # over Q the only cube root of 1 is 1: Stab(u^3 + v^3) is {1, swap}
+    assert stabilizer(BinaryCubicForm(Q, (1, 0, 0, 1))).structure == "order-2"
+    assert stabilizer(BinaryCubicForm(Q, (1, 0, 0, 2))).structure == "order-1"
+    assert stabilizer(BinaryCubicForm(QW, (1, 0, 0, 2))).structure == "Z/3 x Z/3"
+
+
+def _moved_diagonal_forms(field, rng, count):
+    """``count`` seeded (g.d, d) with d = (c0, 0, 0, c3) and g.d not diagonal."""
+    pairs = []
+    while len(pairs) < count:
+        c0, c3 = (rand_scalar(field, rng, nonzero=True) for _ in range(2))
+        d = BinaryCubicForm(field, (c0, 0, 0, c3))
+        f = act_gl2(rand_gl2(field, rng), d)
+        if not f.is_diagonal():
+            pairs.append((f, d))
+    return pairs
+
+
+@pytest.mark.parametrize("field", [Q, QW])
+def test_stabilizer_of_a_split_nondiagonal_form_is_conjugated(field):
+    # the Hessian of g.d splits as that of d does, so stab answers, with the order of Stab(d)
+    for f, d in _moved_diagonal_forms(field, random.Random(28), 12):
+        st = stabilizer(f)
+        assert st.kind == "enumerated"
+        assert st.order == stabilizer(d).order
+        assert all(act_gl2(g, f) == f for g in st.elements)
+
+
+@pytest.mark.parametrize("field", [Q, QW])
+def test_orbit_equivalent_finds_a_witness_between_moved_diagonal_forms(field):
+    rng = random.Random(29)
+    for f, d in _moved_diagonal_forms(field, rng, 12):
+        h = act_gl2(rand_gl2(field, rng), d)
+        answer, witness = orbit_equivalent(f, h)
+        assert answer is True
+        assert act_gl2(witness, f) == h
+
+
+@pytest.mark.parametrize("field", [Q, QW])
+def test_orbit_equivalent_refutes_diagonal_forms_of_equal_discriminant(field):
+    # both discriminants are -432, and neither 2 nor 1/2 is a cube in Q(w)
+    f = BinaryCubicForm(field, (1, 0, 0, 4))
+    g = BinaryCubicForm(field, (2, 0, 0, 2))
+    assert f.discriminant() == g.discriminant()
+    assert orbit_equivalent(f, g) == (False, None)
 
 
 def test_orbit_of_sum_of_cubes_has_size_112():
