@@ -29,8 +29,8 @@ commands are made here from fixed seeds:
   diagonal and every fifth degenerate, and ``verify-identities`` once per
   field.
 
-The ``stab-q-qw``, ``reduce`` and ``algebra`` groups also hash the error code that a
-command ending in a domain error prints on stderr.
+The ``stab-q-qw``, ``reduce`` and ``algebra`` groups also hash the error
+code that a command ending in a domain error prints on stderr.
 
 Any change in what these commands print shows here. To record the digests
 of the current code (only when an output change is intended):
