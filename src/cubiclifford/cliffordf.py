@@ -5,15 +5,18 @@ Elements are 18-vectors of univariate polynomials in GA over k. The
 specialized algebra is the generic algebra with its structure columns
 pushed through the specialization map S -> k[GA], (X3, AL, BE, Y3) -> the
 form's coefficients, the same map that ``specialize`` applies to elements
-(the integer columns are evaluated at the coefficients into flat triples).
+(each monomial of the integer columns is evaluated at the coefficients
+once, on raw numerators).
 So the specialization map is an algebra homomorphism by construction; the
 tests cross-check it as one. The freeness, symbol and GL2-isomorphism checks
 fold sparse raw vectors through factors, not expanded words: whatever the
 columns, folding is a right action of k<x, y>, v.(ab) = (v.a).b, linear in
 the columns, so the answers are the same. The freeness and isomorphism
-checks test the four central relations by one helper,
-``Rank18Algebra._central_relation``: the freeness check at every basis
-vector, the isomorphism check at the unit of the moved algebra.
+checks test the four central relations r = c by one block routine,
+``Rank18Algebra._central_relations``, as B r = c B for a block B of rows:
+the freeness check at the 18 unit rows at once, so as the matrix identity
+M_r = c*I, and the isomorphism check at the one row of the unit of the
+moved algebra.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .freealg import (
     linear_substitute,
 )
 from .gca import BASIS_WORDS, GCAElement, Rank18Algebra, Rank18Element
-from .gca import _Echelon, _gathered, evaluated_columns
-from .spoly import GAMMA_VARS, GCA_VARS, SPolynomial, accumulate, raw_scalar
+from .gca import _Echelon, _gathered, _structure_columns_int
+from .spoly import GAMMA_VARS, SPolynomial, accumulate, raw_scalar, scaled
 
 from . import curves
 
@@ -65,13 +68,42 @@ def _specialization(f: BinaryCubicForm):
     return lambda p: p.substitute(assign, GAMMA_VARS)
 
 
+@lru_cache(maxsize=None)
+def _grouped_integer_columns():
+    """The integer generic columns laid out for ``specialized_columns``: the
+    keys (j, i, GA^e) of each letter's terms in column order, the monomials
+    X3^a AL^b BE^c Y3^d of the terms outside GA as (a, b, c, d), and the keys
+    of the terms n * X3^a AL^b BE^c Y3^d GA^e grouped by (letter, (a, b, c,
+    d), n)."""
+    keys, groups = {"x": [], "y": []}, {}
+    for (letter, j, i), e, n in _structure_columns_int():
+        key = (j, i, (e[4],) if e[4] else None)
+        keys[letter].append(key)
+        groups.setdefault((letter, e[:4], n), []).append(key)
+    monomials = tuple(dict.fromkeys(e for _, e, _ in groups))
+    return tuple(keys.items()), monomials, tuple((g, tuple(ks)) for g, ks in groups.items())
+
+
 def specialized_columns(f: BinaryCubicForm):
     """(columns, den): the integer generic columns with each S-monomial
-    X3^a AL^b BE^c Y3^d GA^e evaluated at f, as c0^a c1^b c2^c c3^d GA^e."""
-    one = f.field.one()
-    return evaluated_columns(
-        f.field, lambda e: ((e[4],), prod((c**k for c, k in zip(f.coeffs, e) if k), start=one))
-    )
+    X3^a AL^b BE^c Y3^d GA^e evaluated at f, as c0^a c1^b c2^c c3^d GA^e.
+    Each monomial outside GA is evaluated once, and its raw numerator weights
+    every term that has it in one ``accumulate``."""
+    keys, monomials, groups = _grouped_integer_columns()
+    field = f.field
+    one = raw_scalar(field.one())[0]
+    values = {}
+    for e in monomials:
+        factors = [c for c, k in zip(f.coeffs, e) for _ in range(k)]
+        values[e] = raw_scalar(prod(factors[1:], start=factors[0]) if factors else field.one())
+    den = lcm(*(d for _, d in values.values()))
+    rows = {letter: dict.fromkeys(ks, scaled(0, one)) for letter, ks in keys}
+    items = [
+        (letter, dict.fromkeys(ks, scaled(den // d, num)), None, scaled(n, one))
+        for (letter, e, n), ks in groups
+        for num, d in (values[e],)
+    ]
+    return _gathered(field.p, accumulate(field.p, rows, items, None), den)
 
 
 class SpecializedAlgebra(Rank18Algebra):
@@ -102,10 +134,16 @@ class SpecializedAlgebra(Rank18Algebra):
     def relations_hold(self) -> bool:
         """Whether the pushed columns give k[GA]^18 a right action of A_f
         with 1.b_i = e_i and 1.GA = GA*1, where 1 is e_0 and v.a folds the
-        free element a from v. A relation r = c holds as an operator
-        identity once v.(r - c) = 0 on the unit vectors e_i = 1.b_i, since
-        v -> v.(r - c) is k[GA]-linear. So each relation is checked at every
-        e_i by ``_central_relation``; the first row that fails ends the check."""
+        free element a from v. The basis words and GA are folded from 1.
+
+        Each central relation r = c (r the word sum of X3, AL, BE or Y3, c
+        the form's coefficient) is checked as one matrix identity M_r = c*I
+        on the block I of the 18 unit rows, by ``_central_relations``. Row i
+        of M_r - c*I is e_i.(r - c), so the identity is exactly the 72 row
+        checks e_i.(r - c) = 0; as v -> v.(r - c) is k[GA]-linear and the
+        e_i span k[GA]^18, they make r - c act as 0. The block is one vector
+        over k[ROW, GA] whose row i is carried by ROW^i, and the columns
+        leave ROW at exponent 0, so each fold moves all 18 rows at once."""
         one = self.field.one()
         cache = {"": self._scalar_vector(0, one)}
         for i, word in enumerate(BASIS_WORDS):
@@ -113,11 +151,14 @@ class SpecializedAlgebra(Rank18Algebra):
                 return False
         if self._reduce(gamma_element(self.field), cache) != self._vector(self.gamma().coords):
             return False
-        return all(
-            self._central_relation(i, var, c, cache)
-            for i in range(18)
-            for var, c in zip(GCA_VARS, self.form.coeffs)
-        )
+        columns = {
+            letter: [[(i, m and (0, *m), c) for i, m, c in col] for col in cols]
+            for letter, cols in self.columns.items()
+        }
+        stacked = Rank18Algebra(self.base, self.field, ("ROW", "GA"), columns, self.den)
+        unit = raw_scalar(one)[0]
+        block = ({i: {(i, 0): unit} for i in range(18)}, 1)
+        return all(stacked._central_relations(self.form.coeffs, {"": block}))
 
 
 @lru_cache(maxsize=64)
@@ -162,11 +203,14 @@ def _substituted_columns(alg: SpecializedAlgebra, g: GL2Element):
     """(columns, den) of M_{g.x} = a*M_x + c*M_y and M_{g.y} = b*M_x + d*M_y."""
     den = lcm(*(raw_scalar(e)[1] for e in g.entries()))
     a, b, c, d = (raw_scalar(e * g.field.scalar(den))[0] for e in g.entries())
+    terms = {
+        letter: {(j, i, m): coeff for j, col in enumerate(cols) for i, m, coeff in col}
+        for letter, cols in alg.columns.items()
+    }
     items = [
-        ((moved, j), {(i, m): coeff for i, m, coeff in col}, None, k)
+        (moved, terms[letter], None, k)
         for moved, ks in (("x", (a, c)), ("y", (b, d)))
         for k, letter in zip(ks, "xy")
-        for j, col in enumerate(alg.columns[letter])
     ]
     return _gathered(g.field.p, accumulate(g.field.p, {}, items, None), alg.den * den)
 
@@ -176,8 +220,9 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     transformed form's algebra into identities at f, and report the induced
     scaling of the degree-4 central generator (must be det(g)^2). The fold
     is linear in the columns, so folding over the columns of g.x and g.y
-    equals reducing the ``linear_substitute`` images over M_x and M_y. Each
-    relation (word sum) = c is one ``_central_relation`` at the unit e_0."""
+    equals reducing the ``linear_substitute`` images over M_x and M_y. The
+    four relations (word sum) = c are ``_central_relations`` at the block
+    of one row, the unit e_0 of the moved algebra: 1.(r - c) = 0."""
     if g.field != f.field:
         raise FieldMismatch("matrix and form fields differ")
     f.require_nondegenerate()
@@ -189,10 +234,7 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     moved = Rank18Algebra(f, field, GAMMA_VARS, *_substituted_columns(alg, g))
     cache = {"": moved._scalar_vector(0, field.one())}
     names = ("cube-x", "polarization-u2v", "polarization-uv2", "cube-y")
-    relations = {
-        name: moved._central_relation(0, var, c, cache)
-        for name, var, c in zip(names, GCA_VARS, target.coeffs)
-    }
+    relations = dict(zip(names, moved._central_relations(target.coeffs, cache)))
     rows, den = moved._reduce(gamma_element(field), cache)
     factor = None
     if rows.keys() <= {0} and rows.get(0, {}).keys() <= {(1,)}:
@@ -289,12 +331,13 @@ def gamma_independence_check(f: BinaryCubicForm, degree_bound: int) -> bool:
     psi(p) = sum p_i(GA) b_i maps k[GA]^18 onto A_f: the generic columns
     write each b_j * letter as an S-combination of basis words modulo the
     defining ideal (certified over Q by ``validate_structure_columns`` in
-    ``tests/oracles.py``, on every test run),
-    and specializing at f keeps that. ``relations_hold`` makes phi(a) = 1.a
-    a map A_f -> k[GA]^18 with phi(psi(p)) = sum p_i(GA) e_i = p, so psi is
-    also injective and a -> 1.a is an isomorphism A_f -> k[GA]^18. Freeness
-    holds in every degree at once, so ``degree_bound`` (echoed by the CLI)
-    cannot change the answer.
+    ``tests/oracles.py``, on every test run), and specializing at f keeps
+    that. ``relations_hold`` (1.b_i = e_i, and M_r = c*I for each central
+    relation r = c, one block identity on all 18 unit rows) makes
+    phi(a) = 1.a a map A_f -> k[GA]^18 with phi(psi(p)) = sum p_i(GA) e_i
+    = p, so psi is also injective and a -> 1.a is an isomorphism A_f ->
+    k[GA]^18. Freeness holds in every degree at once, so ``degree_bound``
+    (echoed by the CLI) cannot change the answer.
     """
     f.require_nondegenerate()
     if sqrt_in_field(f.field.scalar(-108) * f.discriminant()) is None:

@@ -20,6 +20,8 @@ else (0, a, 0, b) over F_p.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import (
     BudgetExceeded,
     DegenerateForm,
@@ -30,6 +32,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import (
+    CYCLOTOMIC,
     DEFAULT_SCAN_BUDGET,
     FieldSpec,
     Scalar,
@@ -116,6 +119,14 @@ class GL2Element:
         self.det = field.scalar(arith(a) * arith(d) - arith(b) * arith(c))
         if self.det.is_zero():
             raise SingularMatrix(f"det of {entries} is zero")
+
+    @classmethod
+    def _of_scalars(cls, field, a, b, c, d, det):
+        """The element whose entries and nonzero det are these Scalars of
+        ``field``, taken as they are: nothing is coerced or checked."""
+        g = object.__new__(cls)
+        g.field, g.a, g.b, g.c, g.d, g.det = field, a, b, c, d, det
+        return g
 
     @staticmethod
     def identity(field):
@@ -307,9 +318,11 @@ def stabilizer(f: BinaryCubicForm) -> StabilizerResult:
     conjugates = [tuple(map(mod, _mat_mul(_mat_mul(m, s), inv))) for s in _normal_stabilizer(n)]
     if any(tuple(map(mod, _act(h, raw))) != raw for h in conjugates):
         raise AssertionError(f"a conjugated stabilizer element moves {f}")
-    elements = [GL2Element(field, h) for h in conjugates]
-    elements.sort(key=lambda e: (e.a.val, e.b.val, e.c.val, e.d.val))
-    return StabilizerResult(f, "enumerated", elements)
+    # the entries are reduced already, so they become Scalars as they are
+    wrap = field.scalar if field.kind == CYCLOTOMIC else partial(Scalar, field)
+    rows = [tuple(map(wrap, (a, b, c, d, mod(a * d - b * c)))) for a, b, c, d in conjugates]
+    rows.sort(key=lambda row: tuple(e.val for e in row[:4]))
+    return StabilizerResult(f, "enumerated", [GL2Element._of_scalars(field, *row) for row in rows])
 
 
 def gl2_order(p: int) -> int:

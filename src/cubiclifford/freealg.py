@@ -156,11 +156,6 @@ def gamma_element(field) -> FreeElement:
     return FreeElement(field, {"yxyx": field.one(), "xxyy": -field.one()})
 
 
-def gamma_element_alt(field) -> FreeElement:
-    """(xy)^2 - y^2*x^2, the other defining expression for the same class."""
-    return FreeElement(field, {"xyxy": field.one(), "yyxx": -field.one()})
-
-
 def delta_element(field) -> FreeElement:
     """y*x - w*x*y."""
     return FreeElement(field, {"yx": field.one(), "xy": -field.omega()})

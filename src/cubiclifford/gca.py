@@ -406,9 +406,6 @@ class Rank18Element:
     def __neg__(self):
         return self._like([-a for a in self.coords])
 
-    def scale_poly(self, s: SPolynomial):
-        return self._like([a * s for a in self.coords])
-
     def scale(self, c: Scalar):
         return self._like([a.scale(c) for a in self.coords])
 
@@ -452,45 +449,30 @@ class GCAElement(Rank18Element):
         )
 
 
-def evaluated_columns(field: FieldSpec, value):
-    """({letter: columns}, den): column j lists the (i, monomial, raw
-    numerator) triples of b_j * letter over den, each S-monomial e of the
-    integer columns replaced by ``value(e)`` = (monomial, Scalar), and the
-    monomial None when it is the unit."""
-    entries = _structure_columns_int()
-    values = {}
-    for e in dict.fromkeys(e for _, e, _ in entries):
-        m, c = value(e)
-        values[e] = (m if any(m) else None, *raw_scalar(c))
-    den = lcm(*(d for _, _, d in values.values()))
-    values = {e: (m, scaled(den // d, num)) for e, (m, num, d) in values.items()}
-    p = field.p
-    items = [
-        ((letter, j), {(i, values[e][0]): c if p else (c, 0)}, None, values[e][1])
-        for (letter, j, i), e, c in entries
-    ]
-    return _gathered(p, accumulate(p, {}, items, None), den)
-
-
 def _gathered(p, rows: dict, den: int):
-    """({letter: columns}, den) of the canonical ``rows``, the map of column
-    (letter, j) keyed (i, monomial)."""
+    """({letter: columns}, den) of the canonical ``rows``, the map of each
+    letter keyed (j, i, monomial): column j lists the (i, monomial, raw
+    numerator) triples of b_j * letter over den, the monomial None when it
+    is the unit."""
     rows, den = canonical(p, rows, den)
     columns = {letter: [[] for _ in range(18)] for letter in "xy"}
-    for (letter, j), row in rows.items():
-        columns[letter][j] = [(i, m, c) for (i, m), c in row.items()]
+    for letter, row in rows.items():
+        cols = columns[letter]
+        for (j, i, m), c in row.items():
+            cols[j].append((i, m, c))
     return columns, den
 
 
 @lru_cache(maxsize=16)
 def generic_columns(field: FieldSpec):
     """(columns, 1): the columns of right multiplication by x and y on the
-    basis over ``field`` (``evaluated_columns`` at each S-monomial itself),
-    derived once per field."""
-    if not field.has_omega():
-        raise UnsupportedField("the algebra needs a field containing omega")
-    one = field.one()
-    return evaluated_columns(field, lambda e: (e, one))
+    basis over ``field``, each S-monomial of the integer columns its own
+    monomial, derived once per field."""
+    one = raw_scalar(field.one())[0]
+    rows = {"x": {}, "y": {}}
+    for (letter, j, i), e, n in _structure_columns_int():
+        rows[letter][j, i, e if any(e) else None] = scaled(n, one)
+    return _gathered(field.p, rows, 1)
 
 
 class Rank18Algebra:
@@ -562,15 +544,23 @@ class Rank18Algebra:
             accumulate(self.field.p, acc, entries, SPolynomial._mono_mul)
         return canonical(self.field.p, acc, common * self.den)
 
-    def _central_relation(self, i: int, var: str, c: Scalar, cache: dict) -> bool:
-        """Whether b_i times the word sum of ``var`` (X3, AL, BE or Y3, whose
-        words have three letters and coefficient 1) is c*e_i, by one
-        ``_fold`` of the vectors of b_i w[:2] (from ``cache``) by w[2]."""
-        word = BASIS_WORDS[i]
-        row = self._fold(
-            [(self._word_vector(word + w[:2], cache), w[2]) for w in CENTRAL_EXPANSIONS[var]]
-        )
-        return row == self._scalar_vector(i, c)
+    def _central_relations(self, coeffs, cache: dict) -> list:
+        """[B r == c B] for the four central relations r = c: r the word sum
+        of X3, AL, BE or Y3 (three letters, coefficient 1), c its entry of
+        ``coeffs`` and B the block cache[""]. A block is a vector whose
+        monomials may carry exponents that the columns leave at 0, such as
+        the row of a stack of vectors: the fold is linear over them, so it
+        moves every row at once. B r is one ``_fold`` of the blocks B w[:2]
+        (from ``cache``) by w[2]."""
+        p, (rows, den) = self.field.p, cache[""]
+        out = []
+        for var, c in zip(GCA_VARS, coeffs):
+            words = CENTRAL_EXPANSIONS[var]
+            lhs = self._fold([(self._word_vector(w[:2], cache), w[2]) for w in words])
+            num, c_den = raw_scalar(c)
+            items = [(k, terms, None, num) for k, terms in rows.items()]
+            out.append(lhs == canonical(p, accumulate(p, {}, items, None), den * c_den))
+        return out
 
     def _word_vector(self, w: str, cache: dict, budget=None):
         """The vector of the word w, folded on from its longest prefix in
@@ -628,6 +618,8 @@ class GenericCliffordAlgebra(Rank18Algebra):
     ELEMENT = GCAElement
 
     def __init__(self, field: FieldSpec):
+        if not field.has_omega():
+            raise UnsupportedField("the algebra needs a field containing omega")
         super().__init__(field, field, GCA_VARS, *generic_columns(field))
         self._word_cache = {"": self._scalar_vector(0, field.one())}
 
@@ -662,12 +654,6 @@ class GenericCliffordAlgebra(Rank18Algebra):
 
     def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
         return self._mul(u, v)
-
-    def is_central(self, u: GCAElement) -> bool:
-        x_el, y_el = self.basis_element(1), self.basis_element(2)
-        return self.mul(u, x_el) == self.mul(x_el, u) and self.mul(u, y_el) == self.mul(
-            y_el, u
-        )
 
     # -- oracle route ------------------------------------------------------
 

@@ -64,9 +64,10 @@ def raw_scalar(c: Scalar):
 
 
 def scaled(f: int, c):
-    """The raw numerator c times the integer f, for bringing it onto a
-    common denominator. Only pairs are ever scaled: residue denominators are 1."""
-    return c if f == 1 else (f * c[0], f * c[1])
+    """The raw numerator c (a residue or a pair) times the integer f."""
+    if f == 1:
+        return c
+    return (f * c[0], f * c[1]) if type(c) is tuple else f * c
 
 
 def canonical(p, rows: dict, den: int = 1):

@@ -64,6 +64,22 @@ from cubiclifford.gca import (
 from cubiclifford.spoly import GCA_VARS, SPolynomial
 
 
+def gamma_element_alt(field):
+    """(xy)^2 - y^2*x^2, the other defining expression for the class of GA."""
+    return FreeElement(field, {"xyxy": field.one(), "yyxx": -field.one()})
+
+
+def scale_poly(u, s):
+    """The element u with every coordinate times the polynomial s."""
+    return u._like([a * s for a in u.coords])
+
+
+def is_central(alg, u) -> bool:
+    """Whether u commutes with x and y in the algebra ``alg``."""
+    x, y = alg.basis_element(1), alg.basis_element(2)
+    return alg.mul(u, x) == alg.mul(x, u) and alg.mul(u, y) == alg.mul(y, u)
+
+
 def act_raw(g, f, p):
     """The coefficients of f(a*u + b*v, c*u + d*v) mod p, g = (a, b, c, d)."""
     a, b, c, d = g

@@ -14,6 +14,7 @@ from oracles import (
 
 from cubiclifford import cliffordf
 from cubiclifford.cliffordf import (
+    SpecializedAlgebra,
     SymbolReport,
     brauer_triviality_probe,
     check_clifford_iso,
@@ -33,7 +34,7 @@ from cubiclifford.errors import (
 from cubiclifford.fields import FieldSpec, sqrt_in_field
 from cubiclifford.forms import BinaryCubicForm, GL2Element, diagonalize, _hessian_coefficients
 from cubiclifford.freealg import FreeElement, delta_element, parse_free_expression, s_element
-from cubiclifford.gca import GenericCliffordAlgebra
+from cubiclifford.gca import GenericCliffordAlgebra, Rank18Algebra
 from cubiclifford.spoly import GAMMA_VARS, SPolynomial, scaled
 
 ALG7 = GenericCliffordAlgebra(F7)
@@ -220,8 +221,12 @@ def test_gamma_independence():
         gamma_independence_check(BinaryCubicForm(F7, (0, 1, 0, 1)), 2)
 
 
+P64 = FieldSpec.prime(18446744073709551427)
+
 CORRUPTED = (
     (BinaryCubicForm(F13, (1, 0, 0, 3)), GL2Element(F13, (2, 5, 1, 3))),
+    # beyond 2^63, and not diagonal, so every column has its AL and BE terms
+    (BinaryCubicForm(P64, (2, 5, 1, 3)), GL2Element(P64, (3, 1, 4, 2))),
     (
         BinaryCubicForm(QW, (Fraction(1, 2), 0, 0, (3, 1))),
         GL2Element(QW, ((1, 1), Fraction(1, 3), 2, (0, -1))),
@@ -252,6 +257,38 @@ def test_freeness_check_answers_no_on_a_corrupted_column():
                         cols[j] = col
         finally:
             specialized_algebra.cache_clear()
+
+
+def test_block_identity_equals_the_72_row_reductions_at_every_entry():
+    # doubling any single entry of the pushed columns, the block identities
+    # M_r = c*I answer what the 72 reductions of b_i (r - c) answer
+    for f, _ in CORRUPTED:
+        alg = SpecializedAlgebra(f)
+        for cols in alg.columns.values():
+            for col in cols:
+                for k, (i, m, c) in enumerate(col):
+                    col[k] = (i, m, scaled(2, c))
+                    assert alg.relations_hold() is relations_hold_by_reductions(alg), (f, i, m)
+                    col[k] = (i, m, c)
+
+
+def test_freeness_check_folds_each_relation_once_for_all_rows(monkeypatch):
+    # the 72 row checks e_i.(r - c) = 0 are one block identity per relation:
+    # 18 folds reach the basis words from 1, 2 more reach GA, 6 fold the
+    # 18-row block by xx, xy, yx, yy, and 4 fold it by the relations; a check
+    # row by row takes 150
+    folds = []
+    fold = Rank18Algebra._fold
+
+    def counted(self, items):
+        folds.append(len(items))
+        return fold(self, items)
+
+    monkeypatch.setattr(Rank18Algebra, "_fold", counted)
+    for f, _ in CORRUPTED:
+        folds.clear()
+        assert SpecializedAlgebra(f).relations_hold()
+        assert len(folds) == 30, f
 
 
 def _cached_and_fresh_reports(g, f):

@@ -19,7 +19,6 @@ from cubiclifford.freealg import (
     delta_element,
     epsilon_element,
     gamma_element,
-    gamma_element_alt,
     linear_substitute,
     parse_free_expression,
     s_element,
@@ -30,7 +29,7 @@ from cubiclifford.gca import (
     GCAElement,
     GenericCliffordAlgebra,
     Rank18Algebra,
-    evaluated_columns,
+    generic_columns,
     irreducible_words,
     words_of_degree,
 )
@@ -123,8 +122,8 @@ def test_defining_relations_as_operator_identities():
                 vector = alg._fold(((vector, letter),))
             return alg._element(vector)
 
-        assert fold("xxx") == e.scale_poly(x3)
-        assert fold("yyy") == e.scale_poly(y3)
+        assert fold("xxx") == oracles.scale_poly(e, x3)
+        assert fold("yyy") == oracles.scale_poly(e, y3)
         assert fold("xxxy") == fold("yxxx")
         assert fold("xyyy") == fold("yyyx")
         assert fold("xxyy") + fold("xyxy") == fold("yyxx") + fold("yxyx")
@@ -171,8 +170,7 @@ def _kernel_algebra(field, generic, rng):
     if generic:
         if field.has_omega():
             return GenericCliffordAlgebra(field)
-        columns, den = evaluated_columns(field, lambda e: (e, field.one()))
-        return Rank18Algebra(field, field, GCA_VARS, columns, den)
+        return Rank18Algebra(field, field, GCA_VARS, *generic_columns(field))
     while True:  # coefficients with denominators over Q and Q(w)
         coeffs = [rand_scalar(field, rng) / field.scalar(rng.randint(1, 4)) for _ in range(4)]
         f = BinaryCubicForm(field, coeffs)
@@ -233,7 +231,7 @@ def test_gamma_expansions_agree():
     for field in (QW, F7):
         alg = ALG[field]
         ga = alg.scalar_element(poly("GA", field))
-        assert alg.reduce(gamma_element(field)) == alg.reduce(gamma_element_alt(field)) == ga
+        assert alg.reduce(gamma_element(field)) == alg.reduce(oracles.gamma_element_alt(field)) == ga
 
 
 def test_delta_cubed_normal_form():
@@ -295,9 +293,9 @@ def test_centrality():
         epsilon_element(QW),
     ]
     for e in central:
-        assert alg.is_central(alg.reduce(e))
+        assert oracles.is_central(alg, alg.reduce(e))
     for e in noncentral:
-        assert not alg.is_central(alg.reduce(e))
+        assert not oracles.is_central(alg, alg.reduce(e))
 
 
 def test_identity_elements_are_built_once_per_field():
@@ -369,7 +367,7 @@ def test_oracle_handles_degree_nine():
     e3 = epsilon_element(F103) ** 3
     via_oracle = alg.oracle_reduce(e3)
     assert via_oracle == alg.reduce(e3)
-    assert alg.is_central(via_oracle)
+    assert oracles.is_central(alg, via_oracle)
     # dense degree-9 elements at primes whose residues overflow 64-bit
     # products: oracle, fold and rewriter still agree
     rng = random.Random(9)
