@@ -24,12 +24,19 @@ commands are made here from fixed seeds:
   F_18446744073709551427 (sums, products and powers of sums, powers of one
   word under and over 64 letters, ``w`` and p/q literals), ten of them at
   ``--budget 1000``, and on three texts over Q, which has no omega;
+* ``disc``, ``act``, ``diagonalize``, ``jacobian``, ``torsion`` and ``stab``
+  on 50 seeded forms at each of Q and Q(w), their coefficients and the
+  matrix entries of ``act`` integers, fractions and, over Q(w), sums with
+  fractional w-parts, and ``stab`` and ``diagonalize`` on 50 seeded forms
+  g*(c0, 0, 0, c3) at each of Q and Q(w) with fractional g, every other one
+  with c3/c0 a cube, whose stabilizers are sorted conjugated lists;
 * ``clifford-iso``, ``symbol-check`` and ``gamma-free`` on 25 seeded forms
   at each of F_7, F_13, F_18446744073709551427 and Q(w), every third one
   diagonal and every fifth degenerate, and ``verify-identities`` once per
   field.
 
-The ``stab-q-qw``, ``reduce`` and ``algebra`` groups also hash the error
+The ``stab-q-qw``, ``forms-q-qw``, ``reduce`` and ``algebra`` groups also
+hash the error
 code that a command ending in a domain error prints on stderr.
 
 Any change in what these commands print shows here. To record the digests
@@ -58,7 +65,7 @@ COVER_PRIMES = [7, 13, 19, 31, *LAMBDA_PRIMES, 2**61 - 1, 18446744073709551427]
 STAB_PRIMES = [1000003, 18446744073709551427]
 REDUCE_FIELDS = (("Qw",), ("Fp", 13), ("Fp", 2**61 - 1), ("Fp", 18446744073709551427))
 ALGEBRA_FIELDS = (("Fp", 7), ("Fp", 13), ("Fp", 18446744073709551427), ("Qw",))
-ERROR_CODE_GROUPS = ("stab-q-qw", "reduce", "algebra")
+ERROR_CODE_GROUPS = ("stab-q-qw", "forms-q-qw", "reduce", "algebra")
 Q, QW = FieldSpec.rationals(), FieldSpec.cyclotomic()
 
 
@@ -77,6 +84,28 @@ def _q_literal(rng, fractional):
 
 def _qw_literal(rng):
     return f"{rng.randint(-3, 3)}+{rng.randint(-3, 3)}*w"
+
+
+def _mixed_literal(rng, kind):
+    """An integer or a fraction, and over Q(w) also a sum with a w-part."""
+    k = rng.randrange(3)
+    if kind == "Q" or k < 2:
+        return _q_literal(rng, k == 1)
+    return f"{_q_literal(rng, rng.randrange(2))}+{_q_literal(rng, True)}*w"
+
+
+def _moved_diagonal(rng, kind, cube):
+    """The four coefficient texts of g*(c0, 0, 0, c3) for a seeded g with
+    fractional entries, c3/c0 a cube when ``cube``."""
+    c0 = _mixed_literal(rng, kind)
+    c3 = f"({c0})*({_mixed_literal(rng, kind)})^3" if cube else _mixed_literal(rng, kind)
+    a, b, c, d = (f"({_q_literal(rng, True)}+{_mixed_literal(rng, kind)})" for _ in range(4))
+    return [
+        f"({c0})*{a}^3+({c3})*{c}^3",
+        f"3*(({c0})*{a}^2*{b}+({c3})*{c}^2*{d})",
+        f"3*(({c0})*{a}*{b}^2+({c3})*{c}*{d}^2)",
+        f"({c0})*{b}^3+({c3})*{d}^3",
+    ]
 
 
 def _split_free(field, literal, rng):
@@ -194,6 +223,19 @@ def commands():
         for kind, cs in (("Qw", diagonal), ("Q", split_free_q), ("Qw", split_free_qw))
         for c in cs
     ]
+    rng = random.Random("golden:forms-q-qw")
+    groups["forms-q-qw"] = []
+    for kind in ("Q", "Qw"):
+        for _ in range(50):
+            form = ["--coeffs", ",".join(_mixed_literal(rng, kind) for _ in range(4))]
+            matrix = ["--matrix", ",".join(_mixed_literal(rng, kind) for _ in range(4))]
+            groups["forms-q-qw"] += [
+                [command, "--field", kind, *form, *(matrix if command == "act" else ())]
+                for command in ("disc", "act", "diagonalize", "jacobian", "torsion", "stab")
+            ]
+        for i in range(50):
+            form = ["--coeffs", ",".join(_moved_diagonal(rng, kind, i % 2 == 1))]
+            groups["forms-q-qw"] += [[c, "--field", kind, *form] for c in ("stab", "diagonalize")]
     rng = random.Random("golden:reduce")
     groups["reduce"] = [
         ["reduce", "--field", "Q", "--expr", t] for t in ("x", "x*y - 2/3", "(x+y)^2")
@@ -244,7 +286,8 @@ def digest(argvs, error_codes=False):
 
 GROUPS = (
     "stab-f7", "diagonalize-f7", "orbits", "point-search-q", "point-search-qw",
-    "lambda-kernel", "torsion", "cover-point", "stab-large", "stab-q-qw", "reduce", "algebra",
+    "lambda-kernel", "torsion", "cover-point", "stab-large", "stab-q-qw", "forms-q-qw", "reduce",
+    "algebra",
 )
 
 
