@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import (
@@ -41,6 +40,7 @@ from .fields import (
     form_discriminant,
     form_value,
     iroot,
+    pair_scalar,
     poly_mulmod,
     power,
     prime_power_root_mod,
@@ -529,8 +529,8 @@ def _integer_point_search(f, budget: int):
     rejects most non-cubes before the exact root is taken.
     """
     field = f.field
-    den = lcm(*(c.val.denominator for c in f.coeffs))
-    coeffs = [int(c.val * den) for c in f.coeffs]
+    den = lcm(*(c.val[1] for c in f.coeffs))
+    coeffs = [a * (den // d) for (a, _), d in (c.val for c in f.coeffs)]
     scale = den * den
     cubes = _cube_residues()
     for h in range(1, budget + 1):
@@ -542,8 +542,8 @@ def _integer_point_search(f, budget: int):
                 continue
             r = iroot(abs(m), 3)
             if r is not None:
-                w = Fraction(r if m >= 0 else -r, den)
-                return PlaneCubicPoint(f, (field.scalar(u), field.scalar(v), field.scalar(w)))
+                w = pair_scalar(field, r if m >= 0 else -r, 0, den)
+                return PlaneCubicPoint(f, (field.scalar(u), field.scalar(v), w))
     return None
 
 
@@ -557,8 +557,8 @@ def _zw_point_search(f, budget: int):
     ``cube_root_in_field`` takes the exact root of f(u, v).
     """
     field = f.field
-    den = lcm(*(x.denominator for c in f.coeffs for x in c.val))
-    c0, c1, c2, c3 = (tuple(int(x * den) for x in c.val) for c in f.coeffs)
+    den = lcm(*(c.val[1] for c in f.coeffs))
+    c0, c1, c2, c3 = ((a * (den // d), b * (den // d)) for (a, b), d in (c.val for c in f.coeffs))
     scale = den**4
     cubes = _cube_residues()
     for h in range(1, budget + 1):
@@ -576,7 +576,7 @@ def _zw_point_search(f, budget: int):
             )
             if not cubes[(x * x - x * y + y * y) * scale % _CUBE_MODULUS]:
                 continue
-            w = cube_root_in_field(field.scalar((Fraction(x, den), Fraction(y, den))))
+            w = cube_root_in_field(pair_scalar(field, x, y, den))
             if w is not None:
                 return PlaneCubicPoint(f, (field.scalar(u), field.scalar(v), w))
     return None

@@ -2,17 +2,21 @@
 
 Three fields are supported, all exact:
 
-* ``Q``   -- the rationals (``fractions.Fraction`` underneath),
-* ``Qw``  -- Q(w) = Q[t]/(t^2 + t + 1), elements stored as pairs (a, b)
-  meaning a + b*w with rational a, b,
+* ``Q``   -- the rationals,
+* ``Qw``  -- Q(w) = Q[t]/(t^2 + t + 1),
 * ``Fp``  -- a prime field with p = 1 (mod 3), p not in {2, 3}, together
   with a chosen cube root of unity ``omega`` (smallest such residue unless
   overridden).
 
+A ``Scalar`` of F_p holds its residue; one of Q or Q(w) holds ((a, b), den)
+meaning (a + b*w)/den, den > 0, gcd(a, b, den) = 1 and b = 0 over Q: the
+raw layout of the term maps (``spoly``) and the rank-18 kernel. Scalar
+arithmetic has two branches, residues and integer pairs (``pair_scalar``
+normalizes); ``Fraction`` is only where text or input meets the layout.
+
 Each field is one shared ``FieldSpec`` instance, compared by identity. Scalars
 are immutable; equality is representation equality, and every representation
-is canonical (reduced fractions, reduced pairs, least nonnegative residues).
-Fields, scalars and the values built on them pickle and copy.
+is canonical. Fields, scalars and the values built on them pickle and copy.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     DivisionByZero,
@@ -138,9 +142,8 @@ def hessian(c):
 
 def arith(c: Scalar):
     """What the raw formulas below compute on for the Scalar c: its residue
-    over F_p or its Fraction over Q, and c itself over Q(w), whose pairs
-    have no arithmetic of their own."""
-    return c if c.field.kind == CYCLOTOMIC else c.val
+    over F_p, and c itself over Q and Q(w), whose pairs have no arithmetic."""
+    return c.val if c.field.p else c
 
 
 def form_discriminant(c):
@@ -338,21 +341,24 @@ class FieldSpec:
     # -- scalar factories ---------------------------------------------
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, or (a, b) pair into this field."""
+        """Coerce an int, Fraction, or (a, b) pair (Q(w) only) into this field."""
+        if isinstance(value, int):  # before the Fraction check, an ABC check
+            return Scalar(self, value % self.p if self.p else ((value, 0), 1))
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch("scalar belongs to a different field")
             return value
-        if self.kind == PRIME:
+        if self.p:
             if isinstance(value, Fraction):
                 if value.denominator % self.p == 0:
                     raise DivisionByZero("denominator vanishes mod p")
                 return Scalar(self, value.numerator * pow(value.denominator, -1, self.p) % self.p)
             return Scalar(self, int(value) % self.p)
-        if self.kind == RATIONALS:
-            return Scalar(self, Fraction(value))
-        a, b = value if isinstance(value, tuple) else (value, 0)
-        return Scalar(self, (Fraction(a), Fraction(b)))
+        pair = isinstance(value, tuple) and self.kind == CYCLOTOMIC
+        a, b = map(Fraction, value if pair else (value, 0))  # Fraction refuses a pair over Q
+        den = lcm(a.denominator, b.denominator)
+        a, b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        return Scalar(self, ((a, b), den))
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -366,7 +372,7 @@ class FieldSpec:
             raise UnsupportedField("Q has no primitive cube root of unity")
         if self.kind == PRIME:
             return Scalar(self, self.omega_residue)
-        return Scalar(self, (Fraction(0), Fraction(1)))
+        return Scalar(self, ((0, 1), 1))
 
     def has_omega(self) -> bool:
         return self.kind != RATIONALS
@@ -428,6 +434,14 @@ def _frac_json(q: Fraction):
     return q.numerator if q.denominator == 1 else str(q)
 
 
+def pair_scalar(field: FieldSpec, a: int, b: int, den: int) -> "Scalar":
+    """The Scalar (a + b*w)/den of Q or Q(w) (b = 0 over Q), den != 0: the
+    one normalizer of the pair layout, dividing out gcd(a, b, den) with den
+    made positive."""
+    g = gcd(a, b, den) if den > 0 else -gcd(a, b, den)
+    return Scalar(field, ((a // g, b // g), den // g))
+
+
 class Scalar:
     """An immutable element of one of the three supported fields."""
 
@@ -456,22 +470,19 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        k = self.field.kind
-        if k == PRIME:
+        if self.field.p:
             return Scalar(self.field, (self.val + o.val) % self.field.p)
-        if k == RATIONALS:
-            return Scalar(self.field, self.val + o.val)
-        return Scalar(self.field, (self.val[0] + o.val[0], self.val[1] + o.val[1]))
+        (a, b), d1 = self.val
+        (c, e), d2 = o.val
+        return pair_scalar(self.field, a * d2 + c * d1, b * d2 + e * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        k = self.field.kind
-        if k == PRIME:
+        if self.field.p:
             return Scalar(self.field, -self.val % self.field.p)
-        if k == RATIONALS:
-            return Scalar(self.field, -self.val)
-        return Scalar(self.field, (-self.val[0], -self.val[1]))
+        (a, b), den = self.val
+        return Scalar(self.field, ((-a, -b), den))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -486,27 +497,21 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        k = self.field.kind
-        if k == PRIME:
+        if self.field.p:
             return Scalar(self.field, self.val * o.val % self.field.p)
-        if k == RATIONALS:
-            return Scalar(self.field, self.val * o.val)
-        return Scalar(self.field, _zw_mul(self.val, o.val))
+        (x, d1), (y, d2) = self.val, o.val
+        return pair_scalar(self.field, *_zw_mul(x, y), d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        k = self.field.kind
-        if k == PRIME:
+        if self.field.p:
             return Scalar(self.field, pow(self.val, -1, self.field.p))
-        if k == RATIONALS:
-            return Scalar(self.field, 1 / self.val)
-        # 1/(a + bw) = conj/norm, conj = (a - b) - b*w, norm = a^2 - a*b + b^2
-        a, b = self.val
-        n = a * a - a * b + b * b
-        return Scalar(self.field, ((a - b) / n, -b / n))
+        # den/(a + bw) = den*conj/norm, conj = (a - b) - b*w, norm = a^2 - a*b + b^2 > 0
+        (a, b), den = self.val
+        return pair_scalar(self.field, den * (a - b), -den * b, a * a - a * b + b * b)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -520,9 +525,10 @@ class Scalar:
     def __pow__(self, n: int):
         """self^n. Over Q and Q(w) the power is first charged n*b bits, b
         the largest bit length of the numerators and denominators of the
-        coordinates of self (0 and the roots of unity +-1, +-w, +-w^2 are
-        charged nothing), and a charge over POWER_BIT_CAP = 2^18 ends in
-        NumberTooLarge before anything is computed. F_p is not charged.
+        coordinates a/den and b/den of self in lowest terms (0 and the roots
+        of unity +-1, +-w, +-w^2 are charged nothing), and a charge over
+        POWER_BIT_CAP = 2^18 ends in NumberTooLarge before anything is
+        computed. F_p is not charged.
 
         Every power whose value prints within the interpreter's default
         limit of 4300 digits (M = 10^4300, log2 M < 14285) is under the
@@ -545,15 +551,18 @@ class Scalar:
         """
         if n < 0:
             return self.inverse() ** (-n)
-        kind = self.field.kind
-        if kind != PRIME:
-            a, b = self.val if kind == CYCLOTOMIC else (self.val, Fraction(0))
-            if a.denominator != 1 or b.denominator != 1 or a * a - a * b + b * b > 1:
-                bits = max(q.bit_length() for x in (a, b) for q in (x.numerator, x.denominator))
+        if not self.field.p:
+            (a, b), den = self.val
+            if den != 1 or a * a - a * b + b * b > 1:
+                # per reduced coordinate, not the raw (a, b, den): (3 + 2w)/6 is 2 bits
+                ga, gb = gcd(a, den), gcd(b, den)
+                bits = max(q.bit_length() for q in (a // ga, den // ga, b // gb, den // gb))
                 if n * bits > POWER_BIT_CAP:
                     raise NumberTooLarge(
                         f"a power charged {n} * {bits} bits, over the cap of {POWER_BIT_CAP}"
                     )
+            if b == 0:  # a rational: a^n and den^n stay coprime
+                return Scalar(self.field, ((a**n, 0), den**n))
         return power(self, n, self.field.one())
 
     def __eq__(self, other):
@@ -570,12 +579,12 @@ class Scalar:
         return not self.is_zero()
 
     def is_zero(self) -> bool:
-        return self.val == ((0, 0) if self.field.kind == CYCLOTOMIC else 0)
+        return self.val == 0 if self.field.p else self.val[0] == (0, 0)
 
     def __str__(self):
-        if self.field.kind != CYCLOTOMIC:
+        if self.field.p:
             return str(self.val)
-        a, b = self.val
+        a, b = self.fractions()
         if b == 0:
             return str(a)
         wpart = "w" if b == 1 else "-w" if b == -1 else f"{b}*w"
@@ -586,19 +595,23 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self.field}, {self})"
 
+    def fractions(self) -> tuple[Fraction, Fraction]:
+        """(a/den, b/den) over Q and Q(w), for text, JSON and ordering."""
+        (a, b), den = self.val
+        return Fraction(a, den), Fraction(b, den)
+
     def is_composite_text(self) -> bool:
         """True if str() needs parentheses inside a product."""
-        return self.field.kind == CYCLOTOMIC and self.val[0] != 0 and self.val[1] != 0
+        return not self.field.p and all(self.val[0])
 
     # -- JSON ----------------------------------------------------------
 
     def to_json(self):
-        k = self.field.kind
-        if k == PRIME:
+        if self.field.p:
             return self.val
-        if k == RATIONALS:
-            return _frac_json(self.val)
-        a, b = self.val
+        a, b = self.fractions()
+        if self.field.kind == RATIONALS:
+            return _frac_json(a)
         if b == 0 and a.denominator == 1:
             return a.numerator
         return {"a": _frac_json(a), "b": _frac_json(b)}
@@ -614,20 +627,16 @@ class Scalar:
         return field.scalar(obj)
 
 
-def _rational_nth_power_root(q: Fraction, n: int) -> Fraction | None:
-    """Exact n-th root of a rational, or None. Needs no factorization:
-    gcd(num, den) = 1, so both parts must be integer n-th powers."""
-    if q == 0:
-        return Fraction(0)
-    neg = q < 0
-    if neg and n % 2 == 0:
+def _rational_nth_power_root(q: Scalar, n: int) -> Scalar | None:
+    """The exact n-th root of q over Q, positive when q is, or None. Needs
+    no factorization: gcd(a, den) = 1, so both must be integer n-th powers."""
+    (a, _), den = q.val
+    if a < 0 and n % 2 == 0:
         return None
-    num = iroot(abs(q.numerator), n)
-    den = iroot(q.denominator, n)
-    if num is None or den is None:
+    num, root_den = iroot(abs(a), n), iroot(den, n)
+    if num is None or root_den is None:
         return None
-    root = Fraction(num, den)
-    return -root if neg else root
+    return Scalar(q.field, ((-num if a < 0 else num, 0), root_den))
 
 
 def sqrt_in_field(a: Scalar) -> Scalar | None:
@@ -642,9 +651,9 @@ def sqrt_in_field(a: Scalar) -> Scalar | None:
         r = prime_power_root_mod(a.val, 2, field.p)
         return None if r is None else Scalar(field, min(r, (-r) % field.p))
     if field.kind == RATIONALS:
-        r = _rational_nth_power_root(a.val, 2)
-        return None if r is None else Scalar(field, abs(r))
+        return _rational_nth_power_root(a, 2)
     r = _qw_root(a, 2)
+    # r and -r share their den > 0, so their values compare as their pairs do
     return None if r is None else Scalar(field, max(r.val, (-r).val))
 
 
@@ -655,13 +664,12 @@ def cube_root_in_field(a: Scalar) -> Scalar | None:
         r = prime_power_root_mod(a.val, 3, field.p)
         return None if r is None else Scalar(field, r)
     if field.kind == RATIONALS:
-        r = _rational_nth_power_root(a.val, 3)
-        return None if r is None else Scalar(field, r)
+        return _rational_nth_power_root(a, 3)
     return _qw_root(a, 3)
 
 
 def _zw_mul(x, y):
-    """The product of two Q(w) pairs: (a + bw)(c + dw) with w^2 = -1 - w."""
+    """The product of two integer pairs of Z[w]: (a + bw)(c + dw) with w^2 = -1 - w."""
     a, b = x
     c, d = y
     bd = b * d
@@ -688,10 +696,9 @@ def _qw_root(a: Scalar, n: int) -> Scalar | None:
     For k below 2^61, where an int hashes to itself, the scaled root
     returned is -k + k*w when k = 0 or 1 (mod 4) and -k - 2k*w otherwise.
     """
-    x, y = a.val
-    den = (x.denominator * y.denominator) // gcd(x.denominator, y.denominator)
-    scale = den**n  # C = a * den^n has integral components
-    c = (int(x * scale), int(y * scale))
+    (x, y), den = a.val
+    scale = den ** (n - 1)  # C = a * den^n = (x, y) * den^(n - 1) lies in Z[w]
+    c = (x * scale, y * scale)
     norm = iroot(c[0] * c[0] - c[0] * c[1] + c[1] * c[1], n)
     if norm is None:
         return None
@@ -729,7 +736,7 @@ def _qw_root(a: Scalar, n: int) -> Scalar | None:
         s = isqrt(4 * norm - 3 * u * u)
         for v2 in {(u + s), (u - s)}:
             if v2 % 2 == 0 and power((u, v2 // 2), n, (1, 0), _zw_mul) == c:
-                return a.field.scalar((Fraction(u, den), Fraction(v2 // 2, den)))
+                return pair_scalar(a.field, u, v2 // 2, den)
     return None
 
 
@@ -750,7 +757,7 @@ def nth_power_class(a: Scalar, n: int) -> bool:
         e = (field.p - 1) // gcd(n, field.p - 1)
         return pow(a.val, e, field.p) == 1
     if field.kind == RATIONALS:
-        return _rational_nth_power_root(a.val, n) is not None
+        return _rational_nth_power_root(a, n) is not None
     if n not in (2, 3, 6):
         raise UnsupportedFieldForTest(f"Q(w) power-class test limited to n in {{2,3,6}}, got {n}")
     return (n == 3 or _qw_root(a, 2) is not None) and (n == 2 or _qw_root(a, 3) is not None)

@@ -32,7 +32,6 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import (
-    CYCLOTOMIC,
     DEFAULT_SCAN_BUDGET,
     FieldSpec,
     Scalar,
@@ -171,8 +170,9 @@ def discriminant(f: BinaryCubicForm) -> Scalar:
 
 # The formulas below, like those of ``fields``, take entry and coefficient
 # tuples over any ring: raw integers (reduced mod p by the callers that
-# enumerate over F_p), Fractions, or Scalars (int * Scalar coerces); the
-# methods above pass ``fields.arith`` of their Scalars.
+# enumerate over F_p) or Scalars (int * Scalar coerces); the methods above
+# pass ``fields.arith`` of their Scalars, residues over F_p and Scalars over
+# Q and Q(w).
 
 
 def _mat_mul(m, n):
@@ -204,8 +204,8 @@ def _act(g, f):
 
 
 def act_gl2(g: GL2Element, f: BinaryCubicForm) -> BinaryCubicForm:
-    """The form f(a*u + b*v, c*u + d*v), on residues or Fractions over F_p
-    and Q, on Scalars over Q(w) (``fields.arith``)."""
+    """The form f(a*u + b*v, c*u + d*v), on residues over F_p and on
+    Scalars over Q and Q(w) (``fields.arith``)."""
     if g.field != f.field:
         raise FieldMismatch("matrix and form fields differ")
     entries, coeffs = ([arith(x) for x in xs] for xs in (g.entries(), f.coeffs))
@@ -318,10 +318,11 @@ def stabilizer(f: BinaryCubicForm) -> StabilizerResult:
     conjugates = [tuple(map(mod, _mat_mul(_mat_mul(m, s), inv))) for s in _normal_stabilizer(n)]
     if any(tuple(map(mod, _act(h, raw))) != raw for h in conjugates):
         raise AssertionError(f"a conjugated stabilizer element moves {f}")
-    # the entries are reduced already, so they become Scalars as they are
-    wrap = field.scalar if field.kind == CYCLOTOMIC else partial(Scalar, field)
+    # reduced residues become Scalars as they are; over Q and Q(w) entries are Scalars
+    wrap = partial(Scalar, field) if field.p else field.scalar
     rows = [tuple(map(wrap, (a, b, c, d, mod(a * d - b * c)))) for a, b, c, d in conjugates]
-    rows.sort(key=lambda row: tuple(e.val for e in row[:4]))
+    # by value: over Q and Q(w) the coordinates, not the raw ((a, b), den)
+    rows.sort(key=lambda row: tuple(e.val if field.p else e.fractions() for e in row[:4]))
     return StabilizerResult(f, "enumerated", [GL2Element._of_scalars(field, *row) for row in rows])
 
 

@@ -165,11 +165,10 @@ class _Echelon:
 
     Rows are ``{column: value}`` dicts. With a prime ``p`` the values are
     residues mod p held as Python ints, so any p is exact; with ``p=None``
-    they are exact field values (``Fraction``, or ``Scalar`` over Q(w)).
-    Each stored row is monic at its pivot and vanishes at the pivots of the
-    rows stored before it, so one pass in insertion order reduces a vector.
-    Every stored row also carries the combination of added rows, by key,
-    that it equals.
+    they are ``Scalar``s of Q or Q(w). Each stored row is monic at its pivot
+    and vanishes at the pivots of the rows stored before it, so one pass in
+    insertion order reduces a vector. Every stored row also carries the
+    combination of added rows, by key, that it equals.
     """
 
     def __init__(self, p: int | None = None):

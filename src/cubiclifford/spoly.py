@@ -6,6 +6,7 @@ share the class ``Terms``; they differ only in their monomials. Coefficients
 are not boxed ``Scalar``s: over F_p a coefficient is its residue, and over Q
 and Q(w) it is an integer pair (a, b) read over one denominator per
 element, FLINT's fmpq_poly layout (https://flintlib.org/doc/fmpq_poly.html).
+A ``Scalar`` holds the same layout, so ``raw_scalar`` only reads it.
 ``accumulate``, the one multiply-add loop of each layout, sums unreduced
 integers into raw maps for ``RawTerms`` and the rank-18 kernel
 (``gca.Rank18Algebra``), and ``canonical`` normalizes them once per output.
@@ -19,10 +20,10 @@ operand's map, a product with a lone monomial of coefficient 1 only
 multiplies monomials, and a product with a constant multiplies none. The
 operators of ``Terms`` wrap their operands' maps in ``RawTerms`` values
 (a sum copies the map it accumulates into) and normalize the result once,
-by ``RawTerms.normalize``; a power is square-and-multiply over those
-products. Both term-map parsers (``SPolynomial.parse`` and
-``freealg.parse_free_expression``) run the shared ``ExprParser`` over
-``RawTerms`` values and normalize the finished map once.
+by ``RawTerms.normalize``; a power is ``RawTerms.__pow__``. Both term-map
+parsers (``SPolynomial.parse`` and ``freealg.parse_free_expression``) run
+the shared ``ExprParser`` over ``RawTerms`` values and normalize the
+finished map once.
 
 ``SPolynomial`` is the commutative ring with exponent tuples as monomials.
 It hosts the coefficient ring S = k[X3, AL, BE, Y3, GA] of the rank-18
@@ -43,24 +44,17 @@ from operator import add
 
 from .errors import FieldMismatch, MissingAssignment, UnknownSymbol, VariableMismatch
 from ._parsing import ExprParser
-from .fields import RATIONALS, FieldSpec, Scalar, power
+from .fields import FieldSpec, Scalar, pair_scalar, power
 
 GCA_VARS = ("X3", "AL", "BE", "Y3", "GA")
 GAMMA_VARS = ("GA",)
 
-_ZERO = Fraction(0)
-
 
 def raw_scalar(c: Scalar):
     """(numerator, denominator) of ``c`` in the raw layout of ``Terms``:
-    (residue, 1) over F_p, and ((a, b), den) with c = (a + b*w)/den and
-    gcd(a, b, den) = 1 over Q and Q(w) (b = 0 over Q)."""
-    v = c.val
-    if c.field.p:
-        return v, 1
-    a, b = (v, _ZERO) if c.field.kind == RATIONALS else v
-    den = lcm(a.denominator, b.denominator)
-    return (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)), den
+    (residue, 1) over F_p, and over Q and Q(w) the value ((a, b), den) that
+    ``c`` holds, c = (a + b*w)/den with gcd(a, b, den) = 1 (b = 0 over Q)."""
+    return (c.val, 1) if c.field.p else c.val
 
 
 def scaled(f: int, c):
@@ -174,12 +168,7 @@ class Terms:
 
     def _scalar(self, v) -> Scalar:
         """The Scalar of the raw coefficient ``v``."""
-        field = self.field
-        if field.p:
-            return Scalar(field, v)
-        if field.kind == RATIONALS:
-            return Scalar(field, Fraction(v[0], self.den))
-        return Scalar(field, (Fraction(v[0], self.den), Fraction(v[1], self.den)))
+        return Scalar(self.field, v) if self.field.p else pair_scalar(self.field, *v, self.den)
 
     @property
     def terms(self) -> dict:
@@ -240,7 +229,7 @@ class Terms:
         return raw_product(self, self, {self._unit(): num}, den).normalize()
 
     def __pow__(self, n: int):
-        return power(self, n, self._make({self._unit(): 1 if self.field.p else (1, 0)}))
+        return (RawTerms(self, self.raw, self.den) ** n).normalize()
 
     # -- printing ------------------------------------------------------------
 

@@ -213,7 +213,7 @@ def test_point_search_over_q_matches_the_scalar_loop():
         f = BinaryCubicForm(Q, coeffs)
         budget = i % 21 if i < 42 else i % 6
         want = oracles.scalar_point_search(f, budget)
-        height = budget + 1 if want is None else max(abs(want[0].val), abs(want[1].val))
+        height = budget + 1 if want is None else max(abs(c.val[0][0]) for c in want[:2])
         for b in range(budget + 1):
             got = point_search(f, b)
             assert (None if got is None else got.coords) == (want if height <= b else None)

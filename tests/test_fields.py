@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from conftest import rand_form, rand_free_element, rand_gl2, rand_scalar
@@ -15,9 +15,11 @@ from oracles import distinct_roots_factor
 
 from cubiclifford.cliffordf import specialized_algebra
 from cubiclifford.curves import CubicExtension, EllipticPoint, ell_mul, ell_neg
+from cubiclifford import fields
 from cubiclifford.errors import (
     DivisionByZero,
     FieldMismatch,
+    NumberTooLarge,
     UnsupportedField,
     UnsupportedFieldForTest,
     ZeroInput,
@@ -38,6 +40,7 @@ from cubiclifford.fields import (
     sixth_power_class_token,
     sqrt_in_field,
 )
+from cubiclifford.spoly import GCA_VARS, SPolynomial, raw_scalar
 from cubiclifford.freealg import FreeElement
 from cubiclifford.gca import GenericCliffordAlgebra
 from cubiclifford.spoly import GCA_VARS, SPolynomial
@@ -236,7 +239,7 @@ def test_cube_roots():
 def _qw_cube_root_by_scan(c):
     """Cube root of c in Q(w) by scanning every lattice point u + v*w of
     norm N(c)^(1/3) in ascending u, after clearing denominators."""
-    x, y = c.val
+    x, y = (Fraction(v, c.val[1]) for v in c.val[0])
     if x == 0 and y == 0:
         return QW.zero()
     den = lcm(x.denominator, y.denominator)
@@ -280,7 +283,7 @@ def test_qw_cube_root_of_large_norm():
 def _qw_sqrt_by_scan(c):
     """The larger of the two square roots of c in Q(w), by scanning every
     lattice point u + v*w of norm N(c)^(1/2) after clearing denominators."""
-    x, y = c.val
+    x, y = (Fraction(v, c.val[1]) for v in c.val[0])
     if x == 0 and y == 0:
         return QW.zero()
     den = lcm(x.denominator, y.denominator)
@@ -316,7 +319,75 @@ def test_qw_sqrt_matches_lattice_scan():
     # a square of norm about 10^30, past the reach of the scan
     t = QW.scalar((3 * 10**7 + 3, -3 * 10**7 + 19))
     r = sqrt_in_field(t * t)
-    assert r == QW.scalar(max(t.val, (-t).val))
+    assert r.val == max(t.val, (-t).val)
+
+
+@pytest.mark.parametrize(
+    "x, answered",
+    [
+        # (3 + 2w)/6: 2 bits per reduced coordinate, 3 on the raw (a, b, den)
+        (QW.scalar((Fraction(1, 2), Fraction(1, 3))), 32),
+        (Q.scalar(Fraction(5, 3)), 21),  # 3 bits
+        (Q.scalar(Fraction(-3, 4)), 21),
+    ],
+    ids=str,
+)
+def test_power_is_charged_per_reduced_coordinate(monkeypatch, x, answered):
+    monkeypatch.setattr(fields, "POWER_BIT_CAP", 64)
+    assert x**answered == power(x, answered, x.field.one())
+    with pytest.raises(NumberTooLarge):
+        x ** (answered + 1)
+
+
+def _canonical(c) -> bool:
+    (a, b), den = c.val
+    return (
+        all(type(x) is int for x in (a, b, den))
+        and den > 0
+        and gcd(a, b, den) == 1
+        and (b == 0 or c.field is QW)
+    )
+
+
+def _layout_values(field, rng):
+    """Seeded values of ``field`` from every constructor."""
+    def q():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+    made = [field.scalar(rng.randint(-9, 9)) for _ in range(5)]
+    made += [field.scalar(q()) for _ in range(5)]
+    if field is QW:
+        made += [field.scalar((q(), q())) for _ in range(5)]
+        made += [field.scalar((rng.randint(-9, 9), q())) for _ in range(5)]
+        made += [field.omega(), Scalar.from_json(field, {"a": "4/6", "b": -2})]
+    made += [Scalar.from_json(field, "-10/4"), Scalar.from_json(field, 6)]
+    made += [Scalar.from_json(field, c.to_json()) for c in list(made)]
+    for x, y in itertools.combinations(made[:12], 2):
+        made += [x + y, x - y, x * y, -x, x**3]
+        if y:
+            made += [x / y, y.inverse()]
+    squares = [x * x for x in made[:20]]
+    made += squares + [r for r in map(sqrt_in_field, squares) if r is not None]
+    made += [r for r in (cube_root_in_field(x**3) for x in made[:20]) if r is not None]
+    poly = SPolynomial(field, GCA_VARS, {(i, 0, 0, 0, 0): c for i, c in enumerate(made[:30])})
+    made += list(poly.terms.values()) + list((poly * poly).terms.values())
+    twins = [f(c) for c in made[:40] for f in (copy.copy, lambda c: pickle.loads(pickle.dumps(c)))]
+    return made + twins
+
+
+@pytest.mark.parametrize("field", (Q, QW), ids=str)
+def test_pair_layout_is_canonical_from_every_constructor(field):
+    for c in _layout_values(field, random.Random(30)):
+        assert _canonical(c), c.val
+        assert raw_scalar(c) == c.val
+        (a, b), den = c.val
+        if b == 0:
+            assert c == Fraction(a, den) and c == field.scalar(Fraction(a, den))
+            assert hash(c) == hash(field.scalar(Fraction(a, den)))
+            if den == 1:
+                assert c == a and hash(c) == hash(field.scalar(a))
+        twin = field.scalar((Fraction(a, den), Fraction(b, den))) if field is QW else None
+        assert twin is None or (twin == c and hash(twin) == hash(c))
 
 
 def test_power_of_zero_exponent_is_the_unit():

@@ -7,7 +7,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubiclifford.errors import FieldMismatch, MissingAssignment, UnknownSymbol, VariableMismatch
+from cubiclifford.errors import (
+    FieldMismatch,
+    MissingAssignment,
+    NumberTooLarge,
+    UnknownSymbol,
+    VariableMismatch,
+)
 from cubiclifford.fields import FieldSpec
 from cubiclifford.freealg import FreeElement
 from cubiclifford.spoly import (
@@ -39,6 +45,17 @@ def test_additive_identity():
 def test_square_over_f7():
     al, be = V(F7, "AL"), V(F7, "BE")
     assert (al * be) ** 2 == al**2 * be**2
+
+
+def test_single_term_power_is_charged_like_a_parsed_power():
+    # the operator and the parsers share RawTerms.__pow__, which charges a
+    # lone coefficient's power (Scalar.__pow__) before computing it
+    with pytest.raises(NumberTooLarge):
+        SPolynomial.parse("10*X3", Q) ** 300000
+    with pytest.raises(NumberTooLarge):
+        SPolynomial.parse("(10*X3)^300000", Q)
+    assert SPolynomial.parse("2/3*X3 + w", QW) ** 3 == SPolynomial.parse("(2/3*X3 + w)^3", QW)
+    assert SPolynomial.parse("3*X3", F7) ** 300000 == SPolynomial.parse("(3*X3)^300000", F7)
 
 
 def test_variable_mismatch():
