@@ -35,9 +35,9 @@ commands are made here from fixed seeds:
   diagonal and every fifth degenerate, and ``verify-identities`` once per
   field.
 
-The ``stab-q-qw``, ``forms-q-qw``, ``reduce`` and ``algebra`` groups also
-hash the error
-code that a command ending in a domain error prints on stderr.
+The ``diagonalize-f7``, ``stab-q-qw``, ``forms-q-qw``, ``reduce`` and
+``algebra`` groups also hash the error code that a command ending in a
+domain error prints on stderr.
 
 Any change in what these commands print shows here. To record the digests
 of the current code (only when an output change is intended):
@@ -65,7 +65,7 @@ COVER_PRIMES = [7, 13, 19, 31, *LAMBDA_PRIMES, 2**61 - 1, 18446744073709551427]
 STAB_PRIMES = [1000003, 18446744073709551427]
 REDUCE_FIELDS = (("Qw",), ("Fp", 13), ("Fp", 2**61 - 1), ("Fp", 18446744073709551427))
 ALGEBRA_FIELDS = (("Fp", 7), ("Fp", 13), ("Fp", 18446744073709551427), ("Qw",))
-ERROR_CODE_GROUPS = ("stab-q-qw", "forms-q-qw", "reduce", "algebra")
+ERROR_CODE_GROUPS = ("diagonalize-f7", "stab-q-qw", "forms-q-qw", "reduce", "algebra")
 Q, QW = FieldSpec.rationals(), FieldSpec.cyclotomic()
 
 
