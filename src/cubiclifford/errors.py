@@ -92,12 +92,6 @@ class SquareRootAbsent(CubicliffordError):
     code = "square-root-absent"
 
 
-class NotDiagonalizableByThisTransform(CubicliffordError):
-    """The diagonalizing transform and its fallback both need r != 0."""
-
-    code = "not-diagonalizable-by-this-transform"
-
-
 class BudgetExceeded(CubicliffordError):
     """Requested enumeration exceeds the step budget."""
 

@@ -26,7 +26,6 @@ from .errors import (
     BudgetExceeded,
     DegenerateForm,
     FieldMismatch,
-    NotDiagonalizableByThisTransform,
     SingularMatrix,
     SquareRootAbsent,
     UnsupportedField,
@@ -65,9 +64,12 @@ class BinaryCubicForm:
     def is_nondegenerate(self) -> bool:
         return not self.discriminant().is_zero()
 
-    def require_nondegenerate(self):
-        if not self.is_nondegenerate():
+    def require_nondegenerate(self) -> Scalar:
+        """Delta, which callers reuse; DegenerateForm when it vanishes."""
+        delta = self.discriminant()
+        if delta.is_zero():
             raise DegenerateForm(f"discriminant of {self} vanishes")
+        return delta
 
     def evaluate(self, u, v) -> Scalar:
         """f(u, v) for u, v in the field: Scalars, or what ``field.scalar`` takes."""
@@ -141,11 +143,13 @@ class GL2Element:
     def mul(self, other: "GL2Element") -> "GL2Element":
         if self.field != other.field:
             raise FieldMismatch("matrix fields differ")
-        return GL2Element(self.field, _mat_mul(self.entries(), other.entries()))
+        entries = _mat_mul(self.entries(), other.entries())  # det(gh) = det(g)*det(h)
+        return GL2Element._of_scalars(self.field, *entries, self.det * other.det)
 
     def inverse(self) -> "GL2Element":
         inv = self.det.inverse()
-        return GL2Element(self.field, (self.d * inv, -self.b * inv, -self.c * inv, self.a * inv))
+        a, b, c, d = self.entries()
+        return GL2Element._of_scalars(self.field, d * inv, -b * inv, -c * inv, a * inv, inv)
 
     def __eq__(self, other):
         return (
@@ -223,37 +227,47 @@ def _hessian_coefficients(f: BinaryCubicForm):
     return h0 * k, h1 * k / 2, h2 * k
 
 
-def diagonalize(f: BinaryCubicForm):
-    """(g, d) with act_gl2(g, f) = d diagonal.
+def _split(f: BinaryCubicForm):
+    """(g, d) with act_gl2(g, f) = d diagonal for a nondegenerate f, or None
+    when sqrt(D) is not in k: the one place the Hessian transform is built.
 
     Transform: u -> (sqrt(D)+s)u' + (sqrt(D)-s)v', v -> -r*u' + r*v' with
-    D = s^2 - r*t = -Delta/108 (the calibrated value; the alternative
-    normalization -108*Delta is 108^2 times larger and does not diagonalize).
-    Requires sqrt(D) in k. A diagonal form (where r = 0) comes back with the
-    identity; otherwise, if r = 0, swap the variables once and retry.
+    (r, s, t) = -(h0, h1/2, h2)/9 (``_hessian_coefficients``) and
+    D = s^2 - r*t = (h1^2 - 4*h0*h2)/18^2 = -Delta/108; the alternative
+    normalization -108*Delta does not diagonalize. sqrt(D) decides the split
+    before any transform is built. If r = 0, the variables are swapped first,
+    which keeps D and swaps h0 and h2; then r != 0. Proof: r = 0 for both
+    means c1^2 = 3*c0*c2 and c2^2 = 3*c1*c3. c0 = 0 forces c1 = c2 = 0, a
+    diagonal f (returned first). Else c2 = c1^2/(3*c0) and
+    c1*(c1^3/(9*c0^2) - 3*c3) = 0: c1 = 0 makes f diagonal, and
+    c3 = c1^3/(27*c0^2) makes f = c0*(u + c1/(3*c0)*v)^3, with Delta = 0.
     """
-    f.require_nondegenerate()
-    g = GL2Element.identity(f.field)
+    field = f.field
     if f.is_diagonal():
-        return g, f
-    r, s, t = _hessian_coefficients(f)
-    if r.is_zero():
-        g = GL2Element.swap(f.field)
-        f = act_gl2(g, f)
-        r, s, t = _hessian_coefficients(f)
-        if r.is_zero():
-            raise NotDiagonalizableByThisTransform(
-                "r = 0 for both the form and its variable swap"
-            )
-    big_d = s * s - r * t
-    root = sqrt_in_field(big_d)
+        return GL2Element.identity(field), f
+    h0, h1, h2 = hessian([arith(c) for c in f.coeffs])
+    root = sqrt_in_field(field.scalar(h1 * h1 - 4 * h0 * h2) / 324)
     if root is None:
-        raise SquareRootAbsent(f"sqrt of {big_d} (= -Delta/108) not in {f.field}")
-    h = GL2Element(f.field, (root + s, root - s, -r, r))
-    diag = act_gl2(h, f)
+        return None
+    swapped = field.scalar(h0).is_zero()
+    r, s = field.scalar(h2 if swapped else h0) / -9, field.scalar(h1) / -18
+    g = GL2Element(field, (root + s, root - s, -r, r))
+    if swapped:  # act(g, act(swap, f)) = act(swap*g, f)
+        g = GL2Element.swap(field).mul(g)
+    diag = act_gl2(g, f)
     if not diag.is_diagonal():
-        raise NotDiagonalizableByThisTransform("calibrated transform failed to diagonalize")
-    return g.mul(h), diag
+        raise AssertionError(f"the calibrated transform {g} carries {f} to {diag}, not diagonal")
+    return g, diag
+
+
+def diagonalize(f: BinaryCubicForm):
+    """(g, d) with act_gl2(g, f) = d diagonal, by the Hessian split
+    (``_split``); SquareRootAbsent when sqrt(-Delta/108) is not in k."""
+    delta = f.require_nondegenerate()
+    split = _split(f)
+    if split is None:
+        raise SquareRootAbsent(f"sqrt of {-delta / 108} (= -Delta/108) not in {f.field}")
+    return split
 
 
 # -- stabilizers --------------------------------------------------------------
@@ -337,8 +351,8 @@ def gl2_order(p: int) -> int:
 _NONDEGENERATE_STABILIZER = {3: 18, 0: 9, 1: 6}
 
 
-def _cell(raw, field: FieldSpec):
-    """(key, |Stab|) of the orbit of the nonzero raw form over F_p.
+def _cell(raw, delta: Scalar):
+    """(key, |Stab|) of the orbit over F_p of the nonzero raw form of discriminant delta.
 
     The key is a complete invariant of the GL2(F_p)-orbit (see
     ``orbit_enumerate``): (r, class of Delta mod sixth powers) for a
@@ -349,12 +363,10 @@ def _cell(raw, field: FieldSpec):
     character by Cardano's resolvent (``fields.root_count``, where the
     proof is): Delta is a non-square exactly when r = 1.
     """
-    p = field.p
-    delta = form_discriminant(raw) % p
+    p = delta.field.p
     if delta:
-        r = root_count(raw, delta, p)
-        token = sixth_power_class_token(field.scalar(delta))
-        return (r, token), _NONDEGENERATE_STABILIZER[r]
+        r = root_count(raw, delta.val, p)
+        return (r, sixth_power_class_token(delta)), _NONDEGENERATE_STABILIZER[r]
     cube_class = triple_root_class(raw, p)
     if cube_class is None:
         return ("double",), p - 1
@@ -364,7 +376,7 @@ def _cell(raw, field: FieldSpec):
 class Orbit:
     __slots__ = ("field", "representative", "size", "stabilizer_order", "delta", "delta_class6")
 
-    def __init__(self, field, representative, stabilizer_order):
+    def __init__(self, field, representative, stabilizer_order, delta, delta_class6):
         self.field = field
         self.representative = representative
         self.stabilizer_order = stabilizer_order
@@ -372,10 +384,8 @@ class Orbit:
         if total % stabilizer_order:
             raise AssertionError("stabilizer order does not divide |GL2|")
         self.size = total // stabilizer_order
-        self.delta = field.scalar(form_discriminant(representative))
-        self.delta_class6 = (
-            sixth_power_class_token(self.delta) if not self.delta.is_zero() else None
-        )
+        self.delta = delta
+        self.delta_class6 = delta_class6
 
     def representative_form(self) -> BinaryCubicForm:
         return BinaryCubicForm(self.field, self.representative)
@@ -446,9 +456,10 @@ def orbit_enumerate(field: FieldSpec, nondegenerate_only: bool = True, budget: i
             if classified > budget:
                 raise BudgetExceeded(f"the orbit scan needs more than its budget of {budget} forms")
             raw = (n // p**3, n // p**2 % p, n // p % p, n % p)
-            key, order = _cell(raw, field)
+            delta = Scalar(field, form_discriminant(raw) % p)
+            key, order = _cell(raw, delta)
             if key in wanted and key not in orbits:
-                orbits[key] = Orbit(field, raw, order)
+                orbits[key] = Orbit(field, raw, order, delta, key[1] if delta else None)
             n += 1
     return sorted(orbits.values(), key=lambda o: o.representative)
 
@@ -457,23 +468,18 @@ def _normal_form(f: BinaryCubicForm):
     """(g, n), a GL2Element and a BinaryCubicForm with act_gl2(g, f) = n, or
     None, for a nondegenerate f over any field.
 
-    -3*Delta a square, so the Hessian splits (over F_p, where -3 is a
-    square, Delta a square: 0 or 3 roots on P^1(F_p)): n is diagonal, by
-    ``diagonalize``, which never raises here. Its D = -Delta/108 =
-    -3*Delta/18^2 is a square; and a Hessian coefficient r vanishing for f
-    and its swap leaves a Hessian of shape u*v, whose roots (1:0) and (0:1)
-    make f diagonal, and a diagonal f comes back with the identity.
+    The split is decided here, once, by ``_split``: when D = -Delta/108 =
+    -3*Delta/18^2 is a square, the Hessian splits (over F_p, where -3 is a
+    square, Delta a square: 0 or 3 roots on P^1(F_p)) and n is diagonal.
     Otherwise, over F_p (one root): g sends the root, a trace from F_{p^2}
     (``fields.lone_root``), to (1:0), making c0 = 0, then
     u -> u - c2/(2*c1)*v completes the square: n = (0, a, 0, b). Over Q and
     Q(w): None.
     """
     field = f.field
-    if nth_power_class(-3 * f.discriminant(), 2):
-        return diagonalize(f)
-    p = field.p
-    if not p:
-        return None
+    split, p = _split(f), field.p
+    if split is not None or not p:
+        return split
     raw = tuple(c.val for c in f.coeffs)
     x, y = lone_root(raw, p)
     # f(a*u + b*v, c*u + d*v) has c0 = f(a, c) = 0 for (a, c) = (x, y)
@@ -509,22 +515,23 @@ def orbit_equivalent(f: BinaryCubicForm, g: BinaryCubicForm):
     """(answer, witness): answer True/False, or None for Unknown.
 
     First the invariant, False on a mismatch: the cell over F_p (``_cell``,
-    complete), the class of Delta_g/Delta_f mod sixth powers over Q / Q(w).
-    Then the normal forms (``_normal_form``), None without them, are matched
-    by ``_match_diagonal`` or ``_match_rooted``, each complete. A failed
-    match is False over Q / Q(w), where the cube-root searches are exact,
-    and cannot happen over F_p. Every witness is checked by ``act_gl2``.
+    complete), the class of Delta_g/Delta_f mod sixth powers over Q / Q(w),
+    both from the Delta that ``require_nondegenerate`` returned. Then the
+    normal forms (``_normal_form``, where each split is decided), None
+    without them, are matched by ``_match_diagonal`` or ``_match_rooted``,
+    each complete. A failed match is False over Q / Q(w), where the
+    cube-root searches are exact, and cannot happen over F_p. Every witness
+    is checked by ``act_gl2``.
     """
     if f.field != g.field:
         raise FieldMismatch("forms over different fields")
-    f.require_nondegenerate()
-    g.require_nondegenerate()
+    delta_f, delta_g = f.require_nondegenerate(), g.require_nondegenerate()
     field = f.field
     if field.p:
         raw_f, raw_g = (tuple(c.val for c in h.coeffs) for h in (f, g))
-        if _cell(raw_f, field) != _cell(raw_g, field):
+        if _cell(raw_f, delta_f) != _cell(raw_g, delta_g):
             return False, None
-    elif not nth_power_class(g.discriminant() / f.discriminant(), 6):
+    elif not nth_power_class(delta_g / delta_f, 6):
         return False, None
     # -3*Delta_g = -3*Delta_f*t^6 is a square iff -3*Delta_f is: both None or of one kind
     normal_f = _normal_form(f)
@@ -604,8 +611,6 @@ class OrbitInvariants:
 def orbit_invariants(f: BinaryCubicForm, point_budget: int | None = None) -> OrbitInvariants:
     from . import curves  # local import; curves stays form-agnostic
 
-    f.require_nondegenerate()
-    delta = f.discriminant()
-    token = sixth_power_class_token(delta)
+    delta = f.require_nondegenerate()
     point = curves.point_search(f, point_budget)
-    return OrbitInvariants(delta, token, point is not None)
+    return OrbitInvariants(delta, sixth_power_class_token(delta), point is not None)

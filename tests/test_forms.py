@@ -1,5 +1,6 @@
 """Binary cubic forms: discriminant, GL2 action, diagonalization, orbits."""
 
+import itertools
 import random
 import time
 
@@ -22,10 +23,18 @@ from cubiclifford.errors import (
     SquareRootAbsent,
     UnsupportedField,
 )
-from cubiclifford.fields import FieldSpec, cube_root_in_field, form_discriminant
+from cubiclifford.fields import (
+    FieldSpec,
+    cube_root_in_field,
+    form_discriminant,
+    hessian,
+    nth_power_class,
+    sixth_power_class_token,
+)
 from cubiclifford.forms import (
     BinaryCubicForm,
     GL2Element,
+    _normal_form,
     act_gl2,
     diagonalize,
     discriminant,
@@ -115,6 +124,8 @@ def test_action_composition_and_identity_laws():
         assert act_gl2(g, act_gl2(h, f)) == act_gl2(h.mul(g), f)
         assert act_gl2(GL2Element.identity(F7), f) == f
         assert act_gl2(g.inverse(), act_gl2(g, f)) == f
+        for m in (h.mul(g), g.inverse()):  # each carries its det, computed from its factors
+            assert m.det == GL2Element(F7, m.entries()).det
 
 
 def test_diagonalize_already_diagonal():
@@ -174,6 +185,46 @@ def test_diagonalize_random_f13():
         assert d.is_diagonal()
         assert act_gl2(g, f) == d
         done += 1
+
+
+@pytest.mark.parametrize("field", [Q, QW, F13, FieldSpec.prime(18446744073709551427)], ids=str)
+def test_one_split_decides_normal_form_and_diagonalize(field):
+    # the Hessian splits exactly when -3*Delta (= 18^2*D) is a square: then
+    # _normal_form is a diagonalizing pair and diagonalize returns it; else
+    # diagonalize raises SquareRootAbsent and _normal_form is (0, a, 0, b) or None
+    rng = random.Random(36)
+    cases = [rand_form(field, rng) for _ in range(60)]
+    cases += [f for f, _ in _moved_diagonal_forms(field, rng, 20)]
+    split = 0
+    for f in cases:
+        assert f.require_nondegenerate() == f.discriminant()
+        normal = _normal_form(f)
+        if nth_power_class(-3 * f.discriminant(), 2):
+            g, d = normal
+            assert d.is_diagonal() and act_gl2(g, f) == d
+            assert diagonalize(f) == normal
+            split += 1
+            continue
+        if field.p:
+            g, n = normal
+            assert not n.is_diagonal() and n.coeffs[0] == n.coeffs[2] == 0
+            assert act_gl2(g, f) == n
+        else:
+            assert normal is None
+        with pytest.raises(SquareRootAbsent):
+            diagonalize(f)
+    assert 20 <= split < len(cases)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_r_vanishes_for_a_form_and_its_swap_only_on_diagonal_forms_and_cubes(p):
+    # r = -h0/9 for f and -h2/9 for its swap: the swap in diagonalize never meets r = 0 twice
+    both = [
+        c for c in itertools.product(range(p), repeat=4)
+        if (c[1] or c[2]) and hessian(c)[0] % p == hessian(c)[2] % p == 0
+    ]
+    assert len(both) == (p - 1) ** 2  # c0*(u + k*v)^3 with c0, k nonzero
+    assert all(form_discriminant(c) % p == 0 for c in both)
 
 
 def test_stabilizer_orders_f7():
@@ -345,6 +396,9 @@ def test_orbit_enumerate_matches_the_bfs_oracle(p):
         assert len(orbits) == (9 if nondegenerate_only else 13)
         for o in orbits:
             assert o.size * o.stabilizer_order == gl2_order(p)
+            delta = o.representative_form().discriminant()
+            token = None if delta.is_zero() else sixth_power_class_token(delta)
+            assert (o.delta, o.delta_class6) == (delta, token)
 
 
 def test_stabilizer_matches_the_scan_on_every_nondegenerate_form_f7():
