@@ -218,7 +218,7 @@ def test_one_split_decides_normal_form_and_diagonalize(field):
 
 @pytest.mark.parametrize("p", [7, 13])
 def test_r_vanishes_for_a_form_and_its_swap_only_on_diagonal_forms_and_cubes(p):
-    # r = -h0/9 for f and -h2/9 for its swap: the swap in diagonalize never meets r = 0 twice
+    # r = -h0/9 for f and -h2/9 for its swap: the swap in forms._split never meets r = 0 twice
     both = [
         c for c in itertools.product(range(p), repeat=4)
         if (c[1] or c[2]) and hessian(c)[0] % p == hessian(c)[2] % p == 0
