@@ -27,7 +27,8 @@ Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
 2 usage error. An integer literal longer than the interpreter's int<->str
 limit is a parse error, and a result holding such an integer ends in
 `number-too-large`; so does, before it is computed, a literal power over Q
-or Q(w) whose exponent times bit length is over 2^18 (``Scalar.__pow__``).
+or Q(w) whose exponent times bit length is over 2^18 (``Scalar.__pow__``),
+and a monomial exponent above 2^30 - 1 (``spoly.MAX_EXPONENT``).
 """
 
 from __future__ import annotations

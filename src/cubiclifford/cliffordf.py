@@ -42,7 +42,7 @@ from .freealg import (
 )
 from .gca import BASIS_WORDS, GCAElement, Rank18Algebra, Rank18Element
 from .gca import _Echelon, _gathered, _structure_columns_int
-from .spoly import GAMMA_VARS, SPolynomial, accumulate, raw_scalar, scaled
+from .spoly import GAMMA_VARS, SLOT, SPolynomial, accumulate, raw_scalar, scaled
 
 from . import curves
 
@@ -77,7 +77,7 @@ def _grouped_integer_columns():
     d), n)."""
     keys, groups = {"x": [], "y": []}, {}
     for (letter, j, i), e, n in _structure_columns_int():
-        key = (j, i, (e[4],) if e[4] else None)
+        key = (j, i, e[4] or None)
         keys[letter].append(key)
         groups.setdefault((letter, e[:4], n), []).append(key)
     monomials = tuple(dict.fromkeys(e for _, e, _ in groups))
@@ -103,7 +103,7 @@ def specialized_columns(f: BinaryCubicForm):
         for (letter, e, n), ks in groups
         for num, d in (values[e],)
     ]
-    return _gathered(field.p, accumulate(field.p, rows, items, None), den)
+    return _gathered(field.p, accumulate(field.p, rows, items), den)
 
 
 class SpecializedAlgebra(Rank18Algebra):
@@ -129,6 +129,8 @@ class SpecializedAlgebra(Rank18Algebra):
         return self._element(self._reduce(e, {"": self._scalar_vector(0, self.field.one())}))
 
     def mul(self, u: CliffordFElement, v: CliffordFElement) -> CliffordFElement:
+        """The product; the structure constants are folded within the call
+        and nothing is cached between calls."""
         return self._mul(u, v)
 
     def relations_hold(self) -> bool:
@@ -143,7 +145,9 @@ class SpecializedAlgebra(Rank18Algebra):
         checks e_i.(r - c) = 0; as v -> v.(r - c) is k[GA]-linear and the
         e_i span k[GA]^18, they make r - c act as 0. The block is one vector
         over k[ROW, GA] whose row i is carried by ROW^i, and the columns
-        leave ROW at exponent 0, so each fold moves all 18 rows at once."""
+        leave ROW at exponent 0, so each fold moves all 18 rows at once. The
+        packed GA^e is e, which is also ROW^0 GA^e packed, so the columns
+        serve k[ROW, GA] unchanged."""
         one = self.field.one()
         cache = {"": self._scalar_vector(0, one)}
         for i, word in enumerate(BASIS_WORDS):
@@ -151,13 +155,9 @@ class SpecializedAlgebra(Rank18Algebra):
                 return False
         if self._reduce(gamma_element(self.field), cache) != self._vector(self.gamma().coords):
             return False
-        columns = {
-            letter: [[(i, m and (0, *m), c) for i, m, c in col] for col in cols]
-            for letter, cols in self.columns.items()
-        }
-        stacked = Rank18Algebra(self.base, self.field, ("ROW", "GA"), columns, self.den)
+        stacked = Rank18Algebra(self.base, self.field, ("ROW", "GA"), self.columns, self.den)
         unit = raw_scalar(one)[0]
-        block = ({i: {(i, 0): unit} for i in range(18)}, 1)
+        block = ({i: {i << SLOT: unit} for i in range(18)}, 1)
         return all(stacked._central_relations(self.form.coeffs, {"": block}))
 
 
@@ -212,7 +212,7 @@ def _substituted_columns(alg: SpecializedAlgebra, g: GL2Element):
         for moved, ks in (("x", (a, c)), ("y", (b, d)))
         for k, letter in zip(ks, "xy")
     ]
-    return _gathered(g.field.p, accumulate(g.field.p, {}, items, None), alg.den * den)
+    return _gathered(g.field.p, accumulate(g.field.p, {}, items), alg.den * den)
 
 
 def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
@@ -237,7 +237,7 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     relations = dict(zip(names, moved._central_relations(target.coeffs, cache)))
     rows, den = moved._reduce(gamma_element(field), cache)
     factor = None
-    if rows.keys() <= {0} and rows.get(0, {}).keys() <= {(1,)}:
+    if rows.keys() <= {0} and rows.get(0, {}).keys() <= {1}:  # GA^1 packed
         factor = moved._element((rows, den)).coords[0].terms.get((1,), field.zero())
     return IsoReport(relations, factor, g.det**2)
 

@@ -99,7 +99,8 @@ class BudgetExceeded(CubicliffordError):
 
 
 class NumberTooLarge(CubicliffordError):
-    """A number in the result is too long for the interpreter to print."""
+    """A number in the result is too long for the interpreter to print, or
+    a monomial exponent is above its bound."""
 
     code = "number-too-large"
 

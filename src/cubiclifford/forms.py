@@ -219,20 +219,12 @@ def act_gl2(g: GL2Element, f: BinaryCubicForm) -> BinaryCubicForm:
 # -- diagonalization ---------------------------------------------------------
 
 
-def _hessian_coefficients(f: BinaryCubicForm):
-    """(r, s, t) with Hessian/36 = r*u^2 + 2*s*u*v + t*v^2, which is
-    -(h0, h1/2, h2)/9 for the covariant (h0, h1, h2) of ``fields.hessian``."""
-    h0, h1, h2 = hessian(f.coeffs)
-    k = f.field.scalar(-1) / 9
-    return h0 * k, h1 * k / 2, h2 * k
-
-
 def _split(f: BinaryCubicForm):
     """(g, d) with act_gl2(g, f) = d diagonal for a nondegenerate f, or None
     when sqrt(D) is not in k: the one place the Hessian transform is built.
 
     Transform: u -> (sqrt(D)+s)u' + (sqrt(D)-s)v', v -> -r*u' + r*v' with
-    (r, s, t) = -(h0, h1/2, h2)/9 (``_hessian_coefficients``) and
+    (r, s, t) = -(h0, h1/2, h2)/9 (Hessian/36 = r*u^2 + 2*s*u*v + t*v^2) and
     D = s^2 - r*t = (h1^2 - 4*h0*h2)/18^2 = -Delta/108; the alternative
     normalization -108*Delta does not diagonalize. sqrt(D) decides the split
     before any transform is built. If r = 0, the variables are swapped first,

@@ -20,8 +20,6 @@ composes the other way round; see forms.act_gl2.)
 
 from __future__ import annotations
 
-from operator import add
-
 from .errors import FieldMismatch, SingularMatrix
 from .fields import FieldSpec
 from .spoly import RawRing, RawTerms, Terms, raw_product
@@ -60,7 +58,6 @@ class FreeElement(Terms):
 
     # -- monomials -------------------------------------------------------
 
-    _mono_mul = staticmethod(add)
     _mono_text = staticmethod(word_text)
 
     def _unit(self):

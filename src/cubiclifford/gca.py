@@ -62,8 +62,8 @@ from .freealg import (
     gamma_element,
     s_element,
 )
-from .spoly import GCA_VARS, RawTerms, SPolynomial, accumulate, canonical
-from .spoly import discriminant_polynomial, raw_product, raw_scalar, scaled
+from .spoly import GCA_VARS, RawTerms, SPolynomial, accumulate, canonical, pack
+from .spoly import discriminant_polynomial, raw_product, raw_scalar, scaled, times
 
 BASIS_WORDS = (
     "",
@@ -470,7 +470,7 @@ def generic_columns(field: FieldSpec):
     one = raw_scalar(field.one())[0]
     rows = {"x": {}, "y": {}}
     for (letter, j, i), e, n in _structure_columns_int():
-        rows[letter][j, i, e if any(e) else None] = scaled(n, one)
+        rows[letter][j, i, pack(e, 5) or None] = scaled(n, one)
     return _gathered(field.p, rows, 1)
 
 
@@ -479,9 +479,12 @@ class Rank18Algebra:
     ``columns`` of right multiplication by x and y over ``den``. Its kernel
     works on sparse raw vectors (rows, den): rows maps each nonzero
     coordinate i to its raw map (``spoly.Terms``'s layout) over the one den,
-    canonical (``spoly.canonical``) so that equal vectors compare equal. A
-    fold, a reduction and a product are each one ``accumulate``, normalized
-    once; ``_element`` alone makes ``SPolynomial``s, for results."""
+    canonical (``spoly.canonical``) so that equal vectors compare equal.
+    Monomials are packed ints (``spoly.pack``), so a monomial product in the
+    kernel is one integer addition. A fold, a reduction and a product are
+    each one ``accumulate``, normalized once; a product reads its structure
+    constants 1.b_i b_j from a word cache, as a reduction reads its words.
+    ``_element`` alone makes ``SPolynomial``s, for results."""
 
     ELEMENT = Rank18Element
 
@@ -540,7 +543,7 @@ class Rank18Algebra:
                 for j, terms in rows.items()
                 for i, m, c in cols[j]
             ]
-            accumulate(self.field.p, acc, entries, SPolynomial._mono_mul)
+            accumulate(self.field.p, acc, entries)
         return canonical(self.field.p, acc, common * self.den)
 
     def _central_relations(self, coeffs, cache: dict) -> list:
@@ -558,7 +561,7 @@ class Rank18Algebra:
             lhs = self._fold([(self._word_vector(w[:2], cache), w[2]) for w in words])
             num, c_den = raw_scalar(c)
             items = [(k, terms, None, num) for k, terms in rows.items()]
-            out.append(lhs == canonical(p, accumulate(p, {}, items, None), den * c_den))
+            out.append(lhs == canonical(p, accumulate(p, {}, items), den * c_den))
         return out
 
     def _word_vector(self, w: str, cache: dict, budget=None):
@@ -594,23 +597,43 @@ class Rank18Algebra:
             (i, terms, None, scaled(common // den, c))
             for c, (rows, den) in vectors for i, terms in rows.items()
         ]
-        return canonical(self.field.p, accumulate(self.field.p, {}, items, None), common * e.den)
+        return canonical(self.field.p, accumulate(self.field.p, {}, items), common * e.den)
 
-    def _mul(self, u, v):
-        """Product of normal forms: u folded through the basis words of v
-        (sharing prefixes), times v's coordinates; both have the algebra's base."""
+    def _mul(self, u, v, cache: dict | None = None):
+        """Product of normal forms, both with the algebra's base, from the
+        structure constants: the sum over i, j of u_i v_j (1.b_i b_j) in one
+        ``accumulate``, with 1.b_i b_j the vector of the word b_i b_j read
+        from ``cache`` (``_word_vector``, which folds and stores a missing
+        one); without one, the words are folded within the call.
+
+        It is the product: u = sum u_i b_i and v = sum v_j b_j with the u_i
+        and v_j in the central coefficient ring, so uv = sum u_i v_j b_i b_j.
+        The normal form of a word w is its fold 1.w, and the normal form is
+        linear over the coefficients, so the normal form of uv is
+        sum u_i v_j (1.b_i b_j)."""
         if u.base != self.base or v.base != self.base:
             raise self.ELEMENT.MISMATCH(f"{u.base} and {v.base} in an algebra over {self.base}")
-        cache = {"": self._vector(u.coords)}
-        folds = [(self._word_vector(b, cache), vj) for b, vj in zip(BASIS_WORDS, v.coords) if vj.raw]
-        common = lcm(*(vec[1] * vj.den for vec, vj in folds))
-        items = [
-            (i, terms, m, scaled(common // (den * vj.den), c))
-            for (rows, den), vj in folds
-            for m, c in vj.raw.items()
-            for i, terms in rows.items()
+        p = self.field.p
+        if cache is None:
+            cache = {"": self._scalar_vector(0, self.field.one())}
+        pairs = [
+            (ui, vj, self._word_vector(bi + bj, cache))
+            for bi, ui in zip(BASIS_WORDS, u.coords) if ui.raw
+            for bj, vj in zip(BASIS_WORDS, v.coords) if vj.raw
         ]
-        return self._element((accumulate(self.field.p, {}, items, SPolynomial._mono_mul), common))
+        common = lcm(*(ui.den * vj.den * den for ui, vj, (_, den) in pairs))
+        # the coefficients commute, so the inner loop of accumulate runs
+        # over the larger of u_i and v_j
+        items = [
+            (k, a, mb + m or None, times(p, scaled(f, cb), c))
+            for ui, vj, (rows, den) in pairs
+            for f in (common // (ui.den * vj.den * den),)
+            for a, b in ((ui.raw, vj.raw) if len(ui.raw) >= len(vj.raw) else (vj.raw, ui.raw),)
+            for mb, cb in b.items()
+            for k, terms in rows.items()
+            for m, c in terms.items()
+        ]
+        return self._element((accumulate(p, {}, items), common))
 
 
 class GenericCliffordAlgebra(Rank18Algebra):
@@ -641,7 +664,11 @@ class GenericCliffordAlgebra(Rank18Algebra):
         S-monomials of every normal form made and every letter folded; and
         before it is made, the letters of a power of one word and the
         product of the S-monomial counts of two normal forms multiplied.
-        Over the budget, ``BudgetExceeded`` says how much was used."""
+        The structure constants that ``mul`` folds into the word cache, at
+        most 18^2 words of at most 12 letters in the algebra's lifetime, are
+        not charged. Over the budget, ``BudgetExceeded`` says how much was
+        used. A monomial exponent above ``spoly.MAX_EXPONENT`` raises
+        ``NumberTooLarge``."""
         run = _Evaluation(self, DEFAULT_SCAN_BUDGET if budget is None else budget)
         ring = free_ring(self.field)
         value = ExprParser(
@@ -652,7 +679,8 @@ class GenericCliffordAlgebra(Rank18Algebra):
         return value.normal()
 
     def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
-        return self._mul(u, v)
+        """The product; the structure constants come from the word cache."""
+        return self._mul(u, v, self._word_cache)
 
     # -- oracle route ------------------------------------------------------
 
@@ -712,7 +740,7 @@ class GenericCliffordAlgebra(Rank18Algebra):
             if not redexes:
                 for i, col in enumerate(_conversion_table_int()[w]):
                     if col:
-                        raw = {e: c if self.field.p else (c, 0) for e, c in col}
+                        raw = {pack(e, 5): c if self.field.p else (c, 0) for e, c in col}
                         rows[i] = rows[i] + raw_product(self._zero, coeff, raw, 1)
                 continue
             if steps >= budget:

@@ -2,10 +2,14 @@
 and the free algebra k<x, y> in ``freealg``.
 
 Both rings store an element as one map from monomial to raw coefficient and
-share the class ``Terms``; they differ only in their monomials. Coefficients
-are not boxed ``Scalar``s: over F_p a coefficient is its residue, and over Q
-and Q(w) it is an integer pair (a, b) read over one denominator per
-element, FLINT's fmpq_poly layout (https://flintlib.org/doc/fmpq_poly.html).
+share the class ``Terms``; they differ only in their monomials. In both a
+monomial product is ``+``: a word is a ``str`` and a product concatenates,
+and a commutative monomial is one packed ``int`` (``pack``) and a product
+adds. The unit monomial is falsy in both ("" and 0), and a monomial to the
+power n is ``m * n``. Coefficients are not boxed ``Scalar``s: over F_p a
+coefficient is its residue, and over Q and Q(w) it is an integer pair
+(a, b) read over one denominator per element, FLINT's fmpq_poly layout
+(https://flintlib.org/doc/fmpq_poly.html).
 A ``Scalar`` holds the same layout, so ``raw_scalar`` only reads it.
 ``accumulate``, the one multiply-add loop of each layout, sums unreduced
 integers into raw maps for ``RawTerms`` and the rank-18 kernel
@@ -25,7 +29,12 @@ parsers (``SPolynomial.parse`` and ``freealg.parse_free_expression``) run
 the shared ``ExprParser`` over ``RawTerms`` values and normalize the
 finished map once.
 
-``SPolynomial`` is the commutative ring with exponent tuples as monomials.
+``SPolynomial`` is the commutative ring whose monomials are packed
+exponent vectors, one int per monomial with a fixed-width slot per variable
+and the first variable most significant, the layout of Monagan and Pearce
+("Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007) and of FLINT's fmpz_mpoly. Its constructors take
+exponent tuples and ``terms`` returns them, so only ``raw`` sees the ints.
 It hosts the coefficient ring S = k[X3, AL, BE, Y3, GA] of the rank-18
 module structure (X3, Y3 are the central generator cubes, AL/BE the two
 polarization sums, GA the degree-4 central element), the center variable
@@ -38,16 +47,82 @@ exponent tuple descending (first listed variable most significant).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import or_
 
-from .errors import FieldMismatch, MissingAssignment, UnknownSymbol, VariableMismatch
+from .errors import (
+    FieldMismatch,
+    MissingAssignment,
+    NumberTooLarge,
+    UnknownSymbol,
+    VariableMismatch,
+)
 from ._parsing import ExprParser
 from .fields import FieldSpec, Scalar, pair_scalar, power
 
 GCA_VARS = ("X3", "AL", "BE", "Y3", "GA")
 GAMMA_VARS = ("GA",)
+
+SLOT = 32
+MAX_EXPONENT = (1 << SLOT - 2) - 1
+_SLOT_MASK = (1 << SLOT) - 1
+_GUARD = 3 << SLOT - 2
+
+
+def pack(exponents, n: int) -> int:
+    """The packed monomial of an exponent tuple of n variables: exponent k
+    in bits [SLOT*(n-1-k), SLOT*(n-k)), so the first variable is most
+    significant and packed monomials order as their tuples do.
+
+    The bound. Every packed monomial that a ring value holds has each
+    exponent at most MAX_EXPONENT = 2^30 - 1: this function, ``canonical``,
+    ``raw_product`` and the monomial power ``RawTerms.__pow__`` raise
+    ``NumberTooLarge`` rather than make one above it, and nothing else makes
+    monomials. A sum of at most four such monomials has each slot at most
+    4*(2^30 - 1) < 2^32 = 2^SLOT, so no slot carries into the next one: the
+    sum is the packed tuple of the exponent sums, and an exponent sum is
+    above MAX_EXPONENT exactly when one of the two top bits of its slot (the
+    guard bits) is set. The package adds at most three before a guard looks:
+    two in ``raw_product`` and a fold, three in ``Rank18Algebra._mul``."""
+    if len(exponents) != n:
+        raise VariableMismatch(f"{len(exponents)} exponents for {n} variables")
+    m = 0
+    for e in exponents:
+        if not 0 <= e <= MAX_EXPONENT:
+            if e < 0:
+                raise ValueError(f"negative exponent {e}")
+            raise NumberTooLarge(f"exponent {e} above the bound {MAX_EXPONENT}")
+        m = m << SLOT | e
+    return m
+
+
+def unpack(m: int, n: int) -> tuple:
+    """The exponent tuple of the packed monomial m of n variables."""
+    return tuple(m >> SLOT * k & _SLOT_MASK for k in range(n - 1, -1, -1))
+
+
+@lru_cache(maxsize=None)
+def _guard_bits(slots: int) -> int:
+    return sum(_GUARD << SLOT * k for k in range(slots))
+
+
+def in_bound(rows: dict):
+    """Raise ``NumberTooLarge`` if a packed monomial of the maps ``rows`` has
+    an exponent above MAX_EXPONENT, which sets a guard bit of its slot
+    (``pack`` proves it). When the monomials sum to at most MAX_EXPONENT,
+    as the small ones of a univariate ring do, each is one slot under the
+    bound; else the guard bits of all of them are read. Keys that are not
+    ints, such as words (the monomials of ``freealg``, which have no
+    bound), are not read."""
+    keys = chain.from_iterable(rows.values())
+    first = next(keys, None)
+    if type(first) is not int or first <= MAX_EXPONENT and first + sum(keys) <= MAX_EXPONENT:
+        return
+    bits = reduce(or_, chain.from_iterable(rows.values()))
+    if bits & _guard_bits(-(-bits.bit_length() // SLOT)):
+        raise NumberTooLarge(f"a monomial exponent above the bound {MAX_EXPONENT}")
 
 
 def raw_scalar(c: Scalar):
@@ -64,9 +139,20 @@ def scaled(f: int, c):
     return (f * c[0], f * c[1]) if type(c) is tuple else f * c
 
 
+def times(p, x, y):
+    """The product of the raw numerators x and y: residues when ``p`` is set,
+    else integer pairs."""
+    if p:
+        return x * y
+    (a, b), (c, d) = x, y
+    bd = b * d
+    return (a * c - bd, a * d + b * c - bd)
+
+
 def canonical(p, rows: dict, den: int = 1):
     """The raw maps ``rows`` over ``den`` without zeros or empty maps, residues
-    reduced mod ``p``; over Q and Q(w) den shares no factor with all numerators."""
+    reduced mod ``p``; over Q and Q(w) den shares no factor with all numerators.
+    A packed monomial above the bound raises (``in_bound``)."""
     out = {}
     for i, row in rows.items():
         if p:
@@ -75,6 +161,7 @@ def canonical(p, rows: dict, den: int = 1):
             row = {m: v for m, v in row.items() if v != (0, 0)}
         if row:
             out[i] = row
+    in_bound(out)
     if p:
         return out, 1
     g = den
@@ -88,24 +175,25 @@ def canonical(p, rows: dict, den: int = 1):
     return out, den // g
 
 
-def accumulate(p, rows: dict, items, mono_mul) -> dict:
-    """``rows[i][m1 * m] += a * c`` for each (i, terms, m, c) in ``items`` and
-    (m1, a) in ``terms.items()``, m1 * m being ``mono_mul(m1, m)`` or, when m
-    is None, m1. The a's and c's are raw numerators: residues when ``p`` is
-    set, else integer pairs a + b*w (w^2 = -1 - w). Returns ``rows``."""
+def accumulate(p, rows: dict, items) -> dict:
+    """``rows[i][m1 + m] += a * c`` for each (i, terms, m, c) in ``items`` and
+    (m1, a) in ``terms.items()``, m1 + m being the monomial product (m1 when
+    m is None). The a's and c's are raw numerators: residues when ``p`` is
+    set, else integer pairs a + b*w (w^2 = -1 - w). Returns ``rows``; its
+    monomials are unchecked, so the caller bounds them (``canonical``)."""
     if p:
         for i, terms, m2, c in items:
             row = rows.setdefault(i, {})
             get = row.get
             for m1, a in terms.items():
-                m = m1 if m2 is None else mono_mul(m1, m2)
+                m = m1 if m2 is None else m1 + m2
                 row[m] = get(m, 0) + a * c
         return rows
     for i, terms, m2, (c, d) in items:
         row = rows.setdefault(i, {})
         get = row.get
         for m1, (a, b) in terms.items():
-            m = m1 if m2 is None else mono_mul(m1, m2)
+            m = m1 if m2 is None else m1 + m2
             bd = b * d
             old = get(m)
             if old is None:
@@ -125,19 +213,19 @@ class Terms:
     Both layouts are canonical, so ``==`` and ``hash`` compare ``raw`` and
     ``den``. ``terms`` returns a new {monomial: Scalar} dict of them.
 
-    A subclass fixes the monomials by supplying ``_mono_mul`` (the product
-    of two monomials), ``_unit()`` (the unit monomial, the one with no
-    letter or all exponents 0), ``_sorted_terms()`` (the print order) and
-    ``_mono_text`` (the text of a non-unit monomial). Operands must share
-    the field and the ``variables`` of the ring. The arithmetic runs on
-    ``RawTerms``.
+    A subclass fixes the monomials, whose product is ``+`` and whose unit
+    is falsy, by supplying ``_unit()`` (the unit monomial, the one with no
+    letter or all exponents 0), ``_sorted_terms()`` (the print order, of
+    ``terms``) and ``_mono_text`` (the text of a non-unit monomial of
+    ``terms``). Operands must share the field and the ``variables`` of the
+    ring. The arithmetic runs on ``RawTerms``.
     """
 
     __slots__ = ("field", "variables", "raw", "den")
 
     def __init__(self, field: FieldSpec, variables, terms: dict):
-        """``terms`` maps monomials to Scalars of ``field`` (or to values
-        that ``field.scalar`` accepts)."""
+        """``terms`` maps monomials, as ``raw`` keys them, to Scalars of
+        ``field`` (or to values that ``field.scalar`` accepts)."""
         scalars = [(m, field.scalar(c)) for m, c in terms.items()]
         self.field = field
         self.variables = variables
@@ -236,13 +324,12 @@ class Terms:
     def __str__(self):
         if not self.raw:
             return "0"
-        unit = self._unit()
         parts = []
         for mono, coeff in self._sorted_terms():
             cs = str(coeff)
             if coeff.is_composite_text():
                 cs = f"({cs})"
-            if mono == unit:
+            if not any(mono):  # the unit: no letter, or all exponents 0
                 text = cs
             elif cs == "1":
                 text = self._mono_text(mono)
@@ -264,20 +351,21 @@ class Terms:
 
 def raw_product(like: Terms, u, raw: dict, den: int) -> "RawTerms":
     """u times the raw map ``raw`` over ``den``, residues unreduced, with u
-    a value of ``like``'s ring (a ``Terms`` or a ``RawTerms``)."""
-    mono_mul = like._mono_mul
+    a value of ``like``'s ring (a ``Terms`` or a ``RawTerms``). A packed
+    monomial above the bound raises (``in_bound``)."""
     # a lone monomial of coefficient 1 moves the other side's monomials
     m = lone_monomial(raw, den)
     if m is not None:
-        return RawTerms(like, {mono_mul(m1, m): a for m1, a in u.raw.items()}, u.den)
-    m = lone_monomial(u.raw, u.den)
-    if m is not None:
-        return RawTerms(like, {mono_mul(m, m2): a for m2, a in raw.items()}, den)
-    # the unit monomial (no letter, or all exponents 0) is passed as None,
-    # so a scalar factor multiplies no monomials
-    items = [(0, u.raw, m2 if any(m2) else None, c) for m2, c in raw.items()]
-    acc = accumulate(like.field.p, {}, items, mono_mul).get(0, {})
-    return RawTerms(like, acc, u.den * den)
+        out, den = {m1 + m: a for m1, a in u.raw.items()}, u.den
+    elif (m := lone_monomial(u.raw, u.den)) is not None:
+        out = {m + m2: a for m2, a in raw.items()}
+    else:
+        # the unit monomial is passed as None, so a scalar factor
+        # multiplies no monomials
+        items = [(0, u.raw, m2 or None, c) for m2, c in raw.items()]
+        out, den = accumulate(like.field.p, {}, items).get(0, {}), u.den * den
+    in_bound({0: out})
+    return RawTerms(like, out, den)
 
 
 def lone_monomial(raw: dict, den: int):
@@ -285,7 +373,7 @@ def lone_monomial(raw: dict, den: int):
     else None."""
     if den == 1 and len(raw) == 1:
         ((m, c),) = raw.items()
-        if c in (1, (1, 0)) and any(m):
+        if c in (1, (1, 0)) and m:
             return m
     return None
 
@@ -373,7 +461,7 @@ class RawTerms:
         if f_big != 1:
             items.insert(0, (0, big.raw, None, f_big if p else (f_big, 0)))
             big.raw = {}
-        big.raw = accumulate(p, {0: big.raw}, items, None)[0]
+        big.raw = accumulate(p, {0: big.raw}, items)[0]
         big.den = den
         return big
 
@@ -388,23 +476,31 @@ class RawTerms:
 
     def __pow__(self, n: int):
         """self^n. A single term c*m is c^n * m^n, with c^n a ``Scalar``
-        power, which over Q and Q(w) is charged before it is computed."""
+        power, which over Q and Q(w) is charged before it is computed, and
+        m^n = m * n, which for a packed monomial is checked against the
+        bound first, exponent by exponent, as a product of slots can carry."""
         like = self.like
-        field, unit, one = like.field, like._unit(), 1 if like.field.p else (1, 0)
-        m = lone_monomial(self.raw, self.den)
-        if m is not None:
-            return RawTerms(like, {power(m, n, unit, like._mono_mul): one})
-        if len(self.raw) == 1:
-            ((m, c),) = self.raw.items()
-            coeff = like._make({m: c}, self.den).terms.get(m, field.zero())
-            num, den = raw_scalar(coeff**n)
-            return RawTerms(like, {power(m, n, unit, like._mono_mul): num}, den)
-        return power(self, n, RawTerms(like, {unit: one}))
+        one = 1 if like.field.p else (1, 0)
+        if len(self.raw) != 1:
+            return power(self, n, RawTerms(like, {like._unit(): one}))
+        if n < 0:
+            raise ValueError("power needs n >= 0")
+        ((m, c),) = self.raw.items()
+        if type(m) is int and m and n * max(unpack(m, len(like.variables))) > MAX_EXPONENT:
+            raise NumberTooLarge(f"a monomial to the power {n}, above the bound {MAX_EXPONENT}")
+        mn = m * n if m else m  # the unit is its own power
+        if lone_monomial(self.raw, self.den) is not None:
+            return RawTerms(like, {mn: one})
+        single = like._make({m: c}, self.den)
+        coeff = single._scalar(single.raw[m]) if single.raw else like.field.zero()
+        num, den = raw_scalar(coeff**n)
+        return RawTerms(like, {mn: num}, den)
 
 
 class SPolynomial(Terms):
-    """A commutative polynomial in ``variables``; monomials are exponent
-    tuples in the order of ``variables``."""
+    """A commutative polynomial in ``variables``. ``raw`` keys each term by
+    its packed monomial (``pack``); the constructors take exponent tuples in
+    the order of ``variables``, and ``terms`` returns them."""
 
     __slots__ = ()
 
@@ -413,14 +509,22 @@ class SPolynomial(Terms):
     __add__, __sub__, __neg__ = Terms.__add__, Terms.__sub__, Terms.__neg__
     __mul__, __pow__, scale = Terms.__mul__, Terms.__pow__, Terms.scale
 
+    def __init__(self, field: FieldSpec, variables, terms: dict):
+        """``terms`` maps exponent tuples, one exponent in [0, MAX_EXPONENT]
+        per variable, to Scalars of ``field`` (or to values that
+        ``field.scalar`` accepts)."""
+        n = len(variables)
+        super().__init__(field, variables, {pack(e, n): c for e, c in terms.items()})
+
+    @property
+    def terms(self) -> dict:
+        n, scalar = len(self.variables), self._scalar
+        return {unpack(m, n): scalar(v) for m, v in self.raw.items()}
+
     # -- monomials -----------------------------------------------------------
 
-    @staticmethod
-    def _mono_mul(e1, e2):
-        return tuple(map(add, e1, e2))
-
     def _unit(self):
-        return (0,) * len(self.variables)
+        return 0
 
     def _sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
@@ -461,32 +565,31 @@ class SPolynomial(Terms):
         Each value goes through ``field.scalar``, so a value of another
         field raises ``FieldMismatch``.
 
-        Over F_p the residues are multiplied unreduced and each output
-        coefficient is reduced once."""
-        p = self.field.p
-        positions = []
+        Each term's raw coefficient is multiplied by the raw numerator of
+        its Scalar factor, all over one common denominator, in one
+        ``accumulate``; each output coefficient is normalized once."""
+        field, n = self.field, len(keep)
+        positions = []  # per variable: (slot shift in the output, None) or (0, value)
         for v in self.variables:
             if v in keep:
-                positions.append(("keep", keep.index(v)))
+                positions.append((SLOT * (n - 1 - keep.index(v)), None))
             elif v in assignment:
-                value = self.field.scalar(assignment[v])
-                positions.append(("eval", value.val if p else value))
+                positions.append((0, field.scalar(assignment[v])))
             else:
                 raise MissingAssignment(f"no value for {v!r}")
-        out = {}
-        for expo, c in self.raw.items() if p else self.terms.items():
-            new_expo = [0] * len(keep)
-            for (what, info), e in zip(positions, expo):
-                if what == "keep":
-                    new_expo[info] += e
+        terms = []
+        for m, c in self.raw.items():
+            key, factor = 0, field.one()
+            for (shift, value), e in zip(positions, unpack(m, len(positions))):
+                if value is None:
+                    key += e << shift
                 elif e:
-                    c = c * info**e
-            key = tuple(new_expo)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        if p:
-            return SPolynomial._canonical(self.field, keep, out)
-        return SPolynomial(self.field, keep, out)
+                    factor = factor * value**e
+            terms.append((key, c, raw_scalar(factor)))
+        common = lcm(*(d for _, _, (_, d) in terms))
+        items = [(0, {key: c}, None, scaled(common // d, num)) for key, c, (num, d) in terms]
+        acc = accumulate(field.p, {}, items).get(0, {})
+        return SPolynomial._canonical(field, keep, acc, self.den * common)
 
     # -- printing / parsing ---------------------------------------------------
 
@@ -495,7 +598,8 @@ class SPolynomial(Terms):
 
     @staticmethod
     def parse(text: str, field: FieldSpec, variables=GCA_VARS) -> "SPolynomial":
-        names = {v: tuple(int(u == v) for u in variables) for v in variables}
+        n = len(variables)
+        names = {v: 1 << SLOT * (n - 1 - k) for k, v in enumerate(variables)}
         return RawRing(SPolynomial.zero(field, variables), names).parse(text)
 
 

@@ -41,7 +41,7 @@ from math import gcd, lcm
 from cubiclifford._parsing import ExprParser
 from cubiclifford.cliffordf import IsoReport, SymbolReport, specialized_algebra
 from cubiclifford.errors import UnknownSymbol
-from cubiclifford.fields import cube_root_in_field, poly_mulmod, power
+from cubiclifford.fields import cube_root_in_field, hessian, poly_mulmod, power
 from cubiclifford.forms import act_gl2
 from cubiclifford.freealg import (
     FreeElement,
@@ -72,6 +72,16 @@ def gamma_element_alt(field):
 def scale_poly(u, s):
     """The element u with every coordinate times the polynomial s."""
     return u._like([a * s for a in u.coords])
+
+
+def hessian_coefficients(f):
+    """(r, s, t) with Hessian/36 = r*u^2 + 2*s*u*v + t*v^2, which is
+    -(h0, h1/2, h2)/9 for the covariant (h0, h1, h2) of ``fields.hessian``:
+    the Scalar-valued coefficients that the Hessian split of ``forms``
+    reads off the raw covariant."""
+    h0, h1, h2 = hessian(f.coeffs)
+    k = f.field.scalar(-1) / 9
+    return h0 * k, h1 * k / 2, h2 * k
 
 
 def is_central(alg, u) -> bool:
@@ -465,7 +475,7 @@ def clifford_iso_by_substitution(g, f):
         head = gamma_image.coords[0]
         if head.is_zero():
             factor = field.zero()
-        elif head.raw.keys() == {(1,)}:
+        elif head.terms.keys() == {(1,)}:
             factor = head.terms[(1,)]
     return IsoReport(relations, factor, g.det**2)
 

@@ -7,7 +7,7 @@ tests/test_acceptance.py`` to see the per-criterion lines.
 import random
 
 from conftest import F7, F7B, F13, Q, QW, rand_form, rand_free_element, rand_gl2, rand_scalar
-from oracles import act_raw, is_central
+from oracles import act_raw, hessian_coefficients, is_central
 
 from cubiclifford import cliffordf, curves, forms
 from cubiclifford.fields import (
@@ -17,7 +17,7 @@ from cubiclifford.fields import (
     sixth_power_class_token,
     sqrt_in_field,
 )
-from cubiclifford.forms import BinaryCubicForm, _hessian_coefficients
+from cubiclifford.forms import BinaryCubicForm
 from cubiclifford.freealg import (
     FreeElement,
     delta_element,
@@ -155,7 +155,7 @@ def test_criterion_08_diagonalization_f13():
         ok = ok and d.is_diagonal() and d.is_nondegenerate() and forms.act_gl2(g, f) == d
         iso = cliffordf.check_clifford_iso(g, f)
         ok = ok and iso.passed and iso.gamma_factor == g.det**2
-        r, s, t = _hessian_coefficients(f)
+        r, s, t = hessian_coefficients(f)
         if not r.is_zero():
             big_d = s * s - r * t
             ok = ok and g.det**2 == F13.scalar(4) * r**2 * big_d

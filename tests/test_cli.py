@@ -469,6 +469,15 @@ def test_a_literal_power_in_reduce_over_its_cap_ends_at_once(capsys, expr):
     assert code == 1 and out == "" and json.loads(err)["error"] == "number-too-large"
 
 
+@pytest.mark.parametrize("field", (["--field", "Qw"], ["--field", "Fp", "--p", "7"]))
+def test_a_monomial_exponent_over_its_bound_is_a_domain_error(capsys, field):
+    # exponents stop at 2^30 - 1; X3^1100000000 was the answer before the bound
+    code, out, _ = run_cli(capsys, "reduce", *field, "--expr", "x^3221225469")
+    assert code == 0 and json.loads(out)["coords"][0] == "X3^1073741823"
+    code, out, err = run_cli(capsys, "reduce", *field, "--expr", "x^3300000000")
+    assert code == 1 and out == "" and json.loads(err)["error"] == "number-too-large"
+
+
 @pytest.mark.parametrize(
     "argv, index, coord",
     [

@@ -8,6 +8,7 @@ import pytest
 from conftest import F7, F13, Q, QW, rand_form, rand_gl2, rand_scalar
 from oracles import (
     clifford_iso_by_substitution,
+    hessian_coefficients,
     relations_hold_by_reductions,
     symbol_check_by_expansion,
 )
@@ -32,7 +33,7 @@ from cubiclifford.errors import (
     SingularMatrix,
 )
 from cubiclifford.fields import FieldSpec, sqrt_in_field
-from cubiclifford.forms import BinaryCubicForm, GL2Element, diagonalize, _hessian_coefficients
+from cubiclifford.forms import BinaryCubicForm, GL2Element, diagonalize
 from cubiclifford.freealg import FreeElement, delta_element, parse_free_expression, s_element
 from cubiclifford.gca import GenericCliffordAlgebra, Rank18Algebra
 from cubiclifford.spoly import GAMMA_VARS, SPolynomial, scaled
@@ -166,7 +167,7 @@ def test_clifford_iso_diagonalize_transform_factor():
         if g == GL2Element.identity(F13):
             continue
         done += 1
-        r, s, t = _hessian_coefficients(f)
+        r, s, t = hessian_coefficients(f)
         if r.is_zero():
             continue  # swap fallback path: det identity below differs
         big_d = s * s - r * t

@@ -11,7 +11,7 @@ import oracles
 from conftest import F7, F7B, F13, Q, QW, rand_form, rand_free_element, rand_gl2, rand_scalar
 
 from cubiclifford.cliffordf import SpecializedAlgebra, specialized_algebra, specialized_columns
-from cubiclifford.errors import FieldMismatch, NonTermination, UnsupportedField
+from cubiclifford.errors import FieldMismatch, NonTermination, NumberTooLarge, UnsupportedField
 from cubiclifford.fields import FieldSpec
 from cubiclifford.forms import BinaryCubicForm
 from cubiclifford.freealg import (
@@ -33,9 +33,10 @@ from cubiclifford.gca import (
     irreducible_words,
     words_of_degree,
 )
-from cubiclifford.spoly import GAMMA_VARS, GCA_VARS, SPolynomial
+from cubiclifford.spoly import GAMMA_VARS, GCA_VARS, MAX_EXPONENT, SPolynomial
 
 F103 = FieldSpec.prime(103)
+P64 = FieldSpec.prime(18446744073709551427)
 
 ALG = {f: GenericCliffordAlgebra(f) for f in (QW, F7, F7B, F13)}
 
@@ -477,6 +478,66 @@ def test_mul_matches_free_product():
         e1 = rand_free_element(F13, rng, max_len=5, max_terms=2)
         e2 = rand_free_element(F13, rng, max_len=5, max_terms=2)
         assert alg.mul(alg.reduce(e1), alg.reduce(e2)) == alg.reduce(e1 * e2)
+
+
+@pytest.mark.parametrize("field", (F7, P64, QW), ids=("7", "64bit", "Qw"))
+def test_mul_through_a_warm_word_cache_equals_a_fresh_algebra_and_the_free_product(field):
+    # mul reads each 1.b_i b_j from the word cache: the generic algebra's
+    # long-lived one, warmed by every reduce and mul before, and a per-call
+    # one in the specialized algebra
+    rng = random.Random(f"mul-cache:{field}")
+    warm = GenericCliffordAlgebra(field)
+    full = FreeElement(field, {w: rand_scalar(field, rng, nonzero=True) for w in BASIS_WORDS})
+    pairs = [(full, full)] + [
+        tuple(rand_free_element(field, rng, max_len=7, max_terms=3) for _ in range(2))
+        for _ in range(8)
+    ]
+    for e1, e2 in pairs:
+        u, v = warm.reduce(e1), warm.reduce(e2)
+        fresh = GenericCliffordAlgebra(field)
+        assert warm.mul(u, v) == fresh.mul(u, v) == fresh.reduce(e1 * e2)
+    assert all(a + b in warm._word_cache for a in BASIS_WORDS for b in BASIS_WORDS)
+    form = rand_form(field, rng)
+    alg = SpecializedAlgebra(form)
+    for e1, e2 in pairs:
+        u, v = alg.reduce_free(e1), alg.reduce_free(e2)
+        assert alg.mul(u, v) == SpecializedAlgebra(form).mul(u, v) == alg.reduce_free(e1 * e2)
+
+
+def test_exponent_bound_in_reduce_text_and_mul():
+    # the largest exponent round-trips; one step past it raises
+    # NumberTooLarge, also when each operand is legal: x^3300000000 was
+    # X3^1100000000 before the bound
+    top, half = MAX_EXPONENT, (MAX_EXPONENT + 1) // 2
+    alg = ALG[F7]
+    assert str(alg.reduce_text(f"x^{3 * top}")) == f"[0] X3^{top}"
+    assert str(alg.reduce_text(f"y^{3 * top + 1}")) == f"[2] Y3^{top}"
+    assert str(alg.reduce_text(f"(x^{3 * half})*(x^{3 * half - 3})")) == f"[0] X3^{top}"
+    for text in (
+        f"x^{3 * top + 3}",
+        "x^3300000000",
+        f"(x^{3 * half})*(x^{3 * half})",
+        f"(x^{3 * half})^2",
+        f"(x^{3 * top})*x*x*x",
+        f"y^{3 * top + 3}",
+    ):
+        with pytest.raises(NumberTooLarge):
+            alg.reduce_text(text)
+    big = alg.scalar_element(poly(f"X3^{top}", F7))
+    x, xx = alg.basis_element(1), alg.basis_element(3)
+    assert alg.mul(big, x) == alg.mul(x, big)
+    assert str(alg.mul(big, x)) == f"[1] X3^{top}"
+    assert alg.mul(alg.scalar_element(poly(f"X3^{top - 1}", F7)), alg.reduce_text("x^3")) == big
+    # the structure constant of xx*x = X3 is the third summand of a product
+    # monomial: X3^top*xx times x, and X3^top*xx times X3^top*x
+    for u, v in ((alg.mul(big, xx), x), (alg.mul(big, xx), alg.mul(big, x)), (big, big)):
+        with pytest.raises(NumberTooLarge):
+            alg.mul(u, v)
+    sp = specialized_algebra(BinaryCubicForm(F7, (1, 0, 0, 3)))
+    ga_top = sp.scalar_element(SPolynomial.parse(f"GA^{top}", F7, GAMMA_VARS))
+    assert sp.mul(ga_top, sp.one()) == ga_top
+    with pytest.raises(NumberTooLarge):
+        sp.mul(ga_top, sp.gamma())
 
 
 def test_linear_cube_is_generic_form_value():

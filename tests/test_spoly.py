@@ -18,6 +18,7 @@ from cubiclifford.fields import FieldSpec
 from cubiclifford.freealg import FreeElement
 from cubiclifford.spoly import (
     GCA_VARS,
+    MAX_EXPONENT,
     SPolynomial,
     discriminant_polynomial,
 )
@@ -56,6 +57,49 @@ def test_single_term_power_is_charged_like_a_parsed_power():
         SPolynomial.parse("(10*X3)^300000", Q)
     assert SPolynomial.parse("2/3*X3 + w", QW) ** 3 == SPolynomial.parse("(2/3*X3 + w)^3", QW)
     assert SPolynomial.parse("3*X3", F7) ** 300000 == SPolynomial.parse("(3*X3)^300000", F7)
+
+
+def test_exponent_bound_on_parse_and_operators():
+    # a monomial holds each exponent in [0, MAX_EXPONENT]: the largest
+    # round-trips with its text, and one step past it raises NumberTooLarge
+    # on every route, also from two exponents that are each legal
+    top, half = MAX_EXPONENT, (MAX_EXPONENT + 1) // 2
+    for k, name in enumerate(GCA_VARS):  # X3 the most significant slot, GA the least
+        expo = tuple(top if j == k else 0 for j in range(5))
+        big = SPolynomial.parse(f"{name}^{top}", F7)
+        assert str(big) == f"{name}^{top}" and big.terms == {expo: F7.one()}
+        assert big == V(F7, name) ** top == SPolynomial.monomial(F7, expo, 1)
+        assert SPolynomial.parse(f"{name}^{top - 1}", F7) * V(F7, name) == big
+        halves = SPolynomial.parse(f"{name}^{half}", F7)
+        for step in (
+            lambda: SPolynomial.parse(f"{name}^{top + 1}", F7),
+            lambda: SPolynomial.parse(f"{name}^{top}*{name}", F7),
+            lambda: SPolynomial.parse(f"({name}^{half})*({name}^{half})", F7),
+            lambda: SPolynomial.parse(f"({name}^{half})^2", F7),
+            lambda: big * V(F7, name),
+            lambda: halves * halves,
+            lambda: halves**2,
+            lambda: V(F7, name) ** (top + 1),
+            # past four times the bound a slot would carry into its neighbour
+            lambda: V(F7, name) ** (2**32 + 1),
+            lambda: SPolynomial.parse(f"{name}^{2**32 + 1}", F7),
+            lambda: SPolynomial.parse("*".join([f"{name}^{top}"] * 5), F7),
+            lambda: (V(F7, name) + SPolynomial.const(F7, 1)) * big,
+            lambda: SPolynomial.monomial(F7, tuple(e + (j == k) for j, e in enumerate(expo)), 1),
+        ):
+            with pytest.raises(NumberTooLarge):
+                step()
+    # every slot at the bound at once: no slot spills into its neighbour
+    text = "*".join(f"{v}^{top}" for v in GCA_VARS)
+    assert str(SPolynomial.parse(text, QW)) == text
+    assert str(SPolynomial.parse(text, QW) * SPolynomial.parse("w", QW)) == f"w*{text}"
+    # a single term's power keeps its coefficient
+    assert str(SPolynomial.parse("10*X3", F7) ** 5) == "5*X3^5"
+    assert str(SPolynomial.parse("10*X3", Q) ** 3) == "1000*X3^3"
+    assert str(SPolynomial.parse("-1/2*GA", Q) ** 3) == "-1/8*GA^3"
+    assert str(SPolynomial.parse("3*GA", F7) ** top) == f"{pow(3, top, 7)}*GA^{top}"
+    with pytest.raises(ValueError):
+        SPolynomial.monomial(Q, (0, -1, 0, 0, 0), 1)
 
 
 def test_variable_mismatch():
