@@ -44,8 +44,6 @@ from .gca import BASIS_WORDS, GCAElement, Rank18Algebra, Rank18Element
 from .gca import _Echelon, _gathered, _structure_columns_int
 from .spoly import GAMMA_VARS, SLOT, SPolynomial, accumulate, raw_scalar, scaled
 
-from . import curves
-
 
 class CliffordFElement(Rank18Element):
     """An element of the algebra at a fixed form: 18 polynomials in GA."""
@@ -318,6 +316,8 @@ class BrauerProbe:
 def brauer_triviality_probe(f: BinaryCubicForm, budget: int | None = None) -> BrauerProbe:
     """A rational point on w^3 = f(u, v) certifies that the class of the
     specialized algebra is trivial; absence within budget proves nothing."""
+    from . import curves  # the only use of curves: the algebra layers load without it
+
     f.require_nondegenerate()
     point = curves.point_search(f, budget)
     if point is None:

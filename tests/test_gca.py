@@ -82,7 +82,7 @@ def test_import_builds_no_structure_tables():
     # the columns and degree systems are built on first use, never at import:
     # every interpreter compiles and imports the package before its first call
     code = (
-        "import cubiclifford, cubiclifford.cli; from cubiclifford import gca; "
+        "from cubiclifford import cli, cliffordf, curves, fields, forms, freealg, gca, spoly; "
         "print([f.cache_info().currsize for f in "
         "(gca._structure_columns_int, gca._degree_system, gca.generic_columns)])"
     )

@@ -1,9 +1,13 @@
 """Package-level guards: the public names, the methods that the benchmark
-tracer (bench/tracer.py) wraps in each class's own namespace, and the one
-monomial representation of every route that builds polynomials."""
+tracer (bench/tracer.py) wraps in each class's own namespace, the one
+monomial representation of every route that builds polynomials, and which
+submodules each entry point loads."""
 
+import ast
 import importlib.util
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +109,138 @@ def test_every_route_keys_polynomials_by_packed_ints(field, monkeypatch):
         assert_packed(columns, block)
     assert seen[0][1][0] == {i: {i << SLOT: 1 if field.p else (1, 0)} for i in range(18)}
     assert_packed(SPolynomial(field, GAMMA_VARS, {(0,): 1, (2,): 3}))
+
+
+# -- lazy loading: each check runs in a fresh interpreter ------------------------
+
+SUBMODULES = ("_parsing", "cli", "cliffordf", "curves", "errors", "fields", "forms", "freealg",
+              "gca", "spoly")
+# the public names by home module
+PUBLIC = {
+    "cliffordf": "CliffordFElement SpecializedAlgebra brauer_triviality_probe check_clifford_iso "
+    "gamma_independence_check mul_af specialize specialized_algebra symbol_relations_check",
+    "curves": "CubicExtension EllipticPoint PlaneCubicPoint cm_theta construct_cover_point "
+    "curve_order curve_points ell_add ell_mul ell_neg j_invariant jacobian_constant "
+    "lambda_isogeny lambda_kernel point_search torsion_points",
+    "fields": "FieldSpec Scalar cube_root_in_field nth_power_class sixth_power_class_token "
+    "sqrt_in_field",
+    "forms": "BinaryCubicForm GL2Element act_gl2 diagonalize discriminant orbit_enumerate "
+    "orbit_equivalent orbit_invariants stabilizer",
+    "freealg": "FreeElement linear_substitute parse_free_expression",
+    "gca": "BASIS_WORDS GCAElement GenericCliffordAlgebra",
+    "spoly": "SPolynomial discriminant_polynomial",
+}
+LOADED = "sorted(m[13:] for m in sys.modules if m.startswith('cubiclifford.'))"
+CLI_LAYER = ["_parsing", "cli", "curves", "errors", "fields", "forms"]
+# one argv per subcommand of the forms and curves layers, each exiting 0
+FORMS_ARGVS = [
+    [command, "--field", "Fp", "--p", "7", "--coeffs", "1,0,0,2"]
+    for command in ("disc", "diagonalize", "stab", "jacobian", "torsion", "lambda-kernel",
+                    "cover-point")
+] + [
+    ["act", "--field", "Fp", "--p", "7", "--coeffs", "1,0,0,2", "--matrix", "1,1,0,1"],
+    ["orbits", "--field", "Fp", "--p", "7"],
+    ["point-search", "--field", "Q", "--coeffs", "1,0,0,-2", "--budget", "3"],
+]
+
+
+def fresh(code):
+    """The last line that ``code`` prints in a fresh interpreter, as a literal."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def loaded_after(code):
+    return fresh(f"import sys\n{code}\nprint({LOADED})")
+
+
+def test_each_entry_point_loads_only_its_layers():
+    assert loaded_after("import cubiclifford") == []
+    assert loaded_after("import cubiclifford.cli") == CLI_LAYER
+    assert loaded_after("import cubiclifford.gca") == [
+        "_parsing", "errors", "fields", "freealg", "gca", "spoly"
+    ]
+    both = loaded_after("import cubiclifford.cliffordf\nprint(" + LOADED + ")\n"
+                        "from cubiclifford import cliffordf, fields, forms\n"
+                        "f = forms.BinaryCubicForm(fields.FieldSpec.rationals(), (1, 0, 0, 2))\n"
+                        "cliffordf.brauer_triviality_probe(f, 2)")
+    without = fresh("import sys, cubiclifford.cliffordf\nprint(" + LOADED + ")")
+    assert "curves" not in without and "cli" not in without
+    assert sorted(set(both) - set(without)) == ["curves"]
+
+
+def test_forms_subcommands_never_load_the_algebra():
+    code = f"""
+import contextlib, io, sys
+from cubiclifford import cli
+added = []
+for argv in {FORMS_ARGVS + [["reduce", "--field", "Qw", "--expr", "(x + y)^2"]]!r}:
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    added.append((argv[0], code, sorted(m[13:] for m in set(sys.modules) - before
+                                        if m.startswith("cubiclifford."))))
+print(added)
+"""
+    *forms_runs, reduce_run = fresh(code)
+    assert forms_runs == [(argv[0], 0, []) for argv in FORMS_ARGVS]
+    assert reduce_run == ("reduce", 0, ["freealg", "gca", "spoly"])
+
+
+def test_public_api_resolves_lazily_to_the_home_objects():
+    names = sorted(name for group in PUBLIC.values() for name in group.split())
+    assert len(names) == 48
+    code = f"""
+import importlib, pickle, threading, cubiclifford
+public, submodules = {PUBLIC!r}, {SUBMODULES!r}
+home = {{n: m for m, group in public.items() for n in group.split()}}
+undirred = sorted((set(home) | set(submodules)) - set(dir(cubiclifford)))
+same = all(getattr(cubiclifford, n) is getattr(importlib.import_module("cubiclifford." + m), n)
+           for n, m in home.items())
+same_modules = all(getattr(cubiclifford, m) is importlib.import_module("cubiclifford." + m)
+                   for m in submodules)
+star = {{}}
+exec("from cubiclifford import *", star)
+star.pop("__builtins__")
+try:
+    cubiclifford.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+F = cubiclifford.FieldSpec.prime(7)
+values = (F.scalar(3), cubiclifford.BinaryCubicForm(F, (1, 0, 0, 2)),
+          cubiclifford.GenericCliffordAlgebra(F).reduce_text("x*y + 2*y*x*y"))
+print((sorted(cubiclifford.__all__), same, same_modules, sorted(star), undirred, unknown,
+       [pickle.loads(pickle.dumps(v)) == v for v in values]))
+"""
+    all_names, same, same_modules, star, undirred, unknown, pickled = fresh(code)
+    assert all_names == names
+    assert same and same_modules
+    assert star == names
+    assert undirred == []
+    assert unknown == "AttributeError"
+    assert pickled == [True, True, True]
+
+
+def test_concurrent_first_access_resolves_identical_objects():
+    code = f"""
+import threading, cubiclifford
+names = cubiclifford.__all__ + list({SUBMODULES!r})
+barrier = threading.Barrier(8)
+seen = [None] * 8
+
+def resolve(k):
+    barrier.wait()
+    order = names[k:] + names[:k]
+    got = {{n: getattr(cubiclifford, n) for n in order}}
+    seen[k] = [got[n] for n in names]
+
+threads = [threading.Thread(target=resolve, args=(k,)) for k in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(all(a is b for other in seen[1:] for a, b in zip(seen[0], other, strict=True)))
+"""
+    assert fresh(code) is True
