@@ -33,16 +33,23 @@ commands are made here from fixed seeds:
 * ``clifford-iso``, ``symbol-check`` and ``gamma-free`` on 25 seeded forms
   at each of F_7, F_13, F_18446744073709551427 and Q(w), every third one
   diagonal and every fifth degenerate, and ``verify-identities`` once per
-  field.
+  field;
+* ``stab --field Qw`` on the diagonal forms (c0, 0, 0, c0*t_k) for
+  k = 1..40, t_k = k^3*(3 + 6w) = (-k*(1 - w))^3, whose two cube roots
+  -k*(1 - w) and -k*w*(1 - w) share their first coordinate: with c0 = 1,
+  with c0 = 1 and t_k over a cube denominator, and with eight seeded c0;
+  and ``point-search --field Qw --budget 2`` on (t_k, c1, c2, c3) with c3 a
+  non-cube integer, so that the point found is (1 : 0 : a cube root of t_k).
 
 The ``diagonalize-f7``, ``stab-q-qw``, ``forms-q-qw``, ``reduce`` and
 ``algebra`` groups also hash the error code that a command ending in a
 domain error prints on stderr.
 
 Any change in what these commands print shows here. To record the digests
-of the current code (only when an output change is intended):
+of the current code (only when an output change is intended), of every
+group or of the groups named:
 
-    PYTHONPATH=src python tests/test_golden_digests.py
+    PYTHONPATH=src python tests/test_golden_digests.py [group ...]
 """
 
 import contextlib
@@ -51,6 +58,7 @@ import io
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import oracles
@@ -266,6 +274,17 @@ def commands():
                 ["symbol-check", *field, *form],
                 ["gamma-free", *field, *form],
             ]
+    rng = random.Random("golden:roots-qw")
+    tie = [f"{3 * k**3}+{6 * k**3}*w" for k in range(1, 41)]
+    diagonal = [("1", t) for t in tie] + [("1", f"1/{rng.randint(2, 5) ** 3}*({t})") for t in tie]
+    for _ in range(8):
+        c0 = f"{rng.randint(1, 9)}/{rng.randint(1, 4)}+{rng.randint(-3, 3)}*w"
+        diagonal.append((c0, f"({c0})*({rng.choice(tie)})"))
+    groups["roots-qw"] = [["stab", "--field", "Qw", "--coeffs", f"{c0},0,0,{c3}"] for c0, c3 in diagonal]
+    for k, t in enumerate(tie, 1):
+        middle = [_qw_literal(rng) if k % 2 else "0" for _ in range(2)]
+        coeffs = ",".join([t, *middle, str(rng.choice((2, 3, 5, 7)))])
+        groups["roots-qw"].append(["point-search", "--field", "Qw", "--budget", "2", "--coeffs", coeffs])
     return groups
 
 
@@ -287,7 +306,7 @@ def digest(argvs, error_codes=False):
 GROUPS = (
     "stab-f7", "diagonalize-f7", "orbits", "point-search-q", "point-search-qw",
     "lambda-kernel", "torsion", "cover-point", "stab-large", "stab-q-qw", "forms-q-qw", "reduce",
-    "algebra",
+    "algebra", "roots-qw",
 )
 
 
@@ -304,8 +323,11 @@ def test_every_group_is_recorded():
 
 
 if __name__ == "__main__":
-    record = {
+    names = sys.argv[1:] or GROUPS
+    record = json.loads(GOLDEN_PATH.read_text()) if sys.argv[1:] else {}
+    record |= {
         g: {"count": len(a), "sha256": digest(a, g in ERROR_CODE_GROUPS)}
         for g, a in commands().items()
+        if g in names
     }
     GOLDEN_PATH.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
