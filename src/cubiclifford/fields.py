@@ -652,20 +652,26 @@ def sqrt_in_field(a: Scalar) -> Scalar | None:
         return None if r is None else Scalar(field, min(r, (-r) % field.p))
     if field.kind == RATIONALS:
         return _rational_nth_power_root(a, 2)
-    r = _qw_root(a, 2)
-    # r and -r share their den > 0, so their values compare as their pairs do
-    return None if r is None else Scalar(field, max(r.val, (-r).val))
+    roots = _qw_roots(a, 2)
+    # the roots share den > 0, so their values compare as their pairs do
+    return pair_scalar(field, *max(roots), a.val[1]) if roots else None
 
 
 def cube_root_in_field(a: Scalar) -> Scalar | None:
-    """A cube root of ``a`` in its own field, or None."""
+    """A cube root of ``a`` in its own field, or None.
+
+    Choice of branch: the root ``prime_power_root_mod`` returns over Fp;
+    the real root over Q; over Q(w) the root of least a-part and, of two
+    such (u(1 - w) and w*u(1 - w)), the one of larger b-part.
+    """
     field = a.field
     if field.kind == PRIME:
         r = prime_power_root_mod(a.val, 3, field.p)
         return None if r is None else Scalar(field, r)
     if field.kind == RATIONALS:
         return _rational_nth_power_root(a, 3)
-    return _qw_root(a, 3)
+    roots = _qw_roots(a, 3)
+    return pair_scalar(field, *min(roots, key=lambda r: (r[0], -r[1])), a.val[1]) if roots else None
 
 
 def _zw_mul(x, y):
@@ -676,45 +682,34 @@ def _zw_mul(x, y):
     return (a * c - bd, a * d + b * c - bd)
 
 
-def _qw_root(a: Scalar, n: int) -> Scalar | None:
-    """An n-th root (n in {2, 3}) of ``a`` in Q(w) via the lattice Z[w], or None.
+def _qw_roots(a: Scalar, n: int) -> list[tuple[int, int]]:
+    """Every n-th root (n in {2, 3}) of ``a`` in Q(w), as integer pairs
+    (U, V) meaning (U + V*w)/den over the denominator den of ``a``.
 
     Scale to T^n = C with C in Z[w]; a root T is integral over Z, hence in
-    Z[w], and N(T) is the exact n-th root of N(C). The trace t = T + conj(T)
-    is an integer root of t^2 - 2N(T) = tr(C) or t^3 - 3N(T)t = tr(C), found
-    by bisection on the monotone pieces; t and N(T) leave two lattice points
-    per root, tried in ascending first coordinate as a scan of norm N(T)
-    would, so the root returned is the one of least first coordinate.
-
-    Tie-break, as it behaves: two cube roots share the least first
-    coordinate only as T = u(1 - w) and w*T = u + 2u*w with scaled u = -k < 0
-    (two square roots only as +-V*w, and ``sqrt_in_field`` picks between
-    those itself). Then s = 3k, and the second coordinates (u + s)/2 = k and
-    (u - s)/2 = -2k are tried in the iteration order of the set
-    {u + s, u - s} = {2k, -4k}: CPython's order for two ints, by the low
-    three bits of their hashes with the first inserted winning a collision.
-    For k below 2^61, where an int hashes to itself, the scaled root
-    returned is -k + k*w when k = 0 or 1 (mod 4) and -k - 2k*w otherwise.
+    Z[w], and N(T) is the exact n-th root of N(C). The trace t = 2U - V of
+    T is an integer root of t^2 - 2N(T) = tr(C) or t^3 - 3N(T)t = tr(C),
+    found by bisection on the monotone pieces. Then 4N(T) = t^2 + 3V^2, so
+    V = +-v and U = (t + V)/2; a candidate is kept if its n-th power is C.
     """
     (x, y), den = a.val
     scale = den ** (n - 1)  # C = a * den^n = (x, y) * den^(n - 1) lies in Z[w]
     c = (x * scale, y * scale)
     norm = iroot(c[0] * c[0] - c[0] * c[1] + c[1] * c[1], n)
     if norm is None:
-        return None
+        return []
     trace_c = 2 * c[0] - c[1]
 
     def trace_poly(t):
         return t * t - 2 * norm - trace_c if n == 2 else t * (t * t - 3 * norm) - trace_c
 
-    # T = U + V*w has trace t = 2U - V and 4*norm = t^2 + 3V^2, so
     # |t| <= 2*sqrt(norm); the pieces split at the turning points 0 or +-sqrt(norm)
     r, t_max = isqrt(norm), isqrt(4 * norm)
     if n == 2:
         pieces = ((-t_max, -1, -1), (0, t_max, 1))
     else:
         pieces = ((-t_max, -r - 1, 1), (-r, r, -1), (r + 1, t_max, 1))
-    candidates = set()
+    roots = []
     for lo, hi, sign in pieces:
         while lo < hi:  # the least t in [lo, hi] with sign * trace_poly(t) >= 0
             mid = (lo + hi) // 2
@@ -723,21 +718,11 @@ def _qw_root(a: Scalar, n: int) -> Scalar | None:
             else:
                 hi = mid
         t = lo
-        if trace_poly(t) != 0:
-            continue
-        v = isqrt((4 * norm - t * t) // 3)
-        if t * t + 3 * v * v == 4 * norm:
-            candidates.update((t + sv) // 2 for sv in (v, -v) if (t + sv) % 2 == 0)
-    # U^2 - U*V + V^2 = norm: for each U, V = (U +- s)/2 with s^2 = 4*norm - 3U^2,
-    # a square for every candidate U (it is (2V - U)^2); the set's order picks
-    # between the cube roots u(1 - w) and w*u(1 - w), which share U (see the
-    # tie-break above)
-    for u in sorted(candidates):
-        s = isqrt(4 * norm - 3 * u * u)
-        for v2 in {(u + s), (u - s)}:
-            if v2 % 2 == 0 and power((u, v2 // 2), n, (1, 0), _zw_mul) == c:
-                return pair_scalar(a.field, u, v2 // 2, den)
-    return None
+        if trace_poly(t) == 0:
+            v = isqrt((4 * norm - t * t) // 3)
+            candidates = (((t + sv) // 2, sv) for sv in (v, -v) if (t + sv) % 2 == 0)
+            roots += [z for z in candidates if power(z, n, (1, 0), _zw_mul) == c]
+    return roots
 
 
 def nth_power_class(a: Scalar, n: int) -> bool:
@@ -760,7 +745,7 @@ def nth_power_class(a: Scalar, n: int) -> bool:
         return _rational_nth_power_root(a, n) is not None
     if n not in (2, 3, 6):
         raise UnsupportedFieldForTest(f"Q(w) power-class test limited to n in {{2,3,6}}, got {n}")
-    return (n == 3 or _qw_root(a, 2) is not None) and (n == 2 or _qw_root(a, 3) is not None)
+    return all(_qw_roots(a, k) for k in (2, 3) if n % k == 0)
 
 
 def sixth_power_class_token(a: Scalar):

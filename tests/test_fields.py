@@ -252,7 +252,7 @@ def _qw_cube_root_by_scan(c):
         d = 4 * n3 - 3 * u * u
         if d < 0 or isqrt(d) ** 2 != d:
             continue
-        for v2 in {u + isqrt(d), u - isqrt(d)}:
+        for v2 in (u + isqrt(d), u - isqrt(d)):
             v = v2 // 2
             if v2 % 2 == 0 and (u**3 - 3 * u * v * v + v**3, 3 * u * v * (u - v)) == (ax, ay):
                 return QW.scalar((Fraction(u, den), Fraction(v, den)))
