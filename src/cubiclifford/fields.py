@@ -46,12 +46,18 @@ DEFAULT_SCAN_BUDGET = 10**6
 # the most bits a power over Q or Q(w) may be charged (``Scalar.__pow__``)
 POWER_BIT_CAP = 2**18
 
+# psi_12, the least strong pseudoprime to the twelve prime bases 2..37
+# (Sorenson and Webster, Math. Comp. 86, 2017): ``is_prime`` is a proof below it
+PRIME_PROOF_BOUND = 318665857834031151167461
+
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin with the twelve prime bases 2..37.
 
-    Deterministic for n < 3.18e23, which covers every 64-bit n; above that
-    bound it is a strong probable-prime test.
+    Deterministic for n < ``PRIME_PROOF_BOUND`` (about 3.19e23), which
+    covers every 64-bit n; above it, a strong probable-prime test that
+    composites pass, psi_12 itself first. ``FieldSpec.prime`` refuses every
+    modulus from the bound on.
     """
     if n < 2:
         return False
@@ -332,6 +338,10 @@ class FieldSpec:
     def prime(p: int, omega: int | None = None) -> "FieldSpec":
         if p is None or p in (2, 3) or p % 3 != 1 or not is_prime(p):
             raise UnsupportedField(f"p must be a prime = 1 (mod 3), not in {{2, 3}}; got {p}")
+        if p >= PRIME_PROOF_BOUND:
+            raise UnsupportedField(
+                f"p must be below {PRIME_PROOF_BOUND}, where primality is proven; got {p}"
+            )
         roots = _omega_residues(p)
         w = roots[0] if omega is None else omega % p
         if w not in roots:

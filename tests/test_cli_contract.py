@@ -23,7 +23,11 @@ COMMANDS = (
     "clifford-iso", "symbol-check", "gamma-free", "reduce", "verify-identities",
 )
 PRIMES = (7, 13, 19, 31, 37, 43, 2**61 - 1, 18446744073709551427)
-INVALID_P = ("0", "1", "2", "3", "4", "5", "9", "11", "-7", "2305843009213693953", "7.5", "p")
+# psi_12 = 318665857834031151167461 is composite and passes ``is_prime``
+INVALID_P = (
+    "0", "1", "2", "3", "4", "5", "9", "11", "-7", "2305843009213693953", "318665857834031151167461",
+    "7.5", "p",
+)
 
 integers = st.integers(-9, 9) | st.integers(-(2**70), 2**70)
 
@@ -153,3 +157,14 @@ def test_cli_contract(argv):
         assert all(len(row) == 6 for row in rows)
     else:
         assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_moduli_past_the_primality_proof_are_refused():
+    # psi_12 and psi_13, strong pseudoprimes to the bases 2..37 and 1 mod 3
+    for p in ("318665857834031151167461", "3317044064679887385961981"):
+        for command in COMMANDS:
+            argv = [command, "--field", "Fp", "--p", p, "--coeffs", "1,2,3,4", "--matrix", "1,0,0,1"]
+            code, out, err, _ = run([*argv, "--expr", "x", "--budget", "2"])
+            assert (code, out) == (1, ""), (argv, err)
+            assert json.loads(err.splitlines()[-1])["error"] == "unsupported-field", argv
+            assert "Traceback" not in err, argv

@@ -67,6 +67,23 @@ def test_field_spec_validation():
         Q.omega()
 
 
+@pytest.mark.parametrize(
+    "n, factor",
+    [(318665857834031151167461, 399165290221), (3317044064679887385961981, 1287836182261)],
+)
+def test_moduli_past_the_proof_bound_are_refused(n, factor):
+    # psi_12 and psi_13: composite, 1 mod 3, and strong probable primes to bases 2..37
+    assert n % factor == 0 and n % 3 == 1 and fields.is_prime(n)
+    assert n >= fields.PRIME_PROOF_BOUND
+    with pytest.raises(UnsupportedField):
+        FieldSpec.prime(n)
+
+
+def test_the_last_prime_below_the_proof_bound_is_accepted():
+    field = FieldSpec.prime(fields.PRIME_PROOF_BOUND - 198)  # the last prime = 1 (mod 3) below it
+    assert field.omega() ** 3 == field.one() != field.omega()
+
+
 def test_omega_has_order_three():
     for field in (QW, F7, F13, FieldSpec.prime(7, 4), FieldSpec.prime(9973)):
         w = field.omega()
@@ -271,6 +288,16 @@ def test_qw_cube_root_matches_lattice_scan():
         cases.append(QW.scalar((Fraction(rng.randint(-200, 200)), Fraction(rng.randint(-200, 200)))))
     for c in cases:
         assert cube_root_in_field(c) == _qw_cube_root_by_scan(c), c
+
+
+def test_qw_cube_root_takes_the_least_a_part_then_the_larger_b_part():
+    # k^3*(3 + 6w) = (-k*(1 - w))^3 has the roots -k + k*w and -k - 2k*w,
+    # both of a-part -k: the larger b-part is taken, whatever k is
+    for k in range(1, 41):
+        tie = QW.scalar((3 * k**3, 6 * k**3))
+        assert cube_root_in_field(tie) == QW.scalar((-k, k)), k
+        for m in (2, 3, 7):
+            assert cube_root_in_field(tie / m**3) == QW.scalar((Fraction(-k, m), Fraction(k, m))), (k, m)
 
 
 def test_qw_cube_root_of_large_norm():

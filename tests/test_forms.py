@@ -357,6 +357,20 @@ def test_orbit_equivalent_finds_a_witness_between_moved_diagonal_forms(field):
         assert act_gl2(witness, f) == h
 
 
+def test_diagonal_forms_whose_cube_roots_tie_over_qw():
+    # c3/c0 = k^3*(3 + 6w), whose two cube roots share their a-part -k
+    rng = random.Random(35)
+    for k in range(1, 41):
+        c0 = rand_scalar(QW, rng, nonzero=True)
+        f = BinaryCubicForm(QW, (c0, 0, 0, c0 * QW.scalar((3 * k**3, 6 * k**3))))
+        st = stabilizer(f)
+        assert st.order == len(st.elements) == 18
+        assert all(act_gl2(g, f) == f for g in st.elements)
+        h = act_gl2(rand_gl2(QW, rng), f)
+        answer, witness = orbit_equivalent(f, h)
+        assert answer is True and act_gl2(witness, f) == h
+
+
 @pytest.mark.parametrize("field", [Q, QW])
 def test_orbit_equivalent_refutes_diagonal_forms_of_equal_discriminant(field):
     # both discriminants are -432, and neither 2 nor 1/2 is a cube in Q(w)

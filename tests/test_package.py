@@ -1,7 +1,7 @@
 """Package-level guards: the public names, the methods that the benchmark
 tracer (bench/tracer.py) wraps in each class's own namespace, the one
-monomial representation of every route that builds polynomials, and which
-submodules each entry point loads."""
+monomial representation of every route that builds polynomials, which
+submodules each entry point loads, and no loop over a set's order."""
 
 import ast
 import importlib.util
@@ -244,3 +244,15 @@ for t in threads:
 print(all(a is b for other in seen[1:] for a, b in zip(seen[0], other, strict=True)))
 """
     assert fresh(code) is True
+
+
+def test_no_loop_iterates_a_set_display():
+    # a set's iteration order follows the hash slots of its elements, so a
+    # choice made by iterating one rests on an accident of CPython
+    found = []
+    for path in sorted(Path(cubiclifford.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            loop = isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+            if loop and isinstance(node.iter, (ast.Set, ast.SetComp)):
+                found.append(f"{path.name}:{node.iter.lineno}")
+    assert found == []
