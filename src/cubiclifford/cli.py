@@ -23,11 +23,10 @@ normal form made, the letters folded and built into words, and before each
 product of normal forms the product of their sizes. Over it, exit 1 with
 `budget-exceeded` and the units used.
 
-`--field Fp --p` takes a prime p = 1 (mod 3) below psi_12 =
-318665857834031151167461 (``fields.PRIME_PROOF_BOUND``), where ``is_prime``
-is a proof; every other p, including psi_12 and psi_13 =
-3317044064679887385961981 (composites that pass it), ends in exit 1
-`unsupported-field`.
+`--p` takes a prime p = 1 (mod 3) below psi_12 = 318665857834031151167461
+(``fields.PRIME_PROOF_BOUND``); any other p, psi_12 and psi_13 =
+3317044064679887385961981 included (composites that pass ``is_prime``),
+ends in exit 1 `unsupported-field`.
 
 Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
 2 usage error. An integer literal longer than the interpreter's int<->str

@@ -339,9 +339,7 @@ class FieldSpec:
         if p is None or p in (2, 3) or p % 3 != 1 or not is_prime(p):
             raise UnsupportedField(f"p must be a prime = 1 (mod 3), not in {{2, 3}}; got {p}")
         if p >= PRIME_PROOF_BOUND:
-            raise UnsupportedField(
-                f"p must be below {PRIME_PROOF_BOUND}, where primality is proven; got {p}"
-            )
+            raise UnsupportedField(f"p must be below psi_12 = {PRIME_PROOF_BOUND}; got {p}")
         roots = _omega_residues(p)
         w = roots[0] if omega is None else omega % p
         if w not in roots:
