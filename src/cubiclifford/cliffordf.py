@@ -34,7 +34,6 @@ from .errors import (
 from .fields import sqrt_in_field
 from .forms import BinaryCubicForm, GL2Element, act_gl2
 from .freealg import (
-    FreeElement,
     epsilon_commutators,
     epsilon_element,
     gamma_element,
@@ -111,6 +110,10 @@ class SpecializedAlgebra(Rank18Algebra):
 
     ELEMENT = CliffordFElement
 
+    # bound in this class's own namespace, where per-class instrumentation
+    # (bench/tracer.py) replaces them
+    reduce_free, mul = Rank18Algebra.reduce, Rank18Algebra.mul
+
     def __init__(self, form: BinaryCubicForm):
         if not form.field.has_omega():
             raise UnsupportedField("the specialized algebra needs omega in the field")
@@ -120,16 +123,6 @@ class SpecializedAlgebra(Rank18Algebra):
 
     def gamma(self) -> CliffordFElement:
         return self.scalar_element(SPolynomial.variable(self.field, "GA", GAMMA_VARS))
-
-    def reduce_free(self, e: FreeElement) -> CliffordFElement:
-        """Normal form of a free element; words share prefixes within the
-        call and nothing is cached between calls."""
-        return self._element(self._reduce(e, {"": self._scalar_vector(0, self.field.one())}))
-
-    def mul(self, u: CliffordFElement, v: CliffordFElement) -> CliffordFElement:
-        """The product; the structure constants are folded within the call
-        and nothing is cached between calls."""
-        return self._mul(u, v)
 
     def relations_hold(self) -> bool:
         """Whether the pushed columns give k[GA]^18 a right action of A_f
@@ -146,8 +139,7 @@ class SpecializedAlgebra(Rank18Algebra):
         leave ROW at exponent 0, so each fold moves all 18 rows at once. The
         packed GA^e is e, which is also ROW^0 GA^e packed, so the columns
         serve k[ROW, GA] unchanged."""
-        one = self.field.one()
-        cache = {"": self._scalar_vector(0, one)}
+        one, cache = self.field.one(), self._word_cache
         for i, word in enumerate(BASIS_WORDS):
             if self._word_vector(word, cache) != self._scalar_vector(i, one):
                 return False
@@ -159,9 +151,7 @@ class SpecializedAlgebra(Rank18Algebra):
         return all(stacked._central_relations(self.form.coeffs, {"": block}))
 
 
-@lru_cache(maxsize=64)
-def specialized_algebra(form: BinaryCubicForm) -> SpecializedAlgebra:
-    return SpecializedAlgebra(form)
+specialized_algebra = SpecializedAlgebra
 
 
 def specialize(u: GCAElement, f: BinaryCubicForm) -> CliffordFElement:
@@ -173,7 +163,7 @@ def specialize(u: GCAElement, f: BinaryCubicForm) -> CliffordFElement:
 
 
 def mul_af(u: CliffordFElement, v: CliffordFElement) -> CliffordFElement:
-    return specialized_algebra(u.form).mul(u, v)
+    return SpecializedAlgebra(u.form).mul(u, v)
 
 
 class IsoReport:
@@ -228,12 +218,10 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
         raise SingularMatrix("g must be invertible")
     field = f.field
     target = act_gl2(g, f)
-    alg = specialized_algebra(f)
-    moved = Rank18Algebra(f, field, GAMMA_VARS, *_substituted_columns(alg, g))
-    cache = {"": moved._scalar_vector(0, field.one())}
+    moved = Rank18Algebra(f, field, GAMMA_VARS, *_substituted_columns(SpecializedAlgebra(f), g))
     names = ("cube-x", "polarization-u2v", "polarization-uv2", "cube-y")
-    relations = dict(zip(names, moved._central_relations(target.coeffs, cache)))
-    rows, den = moved._reduce(gamma_element(field), cache)
+    relations = dict(zip(names, moved._central_relations(target.coeffs, moved._word_cache)))
+    rows, den = moved._reduce(gamma_element(field), moved._word_cache)
     factor = None
     if rows.keys() <= {0} and rows.get(0, {}).keys() <= {1}:  # GA^1 packed
         factor = moved._element((rows, den)).coords[0].terms.get((1,), field.zero())
@@ -272,7 +260,7 @@ def symbol_relations_check(f: BinaryCubicForm) -> SymbolReport:
     the reduction of eps^3*z - z*eps^3 is (1.eps^3).z - (1.z).eps.eps.eps."""
     f.require_nondegenerate()
     field = f.field
-    alg = specialized_algebra(f)
+    alg = SpecializedAlgebra(f)
     eps, commutators = _symbol_elements(field)
 
     def times_eps3(v):
@@ -280,8 +268,8 @@ def symbol_relations_check(f: BinaryCubicForm) -> SymbolReport:
             v = alg._reduce(eps, {"": v})
         return v
 
-    unit = alg._scalar_vector(0, field.one())
-    cache = {"": unit}
+    cache = alg._word_cache
+    unit = cache[""]
     eps3 = times_eps3(unit)
     sides = [(alg._reduce(e, cache), ({}, 1)) for e in commutators] + [
         (alg._fold(((eps3, z),)), times_eps3(alg._fold(((unit, z),)))) for z in "xy"
@@ -342,7 +330,7 @@ def gamma_independence_check(f: BinaryCubicForm, degree_bound: int) -> bool:
     delta = f.require_nondegenerate()
     if sqrt_in_field(f.field.scalar(-108) * delta) is None:
         raise HypothesisNotMet("sqrt(-108*Delta) is not in the field")
-    return specialized_algebra(f).relations_hold()
+    return SpecializedAlgebra(f).relations_hold()
 
 
 # ``linear_substitute`` stays imported, uncalled, as ``_rank`` stays: ``bench/tracer.py``

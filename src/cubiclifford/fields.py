@@ -349,21 +349,20 @@ class FieldSpec:
     # -- scalar factories ---------------------------------------------
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, or (a, b) pair (Q(w) only) into this field."""
-        if isinstance(value, int):  # before the Fraction check, an ABC check
+        """Coerce an int, a Scalar of this field, an (a, b) pair (Q(w) only) or
+        what ``Fraction`` reads exactly (a float, Decimal or "p/q" text)."""
+        if isinstance(value, int):  # the fast path, and bool too
             return Scalar(self, value % self.p if self.p else ((value, 0), 1))
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch("scalar belongs to a different field")
             return value
-        if self.p:
-            if isinstance(value, Fraction):
-                if value.denominator % self.p == 0:
-                    raise DivisionByZero("denominator vanishes mod p")
-                return Scalar(self, value.numerator * pow(value.denominator, -1, self.p) % self.p)
-            return Scalar(self, int(value) % self.p)
         pair = isinstance(value, tuple) and self.kind == CYCLOTOMIC
-        a, b = map(Fraction, value if pair else (value, 0))  # Fraction refuses a pair over Q
+        a, b = map(Fraction, value if pair else (value, 0))  # Fraction refuses a pair elsewhere
+        if self.p:
+            if a.denominator % self.p == 0:
+                raise DivisionByZero("denominator vanishes mod p")
+            return Scalar(self, a.numerator * pow(a.denominator, -1, self.p) % self.p)
         den = lcm(a.denominator, b.denominator)
         a, b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
         return Scalar(self, ((a, b), den))

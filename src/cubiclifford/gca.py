@@ -483,8 +483,14 @@ class Rank18Algebra:
     Monomials are packed ints (``spoly.pack``), so a monomial product in the
     kernel is one integer addition. A fold, a reduction and a product are
     each one ``accumulate``, normalized once; a product reads its structure
-    constants 1.b_i b_j from a word cache, as a reduction reads its words.
-    ``_element`` alone makes ``SPolynomial``s, for results."""
+    constants 1.b_i b_j from the word cache, as a reduction reads its words.
+    ``_element`` alone makes ``SPolynomial``s, for results.
+
+    One cache rule holds for every algebra, generic, specialized or moved:
+    the columns are fixed at construction; the word cache (each folded word
+    w, as 1.w, rooted at the unit e_0) is derived from them and lives as
+    long as the algebra; nothing keeps an algebra after the call that built
+    it."""
 
     ELEMENT = Rank18Element
 
@@ -494,6 +500,7 @@ class Rank18Algebra:
         self.columns, self.den = columns, den
         self._zero = SPolynomial.zero(field, variables)
         self._unit = SPolynomial.const(field, 1, variables)
+        self._word_cache = {"": self._scalar_vector(0, field.one())}
 
     def _element(self, vector):
         rows, den = vector
@@ -599,12 +606,16 @@ class Rank18Algebra:
         ]
         return canonical(self.field.p, accumulate(self.field.p, {}, items), common * e.den)
 
-    def _mul(self, u, v, cache: dict | None = None):
+    def reduce(self, e: FreeElement):
+        """Normal form of a free element; folded words stay in the word cache."""
+        return self._element(self._reduce(e, self._word_cache))
+
+    def mul(self, u, v):
         """Product of normal forms, both with the algebra's base, from the
         structure constants: the sum over i, j of u_i v_j (1.b_i b_j) in one
         ``accumulate``, with 1.b_i b_j the vector of the word b_i b_j read
-        from ``cache`` (``_word_vector``, which folds and stores a missing
-        one); without one, the words are folded within the call.
+        from the word cache (``_word_vector``, which folds and stores a
+        missing one).
 
         It is the product: u = sum u_i b_i and v = sum v_j b_j with the u_i
         and v_j in the central coefficient ring, so uv = sum u_i v_j b_i b_j.
@@ -613,9 +624,7 @@ class Rank18Algebra:
         sum u_i v_j (1.b_i b_j)."""
         if u.base != self.base or v.base != self.base:
             raise self.ELEMENT.MISMATCH(f"{u.base} and {v.base} in an algebra over {self.base}")
-        p = self.field.p
-        if cache is None:
-            cache = {"": self._scalar_vector(0, self.field.one())}
+        p, cache = self.field.p, self._word_cache
         pairs = [
             (ui, vj, self._word_vector(bi + bj, cache))
             for bi, ui in zip(BASIS_WORDS, u.coords) if ui.raw
@@ -639,15 +648,14 @@ class Rank18Algebra:
 class GenericCliffordAlgebra(Rank18Algebra):
     ELEMENT = GCAElement
 
+    # bound in this class's own namespace, where per-class instrumentation
+    # (bench/tracer.py) replaces them
+    reduce, mul = Rank18Algebra.reduce, Rank18Algebra.mul
+
     def __init__(self, field: FieldSpec):
         if not field.has_omega():
             raise UnsupportedField("the algebra needs a field containing omega")
         super().__init__(field, field, GCA_VARS, *generic_columns(field))
-        self._word_cache = {"": self._scalar_vector(0, field.one())}
-
-    def reduce(self, e: FreeElement) -> GCAElement:
-        """Normal form of a free element; folded words stay cached."""
-        return self._element(self._reduce(e, self._word_cache))
 
     def reduce_text(self, text: str, budget: int | None = None) -> GCAElement:
         """Normal form of the expression ``text``, evaluated in the algebra
@@ -677,10 +685,6 @@ class GenericCliffordAlgebra(Rank18Algebra):
             lambda name, pos: run.free(ring.symbol(name, pos)),
         ).parse()
         return value.normal()
-
-    def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
-        """The product; the structure constants come from the word cache."""
-        return self._mul(u, v, self._word_cache)
 
     # -- oracle route ------------------------------------------------------
 

@@ -85,7 +85,7 @@ def pack(exponents, n: int) -> int:
     sum is the packed tuple of the exponent sums, and an exponent sum is
     above MAX_EXPONENT exactly when one of the two top bits of its slot (the
     guard bits) is set. The package adds at most three before a guard looks:
-    two in ``raw_product`` and a fold, three in ``Rank18Algebra._mul``."""
+    two in ``raw_product`` and a fold, three in ``Rank18Algebra.mul``."""
     if len(exponents) != n:
         raise VariableMismatch(f"{len(exponents)} exponents for {n} variables")
     m = 0

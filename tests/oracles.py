@@ -31,6 +31,10 @@ The package parses an expression into one raw term map and normalizes it
 once; here every literal and name is a normalized ``FreeElement`` or
 ``SPolynomial`` and the parser applies their own operators, and the tests
 require equal elements or equal errors.
+
+An answer over Q or Q(w) is checked at split primes by ``reduce_mod``, the
+ring map Z[w] -> F_p with w sent to a cube root of 1 mod p: what the
+package answers over Q(w) must reduce to what it answers over F_p.
 """
 
 import functools
@@ -40,9 +44,10 @@ from math import gcd, lcm
 
 from cubiclifford._parsing import ExprParser
 from cubiclifford.cliffordf import IsoReport, SymbolReport, specialized_algebra
-from cubiclifford.errors import UnknownSymbol
-from cubiclifford.fields import cube_root_in_field, hessian, poly_mulmod, power
-from cubiclifford.forms import act_gl2
+from cubiclifford.curves import EllipticPoint
+from cubiclifford.errors import SingularMatrix, UnknownSymbol
+from cubiclifford.fields import FieldSpec, Scalar, cube_root_in_field, hessian, poly_mulmod, power
+from cubiclifford.forms import BinaryCubicForm, GL2Element, act_gl2
 from cubiclifford.freealg import (
     FreeElement,
     alpha_element,
@@ -532,3 +537,37 @@ def operator_parse_poly(text, field, variables=GCA_VARS):
         raise UnknownSymbol(f"unknown symbol {name!r}", pos)
 
     return ExprParser(text, lambda q: SPolynomial.const(field, q, variables), symbol).parse()
+
+
+def reduce_mod(value, p, omega):
+    """The image over F_p of a Scalar, form, ``GL2Element`` or
+    ``EllipticPoint`` over Q or Q(w), under the ring map Z[w] -> F_p that
+    sends w to ``omega`` (an int or F_p Scalar with omega^2 + omega + 1 = 0,
+    such as ``FieldSpec.prime(p).omega()`` or its square). None where p
+    divides a denominator, or where the image is a degenerate form, a
+    singular matrix or a point of a singular curve; a point whose image is
+    off the image curve raises ``CurveMismatch``."""
+    field = FieldSpec.prime(p)
+    w = field.scalar(omega)
+    if isinstance(value, Scalar):
+        (a, b), den = value.val
+        return None if den % p == 0 else (field.scalar(a) + field.scalar(b) * w) / field.scalar(den)
+    if isinstance(value, EllipticPoint):
+        parts = [value.curve_a, *(value.xy or ())]
+    elif isinstance(value, BinaryCubicForm):
+        parts = value.coeffs
+    else:
+        parts = value.entries()
+    images = [reduce_mod(x, p, omega) for x in parts]
+    if any(x is None for x in images):
+        return None
+    if isinstance(value, BinaryCubicForm):
+        form = BinaryCubicForm(field, images)
+        return form if form.is_nondegenerate() else None
+    if isinstance(value, GL2Element):
+        try:
+            return GL2Element(field, images)
+        except SingularMatrix:
+            return None
+    curve_a, *xy = images
+    return None if curve_a.is_zero() else EllipticPoint(field, curve_a, tuple(xy) or None)

@@ -1,11 +1,12 @@
 """Specialized algebras at a form: products, isomorphisms, probes."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import F7, F13, Q, QW, rand_form, rand_gl2, rand_scalar
+from conftest import F7, F13, Q, QW, rand_form, rand_free_element, rand_gl2, rand_scalar
 from oracles import (
     clifford_iso_by_substitution,
     hessian_coefficients,
@@ -15,6 +16,7 @@ from oracles import (
 
 from cubiclifford import cliffordf
 from cubiclifford.cliffordf import (
+    CliffordFElement,
     SpecializedAlgebra,
     SymbolReport,
     brauer_triviality_probe,
@@ -23,6 +25,7 @@ from cubiclifford.cliffordf import (
     mul_af,
     specialize,
     specialized_algebra,
+    specialized_columns,
     symbol_relations_check,
 )
 from cubiclifford.curves import jacobian_constant
@@ -33,9 +36,9 @@ from cubiclifford.errors import (
     SingularMatrix,
 )
 from cubiclifford.fields import FieldSpec, sqrt_in_field
-from cubiclifford.forms import BinaryCubicForm, GL2Element, diagonalize
+from cubiclifford.forms import BinaryCubicForm, GL2Element, act_gl2, diagonalize
 from cubiclifford.freealg import FreeElement, delta_element, parse_free_expression, s_element
-from cubiclifford.gca import GenericCliffordAlgebra, Rank18Algebra
+from cubiclifford.gca import BASIS_WORDS, GenericCliffordAlgebra, Rank18Algebra
 from cubiclifford.spoly import GAMMA_VARS, SPolynomial, scaled
 
 ALG7 = GenericCliffordAlgebra(F7)
@@ -235,42 +238,50 @@ CORRUPTED = (
 )
 
 
-def test_freeness_check_answers_no_on_a_corrupted_column():
+def doubled_entries(monkeypatch, f, first_only):
+    """Yield (letter, j, entry) for each entry of column j of the pushed
+    columns at f, or only the first of each column with ``first_only``. While
+    it is yielded, ``cliffordf.specialized_columns`` answers f with a copy of
+    the columns that has that entry doubled, so every algebra built at f
+    meanwhile has it: an algebra's columns are fixed at construction."""
+    columns, den = specialized_columns(f)
+    clean = cliffordf.specialized_columns
+    for letter, cols in columns.items():
+        for j, col in enumerate(cols):
+            for k, (i, m, c) in enumerate(col[:1] if first_only else col):
+                broken_col = [*col[:k], (i, m, scaled(2, c)), *col[k + 1:]]
+                broken = {**columns, letter: [*cols[:j], broken_col, *cols[j + 1:]]}
+                monkeypatch.setattr(
+                    cliffordf,
+                    "specialized_columns",
+                    lambda form, broken=broken: (broken, den) if form == f else clean(form),
+                )
+                yield letter, j, (i, m)
+    monkeypatch.setattr(cliffordf, "specialized_columns", clean)
+
+
+def test_freeness_check_answers_no_on_a_corrupted_column(monkeypatch):
     # doubling one entry of any pushed column breaks a relation as
     # an operator identity; the columns of words of length >= 3 need the
     # relations applied beyond the unit vector to show it. On each broken
     # column the factored checks report what the word expansions report.
     for f, g in CORRUPTED:
-        alg = specialized_algebra(f)
-        try:
-            for letter, cols in alg.columns.items():
-                for j, col in enumerate(cols):
-                    (i, m, c), *rest = col
-                    cols[j] = [(i, m, scaled(2, c) if isinstance(c, tuple) else 2 * c), *rest]
-                    try:
-                        assert gamma_independence_check(f, 1) is False, (f, letter, j)
-                        assert relations_hold_by_reductions(alg) is False, (f, letter, j)
-                        iso = check_clifford_iso(g, f).to_json()
-                        assert iso == clifford_iso_by_substitution(g, f).to_json(), (f, letter, j)
-                        symbol = symbol_relations_check(f).to_json()
-                        assert symbol == symbol_check_by_expansion(f).to_json(), (f, letter, j)
-                    finally:
-                        cols[j] = col
-        finally:
-            specialized_algebra.cache_clear()
+        for letter, j, _ in doubled_entries(monkeypatch, f, first_only=True):
+            assert gamma_independence_check(f, 1) is False, (f, letter, j)
+            assert relations_hold_by_reductions(SpecializedAlgebra(f)) is False, (f, letter, j)
+            iso = check_clifford_iso(g, f).to_json()
+            assert iso == clifford_iso_by_substitution(g, f).to_json(), (f, letter, j)
+            symbol = symbol_relations_check(f).to_json()
+            assert symbol == symbol_check_by_expansion(f).to_json(), (f, letter, j)
 
 
-def test_block_identity_equals_the_72_row_reductions_at_every_entry():
+def test_block_identity_equals_the_72_row_reductions_at_every_entry(monkeypatch):
     # doubling any single entry of the pushed columns, the block identities
     # M_r = c*I answer what the 72 reductions of b_i (r - c) answer
     for f, _ in CORRUPTED:
-        alg = SpecializedAlgebra(f)
-        for cols in alg.columns.values():
-            for col in cols:
-                for k, (i, m, c) in enumerate(col):
-                    col[k] = (i, m, scaled(2, c))
-                    assert alg.relations_hold() is relations_hold_by_reductions(alg), (f, i, m)
-                    col[k] = (i, m, c)
+        for _, _, entry in doubled_entries(monkeypatch, f, first_only=False):
+            alg = SpecializedAlgebra(f)
+            assert alg.relations_hold() is relations_hold_by_reductions(alg), (f, entry)
 
 
 def test_freeness_check_folds_each_relation_once_for_all_rows(monkeypatch):
@@ -315,21 +326,62 @@ def test_field_elements_of_the_checks_are_built_once_per_field():
             assert cached[0]["pass"] and cached[1]["pass"]
 
 
-def test_field_elements_of_the_checks_on_corrupted_columns():
+def test_field_elements_of_the_checks_on_corrupted_columns(monkeypatch):
     f, g = CORRUPTED[0]
-    alg = specialized_algebra(f)
-    try:
-        for cols in alg.columns.values():
-            for j, col in enumerate(cols):
-                (i, m, c), *rest = col
-                cols[j] = [(i, m, 2 * c), *rest]
-                try:
-                    cached, fresh = _cached_and_fresh_reports(g, f)
-                    assert cached == fresh, j
-                finally:
-                    cols[j] = col
-    finally:
-        specialized_algebra.cache_clear()
+    for _, j, _ in doubled_entries(monkeypatch, f, first_only=True):
+        cached, fresh = _cached_and_fresh_reports(g, f)
+        assert cached == fresh, j
+
+
+def test_no_algebra_outlives_the_call_that_built_it():
+    # the checks and mul_af build their algebra and keep none: no cache
+    # keyed on the form holds one after the call
+    rng = random.Random(72)
+    forms = []
+    for field in (F7, P64, QW):
+        generic = GenericCliffordAlgebra(field)
+        # g.(c0, 0, 0, c3) has -108*Delta a square, as the freeness check needs
+        diagonal = BinaryCubicForm(field, (rand_scalar(field, rng, nonzero=True), 0, 0, 2))
+        f, g = act_gl2(rand_gl2(field, rng), diagonal), rand_gl2(field, rng)
+        forms.append(f)
+        u, v = generic.reduce_text("x*y - 2*y + 1"), generic.reduce_text("y*x*x + x")
+        assert mul_af(specialize(u, f), specialize(v, f)) == specialize(generic.mul(u, v), f)
+        assert gamma_independence_check(f, 1)
+        assert check_clifford_iso(g, f).passed
+        assert symbol_relations_check(f).passed
+    gc.collect()
+    kept = [o for o in gc.get_objects() if isinstance(o, SpecializedAlgebra) and o.form in forms]
+    assert kept == []
+
+
+@pytest.mark.parametrize("field", (F7, P64, QW), ids=("7", "64bit", "Qw"))
+def test_answers_do_not_depend_on_the_warmth_of_the_word_cache(field):
+    # an algebra answers relations_hold, reduce_free and mul the same with
+    # its word cache holding only the unit and after a product of two dense
+    # elements has folded every word b_i b_j into it, and as a fresh one
+    rng = random.Random(f"warm:{field}")
+    f = rand_form(field, rng)
+    free = [rand_free_element(field, rng, max_len=7, max_terms=3) for _ in range(4)]
+
+    def answers(alg):
+        u, v = alg.reduce_free(free[0]), alg.reduce_free(free[1])
+        return alg.relations_hold(), [alg.reduce_free(e) for e in free], alg.mul(u, v)
+
+    alg = SpecializedAlgebra(f)
+    assert list(alg._word_cache) == [""]
+    cold = answers(alg)
+    dense = [
+        CliffordFElement(f, [
+            SPolynomial(field, GAMMA_VARS, {(0,): rand_scalar(field, rng, nonzero=True),
+                                            (1,): rand_scalar(field, rng)})
+            for _ in range(18)
+        ])
+        for _ in range(2)
+    ]
+    alg.mul(*dense)
+    assert all(a + b in alg._word_cache for a in BASIS_WORDS for b in BASIS_WORDS)
+    assert answers(alg) == cold == answers(SpecializedAlgebra(f))
+    assert cold[0] is True
 
 
 def _fractional(field, rng):

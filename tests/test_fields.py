@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -110,6 +111,25 @@ def test_arithmetic_dispatch_and_errors():
         a / Q.zero()
     with pytest.raises(FieldMismatch):
         Q.one() + F7.one()
+
+
+def test_scalar_reads_every_input_through_one_fraction():
+    # F_p reads a float, a Decimal or a text as Q and Q(w) do, exactly:
+    # 2.5 is 5/2 (not 2), 0.1 is 3602879701896397/2^55 (not 0)
+    tenth = Fraction(3602879701896397, 2**55)
+    assert Fraction(0.1) == tenth
+    for value, exact in ((2.5, Fraction(5, 2)), (0.1, tenth), (Decimal("0.1"), Fraction(1, 10)),
+                         ("1/2", Fraction(1, 2)), ("-3", -3)):
+        for field in (F7, F13, Q, QW):
+            assert field.scalar(value) == field.scalar(exact), (field, value)
+    assert F7.scalar(2.5) == F7.scalar(6)
+    assert F7.scalar(0.1) != F7.zero()
+    assert F7.scalar("1/2") == F7.scalar(4)
+    for value in (Fraction(1, 7), "3/14"):  # a denominator divisible by p
+        with pytest.raises(DivisionByZero):
+            F7.scalar(value)
+    with pytest.raises(TypeError):  # a pair belongs to Q(w) alone
+        F7.scalar((1, 2))
 
 
 def test_inverse_property_random():

@@ -206,7 +206,7 @@ def test_sparse_kernel_equals_the_dense_kernel(field, generic):
             assert alg._element(got) == oracles.dense_reduce(alg, e)
             assert got == alg._vector(alg._element(got).coords)
             u, v = (alg._element(alg._vector(_random_coords(alg, rng))) for _ in range(2))
-            assert alg._mul(u, v) == oracles.dense_mul(alg, u, v)
+            assert alg.mul(u, v) == oracles.dense_mul(alg, u, v)
 
 
 def test_defining_relations_reduce_to_zero():
@@ -482,9 +482,8 @@ def test_mul_matches_free_product():
 
 @pytest.mark.parametrize("field", (F7, P64, QW), ids=("7", "64bit", "Qw"))
 def test_mul_through_a_warm_word_cache_equals_a_fresh_algebra_and_the_free_product(field):
-    # mul reads each 1.b_i b_j from the word cache: the generic algebra's
-    # long-lived one, warmed by every reduce and mul before, and a per-call
-    # one in the specialized algebra
+    # mul reads each 1.b_i b_j from the algebra's word cache, warmed by
+    # every reduce and mul before, in the generic and the specialized algebra
     rng = random.Random(f"mul-cache:{field}")
     warm = GenericCliffordAlgebra(field)
     full = FreeElement(field, {w: rand_scalar(field, rng, nonzero=True) for w in BASIS_WORDS})

@@ -38,6 +38,16 @@ def test_public_names_and_traced_methods_resolve():
     ):
         for name in names:
             assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"
+    # and each is bound to the one body of the rank-18 algebra
+    for cls, name, body in (
+        (GenericCliffordAlgebra, "reduce", "reduce"),
+        (GenericCliffordAlgebra, "mul", "mul"),
+        (SpecializedAlgebra, "reduce_free", "reduce"),
+        (SpecializedAlgebra, "mul", "mul"),
+    ):
+        assert cls.__dict__[name] is Rank18Algebra.__dict__[body], f"{cls.__name__}.{name}"
+    # the public constructor name keeps no algebra: it is the class itself
+    assert cliffordf.specialized_algebra is SpecializedAlgebra
 
 
 def test_bench_tracer_finds_every_target():
