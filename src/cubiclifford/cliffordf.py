@@ -9,14 +9,15 @@ form's coefficients, the same map that ``specialize`` applies to elements
 once, on raw numerators).
 So the specialization map is an algebra homomorphism by construction; the
 tests cross-check it as one. The freeness, symbol and GL2-isomorphism checks
-fold sparse raw vectors through factors, not expanded words: whatever the
-columns, folding is a right action of k<x, y>, v.(ab) = (v.a).b, linear in
-the columns, so the answers are the same. The freeness and isomorphism
-checks test the four central relations r = c by one block routine,
+fold sparse raw vectors (each one packed-key map, ``Rank18Algebra``)
+through factors, not expanded words: whatever the columns, folding is a
+right action of k<x, y>, v.(ab) = (v.a).b, linear in the columns, so the
+answers are the same. The freeness and isomorphism checks test the four
+central relations r = c by one block routine,
 ``Rank18Algebra._central_relations``, as B r = c B for a block B of rows:
-the freeness check at the 18 unit rows at once, so as the matrix identity
-M_r = c*I, and the isomorphism check at the one row of the unit of the
-moved algebra.
+the freeness check at the 18 unit rows at once, one vector with each row
+in the slot above its coordinate, so as the matrix identity M_r = c*I, and
+the isomorphism check at the one row of the unit of the moved algebra.
 """
 
 from __future__ import annotations
@@ -68,17 +69,18 @@ def _specialization(f: BinaryCubicForm):
 @lru_cache(maxsize=None)
 def _grouped_integer_columns():
     """The integer generic columns laid out for ``specialized_columns``: the
-    keys (j, i, GA^e) of each letter's terms in column order, the monomials
-    X3^a AL^b BE^c Y3^d of the terms outside GA as (a, b, c, d), and the keys
-    of the terms n * X3^a AL^b BE^c Y3^d GA^e grouped by (letter, (a, b, c,
-    d), n)."""
-    keys, groups = {"x": [], "y": []}, {}
+    keys (letter, j, delta) of the terms in column order, delta =
+    ((i - j) << SLOT) + e for the term's GA^e (``_gathered``, the shift of
+    k[GA] being SLOT), the monomials X3^a AL^b BE^c Y3^d of the terms outside
+    GA as (a, b, c, d), and the keys of the terms n * X3^a AL^b BE^c Y3^d GA^e
+    grouped by ((a, b, c, d), n)."""
+    keys, groups = [], {}
     for (letter, j, i), e, n in _structure_columns_int():
-        key = (j, i, e[4] or None)
-        keys[letter].append(key)
-        groups.setdefault((letter, e[:4], n), []).append(key)
-    monomials = tuple(dict.fromkeys(e for _, e, _ in groups))
-    return tuple(keys.items()), monomials, tuple((g, tuple(ks)) for g, ks in groups.items())
+        key = (letter, j, ((i - j) << SLOT) + e[4])
+        keys.append(key)
+        groups.setdefault((e[:4], n), []).append(key)
+    monomials = tuple(dict.fromkeys(e for e, _ in groups))
+    return tuple(keys), monomials, tuple((g, tuple(ks)) for g, ks in groups.items())
 
 
 def specialized_columns(f: BinaryCubicForm):
@@ -94,13 +96,12 @@ def specialized_columns(f: BinaryCubicForm):
         factors = [c for c, k in zip(f.coeffs, e) for _ in range(k)]
         values[e] = raw_scalar(prod(factors[1:], start=factors[0]) if factors else field.one())
     den = lcm(*(d for _, d in values.values()))
-    rows = {letter: dict.fromkeys(ks, scaled(0, one)) for letter, ks in keys}
     items = [
-        (letter, dict.fromkeys(ks, scaled(den // d, num)), None, scaled(n, one))
-        for (letter, e, n), ks in groups
+        (dict.fromkeys(ks, scaled(den // d, num)), None, scaled(n, one))
+        for (e, n), ks in groups
         for num, d in (values[e],)
     ]
-    return _gathered(field.p, accumulate(field.p, rows, items), den)
+    return _gathered(field.p, accumulate(field.p, dict.fromkeys(keys, scaled(0, one)), items), den)
 
 
 class SpecializedAlgebra(Rank18Algebra):
@@ -135,20 +136,18 @@ class SpecializedAlgebra(Rank18Algebra):
         of M_r - c*I is e_i.(r - c), so the identity is exactly the 72 row
         checks e_i.(r - c) = 0; as v -> v.(r - c) is k[GA]-linear and the
         e_i span k[GA]^18, they make r - c act as 0. The block is one vector
-        over k[ROW, GA] whose row i is carried by ROW^i, and the columns
-        leave ROW at exponent 0, so each fold moves all 18 rows at once. The
-        packed GA^e is e, which is also ROW^0 GA^e packed, so the columns
-        serve k[ROW, GA] unchanged."""
+        whose unit row i is the key (i << SLOT | i) << shift, its row i in
+        the slot above the coordinate, which the fold leaves as it is, so
+        each fold moves all 18 rows at once."""
         one, cache = self.field.one(), self._word_cache
         for i, word in enumerate(BASIS_WORDS):
             if self._word_vector(word, cache) != self._scalar_vector(i, one):
                 return False
         if self._reduce(gamma_element(self.field), cache) != self._vector(self.gamma().coords):
             return False
-        stacked = Rank18Algebra(self.base, self.field, ("ROW", "GA"), self.columns, self.den)
         unit = raw_scalar(one)[0]
-        block = ({i: {i << SLOT: unit} for i in range(18)}, 1)
-        return all(stacked._central_relations(self.form.coeffs, {"": block}))
+        block = ({(i << SLOT | i) << self.shift: unit for i in range(18)}, 1)
+        return all(self._central_relations(self.form.coeffs, {"": block}))
 
 
 specialized_algebra = SpecializedAlgebra
@@ -191,14 +190,10 @@ def _substituted_columns(alg: SpecializedAlgebra, g: GL2Element):
     """(columns, den) of M_{g.x} = a*M_x + c*M_y and M_{g.y} = b*M_x + d*M_y."""
     den = lcm(*(raw_scalar(e)[1] for e in g.entries()))
     a, b, c, d = (raw_scalar(e * g.field.scalar(den))[0] for e in g.entries())
-    terms = {
-        letter: {(j, i, m): coeff for j, col in enumerate(cols) for i, m, coeff in col}
-        for letter, cols in alg.columns.items()
-    }
     items = [
-        (moved, terms[letter], None, k)
+        ({(moved, j, delta): x for j, col in enumerate(cols) for delta, x in col.items()}, None, k)
         for moved, ks in (("x", (a, c)), ("y", (b, d)))
-        for k, letter in zip(ks, "xy")
+        for k, cols in zip(ks, (alg.columns["x"], alg.columns["y"]))
     ]
     return _gathered(g.field.p, accumulate(g.field.p, {}, items), alg.den * den)
 
@@ -221,10 +216,10 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     moved = Rank18Algebra(f, field, GAMMA_VARS, *_substituted_columns(SpecializedAlgebra(f), g))
     names = ("cube-x", "polarization-u2v", "polarization-uv2", "cube-y")
     relations = dict(zip(names, moved._central_relations(target.coeffs, moved._word_cache)))
-    rows, den = moved._reduce(gamma_element(field), moved._word_cache)
+    raw, den = moved._reduce(gamma_element(field), moved._word_cache)
     factor = None
-    if rows.keys() <= {0} and rows.get(0, {}).keys() <= {1}:  # GA^1 packed
-        factor = moved._element((rows, den)).coords[0].terms.get((1,), field.zero())
+    if raw.keys() <= {1}:  # GA^1 e_0 packed
+        factor = moved._element((raw, den)).coords[0].terms.get((1,), field.zero())
     return IsoReport(relations, factor, g.det**2)
 
 

@@ -78,7 +78,8 @@ class FreeElement(Terms):
 
     @staticmethod
     def word(field, w: str, coeff=1):
-        assert all(ch in LETTERS for ch in w)
+        if not set(w) <= set(LETTERS):
+            raise ValueError(f"{w!r} is not a word in the letters {LETTERS}")
         return FreeElement(field, {w: field.scalar(coeff)})
 
     @staticmethod

@@ -62,7 +62,7 @@ from .freealg import (
     gamma_element,
     s_element,
 )
-from .spoly import GCA_VARS, RawTerms, SPolynomial, accumulate, canonical, pack
+from .spoly import _SLOT_MASK, GCA_VARS, SLOT, RawTerms, SPolynomial, accumulate, canonical, pack
 from .spoly import discriminant_polynomial, raw_product, raw_scalar, scaled, times
 
 BASIS_WORDS = (
@@ -385,7 +385,8 @@ class Rank18Element:
     def __init__(self, base, coords):
         self.base = base
         self.coords = tuple(coords)
-        assert len(self.coords) == 18
+        if len(self.coords) != 18:
+            raise ValueError(f"{len(self.coords)} coordinates, not 18")
 
     def _check(self, other):
         if self.base != other.base:
@@ -448,17 +449,16 @@ class GCAElement(Rank18Element):
         )
 
 
-def _gathered(p, rows: dict, den: int):
-    """({letter: columns}, den) of the canonical ``rows``, the map of each
-    letter keyed (j, i, monomial): column j lists the (i, monomial, raw
-    numerator) triples of b_j * letter over den, the monomial None when it
-    is the unit."""
-    rows, den = canonical(p, rows, den)
-    columns = {letter: [[] for _ in range(18)] for letter in "xy"}
-    for letter, row in rows.items():
-        cols = columns[letter]
-        for (j, i, m), c in row.items():
-            cols[j].append((i, m, c))
+def _gathered(p, terms: dict, den: int):
+    """({letter: columns}, den) of the canonical ``terms``, keyed (letter, j,
+    delta): column j of a letter maps each delta = ((i - j) << shift) + m to
+    the raw numerator over den of the term m e_i of b_j * letter, shift
+    being the algebra's ``shift``, so that the term of b_j at the key
+    j << shift | m1 of a vector lands at key + delta."""
+    terms, den = canonical(p, terms, den)
+    columns = {letter: [{} for _ in range(18)] for letter in "xy"}
+    for (letter, j, delta), c in terms.items():
+        columns[letter][j][delta] = c
     return columns, den
 
 
@@ -467,24 +467,29 @@ def generic_columns(field: FieldSpec):
     """(columns, 1): the columns of right multiplication by x and y on the
     basis over ``field``, each S-monomial of the integer columns its own
     monomial, derived once per field."""
-    one = raw_scalar(field.one())[0]
-    rows = {"x": {}, "y": {}}
-    for (letter, j, i), e, n in _structure_columns_int():
-        rows[letter][j, i, pack(e, 5) or None] = scaled(n, one)
-    return _gathered(field.p, rows, 1)
+    one, shift = raw_scalar(field.one())[0], SLOT * len(GCA_VARS)
+    terms = {
+        (letter, j, ((i - j) << shift) + pack(e, 5)): scaled(n, one)
+        for (letter, j, i), e, n in _structure_columns_int()
+    }
+    return _gathered(field.p, terms, 1)
 
 
 class Rank18Algebra:
-    """The rank-18 algebra over a coefficient ring, given by the flat
-    ``columns`` of right multiplication by x and y over ``den``. Its kernel
-    works on sparse raw vectors (rows, den): rows maps each nonzero
-    coordinate i to its raw map (``spoly.Terms``'s layout) over the one den,
-    canonical (``spoly.canonical``) so that equal vectors compare equal.
-    Monomials are packed ints (``spoly.pack``), so a monomial product in the
-    kernel is one integer addition. A fold, a reduction and a product are
-    each one ``accumulate``, normalized once; a product reads its structure
-    constants 1.b_i b_j from the word cache, as a reduction reads its words.
-    ``_element`` alone makes ``SPolynomial``s, for results.
+    """The rank-18 algebra over a coefficient ring, given by the ``columns``
+    of right multiplication by x and y over ``den`` (``_gathered``). Its
+    kernel works on sparse raw vectors (raw, den): raw is one map, in
+    ``spoly.Terms``'s layout, from the key i << shift | m of each term m e_i
+    to its numerator over the one den, with shift = SLOT * (number of
+    variables), so the coordinate i is one more packed slot above the
+    monomial's; canonical (``spoly.canonical``) so that equal vectors
+    compare equal. A monomial product in the kernel is one integer
+    addition, and so is the move of a term to another coordinate: a fold
+    adds a column's delta to each key, and a product adds the monomials of
+    u_i and v_j to the keys of 1.b_i b_j. A fold, a reduction and a product
+    are each one ``accumulate``, normalized once; a product reads its
+    structure constants 1.b_i b_j from the word cache, as a reduction reads
+    its words. ``_element`` alone makes ``SPolynomial``s, for results.
 
     One cache rule holds for every algebra, generic, specialized or moved:
     the columns are fixed at construction; the word cache (each folded word
@@ -498,28 +503,30 @@ class Rank18Algebra:
         self.base = base
         self.field = field
         self.columns, self.den = columns, den
+        self.shift = SLOT * len(variables)
         self._zero = SPolynomial.zero(field, variables)
         self._unit = SPolynomial.const(field, 1, variables)
         self._word_cache = {"": self._scalar_vector(0, field.one())}
 
     def _element(self, vector):
-        rows, den = vector
-        zero = self._zero
-        coords = [zero._make(rows[i], den) if i in rows else zero for i in range(18)]
-        return self.ELEMENT(self.base, coords)
+        raw, den = vector
+        shift, zero, rows = self.shift, self._zero, [{} for _ in range(18)]
+        for key, c in raw.items():
+            rows[key >> shift][key & ((1 << shift) - 1)] = c
+        return self.ELEMENT(self.base, [zero._make(row, den) if row else zero for row in rows])
 
     def _vector(self, coords):
         """The canonical vector of 18 coordinates."""
-        den = lcm(*(c.den for c in coords))
+        den, shift = lcm(*(c.den for c in coords)), self.shift
         return {
-            i: {m: scaled(den // c.den, a) for m, a in c.raw.items()} if c.den != den else c.raw
-            for i, c in enumerate(coords) if c.raw
+            i << shift | m: scaled(den // c.den, a)
+            for i, c in enumerate(coords) for m, a in c.raw.items()
         }, den
 
     def _scalar_vector(self, i: int, c: Scalar):
         """The canonical vector of c * e_i."""
         num, den = raw_scalar(c)
-        return ({i: {self._zero._unit(): num}}, den) if not c.is_zero() else ({}, 1)
+        return ({i << self.shift: num}, den) if not c.is_zero() else ({}, 1)
 
     def zero(self):
         return self._element(({}, 1))
@@ -539,36 +546,35 @@ class Rank18Algebra:
 
     def _fold(self, items):
         """The canonical sum of vector times letter over the (vector,
-        letter) items: row j of a vector times the triple (i, m, c) of
-        column j adds its map times c*m to row i."""
-        common = lcm(*(vec[1] for vec, _ in items))
-        acc = {}
-        for (rows, den), letter in items:
-            cols, f = self.columns[letter], common // den
-            entries = [
-                (i, terms, m, c if f == 1 else scaled(f, c))
-                for j, terms in rows.items()
-                for i, m, c in cols[j]
-            ]
-            accumulate(self.field.p, acc, entries)
-        return canonical(self.field.p, acc, common * self.den)
+        letter) items: the term a at the key k of coordinate
+        j = k >> shift & _SLOT_MASK adds a*c at k + delta for each (delta,
+        c) of column j. A slot above the coordinate, as a block's row, is
+        left as it is."""
+        common = lcm(*(den for (_, den), _ in items))
+        shift = self.shift
+        entries = [
+            (cols[key >> shift & _SLOT_MASK], key, scaled(f, a))
+            for (raw, den), letter in items
+            for cols, f in ((self.columns[letter], common // den),)
+            for key, a in raw.items()
+        ]
+        return canonical(self.field.p, accumulate(self.field.p, {}, entries), common * self.den)
 
     def _central_relations(self, coeffs, cache: dict) -> list:
         """[B r == c B] for the four central relations r = c: r the word sum
         of X3, AL, BE or Y3 (three letters, coefficient 1), c its entry of
-        ``coeffs`` and B the block cache[""]. A block is a vector whose
-        monomials may carry exponents that the columns leave at 0, such as
-        the row of a stack of vectors: the fold is linear over them, so it
+        ``coeffs`` and B the block cache[""]. A block is a vector whose keys
+        may carry a slot above the coordinate, such as the row of a stack of
+        vectors: the fold leaves that slot as it is and is linear, so it
         moves every row at once. B r is one ``_fold`` of the blocks B w[:2]
         (from ``cache``) by w[2]."""
-        p, (rows, den) = self.field.p, cache[""]
+        p, (raw, den) = self.field.p, cache[""]
         out = []
         for var, c in zip(GCA_VARS, coeffs):
             words = CENTRAL_EXPANSIONS[var]
             lhs = self._fold([(self._word_vector(w[:2], cache), w[2]) for w in words])
             num, c_den = raw_scalar(c)
-            items = [(k, terms, None, num) for k, terms in rows.items()]
-            out.append(lhs == canonical(p, accumulate(p, {}, items), den * c_den))
+            out.append(lhs == canonical(p, accumulate(p, {}, [(raw, None, num)]), den * c_den))
         return out
 
     def _word_vector(self, w: str, cache: dict, budget=None):
@@ -600,10 +606,7 @@ class Rank18Algebra:
             raise FieldMismatch(f"{e.field} vs {self.field}")
         vectors = [(c, self._word_vector(w, cache, budget)) for w, c in e.raw.items()]
         common = lcm(*(den for _, (_, den) in vectors))
-        items = [
-            (i, terms, None, scaled(common // den, c))
-            for c, (rows, den) in vectors for i, terms in rows.items()
-        ]
+        items = [(raw, None, scaled(common // den, c)) for c, (raw, den) in vectors]
         return canonical(self.field.p, accumulate(self.field.p, {}, items), common * e.den)
 
     def reduce(self, e: FreeElement):
@@ -634,13 +637,12 @@ class Rank18Algebra:
         # the coefficients commute, so the inner loop of accumulate runs
         # over the larger of u_i and v_j
         items = [
-            (k, a, mb + m or None, times(p, scaled(f, cb), c))
-            for ui, vj, (rows, den) in pairs
+            (a, key + mb, times(p, scaled(f, cb), c))
+            for ui, vj, (raw, den) in pairs
             for f in (common // (ui.den * vj.den * den),)
             for a, b in ((ui.raw, vj.raw) if len(ui.raw) >= len(vj.raw) else (vj.raw, ui.raw),)
             for mb, cb in b.items()
-            for k, terms in rows.items()
-            for m, c in terms.items()
+            for key, c in raw.items()
         ]
         return self._element((accumulate(p, {}, items), common))
 

@@ -85,7 +85,12 @@ def pack(exponents, n: int) -> int:
     sum is the packed tuple of the exponent sums, and an exponent sum is
     above MAX_EXPONENT exactly when one of the two top bits of its slot (the
     guard bits) is set. The package adds at most three before a guard looks:
-    two in ``raw_product`` and a fold, three in ``Rank18Algebra.mul``."""
+    two in ``raw_product`` and a fold, three in ``Rank18Algebra.mul``.
+    A key of the rank-18 kernel carries the coordinate in one more slot
+    above the monomial's, and a block's key its row in the slot above that.
+    Those slots hold 0..17, so they never set a guard bit; a fold moves a
+    coordinate j to i and a product keeps it, and neither adds more
+    monomials than above, so no slot carries into the coordinate."""
     if len(exponents) != n:
         raise VariableMismatch(f"{len(exponents)} exponents for {n} variables")
     m = 0
@@ -108,19 +113,19 @@ def _guard_bits(slots: int) -> int:
     return sum(_GUARD << SLOT * k for k in range(slots))
 
 
-def in_bound(rows: dict):
-    """Raise ``NumberTooLarge`` if a packed monomial of the maps ``rows`` has
-    an exponent above MAX_EXPONENT, which sets a guard bit of its slot
-    (``pack`` proves it). When the monomials sum to at most MAX_EXPONENT,
-    as the small ones of a univariate ring do, each is one slot under the
+def in_bound(raw: dict):
+    """Raise ``NumberTooLarge`` if a packed key of the map ``raw`` has an
+    exponent above MAX_EXPONENT, which sets a guard bit of its slot
+    (``pack`` proves it). When the keys sum to at most MAX_EXPONENT, as the
+    small monomials of a univariate ring do, each is one slot under the
     bound; else the guard bits of all of them are read. Keys that are not
     ints, such as words (the monomials of ``freealg``, which have no
     bound), are not read."""
-    keys = chain.from_iterable(rows.values())
+    keys = iter(raw)
     first = next(keys, None)
     if type(first) is not int or first <= MAX_EXPONENT and first + sum(keys) <= MAX_EXPONENT:
         return
-    bits = reduce(or_, chain.from_iterable(rows.values()))
+    bits = reduce(or_, raw)
     if bits & _guard_bits(-(-bits.bit_length() // SLOT)):
         raise NumberTooLarge(f"a monomial exponent above the bound {MAX_EXPONENT}")
 
@@ -149,58 +154,47 @@ def times(p, x, y):
     return (a * c - bd, a * d + b * c - bd)
 
 
-def canonical(p, rows: dict, den: int = 1):
-    """The raw maps ``rows`` over ``den`` without zeros or empty maps, residues
-    reduced mod ``p``; over Q and Q(w) den shares no factor with all numerators.
-    A packed monomial above the bound raises (``in_bound``)."""
-    out = {}
-    for i, row in rows.items():
-        if p:
-            row = {m: x for m, v in row.items() if (x := v % p)}
-        else:
-            row = {m: v for m, v in row.items() if v != (0, 0)}
-        if row:
-            out[i] = row
+def canonical(p, raw: dict, den: int = 1):
+    """The raw map ``raw`` over ``den`` without zeros, residues reduced mod
+    ``p``; over Q and Q(w) den shares no factor with all numerators, and is
+    1 when the map is empty. A packed key above the bound raises
+    (``in_bound``)."""
+    if p:
+        out = {m: x for m, v in raw.items() if (x := v % p)}
+    else:
+        out = {m: v for m, v in raw.items() if v != (0, 0)}
     in_bound(out)
     if p:
         return out, 1
-    g = den
-    for row in out.values():
-        if g == 1:
-            break
-        g = gcd(g, *chain.from_iterable(row.values()))
+    g = gcd(den, *chain.from_iterable(out.values()))
     if g == 1:
-        return out, den if out else 1
-    out = {i: {m: (a // g, b // g) for m, (a, b) in row.items()} for i, row in out.items()}
-    return out, den // g
+        return out, den
+    return {m: (a // g, b // g) for m, (a, b) in out.items()}, den // g
 
 
-def accumulate(p, rows: dict, items) -> dict:
-    """``rows[i][m1 + m] += a * c`` for each (i, terms, m, c) in ``items`` and
+def accumulate(p, acc: dict, items) -> dict:
+    """``acc[m1 + m] += a * c`` for each (terms, m, c) in ``items`` and
     (m1, a) in ``terms.items()``, m1 + m being the monomial product (m1 when
     m is None). The a's and c's are raw numerators: residues when ``p`` is
-    set, else integer pairs a + b*w (w^2 = -1 - w). Returns ``rows``; its
-    monomials are unchecked, so the caller bounds them (``canonical``)."""
+    set, else integer pairs a + b*w (w^2 = -1 - w). Returns ``acc``; its
+    keys are unchecked, so the caller bounds them (``canonical``)."""
+    get = acc.get
     if p:
-        for i, terms, m2, c in items:
-            row = rows.setdefault(i, {})
-            get = row.get
+        for terms, m2, c in items:
             for m1, a in terms.items():
                 m = m1 if m2 is None else m1 + m2
-                row[m] = get(m, 0) + a * c
-        return rows
-    for i, terms, m2, (c, d) in items:
-        row = rows.setdefault(i, {})
-        get = row.get
+                acc[m] = get(m, 0) + a * c
+        return acc
+    for terms, m2, (c, d) in items:
         for m1, (a, b) in terms.items():
             m = m1 if m2 is None else m1 + m2
             bd = b * d
             old = get(m)
             if old is None:
-                row[m] = (a * c - bd, a * d + b * c - bd)
+                acc[m] = (a * c - bd, a * d + b * c - bd)
             else:
-                row[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
-    return rows
+                acc[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
+    return acc
 
 
 class Terms:
@@ -242,12 +236,10 @@ class Terms:
         """The element whose raw coefficients are ``acc`` over ``den``:
         unreduced ints over F_p (where ``den`` is 1), integer pairs over Q
         and Q(w)."""
-        rows, den = canonical(field.p, {0: acc}, den)
         new = object.__new__(cls)
         new.field = field
         new.variables = variables
-        new.raw = rows.get(0, {})
-        new.den = den
+        new.raw, new.den = canonical(field.p, acc, den)
         return new
 
     def _make(self, acc: dict, den: int = 1):
@@ -362,9 +354,9 @@ def raw_product(like: Terms, u, raw: dict, den: int) -> "RawTerms":
     else:
         # the unit monomial is passed as None, so a scalar factor
         # multiplies no monomials
-        items = [(0, u.raw, m2 or None, c) for m2, c in raw.items()]
-        out, den = accumulate(like.field.p, {}, items).get(0, {}), u.den * den
-    in_bound({0: out})
+        items = [(u.raw, m2 or None, c) for m2, c in raw.items()]
+        out, den = accumulate(like.field.p, {}, items), u.den * den
+    in_bound(out)
     return RawTerms(like, out, den)
 
 
@@ -457,11 +449,11 @@ class RawTerms:
         if len(big.raw) < len(small.raw):
             big, f_big, small, f_small = small, f_small, big, f_big
         p = self.like.field.p
-        items = [(0, small.raw, None, f_small if p else (f_small, 0))]
+        items = [(small.raw, None, f_small if p else (f_small, 0))]
         if f_big != 1:
-            items.insert(0, (0, big.raw, None, f_big if p else (f_big, 0)))
+            items.insert(0, (big.raw, None, f_big if p else (f_big, 0)))
             big.raw = {}
-        big.raw = accumulate(p, {0: big.raw}, items)[0]
+        big.raw = accumulate(p, big.raw, items)
         big.den = den
         return big
 
@@ -587,8 +579,8 @@ class SPolynomial(Terms):
                     factor = factor * value**e
             terms.append((key, c, raw_scalar(factor)))
         common = lcm(*(d for _, _, (_, d) in terms))
-        items = [(0, {key: c}, None, scaled(common // d, num)) for key, c, (num, d) in terms]
-        acc = accumulate(field.p, {}, items).get(0, {})
+        items = [({key: c}, None, scaled(common // d, num)) for key, c, (num, d) in terms]
+        acc = accumulate(field.p, {}, items)
         return SPolynomial._canonical(field, keep, acc, self.den * common)
 
     # -- printing / parsing ---------------------------------------------------

@@ -381,10 +381,11 @@ def relations_hold_by_reductions(alg):
 
 def column_polys(alg, letter, j):
     """Column j of ``alg``'s ``letter`` as the nonzero (i, polynomial) pairs."""
-    zero = alg._zero
+    zero, shift = alg._zero, alg.shift
     raws = [{} for _ in range(18)]
-    for i, m, c in alg.columns[letter][j]:
-        raws[i][m or zero._unit()] = c
+    for delta, c in alg.columns[letter][j].items():
+        i, m = divmod((j << shift) + delta, 1 << shift)
+        raws[i][m] = c
     return [(i, q) for i, raw in enumerate(raws) if (q := zero._make(raw, alg.den)).raw]
 
 

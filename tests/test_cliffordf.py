@@ -39,7 +39,7 @@ from cubiclifford.fields import FieldSpec, sqrt_in_field
 from cubiclifford.forms import BinaryCubicForm, GL2Element, act_gl2, diagonalize
 from cubiclifford.freealg import FreeElement, delta_element, parse_free_expression, s_element
 from cubiclifford.gca import BASIS_WORDS, GenericCliffordAlgebra, Rank18Algebra
-from cubiclifford.spoly import GAMMA_VARS, SPolynomial, scaled
+from cubiclifford.spoly import GAMMA_VARS, SLOT, SPolynomial, scaled
 
 ALG7 = GenericCliffordAlgebra(F7)
 ALG13 = GenericCliffordAlgebra(F13)
@@ -239,24 +239,25 @@ CORRUPTED = (
 
 
 def doubled_entries(monkeypatch, f, first_only):
-    """Yield (letter, j, entry) for each entry of column j of the pushed
-    columns at f, or only the first of each column with ``first_only``. While
-    it is yielded, ``cliffordf.specialized_columns`` answers f with a copy of
-    the columns that has that entry doubled, so every algebra built at f
-    meanwhile has it: an algebra's columns are fixed at construction."""
+    """Yield (letter, j, delta) for each entry (delta, c) of column j of the
+    pushed columns at f, or only the first of each column with
+    ``first_only``. While it is yielded, ``cliffordf.specialized_columns``
+    answers f with a copy of the columns that has that entry doubled, so
+    every algebra built at f meanwhile has it: an algebra's columns are
+    fixed at construction."""
     columns, den = specialized_columns(f)
     clean = cliffordf.specialized_columns
     for letter, cols in columns.items():
         for j, col in enumerate(cols):
-            for k, (i, m, c) in enumerate(col[:1] if first_only else col):
-                broken_col = [*col[:k], (i, m, scaled(2, c)), *col[k + 1:]]
+            for delta, c in list(col.items())[:1] if first_only else col.items():
+                broken_col = {**col, delta: scaled(2, c)}
                 broken = {**columns, letter: [*cols[:j], broken_col, *cols[j + 1:]]}
                 monkeypatch.setattr(
                     cliffordf,
                     "specialized_columns",
                     lambda form, broken=broken: (broken, den) if form == f else clean(form),
                 )
-                yield letter, j, (i, m)
+                yield letter, j, delta
     monkeypatch.setattr(cliffordf, "specialized_columns", clean)
 
 
@@ -301,6 +302,35 @@ def test_freeness_check_folds_each_relation_once_for_all_rows(monkeypatch):
         folds.clear()
         assert SpecializedAlgebra(f).relations_hold()
         assert len(folds) == 30, f
+
+
+@pytest.mark.parametrize("field", (F7, P64, QW), ids=("7", "64bit", "Qw"))
+def test_word_vectors_and_the_freeness_block_are_one_int_keyed_map(field, monkeypatch):
+    # a vector is one map from i << shift | m to a raw numerator, and the
+    # 18-row block carries its row in the slot above the coordinate, so one
+    # fold of the block is the 18 folds of its rows
+    rng = random.Random(f"flat:{field}")
+    alg = SpecializedAlgebra(rand_form(field, rng))
+    alg.reduce_free(rand_free_element(field, rng, max_len=7))
+    blocks = []
+    central_relations = Rank18Algebra._central_relations
+
+    def spy(self, coeffs, cache):
+        blocks.append(cache[""])
+        return central_relations(self, coeffs, cache)
+
+    monkeypatch.setattr(Rank18Algebra, "_central_relations", spy)
+    alg.relations_hold()
+    for raw, _ in [*alg._word_cache.values(), *blocks]:
+        assert all(type(key) is int and type(c) in (int, tuple) for key, c in raw.items())
+    unit = 1 if field.p else (1, 0)
+    high = alg.shift + SLOT
+    for w in ("x", "y", "yx", "xxy", "yyxy"):
+        raw, den = alg._word_vector(w, {"": blocks[0]})
+        for r in range(18):
+            row = {key & ((1 << high) - 1): c for key, c in raw.items() if key >> high == r}
+            alone = alg._word_vector(w, {"": ({r << alg.shift: unit}, 1)})
+            assert alg._element((row, den)) == alg._element(alone), (w, r)
 
 
 def _cached_and_fresh_reports(g, f):

@@ -10,7 +10,12 @@ import pytest
 import oracles
 from conftest import F7, F7B, F13, Q, QW, rand_form, rand_free_element, rand_gl2, rand_scalar
 
-from cubiclifford.cliffordf import SpecializedAlgebra, specialized_algebra, specialized_columns
+from cubiclifford.cliffordf import (
+    CliffordFElement,
+    SpecializedAlgebra,
+    specialized_algebra,
+    specialized_columns,
+)
 from cubiclifford.errors import FieldMismatch, NonTermination, NumberTooLarge, UnsupportedField
 from cubiclifford.fields import FieldSpec
 from cubiclifford.forms import BinaryCubicForm
@@ -76,6 +81,32 @@ def test_structure_column_regressions():
     # b0 * x = e1 and b3 * x = X3 * e0
     assert column(alg, "x", 0) == alg.basis_element(1)
     assert column(alg, "x", 3) == alg.scalar_element(poly("X3", QW))
+
+
+@pytest.mark.parametrize("n", (17, 19))
+def test_an_element_needs_18_coordinates_also_under_python_O(n):
+    # a raise, which python -O keeps: an assert let SpecializedAlgebra.mul
+    # answer from 17 coordinates under -O
+    f = BinaryCubicForm(F7, (1, 0, 0, 2))
+    with pytest.raises(ValueError):
+        GCAElement(F7, [SPolynomial.zero(F7)] * n)
+    with pytest.raises(ValueError):
+        CliffordFElement(f, [SPolynomial.zero(F7, GAMMA_VARS)] * n)
+    with pytest.raises(ValueError):
+        FreeElement.word(F7, "xyz")
+    code = "\n".join((
+        "from cubiclifford.cliffordf import CliffordFElement, SpecializedAlgebra",
+        "from cubiclifford.fields import FieldSpec",
+        "from cubiclifford.forms import BinaryCubicForm",
+        "alg = SpecializedAlgebra(BinaryCubicForm(FieldSpec.prime(7), (1, 0, 0, 2)))",
+        "try:",
+        f"    print(alg.mul(alg.one(), CliffordFElement(alg.form, (alg.one().coords * 2)[:{n}])))",
+        "except ValueError as err:",
+        "    print('ValueError', err)",
+    ))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"ValueError {n} coordinates, not 18"
 
 
 def test_import_builds_no_structure_tables():

@@ -65,21 +65,20 @@ def test_bench_tracer_finds_every_target():
 
 def assert_packed(*values):
     """Every monomial in the values is a packed int: the raw keys of an
-    SPolynomial, of each coordinate of an element and of each row of a raw
-    vector (rows, den), and the monomials of a column table (None for the
-    unit)."""
+    SPolynomial, of each coordinate of an element and of a raw vector (raw,
+    den), and the deltas of a column table."""
     for value in values:
         if isinstance(value, SPolynomial):
             assert all(type(m) is int for m in value.raw), value.raw
         elif isinstance(value, Rank18Element):
             assert_packed(*value.coords)
         elif isinstance(value, tuple):
-            rows, _ = value
-            assert all(type(m) is int for row in rows.values() for m in row), rows
+            raw, _ = value
+            assert all(type(key) is int for key in raw), raw
         else:
-            monomials = [m for cols in value.values() for col in cols for _, m, _ in col]
-            assert all(m is None or type(m) is int for m in monomials)
-            assert any(type(m) is int for m in monomials)
+            deltas = [delta for cols in value.values() for col in cols for delta in col]
+            assert all(type(delta) is int for delta in deltas)
+            assert deltas
 
 
 @pytest.mark.parametrize("field", (F7, QW), ids=("7", "Qw"))
@@ -102,7 +101,8 @@ def test_every_route_keys_polynomials_by_packed_ints(field, monkeypatch):
     assert_packed(cliffordf.specialize(u, f), sp.reduce_free(e1), sp.columns)
     assert_packed(sp.mul(sp.reduce_free(e1), sp.reduce_free(e2)), sp.gamma())
     assert_packed(cliffordf._substituted_columns(sp, rand_gl2(field, rng))[0])
-    # the stacked block of the freeness check and the moved algebra of the
+    # the 18-row block of the freeness check, one vector with its row in the
+    # slot above the coordinate, and the moved algebra of the
     # isomorphism check, as _central_relations receives them
     seen = []
     central_relations = Rank18Algebra._central_relations
@@ -117,7 +117,7 @@ def test_every_route_keys_polynomials_by_packed_ints(field, monkeypatch):
     assert len(seen) == 2
     for columns, block in seen:
         assert_packed(columns, block)
-    assert seen[0][1][0] == {i: {i << SLOT: 1 if field.p else (1, 0)} for i in range(18)}
+    assert seen[0][1][0] == {(i << SLOT | i) << SLOT: 1 if field.p else (1, 0) for i in range(18)}
     assert_packed(SPolynomial(field, GAMMA_VARS, {(0,): 1, (2,): 3}))
 
 
