@@ -267,7 +267,8 @@ def symbol_relations_check(f: BinaryCubicForm) -> SymbolReport:
     unit = cache[""]
     eps3 = times_eps3(unit)
     sides = [(alg._reduce(e, cache), ({}, 1)) for e in commutators] + [
-        (alg._fold(((eps3, z),)), times_eps3(alg._fold(((unit, z),)))) for z in "xy"
+        (alg._fold(((eps3, z),), field.p), times_eps3(alg._fold(((unit, z),), field.p)))
+        for z in "xy"
     ]
     names = ("eps-x-commutation", "eps-y-commutation", "eps-cube-central-x", "eps-cube-central-y")
     checks = {}

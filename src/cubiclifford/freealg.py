@@ -54,6 +54,12 @@ class FreeElement(Terms):
     __mul__, __pow__, scale = Terms.__mul__, Terms.__pow__, Terms.scale
 
     def __init__(self, field: FieldSpec, terms: dict):
+        """``terms`` maps words over ``LETTERS`` to Scalars of ``field`` (or to
+        values that ``field.scalar`` accepts); another key raises
+        ``ValueError``."""
+        for w in terms:
+            if type(w) is not str or w.strip(LETTERS):
+                raise ValueError(f"{w!r} is not a word in the letters {LETTERS}")
         super().__init__(field, LETTERS, terms)
 
     # -- monomials -------------------------------------------------------
@@ -78,8 +84,6 @@ class FreeElement(Terms):
 
     @staticmethod
     def word(field, w: str, coeff=1):
-        if not set(w) <= set(LETTERS):
-            raise ValueError(f"{w!r} is not a word in the letters {LETTERS}")
         return FreeElement(field, {w: field.scalar(coeff)})
 
     @staticmethod

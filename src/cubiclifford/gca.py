@@ -63,7 +63,7 @@ from .freealg import (
     s_element,
 )
 from .spoly import _SLOT_MASK, GCA_VARS, SLOT, RawTerms, SPolynomial, accumulate, canonical, pack
-from .spoly import discriminant_polynomial, raw_product, raw_scalar, scaled, times
+from .spoly import discriminant_polynomial, raw_product, raw_scalar, scaled
 
 BASIS_WORDS = (
     "",
@@ -450,11 +450,11 @@ class GCAElement(Rank18Element):
 
 
 def _gathered(p, terms: dict, den: int):
-    """({letter: columns}, den) of the canonical ``terms``, keyed (letter, j,
-    delta): column j of a letter maps each delta = ((i - j) << shift) + m to
-    the raw numerator over den of the term m e_i of b_j * letter, shift
-    being the algebra's ``shift``, so that the term of b_j at the key
-    j << shift | m1 of a vector lands at key + delta."""
+    """({letter: columns}, den) of the canonical ``terms`` (``spoly.canonical``
+    with ``p``), keyed (letter, j, delta): column j of a letter maps each
+    delta = ((i - j) << shift) + m to the raw numerator over den of the term
+    m e_i of b_j * letter, shift being the algebra's ``shift``, so that the
+    term of b_j at the key j << shift | m1 of a vector lands at key + delta."""
     terms, den = canonical(p, terms, den)
     columns = {letter: [{} for _ in range(18)] for letter in "xy"}
     for (letter, j, delta), c in terms.items():
@@ -462,17 +462,19 @@ def _gathered(p, terms: dict, den: int):
     return columns, den
 
 
-@lru_cache(maxsize=16)
-def generic_columns(field: FieldSpec):
+@lru_cache(maxsize=None)
+def generic_columns():
     """(columns, 1): the columns of right multiplication by x and y on the
-    basis over ``field``, each S-monomial of the integer columns its own
-    monomial, derived once per field."""
-    one, shift = raw_scalar(field.one())[0], SLOT * len(GCA_VARS)
+    basis, each S-monomial of the integer columns its own monomial and each
+    value the integer itself (``_gathered`` over Z, ``p`` = 0). The structure
+    constants are integers, so this one table serves every field: a fold
+    over F_p reduces its sums mod p."""
+    shift = SLOT * len(GCA_VARS)
     terms = {
-        (letter, j, ((i - j) << shift) + pack(e, 5)): scaled(n, one)
+        (letter, j, ((i - j) << shift) + pack(e, 5)): n
         for (letter, j, i), e, n in _structure_columns_int()
     }
-    return _gathered(field.p, terms, 1)
+    return _gathered(0, terms, 1)
 
 
 class Rank18Algebra:
@@ -491,6 +493,16 @@ class Rank18Algebra:
     structure constants 1.b_i b_j from the word cache, as a reduction reads
     its words. ``_element`` alone makes ``SPolynomial``s, for results.
 
+    ``ring`` is the layout of the columns and so of the word cache, as
+    ``spoly.canonical`` reads it: p over F_p; over Q and Q(w), 0 (integers
+    over den 1) when the columns are the integer generic table
+    (``generic_columns``), else None (integer pairs), as the specialized
+    columns are. An element's vector is in the field's layout. Over Z a word
+    vector meets an element's coefficients only in a reduction (word vector
+    times coefficient), a product (1.b_i b_j times the term products of u_i
+    and v_j) and a fold of an element's vector (column times coordinate),
+    each an ``accumulate`` of integer maps times pairs.
+
     One cache rule holds for every algebra, generic, specialized or moved:
     the columns are fixed at construction; the word cache (each folded word
     w, as 1.w, rooted at the unit e_0) is derived from them and lives as
@@ -503,10 +515,12 @@ class Rank18Algebra:
         self.base = base
         self.field = field
         self.columns, self.den = columns, den
+        c = next(iter(columns["x"][0].values()))  # of b_0 * x, never 0
+        self.ring = 0 if field.p is None and type(c) is int else field.p
         self.shift = SLOT * len(variables)
         self._zero = SPolynomial.zero(field, variables)
         self._unit = SPolynomial.const(field, 1, variables)
-        self._word_cache = {"": self._scalar_vector(0, field.one())}
+        self._word_cache = {"": ({0: (1, 0) if self.ring is None else 1}, 1)}
 
     def _element(self, vector):
         raw, den = vector
@@ -544,12 +558,13 @@ class Rank18Algebra:
         coords[0] = poly
         return self.ELEMENT(self.base, coords)
 
-    def _fold(self, items):
+    def _fold(self, items, p):
         """The canonical sum of vector times letter over the (vector,
-        letter) items: the term a at the key k of coordinate
-        j = k >> shift & _SLOT_MASK adds a*c at k + delta for each (delta,
-        c) of column j. A slot above the coordinate, as a block's row, is
-        left as it is."""
+        letter) items, the vectors in the layout ``p``: the word cache's
+        (``ring``) or an element's (the field's ``p``). The term a at the key
+        k of coordinate j = k >> shift & _SLOT_MASK adds a*c at k + delta
+        for each (delta, c) of column j. A slot above the coordinate, as a
+        block's row, is left as it is."""
         common = lcm(*(den for (_, den), _ in items))
         shift = self.shift
         entries = [
@@ -558,30 +573,32 @@ class Rank18Algebra:
             for cols, f in ((self.columns[letter], common // den),)
             for key, a in raw.items()
         ]
-        return canonical(self.field.p, accumulate(self.field.p, {}, entries), common * self.den)
+        return canonical(p, accumulate(self.ring, {}, entries), common * self.den)
 
     def _central_relations(self, coeffs, cache: dict) -> list:
         """[B r == c B] for the four central relations r = c: r the word sum
         of X3, AL, BE or Y3 (three letters, coefficient 1), c its entry of
-        ``coeffs`` and B the block cache[""]. A block is a vector whose keys
-        may carry a slot above the coordinate, such as the row of a stack of
-        vectors: the fold leaves that slot as it is and is linear, so it
-        moves every row at once. B r is one ``_fold`` of the blocks B w[:2]
-        (from ``cache``) by w[2]."""
+        ``coeffs`` and B the block cache[""], in the field's layout (the
+        columns of a specialized or moved algebra are). A block is a vector
+        whose keys may carry a slot above the coordinate, such as the row of
+        a stack of vectors: the fold leaves that slot as it is and is
+        linear, so it moves every row at once. B r is one ``_fold`` of the
+        blocks B w[:2] (from ``cache``) by w[2]."""
         p, (raw, den) = self.field.p, cache[""]
         out = []
         for var, c in zip(GCA_VARS, coeffs):
             words = CENTRAL_EXPANSIONS[var]
-            lhs = self._fold([(self._word_vector(w[:2], cache), w[2]) for w in words])
+            lhs = self._fold([(self._word_vector(w[:2], cache), w[2]) for w in words], p)
             num, c_den = raw_scalar(c)
             out.append(lhs == canonical(p, accumulate(p, {}, [(raw, None, num)]), den * c_den))
         return out
 
     def _word_vector(self, w: str, cache: dict, budget=None):
-        """The vector of the word w, folded on from its longest prefix in
-        ``cache`` (which holds the empty word); every prefix of at most
-        ``PREFIX_CACHE_LETTERS`` letters folded on the way is stored in
-        ``cache``. ``budget.charge`` is told the letters folded first."""
+        """The vector of the word w, in the layout ``ring``, folded on from
+        its longest prefix in ``cache`` (which holds the empty word); every
+        prefix of at most ``PREFIX_CACHE_LETTERS`` letters folded on the way
+        is stored in ``cache``. ``budget.charge`` is told the letters folded
+        first."""
         cached = cache.get(w)
         if cached is not None:
             return cached
@@ -594,7 +611,7 @@ class Rank18Algebra:
             budget.charge(len(w) - k)
         vector = cache[w[:k]]
         for pos in range(k, len(w)):
-            vector = self._fold(((vector, w[pos]),))
+            vector = self._fold(((vector, w[pos]),), self.ring)
             if pos < PREFIX_CACHE_LETTERS:
                 cache[w[: pos + 1]] = vector
         return vector
@@ -607,7 +624,7 @@ class Rank18Algebra:
         vectors = [(c, self._word_vector(w, cache, budget)) for w, c in e.raw.items()]
         common = lcm(*(den for _, (_, den) in vectors))
         items = [(raw, None, scaled(common // den, c)) for c, (raw, den) in vectors]
-        return canonical(self.field.p, accumulate(self.field.p, {}, items), common * e.den)
+        return canonical(self.field.p, accumulate(self.ring, {}, items), common * e.den)
 
     def reduce(self, e: FreeElement):
         """Normal form of a free element; folded words stay in the word cache."""
@@ -618,7 +635,8 @@ class Rank18Algebra:
         structure constants: the sum over i, j of u_i v_j (1.b_i b_j) in one
         ``accumulate``, with 1.b_i b_j the vector of the word b_i b_j read
         from the word cache (``_word_vector``, which folds and stores a
-        missing one).
+        missing one). Each term product of u_i and v_j, in the field's
+        layout, weights 1.b_i b_j, in the layout ``ring``.
 
         It is the product: u = sum u_i b_i and v = sum v_j b_j with the u_i
         and v_j in the central coefficient ring, so uv = sum u_i v_j b_i b_j.
@@ -627,24 +645,31 @@ class Rank18Algebra:
         sum u_i v_j (1.b_i b_j)."""
         if u.base != self.base or v.base != self.base:
             raise self.ELEMENT.MISMATCH(f"{u.base} and {v.base} in an algebra over {self.base}")
-        p, cache = self.field.p, self._word_cache
+        cache = self._word_cache
         pairs = [
             (ui, vj, self._word_vector(bi + bj, cache))
             for bi, ui in zip(BASIS_WORDS, u.coords) if ui.raw
             for bj, vj in zip(BASIS_WORDS, v.coords) if vj.raw
         ]
         common = lcm(*(ui.den * vj.den * den for ui, vj, (_, den) in pairs))
-        # the coefficients commute, so the inner loop of accumulate runs
-        # over the larger of u_i and v_j
-        items = [
-            (a, key + mb, times(p, scaled(f, cb), c))
+        blocks = [
+            (raw, common // (ui.den * vj.den * den), ui.raw.items(), vj.raw.items())
             for ui, vj, (raw, den) in pairs
-            for f in (common // (ui.den * vj.den * den),)
-            for a, b in ((ui.raw, vj.raw) if len(ui.raw) >= len(vj.raw) else (vj.raw, ui.raw),)
-            for mb, cb in b.items()
-            for key, c in raw.items()
         ]
-        return self._element((accumulate(p, {}, items), common))
+        # the inner loop of accumulate runs over the terms of 1.b_i b_j; its
+        # items are generated, not listed, so a product holds only its sums
+        if self.field.p:
+            items = (
+                (raw, ma + mb, f * a * c)
+                for raw, f, us, vs in blocks for ma, a in us for mb, c in vs
+            )
+        else:
+            items = (
+                (raw, ma + mb, (f * (a * c - bd), f * (a * d + b * c - bd)))
+                for raw, f, us, vs in blocks
+                for ma, (a, b) in us for mb, (c, d) in vs for bd in (b * d,)
+            )
+        return self._element((accumulate(self.ring, {}, items), common))
 
 
 class GenericCliffordAlgebra(Rank18Algebra):
@@ -657,7 +682,7 @@ class GenericCliffordAlgebra(Rank18Algebra):
     def __init__(self, field: FieldSpec):
         if not field.has_omega():
             raise UnsupportedField("the algebra needs a field containing omega")
-        super().__init__(field, field, GCA_VARS, *generic_columns(field))
+        super().__init__(field, field, GCA_VARS, *generic_columns())
 
     def reduce_text(self, text: str, budget: int | None = None) -> GCAElement:
         """Normal form of the expression ``text``, evaluated in the algebra

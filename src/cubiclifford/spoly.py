@@ -14,6 +14,10 @@ A ``Scalar`` holds the same layout, so ``raw_scalar`` only reads it.
 ``accumulate``, the one multiply-add loop of each layout, sums unreduced
 integers into raw maps for ``RawTerms`` and the rank-18 kernel
 (``gca.Rank18Algebra``), and ``canonical`` normalizes them once per output.
+A third layout, plain integers over den 1 (``p`` = 0), holds the generic
+algebra's structure columns and word vectors for every field, as its
+structure constants are integers; over Q and Q(w) such an integer map
+meets an element's pairs in ``accumulate``'s integer-times-pair case.
 ``Scalar`` stays the type at the boundary: constructors and ``scale`` take
 Scalars, and ``terms`` returns a new {monomial: Scalar} dict.
 
@@ -144,27 +148,20 @@ def scaled(f: int, c):
     return (f * c[0], f * c[1]) if type(c) is tuple else f * c
 
 
-def times(p, x, y):
-    """The product of the raw numerators x and y: residues when ``p`` is set,
-    else integer pairs."""
-    if p:
-        return x * y
-    (a, b), (c, d) = x, y
-    bd = b * d
-    return (a * c - bd, a * d + b * c - bd)
-
-
 def canonical(p, raw: dict, den: int = 1):
     """The raw map ``raw`` over ``den`` without zeros, residues reduced mod
-    ``p``; over Q and Q(w) den shares no factor with all numerators, and is
-    1 when the map is empty. A packed key above the bound raises
-    (``in_bound``)."""
-    if p:
+    ``p``; over Q and Q(w) (``p`` None) den shares no factor with all
+    numerators, and is 1 when the map is empty. With ``p`` = 0 the values
+    are integers, the word vectors of the generic algebra over Q and Q(w),
+    and den is 1. A packed key above the bound raises (``in_bound``)."""
+    if p is None:
+        out = {m: v for m, v in raw.items() if v != (0, 0)}
+    elif p:
         out = {m: x for m, v in raw.items() if (x := v % p)}
     else:
-        out = {m: v for m, v in raw.items() if v != (0, 0)}
+        out = {m: v for m, v in raw.items() if v}
     in_bound(out)
-    if p:
+    if p is not None:
         return out, 1
     g = gcd(den, *chain.from_iterable(out.values()))
     if g == 1:
@@ -175,25 +172,39 @@ def canonical(p, raw: dict, den: int = 1):
 def accumulate(p, acc: dict, items) -> dict:
     """``acc[m1 + m] += a * c`` for each (terms, m, c) in ``items`` and
     (m1, a) in ``terms.items()``, m1 + m being the monomial product (m1 when
-    m is None). The a's and c's are raw numerators: residues when ``p`` is
-    set, else integer pairs a + b*w (w^2 = -1 - w). Returns ``acc``; its
-    keys are unchecked, so the caller bounds them (``canonical``)."""
+    m is None). The a's and c's are raw numerators. With ``p`` None both
+    are integer pairs a + b*w (w^2 = -1 - w). Else the a's are integers:
+    residues when ``p`` is set, and any integers when ``p`` is 0, the layout
+    of the generic algebra's columns and word vectors over Q and Q(w); each
+    c is then an integer, or an integer pair, and a * c is one of its kind.
+    Returns ``acc``; its keys are unchecked, so the caller bounds them
+    (``canonical``)."""
     get = acc.get
-    if p:
-        for terms, m2, c in items:
+    if p is None:
+        for terms, m2, (c, d) in items:
+            for m1, (a, b) in terms.items():
+                m = m1 if m2 is None else m1 + m2
+                bd = b * d
+                old = get(m)
+                if old is None:
+                    acc[m] = (a * c - bd, a * d + b * c - bd)
+                else:
+                    acc[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
+        return acc
+    for terms, m2, c in items:
+        if type(c) is int:
             for m1, a in terms.items():
                 m = m1 if m2 is None else m1 + m2
                 acc[m] = get(m, 0) + a * c
-        return acc
-    for terms, m2, (c, d) in items:
-        for m1, (a, b) in terms.items():
+            continue
+        c, d = c  # integer terms times a pair
+        for m1, a in terms.items():
             m = m1 if m2 is None else m1 + m2
-            bd = b * d
             old = get(m)
             if old is None:
-                acc[m] = (a * c - bd, a * d + b * c - bd)
+                acc[m] = (a * c, a * d)
             else:
-                acc[m] = (old[0] + a * c - bd, old[1] + a * d + b * c - bd)
+                acc[m] = (old[0] + a * c, old[1] + a * d)
     return acc
 
 

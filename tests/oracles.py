@@ -380,12 +380,14 @@ def relations_hold_by_reductions(alg):
 
 
 def column_polys(alg, letter, j):
-    """Column j of ``alg``'s ``letter`` as the nonzero (i, polynomial) pairs."""
+    """Column j of ``alg``'s ``letter`` as the nonzero (i, polynomial) pairs,
+    an integer column (``alg.ring`` 0, over Q and Q(w)) lifted into the
+    field's pairs."""
     zero, shift = alg._zero, alg.shift
     raws = [{} for _ in range(18)]
     for delta, c in alg.columns[letter][j].items():
         i, m = divmod((j << shift) + delta, 1 << shift)
-        raws[i][m] = c
+        raws[i][m] = (c, 0) if alg.ring == 0 else c
     return [(i, q) for i, raw in enumerate(raws) if (q := zero._make(raw, alg.den)).raw]
 
 

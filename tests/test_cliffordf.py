@@ -293,9 +293,9 @@ def test_freeness_check_folds_each_relation_once_for_all_rows(monkeypatch):
     folds = []
     fold = Rank18Algebra._fold
 
-    def counted(self, items):
+    def counted(self, items, p):
         folds.append(len(items))
-        return fold(self, items)
+        return fold(self, items, p)
 
     monkeypatch.setattr(Rank18Algebra, "_fold", counted)
     for f, _ in CORRUPTED:

@@ -27,6 +27,22 @@ def gen(field, letter):
     return FreeElement.generator(field, letter)
 
 
+@pytest.mark.parametrize(
+    "field,terms",
+    [(F7, {"xz": 1}), (F7, {"q": 2}), (QW, {"xQ": 1}), (QW, {"xy": 1, 3: 1})],
+    ids=("7-xz", "7-q", "Qw-xQ", "Qw-int"),
+)
+def test_an_element_has_words_in_x_and_y_only(field, terms):
+    # a key with another letter is refused where the element is made, as
+    # FreeElement.word refuses it, so no reduction or product meets it
+    with pytest.raises(ValueError, match="is not a word in the letters xy"):
+        FreeElement(field, terms)
+    with pytest.raises(ValueError, match="is not a word in the letters xy"):
+        FreeElement.word(field, "xz")
+    two = FreeElement.one(field).scale(field.scalar(2))
+    assert FreeElement(field, {"xy": 1, "": 2}) == gen(field, "x") * gen(field, "y") + two
+
+
 def test_word_product():
     x, y = gen(Q, "x"), gen(Q, "y")
     assert (x * y).terms == {"xy": Q.one()}

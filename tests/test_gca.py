@@ -38,7 +38,7 @@ from cubiclifford.gca import (
     irreducible_words,
     words_of_degree,
 )
-from cubiclifford.spoly import GAMMA_VARS, GCA_VARS, MAX_EXPONENT, SPolynomial
+from cubiclifford.spoly import GAMMA_VARS, GCA_VARS, MAX_EXPONENT, SPolynomial, canonical
 
 F103 = FieldSpec.prime(103)
 P64 = FieldSpec.prime(18446744073709551427)
@@ -151,7 +151,7 @@ def test_defining_relations_as_operator_identities():
         def fold(word, start=e):
             vector = alg._vector(start.coords)
             for letter in word:
-                vector = alg._fold(((vector, letter),))
+                vector = alg._fold(((vector, letter),), QW.p)
             return alg._element(vector)
 
         assert fold("xxx") == oracles.scale_poly(e, x3)
@@ -191,8 +191,8 @@ def test_fold_is_the_sum_of_one_letter_folds(where):
             ]
             expected = alg.zero()
             for vector, letter in items:
-                expected = expected + alg._element(alg._fold(((vector, letter),)))
-            assert alg._element(alg._fold(items)) == expected
+                expected = expected + alg._element(alg._fold(((vector, letter),), alg.field.p))
+            assert alg._element(alg._fold(items, alg.field.p)) == expected
 
 
 def _kernel_algebra(field, generic, rng):
@@ -202,7 +202,7 @@ def _kernel_algebra(field, generic, rng):
     if generic:
         if field.has_omega():
             return GenericCliffordAlgebra(field)
-        return Rank18Algebra(field, field, GCA_VARS, *generic_columns(field))
+        return Rank18Algebra(field, field, GCA_VARS, *generic_columns())
     while True:  # coefficients with denominators over Q and Q(w)
         coeffs = [rand_scalar(field, rng) / field.scalar(rng.randint(1, 4)) for _ in range(4)]
         f = BinaryCubicForm(field, coeffs)
@@ -227,17 +227,57 @@ def test_sparse_kernel_equals_the_dense_kernel(field, generic):
         alg = _kernel_algebra(field, generic, rng)
         for _ in range(6):
             items = [(_random_coords(alg, rng), rng.choice("xy")) for _ in range(rng.randint(1, 3))]
-            got = alg._fold([(alg._vector(coords), letter) for coords, letter in items])
+            got = alg._fold([(alg._vector(coords), letter) for coords, letter in items], field.p)
             assert alg._element(got).coords == oracles.dense_fold(alg, items)
             assert got == alg._vector(oracles.dense_fold(alg, items))
             e = rand_free_element(field, rng, max_len=7) * FreeElement(
                 field, {"": field.one() / field.scalar(rng.randint(1, 6))}
             )
-            got = alg._reduce(e, {"": alg._vector(alg.one().coords)})
+            got = alg._reduce(e, {"": alg._word_cache[""]})
             assert alg._element(got) == oracles.dense_reduce(alg, e)
             assert got == alg._vector(alg._element(got).coords)
             u, v = (alg._element(alg._vector(_random_coords(alg, rng))) for _ in range(2))
             assert alg.mul(u, v) == oracles.dense_mul(alg, u, v)
+
+
+def _word_vectors(alg, n: int) -> dict:
+    """The word vector of every word of at most n letters, each folded
+    through the algebra's word cache."""
+    cache = alg._word_cache
+    return {w: alg._word_vector(w, cache) for k in range(n + 1) for w in words_of_degree(k)}
+
+
+def test_generic_columns_and_word_vectors_are_integers_over_q_and_q_w():
+    # the structure constants are integers, so one integer table serves
+    # every field, and over Q and Q(w) the word cache holds int maps over 1
+    columns, den = generic_columns()
+    values = [c for cols in columns.values() for col in cols for c in col.values()]
+    assert den == 1 and len(values) == 70
+    assert all(type(c) is int and c for c in values)
+    rng = random.Random("integral")
+    for alg in (GenericCliffordAlgebra(QW), Rank18Algebra(Q, Q, GCA_VARS, *generic_columns())):
+        assert alg.columns is columns and alg.ring == 0
+        _word_vectors(alg, 8)
+        u, v = (alg.reduce(rand_free_element(alg.field, rng, max_len=12)) for _ in range(2))
+        alg.mul(u, v)
+        for raw, den in alg._word_cache.values():
+            assert den == 1 and all(type(c) is int and c for c in raw.values()), raw
+
+
+@pytest.mark.parametrize("p", (7, 18446744073709551427), ids=("7", "64bit"))
+def test_word_vectors_over_q_w_reduce_mod_p_to_the_f_p_word_vectors(p):
+    fp = GenericCliffordAlgebra(FieldSpec.prime(p))
+    want = _word_vectors(fp, 8)
+
+    def agrees(alg):
+        return all(canonical(p, *vector) == want[w] for w, vector in _word_vectors(alg, 8).items())
+
+    assert len(want) == 511 and agrees(GenericCliffordAlgebra(QW))
+    # control: one column entry shifted by 1 breaks the agreement
+    columns = {letter: [dict(col) for col in cols] for letter, cols in generic_columns()[0].items()}
+    delta, c = next(iter(columns["y"][17].items()))
+    columns["y"][17][delta] = c + 1
+    assert not agrees(Rank18Algebra(QW, QW, GCA_VARS, columns, 1))
 
 
 def test_defining_relations_reduce_to_zero():
