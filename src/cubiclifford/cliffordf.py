@@ -30,7 +30,6 @@ from .errors import (
     FormMismatch,
     HypothesisNotMet,
     SingularMatrix,
-    UnsupportedField,
 )
 from .fields import sqrt_in_field
 from .forms import BinaryCubicForm, GL2Element, act_gl2
@@ -41,7 +40,7 @@ from .freealg import (
     linear_substitute,
 )
 from .gca import BASIS_WORDS, GCAElement, Rank18Algebra, Rank18Element
-from .gca import _Echelon, _gathered, _structure_columns_int
+from .gca import _Echelon, _gathered, _structure_terms
 from .spoly import GAMMA_VARS, SLOT, SPolynomial, accumulate, raw_scalar, scaled
 
 
@@ -75,7 +74,7 @@ def _grouped_integer_columns():
     GA as (a, b, c, d), and the keys of the terms n * X3^a AL^b BE^c Y3^d GA^e
     grouped by ((a, b, c, d), n)."""
     keys, groups = [], {}
-    for (letter, j, i), e, n in _structure_columns_int():
+    for (letter, j, i), e, n in _structure_terms():
         key = (letter, j, ((i - j) << SLOT) + e[4])
         keys.append(key)
         groups.setdefault((e[:4], n), []).append(key)
@@ -116,8 +115,6 @@ class SpecializedAlgebra(Rank18Algebra):
     reduce_free, mul = Rank18Algebra.reduce, Rank18Algebra.mul
 
     def __init__(self, form: BinaryCubicForm):
-        if not form.field.has_omega():
-            raise UnsupportedField("the specialized algebra needs omega in the field")
         form.require_nondegenerate()
         self.form = form
         super().__init__(form, form.field, GAMMA_VARS, *specialized_columns(form))
@@ -314,10 +311,12 @@ def gamma_independence_check(f: BinaryCubicForm, degree_bound: int) -> bool:
 
     psi(p) = sum p_i(GA) b_i maps k[GA]^18 onto A_f: the generic columns
     write each b_j * letter as an S-combination of basis words modulo the
-    defining ideal (certified over Q by ``validate_structure_columns`` in
-    ``tests/oracles.py``, on every test run), and specializing at f keeps
-    that. ``relations_hold`` (1.b_i = e_i, and M_r = c*I for each central
-    relation r = c, one block identity on all 18 unit rows) makes
+    defining ideal (the literal ``gca._STRUCTURE_TABLE``, certified over Q
+    by ``validate_structure_columns`` and re-derived at p = 31 by
+    ``structure_terms_agree_at`` in ``tests/oracles.py``, on every test
+    run), and specializing at f keeps that. ``relations_hold`` (1.b_i =
+    e_i, and M_r = c*I for each central relation r = c, one block identity
+    on all 18 unit rows) makes
     phi(a) = 1.a a map A_f -> k[GA]^18 with phi(psi(p)) = sum p_i(GA) e_i
     = p, so psi is also injective and a -> 1.a is an isomorphism A_f ->
     k[GA]^18. Freeness holds in every degree at once, so ``degree_bound``

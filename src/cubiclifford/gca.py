@@ -6,39 +6,30 @@ S = k[X3, AL, BE, Y3, GA], where X3 = x^3, Y3 = y^3, AL and BE are the two
 degree-3 polarization sums, and GA = (yx)^2 - x^2y^2. Elements are stored
 as 18-vectors of S-polynomials over the fixed basis words b_0..b_17.
 
-Three reduction routes exist and are cross-checked:
+The structure constants, the normal forms of the 36 words b_j x and b_j y,
+are 70 terms, each an S-monomial times 1 or -1, the same over every field.
+They are one literal table here, read on first use; nothing in the package
+derives them. Three reduction routes are cross-checked, and they live
+apart:
 
-* folding a word letter by letter through the structure matrices Mx/My
-  (the production route, any degree);
-* the reduction oracle: exact linear algebra expressing an element in the
-  span of {S-monomial x basis word} modulo the homogeneous defining ideal
-  (authoritative; degree-capped). The structure matrices themselves are
-  derived through it, with every solution verified exactly over Z;
-* a terminating rewriter on the identity rules x^3 -> X3, y^3 -> Y3,
+* in the package, folding a word letter by letter through the structure
+  matrices Mx/My (the route of every request, any degree);
+* in the package, for the benchmark's ``gca-qw`` checker and the tests, a
+  terminating rewriter on the identity rules x^3 -> X3, y^3 -> Y3,
   yx^2 -> AL - x^2y - xyx, y^2x -> BE - xy^2 - yxy, (yx)^2 -> GA + x^2y^2,
-  followed by a fixed conversion table for the 18 irreducible words (they
-  mirror the basis degree profile 1,2,4,4,4,2,1). Every rule replaces a
-  word by strictly deglex-smaller words, so taking pending words largest
-  first rewrites each word once. The rules are linear, so by Bergman's
-  diamond lemma the result can depend only on which redex inside a word is
-  contracted: runs contracting random redexes are the confluence evidence
-  suite.
-
-All exact linear algebra of the package runs through one row-sparse
-elimination kernel, ``_Echelon``, either mod p on Python ints or over exact
-field values. Its callers and their exact checks:
-
-* ``_DegreeSystem.solve_int`` (structure columns, conversion table):
-  eliminates mod a fixed prime, lifts symmetrically and verifies every
-  solution over Z;
-* ``GenericCliffordAlgebra.oracle_reduce``: one echelon per field and
-  degree; a target outside the span is reported as an inconsistent system;
-* ``cliffordf._rank``, which nothing in the package calls.
-
-The certificate of the structure columns, which decides over Q that each
-column re-expands into its word modulo the defining ideal, is a test:
-``ideal_membership`` and ``validate_structure_columns`` in
-``tests/oracles.py`` run the same kernel on every test run.
+  followed by a literal conversion table for the 18 irreducible words (they
+  mirror the basis degree profile 1,2,4,4,4,2,1), kept apart from the
+  structure table. Every rule replaces a word by strictly deglex-smaller
+  words, so taking pending words largest first rewrites each word once.
+  The rules are linear, so by Bergman's diamond lemma the result can depend
+  only on which redex inside a word is contracted: runs contracting random
+  redexes are the confluence evidence suite;
+* in ``tests/oracles.py``, the reduction oracle ``oracle_reduce``: exact
+  linear algebra expressing an element in the span of {S-monomial x basis
+  word} modulo the homogeneous defining ideal (authoritative;
+  degree-capped), with the degree systems it eliminates. The tests
+  re-derive both literal tables through it and certify the structure table
+  over Q (``validate_structure_columns``) on every run.
 """
 
 from __future__ import annotations
@@ -46,11 +37,10 @@ from __future__ import annotations
 import heapq
 import random
 from functools import lru_cache
-from itertools import product
 from math import lcm
 
 from ._parsing import ExprParser
-from .errors import BudgetExceeded, FieldMismatch, NonTermination, UnsupportedField
+from .errors import BudgetExceeded, FieldMismatch, NonTermination
 from .fields import DEFAULT_SCAN_BUDGET, FieldSpec, Scalar, power
 from .freealg import (
     FreeElement,
@@ -91,77 +81,18 @@ CENTRAL_EXPANSIONS = {
     "GA": {"yxyx": 1, "xxyy": -1},
 }
 
-MAX_ORACLE_DEGREE = 9
-
 # the longest word prefix a word cache stores: a fold of a longer word goes
 # on from it without storing more, so a word of n letters costs n folds but
 # not n^2/2 cached characters
 PREFIX_CACHE_LETTERS = 64
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            out[w] = out.get(w, 0) + c1 * c2
-    return {w: c for w, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _monomial_expansion(expo: tuple) -> tuple:
-    """Word expansion (with integer coefficients) of an S-monomial."""
-    out = {"": 1}
-    for var, e in zip(GCA_VARS, expo):
-        for _ in range(e):
-            out = _dict_mul(out, CENTRAL_EXPANSIONS[var])
-    return tuple(sorted(out.items()))
-
-
-def _monomials_of_degree(d: int):
-    """Exponent tuples (X3, AL, BE, Y3, GA) of total word degree d."""
-    for e in range(d // 4 + 1):
-        rem = d - 4 * e
-        if rem % 3:
-            continue
-        k = rem // 3
-        for a in range(k + 1):
-            for b in range(k - a + 1):
-                for c in range(k - a - b + 1):
-                    yield (a, b, c, k - a - b - c, e)
-
-
-def words_of_degree(n: int):
-    return ["".join(p) for p in product("xy", repeat=n)]
-
-
-def _ideal_columns(n: int):
-    """Spanning vectors of the degree-n component of the defining ideal."""
-    cols = []
-    for rel in RELATIONS:
-        for left_len in range(n - 3):
-            right_len = n - 4 - left_len
-            for u in words_of_degree(left_len):
-                for v in words_of_degree(right_len):
-                    cols.append({u + w + v: c for w, c in rel.items()})
-    return cols
-
-
-def _candidate_columns(n: int):
-    """(monomial expo, basis index, word expansion) triples of degree n."""
-    out = []
-    for i, bword in enumerate(BASIS_WORDS):
-        d = n - len(bword)
-        if d < 0:
-            continue
-        for expo in _monomials_of_degree(d):
-            expansion = {w + bword: c for w, c in _monomial_expansion(expo)}
-            out.append((expo, i, expansion))
-    return out
-
-
 class _Echelon:
-    """Row-sparse semi-echelon basis: the package's one exact elimination.
+    """Row-sparse semi-echelon basis: the one exact elimination, over Python
+    ints mod p or over exact field values. No request eliminates: its one
+    caller in the package is ``cliffordf._rank``, which nothing calls and
+    which stays only as a benchmark target; the oracle and the certificates
+    of ``tests/oracles.py`` run it.
 
     Rows are ``{column: value}`` dicts. With a prime ``p`` the values are
     residues mod p held as Python ints, so any p is exact; with ``p=None``
@@ -216,84 +147,72 @@ class _Echelon:
         return True
 
 
-def _verify_over_z(target: dict, columns, coeffs: dict, what: str):
-    """Raise unless sum of coeffs[j] * columns[j] equals target over Z."""
-    acc = dict(target)
-    for j, v in coeffs.items():
-        for w, k in columns[j].items():
-            acc[w] = acc.get(w, 0) - v * k
-    if any(acc.values()):
-        raise AssertionError(f"{what} failed exact verification")
+# -- the structure constants ---------------------------------------------------
+
+# The structure constants, the same over every field: each line writes the
+# word b_j + letter as its normal form, a sum of terms +-m*e_i with m an
+# S-monomial (no factor for 1). Text, not a tuple literal, so that an
+# interpreter that compiles this module from source builds no syntax tree
+# for it; it is read on first use.
+_STRUCTURE_TABLE = """
+x = +e1
+y = +e2
+xx = +e3
+xy = +e4
+yx = +e5
+yy = +e6
+xxx = +X3*e0
+xxy = +e7
+xyx = +AL*e0 -e7 -e10
+xyy = +e8
+yxx = +e10
+yxy = +BE*e0 -e8 -e9
+yyx = +e9
+yyy = +Y3*e0
+xxyx = +AL*e1 -X3*e2 -e13
+xxyy = +e11
+xyyx = +BE*e1 -e11 -e12
+xyyy = +Y3*e1
+yyxx = -GA*e0 +e12
+yyxy = +e14
+yxxx = +X3*e2
+yxxy = +AL*e2 -e11 -e12
+xxyyx = +e15
+xxyyy = +Y3*e3
+xyxyx = +GA*e1 +X3*e6
+xyxyy = +e16
+xyxxx = +X3*e4
+xyxxy = -BE*e3 +AL*e4 +e15
+yyxyx = +GA*e2 -Y3*e3 +AL*e6 -e16
+yyxyy = -Y3*e4 -Y3*e5 +BE*e6
+xxyyxx = +X3*BE*e0 -GA*e3 -X3*e8 -X3*e9
+xxyyxy = +e17
+xyxyyx = +AL*BE*e0 -X3*Y3*e0 -GA*e4 -AL*e8 -BE*e10 -e17
+xyxyyy = +AL*Y3*e0 -Y3*e7 -Y3*e10
+xxyyxyx = -X3*BE*e2 +GA*e7 +AL*e11 +X3*e14
+xxyyxyy = -AL*Y3*e1 +BE*e11 +Y3*e13
+"""
+
+_BASIS_INDEX = {w: i for i, w in enumerate(BASIS_WORDS)}
 
 
-class _DegreeSystem:
-    """Candidate and ideal columns of one homogeneous degree: a target
-    word-vector is solved over the candidate columns modulo the ideal.
-
-    ``solve_int`` eliminates once mod a fixed prime, lifts each solution
-    symmetrically to Z and verifies it exactly over Z before returning it;
-    ``echelon`` eliminates the same columns in any field for the oracle.
-    """
-
-    PRIME = 9973
-
-    def __init__(self, n: int):
-        if n > MAX_ORACLE_DEGREE:
-            raise NonTermination(f"oracle capped at degree {MAX_ORACLE_DEGREE}")
-        self.n = n
-        self.words = words_of_degree(n)
-        self.index = {w: k for k, w in enumerate(self.words)}
-        self.candidates = _candidate_columns(n)
-        self.ideal = _ideal_columns(n)
-        self.columns = [c for (_, _, c) in self.candidates] + self.ideal
-        self.mod_prime = self.echelon(self.PRIME)
-
-    def echelon(self, p: int | None, value=int) -> _Echelon:
-        """The columns eliminated mod p, or with ``p=None`` over the field
-        whose elements ``value`` makes of the integer entries."""
-        ech = _Echelon(p)
-        pivoted = [
-            ech.add({self.index[w]: value(c) for w, c in col.items()}, j)
-            for j, col in enumerate(self.columns)
-        ]
-        # candidates are linearly independent (freeness), so adding them
-        # first makes every candidate column a pivot
-        if not all(pivoted[: len(self.candidates)]):
-            raise AssertionError("candidate columns failed to pivot")
-        return ech
-
-    def solve(self, ech: _Echelon, target: dict) -> dict:
-        """{column: coefficient} with the columns so weighted equal to target."""
-        rem, combo = ech.reduce({self.index[w]: c for w, c in target.items()})
-        if rem:
-            raise AssertionError("element not reducible: inconsistent system")
-        return combo
-
-    def solve_int(self, target: dict) -> dict:
-        """{(monomial expo, basis index): int} with exact verification."""
-        p = self.PRIME
-        lifted = {}
-        for c, v in self.solve(self.mod_prime, target).items():
-            lifted[c] = v - p if v > p // 2 else v
-        _verify_over_z(target, self.columns, lifted, "integer lift")
-        sol = {}
-        for c, v in lifted.items():
-            if c < len(self.candidates):
-                expo, i, _ = self.candidates[c]
-                sol[(expo, i)] = v
-        return sol
+def _read_table(table: str):
+    """(word, i, S-exponent, n) of each term n*m*e_i of each line of a
+    literal table, n = +-1."""
+    for line in table.strip().splitlines():
+        word, terms = line.split(" = ")
+        for term in terms.split():
+            *names, unit = term[1:].split("*")
+            yield word, int(unit[1:]), tuple(map(names.count, GCA_VARS)), int(term[0] + "1")
 
 
-@lru_cache(maxsize=None)
-def _degree_system(n: int) -> _DegreeSystem:
-    return _DegreeSystem(n)
-
-
-@lru_cache(maxsize=None)
-def _oracle_echelon(field: FieldSpec, n: int):
-    """The degree-n columns eliminated over ``field`` (residues mod p)."""
-    sysd = _degree_system(n)
-    return sysd, sysd.echelon(field.p, int if field.p else field.scalar)
+def _structure_terms() -> list:
+    """The ((letter, j, i), S-exponent, n) terms of the coordinates i of
+    BASIS_WORDS[j] * letter."""
+    return [
+        ((word[-1], _BASIS_INDEX[word[:-1]], i), e, n)
+        for word, i, e, n in _read_table(_STRUCTURE_TABLE)
+    ]
 
 
 # -- rewriting route ----------------------------------------------------------
@@ -339,32 +258,28 @@ def irreducible_words():
     return words
 
 
-def _word_coords_int(w: str) -> tuple:
-    """The 18 coordinate polynomials of the word w, integer coefficients,
-    each a sorted tuple of (exponent, coefficient)."""
-    coords = [{} for _ in range(18)]
-    for (expo, i), c in _degree_system(len(w)).solve_int({w: 1}).items():
-        coords[i][expo] = c
-    return tuple(tuple(sorted(col.items())) for col in coords)
+# The rewriter's normal forms of the six irreducible words that are not
+# basis words, in the same layout; the twelve others are basis words b_i,
+# each e_i. Kept apart from the structure table, which would give some of
+# them, so that the rewriter and the fold stay independent routes.
+_CONVERSION_TABLE = """
+xyx = +AL*e0 -e7 -e10
+yxy = +BE*e0 -e8 -e9
+xxyx = +AL*e1 -X3*e2 -e13
+yxyy = -Y3*e1 +BE*e2 -e14
+xxyxy = +BE*e3 -X3*e6 -e15
+xxyxyy = -X3*Y3*e0 +BE*e7 -e17
+"""
 
 
 @lru_cache(maxsize=None)
-def _conversion_table_int():
-    """Irreducible word -> its integer coordinate polynomials."""
-    return {w: _word_coords_int(w) for w in irreducible_words()}
-
-
-@lru_cache(maxsize=None)
-def _structure_columns_int():
-    """The ((letter, j, i), S-exponent, integer) terms of the coordinates
-    i of BASIS_WORDS[j] * letter."""
-    return [
-        ((letter, j, i), e, c)
-        for j, bword in enumerate(BASIS_WORDS)
-        for letter in "xy"
-        for i, col in enumerate(_word_coords_int(bword + letter))
-        for e, c in col
-    ]
+def _conversion_terms() -> dict:
+    """Irreducible word -> the (i, packed S-monomial, n) terms of its normal
+    form: e_i for the basis word b_i, the literal table for the others."""
+    table = {w: [(i, 0, 1)] for w, i in _BASIS_INDEX.items()}
+    for word, i, e, n in _read_table(_CONVERSION_TABLE):
+        table.setdefault(word, []).append((i, pack(e, 5), n))
+    return table
 
 
 # -- the algebra over a coefficient ring -------------------------------------------
@@ -472,7 +387,7 @@ def generic_columns():
     shift = SLOT * len(GCA_VARS)
     terms = {
         (letter, j, ((i - j) << shift) + pack(e, 5)): n
-        for (letter, j, i), e, n in _structure_columns_int()
+        for (letter, j, i), e, n in _structure_terms()
     }
     return _gathered(0, terms, 1)
 
@@ -680,8 +595,6 @@ class GenericCliffordAlgebra(Rank18Algebra):
     reduce, mul = Rank18Algebra.reduce, Rank18Algebra.mul
 
     def __init__(self, field: FieldSpec):
-        if not field.has_omega():
-            raise UnsupportedField("the algebra needs a field containing omega")
         super().__init__(field, field, GCA_VARS, *generic_columns())
 
     def reduce_text(self, text: str, budget: int | None = None) -> GCAElement:
@@ -712,25 +625,6 @@ class GenericCliffordAlgebra(Rank18Algebra):
             lambda name, pos: run.free(ring.symbol(name, pos)),
         ).parse()
         return value.normal()
-
-    # -- oracle route ------------------------------------------------------
-
-    def oracle_reduce(self, e: FreeElement) -> GCAElement:
-        """Authoritative reduction by exact linear algebra (degree-capped)."""
-        if e.field != self.field:
-            raise FieldMismatch(f"{e.field} vs {self.field}")
-        total = self.zero()
-        for n, part in e.homogeneous_parts().items():
-            sysd, ech = _oracle_echelon(self.field, n)
-            target = {w: c.val if self.field.p else c for w, c in part.terms.items()}
-            coords = [self._zero] * 18
-            for j, c in sysd.solve(ech, target).items():
-                if j < len(sysd.candidates):
-                    expo, i, _ = sysd.candidates[j]
-                    term = SPolynomial.monomial(self.field, expo, self.field.scalar(c))
-                    coords[i] = coords[i] + term
-            total = total + GCAElement(self.field, coords)
-        return total
 
     # -- rewriter route -------------------------------------------------------
 
@@ -769,10 +663,9 @@ class GenericCliffordAlgebra(Rank18Algebra):
                 if w.startswith(lhs, k)
             ]
             if not redexes:
-                for i, col in enumerate(_conversion_table_int()[w]):
-                    if col:
-                        raw = {pack(e, 5): c if self.field.p else (c, 0) for e, c in col}
-                        rows[i] = rows[i] + raw_product(self._zero, coeff, raw, 1)
+                for i, m, n in _conversion_terms()[w]:
+                    raw = {m: n if self.field.p else (n, 0)}
+                    rows[i] = rows[i] + raw_product(self._zero, coeff, raw, 1)
                 continue
             if steps >= budget:
                 raise NonTermination(f"rewrite budget {budget} exhausted")

@@ -22,10 +22,12 @@ here folds, reductions and products run on dense 18-tuples of polynomials
 by their own operators, each output coordinate a sum over all 18 inputs,
 and the tests require equal elements.
 
-The structure columns are derived by elimination mod a prime and verified
-over Z; here every column is re-expanded into the free algebra and its
-difference from its word is decided a member of the defining ideal over Q,
-with each "member" answer certified over Z.
+The structure constants and the rewriter's conversion table are literal
+tables in the package. Here the reduction oracle derives them afresh by
+exact linear algebra over any field, at p = 31 among others, and every
+structure column is re-expanded into the free algebra and its difference
+from its word is decided a member of the defining ideal over Q, with each
+"member" answer certified over Z.
 
 The package parses an expression into one raw term map and normalizes it
 once; here every literal and name is a normalized ``FreeElement`` or
@@ -45,7 +47,7 @@ from math import gcd, lcm
 from cubiclifford._parsing import ExprParser
 from cubiclifford.cliffordf import IsoReport, SymbolReport, specialized_algebra
 from cubiclifford.curves import EllipticPoint
-from cubiclifford.errors import SingularMatrix, UnknownSymbol
+from cubiclifford.errors import FieldMismatch, NonTermination, SingularMatrix, UnknownSymbol
 from cubiclifford.fields import FieldSpec, Scalar, cube_root_in_field, hessian, poly_mulmod, power
 from cubiclifford.forms import BinaryCubicForm, GL2Element, act_gl2
 from cubiclifford.freealg import (
@@ -59,12 +61,12 @@ from cubiclifford.freealg import (
 )
 from cubiclifford.gca import (
     BASIS_WORDS,
+    CENTRAL_EXPANSIONS,
+    RELATIONS,
+    GCAElement,
+    GenericCliffordAlgebra,
     _Echelon,
-    _ideal_columns,
-    _monomial_expansion,
-    _structure_columns_int,
-    _verify_over_z,
-    words_of_degree,
+    _structure_terms,
 )
 from cubiclifford.spoly import GCA_VARS, SPolynomial
 
@@ -428,6 +430,150 @@ def dense_mul(alg, u, v):
     return alg.ELEMENT(alg.base, coords)
 
 
+# -- the reduction oracle and the derivation of the structure constants -------
+
+MAX_ORACLE_DEGREE = 9
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_expansion(expo: tuple) -> tuple:
+    """Word expansion (with integer coefficients) of an S-monomial."""
+    out = {"": 1}
+    for var, e in zip(GCA_VARS, expo):
+        for _ in range(e):
+            product = {}
+            for w1, c1 in out.items():
+                for w2, c2 in CENTRAL_EXPANSIONS[var].items():
+                    product[w1 + w2] = product.get(w1 + w2, 0) + c1 * c2
+            out = {w: c for w, c in product.items() if c}
+    return tuple(sorted(out.items()))
+
+
+def _monomials_of_degree(d: int):
+    """Exponent tuples (X3, AL, BE, Y3, GA) of total word degree d."""
+    for e in range(d // 4 + 1):
+        rem = d - 4 * e
+        if rem % 3:
+            continue
+        k = rem // 3
+        for a in range(k + 1):
+            for b in range(k - a + 1):
+                for c in range(k - a - b + 1):
+                    yield (a, b, c, k - a - b - c, e)
+
+
+def words_of_degree(n: int):
+    return ["".join(p) for p in itertools.product("xy", repeat=n)]
+
+
+def _ideal_columns(n: int):
+    """Spanning vectors of the degree-n component of the defining ideal."""
+    cols = []
+    for rel in RELATIONS:
+        for left_len in range(n - 3):
+            right_len = n - 4 - left_len
+            for u in words_of_degree(left_len):
+                for v in words_of_degree(right_len):
+                    cols.append({u + w + v: c for w, c in rel.items()})
+    return cols
+
+
+def _candidate_columns(n: int):
+    """(monomial expo, basis index, word expansion) triples of degree n."""
+    out = []
+    for i, bword in enumerate(BASIS_WORDS):
+        d = n - len(bword)
+        if d < 0:
+            continue
+        for expo in _monomials_of_degree(d):
+            expansion = {w + bword: c for w, c in _monomial_expansion(expo)}
+            out.append((expo, i, expansion))
+    return out
+
+
+class _DegreeSystem:
+    """Candidate and ideal columns of one homogeneous degree: a target
+    word-vector is solved over the candidate columns modulo the ideal, in
+    any field by ``echelon``."""
+
+    def __init__(self, n: int):
+        if n > MAX_ORACLE_DEGREE:
+            raise NonTermination(f"oracle capped at degree {MAX_ORACLE_DEGREE}")
+        self.n = n
+        self.words = words_of_degree(n)
+        self.index = {w: k for k, w in enumerate(self.words)}
+        self.candidates = _candidate_columns(n)
+        self.columns = [c for (_, _, c) in self.candidates] + _ideal_columns(n)
+
+    def echelon(self, p: int | None, value=int) -> _Echelon:
+        """The columns eliminated mod p, or with ``p=None`` over the field
+        whose elements ``value`` makes of the integer entries."""
+        ech = _Echelon(p)
+        pivoted = [
+            ech.add({self.index[w]: value(c) for w, c in col.items()}, j)
+            for j, col in enumerate(self.columns)
+        ]
+        # candidates are linearly independent (freeness), so adding them
+        # first makes every candidate column a pivot
+        if not all(pivoted[: len(self.candidates)]):
+            raise AssertionError("candidate columns failed to pivot")
+        return ech
+
+    def solve(self, ech: _Echelon, target: dict) -> dict:
+        """{column: coefficient} with the columns so weighted equal to target."""
+        rem, combo = ech.reduce({self.index[w]: c for w, c in target.items()})
+        if rem:
+            raise AssertionError("element not reducible: inconsistent system")
+        return combo
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_system(n: int) -> _DegreeSystem:
+    return _DegreeSystem(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_echelon(field: FieldSpec, n: int):
+    """The degree-n columns eliminated over ``field`` (residues mod p)."""
+    sysd = _degree_system(n)
+    return sysd, sysd.echelon(field.p, int if field.p else field.scalar)
+
+
+def oracle_reduce(alg, e: FreeElement) -> GCAElement:
+    """The normal form of ``e`` in the generic algebra ``alg`` by exact
+    linear algebra, one echelon per field and degree (authoritative;
+    degree-capped); a target outside the span is an inconsistent system."""
+    field = alg.field
+    if e.field != field:
+        raise FieldMismatch(f"{e.field} vs {field}")
+    total = alg.zero()
+    for n, part in e.homogeneous_parts().items():
+        sysd, ech = _oracle_echelon(field, n)
+        target = {w: c.val if field.p else c for w, c in part.terms.items()}
+        coords = [alg._zero] * 18
+        for j, c in sysd.solve(ech, target).items():
+            if j < len(sysd.candidates):
+                expo, i, _ = sysd.candidates[j]
+                coords[i] = coords[i] + SPolynomial.monomial(field, expo, field.scalar(c))
+        total = total + GCAElement(field, coords)
+    return total
+
+
+def structure_terms_agree_at(p: int, terms) -> bool:
+    """Whether the structure ``terms`` ((letter, j, i), S-exponent, n), mod
+    p, are the terms of each b_j * letter that the oracle derives over F_p."""
+    field = FieldSpec.prime(p)
+    alg = GenericCliffordAlgebra(field)
+    derived = {
+        ((letter, j, i), e, c.val)
+        for j, w in enumerate(BASIS_WORDS)
+        for letter in "xy"
+        for i, coord in enumerate(oracle_reduce(alg, FreeElement.word(field, w + letter)).coords)
+        for e, c in coord.terms.items()
+    }
+    return derived == {(key, e, n % p) for key, e, n in terms}
+
+
 def ideal_membership(vec: dict, n: int) -> bool:
     """Exact membership of an integer word-vector in the degree-n ideal
     component, decided over Q (independent of the mod-p solver). A "member"
@@ -444,17 +590,22 @@ def ideal_membership(vec: dict, n: int) -> bool:
         return False
     den = lcm(*(q.denominator for q in combo.values()))
     coeffs = {j: q.numerator * (den // q.denominator) for j, q in combo.items()}
-    _verify_over_z({w: den * c for w, c in vec.items()}, cols, coeffs, "ideal membership")
+    acc = {w: den * c for w, c in vec.items()}  # minus the combination, over Z
+    for j, v in coeffs.items():
+        for w, k in cols[j].items():
+            acc[w] = acc.get(w, 0) - v * k
+    if any(acc.values()):
+        raise AssertionError("ideal membership failed exact verification")
     return True
 
 
-def validate_structure_columns() -> bool:
-    """Re-expand every structure column back into the free algebra and check
-    membership of the difference in the defining ideal over Q (independent
-    of the mod-p pivoting that produced the columns)."""
-    diffs = {}
-    for (letter, j, i), expo, c in _structure_columns_int():
-        diff = diffs.setdefault((letter, j), {BASIS_WORDS[j] + letter: -1})
+def validate_structure_columns(terms=None) -> bool:
+    """Re-expand every structure column (of ``terms``, by default the
+    package's table) back into the free algebra and check membership of the
+    difference in the defining ideal over Q."""
+    diffs = {(letter, j): {w + letter: -1} for j, w in enumerate(BASIS_WORDS) for letter in "xy"}
+    for (letter, j, i), expo, c in _structure_terms() if terms is None else terms:
+        diff = diffs[(letter, j)]
         for w, k in _monomial_expansion(expo):
             key = w + BASIS_WORDS[i]
             diff[key] = diff.get(key, 0) + c * k

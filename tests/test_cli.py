@@ -264,7 +264,7 @@ GAMMA_FREE_GOLDEN = json.loads((Path(__file__).parent / "golden_gamma_free.json"
 )
 def test_gamma_free_output_is_frozen(capsys, case):
     # stdout, stderr and exit code of the rank-based check this one replaced:
-    # bounds 0-3 and -1, large primes, Q(w) and the three error exits
+    # bounds 0-3 and -1, large primes, Q(w), Q and the two error exits
     assert run_cli(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 

@@ -606,10 +606,9 @@ def _values(field, rng):
         rand_free_element(field, rng),
         EllipticPoint.affine(field, s * s - g**3, g, s),
     ]
-    if field.has_omega():
-        free = rand_free_element(field, rng)
-        values.append(GenericCliffordAlgebra(field).reduce(free))
-        values.append(specialized_algebra(rand_form(field, rng)).reduce_free(free))
+    free = rand_free_element(field, rng)
+    values.append(GenericCliffordAlgebra(field).reduce(free))
+    values.append(specialized_algebra(rand_form(field, rng)).reduce_free(free))
     return values
 
 

@@ -13,12 +13,12 @@ from conftest import F7, F7B, F13, Q, QW, rand_form, rand_free_element, rand_gl2
 from cubiclifford.cliffordf import (
     CliffordFElement,
     SpecializedAlgebra,
+    check_clifford_iso,
     specialized_algebra,
-    specialized_columns,
 )
 from cubiclifford.errors import FieldMismatch, NonTermination, NumberTooLarge, UnsupportedField
 from cubiclifford.fields import FieldSpec
-from cubiclifford.forms import BinaryCubicForm
+from cubiclifford.forms import BinaryCubicForm, GL2Element
 from cubiclifford.freealg import (
     FreeElement,
     delta_element,
@@ -29,16 +29,18 @@ from cubiclifford.freealg import (
     s_element,
 )
 from cubiclifford.gca import (
+    _conversion_terms,
     _identity_elements,
+    _structure_terms,
     BASIS_WORDS,
     GCAElement,
     GenericCliffordAlgebra,
     Rank18Algebra,
     generic_columns,
     irreducible_words,
-    words_of_degree,
 )
 from cubiclifford.spoly import GAMMA_VARS, GCA_VARS, MAX_EXPONENT, SPolynomial, canonical
+from oracles import oracle_reduce, words_of_degree
 
 F103 = FieldSpec.prime(103)
 P64 = FieldSpec.prime(18446744073709551427)
@@ -110,33 +112,66 @@ def test_an_element_needs_18_coordinates_also_under_python_O(n):
 
 
 def test_import_builds_no_structure_tables():
-    # the columns and degree systems are built on first use, never at import:
-    # every interpreter compiles and imports the package before its first call
+    # the literal tables are read into columns on first use, never at
+    # import: every interpreter compiles and imports the package before its
+    # first call
     code = (
         "from cubiclifford import cli, cliffordf, curves, fields, forms, freealg, gca, spoly; "
         "print([f.cache_info().currsize for f in "
-        "(gca._structure_columns_int, gca._degree_system, gca.generic_columns)])"
+        "(gca.generic_columns, gca._conversion_terms, cliffordf._grouped_integer_columns)])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0]"
 
 
+def test_no_request_eliminates():
+    # every algebra, the three cliffordf checks and the CLI read the literal
+    # tables: with the elimination kernel refusing to start, they all answer
+    code = "\n".join((
+        "from cubiclifford import cli, cliffordf, fields, forms, freealg, gca",
+        "def refuse(self, p=None):",
+        "    raise AssertionError('eliminated')",
+        "gca._Echelon.__init__ = refuse",
+        "for field in (fields.FieldSpec.cyclotomic(), fields.FieldSpec.prime(7)):",
+        "    alg = gca.GenericCliffordAlgebra(field)",
+        "    u = alg.reduce(freealg.parse_free_expression('x*y*x - 2*y^2*x + 1', field))",
+        "    assert alg.mul(u, u) == alg.reduce_text('(x*y*x - 2*y^2*x + 1)^2')",
+        "    assert all(v['pass'] for v in alg.verify_center_identities().values())",
+        "    f = forms.BinaryCubicForm(field, (1, 0, 0, 2))",
+        "    assert cliffordf.gamma_independence_check(f, 2)",
+        "    assert cliffordf.check_clifford_iso(forms.GL2Element(field, (1, 2, 3, 5)), f).passed",
+        "    assert cliffordf.symbol_relations_check(f).passed",
+        "print(cli.main(['reduce', '--field', 'Qw', '--expr', 'x^3*y - w*y*x^3']))",
+    ))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"
+
+
 def test_structure_columns_ideal_membership():
-    # every column re-expands into the free algebra modulo the defining
-    # ideal (exact membership over Q, independent of the mod-p derivation)
+    # every column of the literal table re-expands into the free algebra
+    # modulo the defining ideal (exact membership over Q)
     assert oracles.validate_structure_columns()
 
 
 def test_structure_columns_cross_derived_at_independent_prime():
-    # re-derive every column with the oracle pivoting over p = 31 (a prime
-    # the integer derivation never touched) and compare
-    f31 = FieldSpec.prime(31)
-    alg = GenericCliffordAlgebra(f31)
-    for j, w in enumerate(BASIS_WORDS):
-        for letter in "xy":
-            fresh = alg.oracle_reduce(FreeElement.word(f31, w + letter))
-            assert fresh == column(alg, letter, j)
+    # re-derive every column with the oracle pivoting over p = 31 and
+    # compare; every constant is below 31/2 in size, so agreement mod 31
+    # pins each one over Z
+    terms = _structure_terms()
+    assert len(terms) == 70 and all(0 < abs(n) < 31 / 2 for _, _, n in terms)
+    assert oracles.structure_terms_agree_at(31, terms)
+
+
+def test_a_corrupted_structure_table_fails_both_certificates():
+    # control: one constant with its sign flipped fails the Q certificate
+    # and the p = 31 re-derivation
+    terms = _structure_terms()
+    key, e, n = terms[-1]
+    corrupted = terms[:-1] + [(key, e, -n)]
+    assert not oracles.validate_structure_columns(corrupted)
+    assert not oracles.structure_terms_agree_at(31, corrupted)
 
 
 def test_defining_relations_as_operator_identities():
@@ -196,21 +231,14 @@ def test_fold_is_the_sum_of_one_letter_folds(where):
 
 
 def _kernel_algebra(field, generic, rng):
-    """A generic or specialized algebra over ``field``, built from the same
-    column routines as the package's algebras; over Q, which has no omega,
-    the package builds neither, but the columns are integral."""
+    """A generic or specialized algebra over ``field``."""
     if generic:
-        if field.has_omega():
-            return GenericCliffordAlgebra(field)
-        return Rank18Algebra(field, field, GCA_VARS, *generic_columns())
+        return GenericCliffordAlgebra(field)
     while True:  # coefficients with denominators over Q and Q(w)
         coeffs = [rand_scalar(field, rng) / field.scalar(rng.randint(1, 4)) for _ in range(4)]
         f = BinaryCubicForm(field, coeffs)
         if f.is_nondegenerate():
-            break
-    if field.has_omega():
-        return SpecializedAlgebra(f)
-    return Rank18Algebra(f, field, GAMMA_VARS, *specialized_columns(f))
+            return SpecializedAlgebra(f)
 
 
 KERNEL_FIELDS = (F7, FieldSpec.prime(2**61 - 1), FieldSpec.prime(18446744073709551427), Q, QW)
@@ -255,7 +283,7 @@ def test_generic_columns_and_word_vectors_are_integers_over_q_and_q_w():
     assert den == 1 and len(values) == 70
     assert all(type(c) is int and c for c in values)
     rng = random.Random("integral")
-    for alg in (GenericCliffordAlgebra(QW), Rank18Algebra(Q, Q, GCA_VARS, *generic_columns())):
+    for alg in (GenericCliffordAlgebra(QW), GenericCliffordAlgebra(Q)):
         assert alg.columns is columns and alg.ring == 0
         _word_vectors(alg, 8)
         u, v = (alg.reduce(rand_free_element(alg.field, rng, max_len=12)) for _ in range(2))
@@ -321,7 +349,7 @@ def test_delta_cubed_normal_form():
                 17: poly("3", QW)}
     for i in range(18):
         assert got.coords[i] == expected.get(i, SPolynomial.zero(QW, GCA_VARS))
-    assert alg.oracle_reduce(delta_element(QW) ** 3) == got
+    assert oracle_reduce(alg, delta_element(QW) ** 3) == got
 
 
 def test_mul_examples():
@@ -397,7 +425,7 @@ def test_confluence_evidence_three_routes():
         e = rand_free_element(F103, rng, max_len=8)
         via_matrices = alg.reduce(e)
         via_rewriter, _ = alg.rewrite_reduce(e, rng=rng)
-        via_oracle = alg.oracle_reduce(e)
+        via_oracle = oracle_reduce(alg, e)
         assert via_matrices == via_rewriter == via_oracle
 
 
@@ -406,7 +434,7 @@ def test_confluence_evidence_over_qw():
     rng = random.Random(11)
     for _ in range(8):
         e = rand_free_element(QW, rng, max_len=6, max_terms=3)
-        assert alg.reduce(e) == alg.rewrite_reduce(e, rng=rng)[0] == alg.oracle_reduce(e)
+        assert alg.reduce(e) == alg.rewrite_reduce(e, rng=rng)[0] == oracle_reduce(alg, e)
 
 
 def test_confluence_evidence_over_qw_with_fractional_coefficients():
@@ -426,7 +454,7 @@ def test_confluence_evidence_over_qw_with_fractional_coefficients():
             terms[word] = QW.scalar((fraction(), fraction()))
         e = FreeElement(QW, terms)
         via_matrices = alg.reduce(e)
-        assert via_matrices == alg.rewrite_reduce(e, rng=rng)[0] == alg.oracle_reduce(e)
+        assert via_matrices == alg.rewrite_reduce(e, rng=rng)[0] == oracle_reduce(alg, e)
         forms.append((e, via_matrices))
     for (e1, u), (e2, v) in zip(forms, forms[1:]):
         assert alg.mul(u, v) == alg.reduce(e1 * e2)
@@ -437,7 +465,7 @@ def test_oracle_handles_degree_nine():
     # agree and the result is central
     alg = GenericCliffordAlgebra(F103)
     e3 = epsilon_element(F103) ** 3
-    via_oracle = alg.oracle_reduce(e3)
+    via_oracle = oracle_reduce(alg, e3)
     assert via_oracle == alg.reduce(e3)
     assert oracles.is_central(alg, via_oracle)
     # dense degree-9 elements at primes whose residues overflow 64-bit
@@ -448,7 +476,7 @@ def test_oracle_handles_degree_nine():
         alg = GenericCliffordAlgebra(field)
         e = FreeElement(field, {w: rand_scalar(field, rng, nonzero=True) for w in words_of_degree(9)})
         via_rewriter, _ = alg.rewrite_reduce(e, budget=100_000)
-        assert alg.oracle_reduce(e) == alg.reduce(e) == via_rewriter
+        assert oracle_reduce(alg, e) == alg.reduce(e) == via_rewriter
 
 
 def test_rewriter_rewrites_each_word_once():
@@ -459,7 +487,7 @@ def test_rewriter_rewrites_each_word_once():
     e = FreeElement(F103, {w: rand_scalar(F103, rng, nonzero=True) for w in words_of_degree(9)})
     via_rewriter, steps = alg.rewrite_reduce(e)
     assert steps <= 2**10 - 1
-    assert via_rewriter == alg.reduce(e) == alg.oracle_reduce(e)
+    assert via_rewriter == alg.reduce(e) == oracle_reduce(alg, e)
 
 
 @pytest.mark.parametrize("field", [F103, QW], ids=str)
@@ -505,9 +533,12 @@ def test_irreducible_words_mirror_basis_profile():
 
 
 def test_conversion_table_hand_checks():
-    # a few entries of the irreducible-word conversion table, derived by hand
-    # from the alpha/beta identities alone
-    alg = ALG[QW]
+    # the six entries of the irreducible-word conversion table that are not
+    # basis words, derived by hand from the alpha/beta identities alone;
+    # every irreducible word converts as the oracle reduces it, at p = 31
+    # and over Q(w)
+    others = set(_conversion_terms()) - set(BASIS_WORDS)
+    assert others | (set(BASIS_WORDS) & set(irreducible_words())) == set(irreducible_words())
 
     def vec(**coords):
         out = [SPolynomial.zero(QW, GCA_VARS)] * 18
@@ -515,23 +546,56 @@ def test_conversion_table_hand_checks():
             out[int(key[1:])] = poly(text, QW)
         return GCAElement(QW, out)
 
-    assert alg.rewrite_reduce(FreeElement.word(QW, "xyx"))[0] == vec(
-        e0="AL", e7="-1", e10="-1"
-    )
-    assert alg.rewrite_reduce(FreeElement.word(QW, "yxy"))[0] == vec(
-        e0="BE", e8="-1", e9="-1"
-    )
-    assert alg.rewrite_reduce(FreeElement.word(QW, "xxyx"))[0] == vec(
-        e1="AL", e2="-X3", e13="-1"
-    )
-    assert alg.rewrite_reduce(FreeElement.word(QW, "xxyxy"))[0] == vec(
-        e3="BE", e6="-X3", e15="-1"
-    )
+    by_hand = {
+        "xyx": vec(e0="AL", e7="-1", e10="-1"),
+        "yxy": vec(e0="BE", e8="-1", e9="-1"),
+        "xxyx": vec(e1="AL", e2="-X3", e13="-1"),
+        "yxyy": vec(e1="-Y3", e2="BE", e14="-1"),
+        "xxyxy": vec(e3="BE", e6="-X3", e15="-1"),
+        "xxyxyy": vec(e0="-X3*Y3", e7="BE", e17="-1"),
+    }
+    assert set(by_hand) == others
+    for w, want in by_hand.items():
+        assert ALG[QW].rewrite_reduce(FreeElement.word(QW, w))[0] == want
+    for field in (FieldSpec.prime(31), QW):
+        alg = GenericCliffordAlgebra(field)
+        for w in irreducible_words():
+            e = FreeElement.word(field, w)
+            assert alg.rewrite_reduce(e) == (oracle_reduce(alg, e), 0)
 
 
-def test_algebra_requires_omega():
-    with pytest.raises(UnsupportedField):
-        GenericCliffordAlgebra(FieldSpec.rationals())
+def test_algebra_over_q_raises_only_where_omega_is_needed():
+    # every structure constant is an integer, so the algebra over Q reduces
+    # and multiplies; the identities name omega, which Q lacks
+    alg = GenericCliffordAlgebra(Q)
+    assert str(alg.reduce_text("(x + y)^3 - 1/2*x*y")) == "[0] X3 + AL + BE + Y3; [4] -1/2"
+    with pytest.raises(UnsupportedField, match="Q has no primitive cube root of unity"):
+        alg.verify_center_identities()
+
+
+def test_q_answers_equal_q_w_answers_on_rational_inputs():
+    # reduce, mul, relations_hold and check_clifford_iso print over Q what
+    # they print over Q(w) on the same rational inputs
+    rng = random.Random("q-vs-qw")
+
+    def lift(c):
+        return QW.scalar(str(c))
+
+    over_q, over_qw = GenericCliffordAlgebra(Q), GenericCliffordAlgebra(QW)
+    for _ in range(20):
+        es = [rand_free_element(Q, rng, max_len=7, max_terms=3) for _ in range(2)]
+        ews = [FreeElement(QW, {w: lift(c) for w, c in e.terms.items()}) for e in es]
+        (u, v), (uw, vw) = map(over_q.reduce, es), map(over_qw.reduce, ews)
+        assert (str(u), str(v)) == (str(uw), str(vw))
+        assert str(over_q.mul(u, v)) == str(over_qw.mul(uw, vw))
+    for _ in range(10):
+        f, g = rand_form(Q, rng), rand_gl2(Q, rng)
+        fw = BinaryCubicForm(QW, [lift(c) for c in f.coeffs])
+        gw = GL2Element(QW, [lift(c) for c in g.entries()])
+        assert SpecializedAlgebra(f).relations_hold() is SpecializedAlgebra(fw).relations_hold() is True
+        got, want = check_clifford_iso(g, f), check_clifford_iso(gw, fw)
+        assert (got.relations, got.passed) == (want.relations, want.passed)
+        assert str(got.gamma_factor) == str(want.gamma_factor) == str(got.gamma_expected)
 
 
 def test_associativity_random():

@@ -23,7 +23,7 @@ commands are made here from fixed seeds:
 * ``reduce`` on 40 seeded texts at each of Q(w), F_13, F_{2^61 - 1} and
   F_18446744073709551427 (sums, products and powers of sums, powers of one
   word under and over 64 letters, ``w`` and p/q literals), ten of them at
-  ``--budget 1000``, and on three texts over Q, which has no omega;
+  ``--budget 1000``, and on three texts over Q;
 * ``disc``, ``act``, ``diagonalize``, ``jacobian``, ``torsion`` and ``stab``
   on 50 seeded forms at each of Q and Q(w), their coefficients and the
   matrix entries of ``act`` integers, fractions and, over Q(w), sums with
