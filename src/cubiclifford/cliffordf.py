@@ -1,7 +1,7 @@
 """Specialized Clifford algebras: the generic rank-18 module evaluated at a
 binary cubic form, leaving the degree-4 central generator formal.
 
-Elements are 18-vectors of univariate polynomials in GA over k. The
+Elements are 18-vectors over k[GA] (``gca.Rank18Element``). The
 specialized algebra is the generic algebra with its structure columns
 pushed through the specialization map S -> k[GA], (X3, AL, BE, Y3) -> the
 form's coefficients, the same map that ``specialize`` applies to elements
@@ -45,7 +45,7 @@ from .spoly import GAMMA_VARS, SLOT, SPolynomial, accumulate, raw_scalar, scaled
 
 
 class CliffordFElement(Rank18Element):
-    """An element of the algebra at a fixed form: 18 polynomials in GA."""
+    """An element of the algebra at a fixed form: a vector over k[GA]."""
 
     __slots__ = ()
     MISMATCH = FormMismatch
@@ -136,13 +136,12 @@ class SpecializedAlgebra(Rank18Algebra):
         whose unit row i is the key (i << SLOT | i) << shift, its row i in
         the slot above the coordinate, which the fold leaves as it is, so
         each fold moves all 18 rows at once."""
-        one, cache = self.field.one(), self._word_cache
+        unit, cache = raw_scalar(self.field.one())[0], self._word_cache
         for i, word in enumerate(BASIS_WORDS):
-            if self._word_vector(word, cache) != self._scalar_vector(i, one):
+            if self._word_vector(word, cache) != ({i << self.shift: unit}, 1):
                 return False
-        if self._reduce(gamma_element(self.field), cache) != self._vector(self.gamma().coords):
+        if self._reduce(gamma_element(self.field), cache) != ({1: unit}, 1):  # GA e_0
             return False
-        unit = raw_scalar(one)[0]
         block = ({(i << SLOT | i) << self.shift: unit for i in range(18)}, 1)
         return all(self._central_relations(self.form.coeffs, {"": block}))
 
@@ -215,8 +214,8 @@ def check_clifford_iso(g: GL2Element, f: BinaryCubicForm) -> IsoReport:
     relations = dict(zip(names, moved._central_relations(target.coeffs, moved._word_cache)))
     raw, den = moved._reduce(gamma_element(field), moved._word_cache)
     factor = None
-    if raw.keys() <= {1}:  # GA^1 e_0 packed
-        factor = moved._element((raw, den)).coords[0].terms.get((1,), field.zero())
+    if raw.keys() <= {1}:  # GA^1 e_0 packed, the key of the monomial GA
+        factor = SPolynomial._canonical(field, GAMMA_VARS, raw, den).terms.get((1,), field.zero())
     return IsoReport(relations, factor, g.det**2)
 
 
@@ -268,15 +267,12 @@ def symbol_relations_check(f: BinaryCubicForm) -> SymbolReport:
         for z in "xy"
     ]
     names = ("eps-x-commutation", "eps-y-commutation", "eps-cube-central-x", "eps-cube-central-y")
-    checks = {}
-    first_failure = None
+    checks, first_failure = {}, None
     for name, (lhs, rhs) in zip(names, sides):
-        entry = {"pass": lhs == rhs}
+        checks[name] = {"pass": lhs == rhs}
         if lhs != rhs:
-            entry["witness"] = (alg._element(lhs) - alg._element(rhs)).to_json()["coords"]
-            if first_failure is None:
-                first_failure = name
-        checks[name] = entry
+            checks[name]["witness"] = (alg._element(lhs) - alg._element(rhs)).to_json()["coords"]
+            first_failure = first_failure or name
     return SymbolReport(checks, first_failure)
 
 

@@ -3,8 +3,8 @@
 The algebra k<x, y : x^3 y = y x^3, x y^3 = y^3 x, x^2y^2 + (xy)^2 =
 y^2x^2 + (yx)^2> is free of rank 18 over the central subring
 S = k[X3, AL, BE, Y3, GA], where X3 = x^3, Y3 = y^3, AL and BE are the two
-degree-3 polarization sums, and GA = (yx)^2 - x^2y^2. Elements are stored
-as 18-vectors of S-polynomials over the fixed basis words b_0..b_17.
+degree-3 polarization sums, and GA = (yx)^2 - x^2y^2. An element is one
+packed vector over the basis words b_0..b_17; its 18 coordinates are a view.
 
 The structure constants, the normal forms of the 36 words b_j x and b_j y,
 are 70 terms, each an S-monomial times 1 or -1, the same over every field.
@@ -52,8 +52,8 @@ from .freealg import (
     gamma_element,
     s_element,
 )
-from .spoly import _SLOT_MASK, GCA_VARS, SLOT, RawTerms, SPolynomial, accumulate, canonical, pack
-from .spoly import discriminant_polynomial, raw_product, raw_scalar, scaled
+from .spoly import _SLOT_MASK, GAMMA_VARS, GCA_VARS, SLOT, RawTerms, SPolynomial, accumulate
+from .spoly import canonical, discriminant_polynomial, pack, raw_product, raw_scalar, scaled
 
 BASIS_WORDS = (
     "",
@@ -286,56 +286,90 @@ def _conversion_terms() -> dict:
 
 
 class Rank18Element:
-    """An 18-vector over the basis words with polynomial coefficients.
+    """The kernel's canonical vector (``Rank18Algebra``), ``raw`` over
+    ``den`` in the layout of ``field``; ``coords``, its 18 ``SPolynomial``s,
+    is a view computed on each read. ``base`` fixes the coefficient ring:
+    S = k[X3, AL, BE, Y3, GA] for a field k, k[GA] for a form f (the algebra
+    specialized at f). The constructor packs 18 coordinates of that ring and
+    refuses others, whose packed monomials would mean other terms. Elements
+    combine only with an equal base, else the class's ``MISMATCH`` raises."""
 
-    ``base`` fixes the coefficient ring: a field k for the generic algebra
-    over S = k[X3, AL, BE, Y3, GA], or a form f for the algebra over k[GA]
-    specialized at f. Elements combine only with elements of an equal base;
-    otherwise the subclass's ``MISMATCH`` error is raised.
-    """
-
-    __slots__ = ("base", "coords")
+    __slots__ = ("base", "field", "variables", "raw", "den")
     MISMATCH = FieldMismatch
 
     def __init__(self, base, coords):
-        self.base = base
-        self.coords = tuple(coords)
-        if len(self.coords) != 18:
-            raise ValueError(f"{len(self.coords)} coordinates, not 18")
+        coords = tuple(coords)
+        if len(coords) != 18:
+            raise ValueError(f"{len(coords)} coordinates, not 18")
+        ring = (base, GCA_VARS) if isinstance(base, FieldSpec) else (base.field, GAMMA_VARS)
+        self.base, (self.field, self.variables) = base, ring
+        zero = SPolynomial.zero(self.field, self.variables)
+        for c in coords:
+            zero._check(c)  # FieldMismatch or VariableMismatch
+        self.den, shift = lcm(*(c.den for c in coords)), SLOT * len(self.variables)
+        self.raw = {
+            i << shift | m: scaled(self.den // c.den, a)
+            for i, c in enumerate(coords) for m, a in c.raw.items()
+        }
 
-    def _check(self, other):
+    @classmethod
+    def _of(cls, base, field, variables, vector):
+        """The element of the canonical vector (raw, den)."""
+        new = object.__new__(cls)
+        new.base, new.field, new.variables = base, field, variables
+        new.raw, new.den = vector
+        return new
+
+    def _rows(self) -> list:
+        """The raw maps {m: numerator over den} of the 18 coordinates."""
+        shift = SLOT * len(self.variables)
+        rows, mask = [{} for _ in range(18)], (1 << shift) - 1
+        for key, c in self.raw.items():
+            rows[key >> shift][key & mask] = c
+        return rows
+
+    @property
+    def coords(self) -> tuple:
+        field, variables, den = self.field, self.variables, self.den
+        return tuple(SPolynomial._canonical(field, variables, r, den) for r in self._rows())
+
+    def _combined(self, items, den: int):
+        """Sum raw * c over den, c a raw numerator, for the (raw, c) items."""
+        p = self.field.p
+        vector = canonical(p, accumulate(p, {}, [(raw, None, c) for raw, c in items]), den)
+        return self._of(self.base, self.field, self.variables, vector)
+
+    def _sum(self, other, sign: int):
         if self.base != other.base:
             raise self.MISMATCH(f"{self.base} vs {other.base}")
-
-    def _like(self, coords):
-        return type(self)(self.base, coords)
+        den, unit = lcm(self.den, other.den), 1 if self.field.p else (1, 0)
+        items = ((self.raw, den // self.den), (other.raw, sign * (den // other.den)))
+        return self._combined([(raw, scaled(f, unit)) for raw, f in items], den)
 
     def __add__(self, other):
-        self._check(other)
-        return self._like([a + b for a, b in zip(self.coords, other.coords)])
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return self._like([a - b for a, b in zip(self.coords, other.coords)])
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return self._like([-a for a in self.coords])
+        return self.scale(-self.field.one())
 
     def scale(self, c: Scalar):
-        return self._like([a.scale(c) for a in self.coords])
+        if c.field != self.field:
+            raise FieldMismatch("scalar from a different field")
+        num, den = raw_scalar(c)
+        return self._combined(((self.raw, num),), self.den * den)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
+        return not self.raw
 
     def __eq__(self, other):
-        return (
-            isinstance(other, type(self))
-            and self.base == other.base
-            and self.coords == other.coords
-        )
+        same = isinstance(other, type(self))
+        return same and (self.base, self.den, self.raw) == (other.base, other.den, other.raw)
 
     def __hash__(self):
-        return hash((self.base, self.coords))
+        return hash((self.base, frozenset(self.raw.items()), self.den))
 
     def __str__(self):
         parts = [f"[{i}] {c}" for i, c in enumerate(self.coords) if not c.is_zero()]
@@ -350,18 +384,12 @@ class GCAElement(Rank18Element):
 
     __slots__ = ()
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.base
-
     def to_json(self):
         return {"coords": [str(c) for c in self.coords]}
 
     @staticmethod
     def from_json(field, obj):
-        return GCAElement(
-            field, [SPolynomial.parse(t, field, GCA_VARS) for t in obj["coords"]]
-        )
+        return GCAElement(field, [SPolynomial.parse(t, field, GCA_VARS) for t in obj["coords"]])
 
 
 def _gathered(p, terms: dict, den: int):
@@ -400,19 +428,19 @@ class Rank18Algebra:
     to its numerator over the one den, with shift = SLOT * (number of
     variables), so the coordinate i is one more packed slot above the
     monomial's; canonical (``spoly.canonical``) so that equal vectors
-    compare equal. A monomial product in the kernel is one integer
-    addition, and so is the move of a term to another coordinate: a fold
-    adds a column's delta to each key, and a product adds the monomials of
-    u_i and v_j to the keys of 1.b_i b_j. A fold, a reduction and a product
-    are each one ``accumulate``, normalized once; a product reads its
-    structure constants 1.b_i b_j from the word cache, as a reduction reads
-    its words. ``_element`` alone makes ``SPolynomial``s, for results.
+    compare equal. An element (``Rank18Element``) is one. A monomial
+    product in the kernel is one integer addition, and so is the move of a
+    term to another coordinate: a fold adds a column's delta to each key,
+    and a product adds the monomials of u_i and v_j to the keys of
+    1.b_i b_j. A fold, a reduction and a product are each one
+    ``accumulate``, normalized once; a product reads its structure
+    constants 1.b_i b_j from the word cache, as a reduction its words.
 
     ``ring`` is the layout of the columns and so of the word cache, as
     ``spoly.canonical`` reads it: p over F_p; over Q and Q(w), 0 (integers
     over den 1) when the columns are the integer generic table
     (``generic_columns``), else None (integer pairs), as the specialized
-    columns are. An element's vector is in the field's layout. Over Z a word
+    columns are; an element's vector is in the field's layout. Over Z a word
     vector meets an element's coefficients only in a reduction (word vector
     times coefficient), a product (1.b_i b_j times the term products of u_i
     and v_j) and a fold of an element's vector (column times coordinate),
@@ -428,34 +456,17 @@ class Rank18Algebra:
 
     def __init__(self, base, field: FieldSpec, variables, columns, den: int):
         self.base = base
-        self.field = field
+        self.field, self.variables = field, variables
         self.columns, self.den = columns, den
         c = next(iter(columns["x"][0].values()))  # of b_0 * x, never 0
         self.ring = 0 if field.p is None and type(c) is int else field.p
         self.shift = SLOT * len(variables)
         self._zero = SPolynomial.zero(field, variables)
-        self._unit = SPolynomial.const(field, 1, variables)
         self._word_cache = {"": ({0: (1, 0) if self.ring is None else 1}, 1)}
 
     def _element(self, vector):
-        raw, den = vector
-        shift, zero, rows = self.shift, self._zero, [{} for _ in range(18)]
-        for key, c in raw.items():
-            rows[key >> shift][key & ((1 << shift) - 1)] = c
-        return self.ELEMENT(self.base, [zero._make(row, den) if row else zero for row in rows])
-
-    def _vector(self, coords):
-        """The canonical vector of 18 coordinates."""
-        den, shift = lcm(*(c.den for c in coords)), self.shift
-        return {
-            i << shift | m: scaled(den // c.den, a)
-            for i, c in enumerate(coords) for m, a in c.raw.items()
-        }, den
-
-    def _scalar_vector(self, i: int, c: Scalar):
-        """The canonical vector of c * e_i."""
-        num, den = raw_scalar(c)
-        return ({i << self.shift: num}, den) if not c.is_zero() else ({}, 1)
+        """The element of the canonical vector (raw, den)."""
+        return self.ELEMENT._of(self.base, self.field, self.variables, vector)
 
     def zero(self):
         return self._element(({}, 1))
@@ -464,14 +475,11 @@ class Rank18Algebra:
         return self.basis_element(0)
 
     def basis_element(self, i: int):
-        coords = [self._zero] * 18
-        coords[i] = self._unit
-        return self.ELEMENT(self.base, coords)
+        return self._element(({i << self.shift: raw_scalar(self.field.one())[0]}, 1))
 
     def scalar_element(self, poly: SPolynomial):
-        coords = [self._zero] * 18
-        coords[0] = poly
-        return self.ELEMENT(self.base, coords)
+        self._zero._check(poly)  # poly must be in the coefficient ring
+        return self._element((poly.raw, poly.den))
 
     def _fold(self, items, p):
         """The canonical sum of vector times letter over the (vector,
@@ -548,10 +556,11 @@ class Rank18Algebra:
     def mul(self, u, v):
         """Product of normal forms, both with the algebra's base, from the
         structure constants: the sum over i, j of u_i v_j (1.b_i b_j) in one
-        ``accumulate``, with 1.b_i b_j the vector of the word b_i b_j read
-        from the word cache (``_word_vector``, which folds and stores a
-        missing one). Each term product of u_i and v_j, in the field's
-        layout, weights 1.b_i b_j, in the layout ``ring``.
+        ``accumulate``, u and v split by coordinate once (``_rows``) and
+        1.b_i b_j the vector of the word b_i b_j read from the word cache
+        (``_word_vector``, which folds and stores a missing one). Each term
+        product of u_i and v_j, in the field's layout, weights 1.b_i b_j,
+        in the layout ``ring``.
 
         It is the product: u = sum u_i b_i and v = sum v_j b_j with the u_i
         and v_j in the central coefficient ring, so uv = sum u_i v_j b_i b_j.
@@ -560,17 +569,14 @@ class Rank18Algebra:
         sum u_i v_j (1.b_i b_j)."""
         if u.base != self.base or v.base != self.base:
             raise self.ELEMENT.MISMATCH(f"{u.base} and {v.base} in an algebra over {self.base}")
-        cache = self._word_cache
+        cache, v_rows = self._word_cache, [(j, r) for j, r in enumerate(v._rows()) if r]
         pairs = [
-            (ui, vj, self._word_vector(bi + bj, cache))
-            for bi, ui in zip(BASIS_WORDS, u.coords) if ui.raw
-            for bj, vj in zip(BASIS_WORDS, v.coords) if vj.raw
+            (ui, vj, self._word_vector(BASIS_WORDS[i] + BASIS_WORDS[j], cache))
+            for i, ui in enumerate(u._rows()) if ui
+            for j, vj in v_rows
         ]
-        common = lcm(*(ui.den * vj.den * den for ui, vj, (_, den) in pairs))
-        blocks = [
-            (raw, common // (ui.den * vj.den * den), ui.raw.items(), vj.raw.items())
-            for ui, vj, (raw, den) in pairs
-        ]
+        common = lcm(*(den for _, _, (_, den) in pairs))
+        blocks = [(raw, common // den, ui.items(), vj.items()) for ui, vj, (raw, den) in pairs]
         # the inner loop of accumulate runs over the terms of 1.b_i b_j; its
         # items are generated, not listed, so a product holds only its sums
         if self.field.p:
@@ -584,7 +590,8 @@ class Rank18Algebra:
                 for raw, f, us, vs in blocks
                 for ma, (a, b) in us for mb, (c, d) in vs for bd in (b * d,)
             )
-        return self._element((accumulate(self.ring, {}, items), common))
+        acc = accumulate(self.ring, {}, items)
+        return self._element(canonical(self.field.p, acc, common * u.den * v.den))
 
 
 class GenericCliffordAlgebra(Rank18Algebra):
@@ -739,11 +746,6 @@ def _identity_elements(field: FieldSpec) -> tuple:
     return commutators, d**6 - rhs, s_element(field), s_target, epsilon_commutators(field)
 
 
-def _size(nf: GCAElement) -> int:
-    """The number of S-monomials of a normal form."""
-    return sum(len(c.raw) for c in nf.coords)
-
-
 class _Evaluation:
     """One ``reduce_text``: the algebra, and the work charged so far."""
 
@@ -763,7 +765,7 @@ class _Evaluation:
             )
 
     def counted(self, nf: GCAElement) -> GCAElement:
-        self.charge(_size(nf))
+        self.charge(len(nf.raw))
         return nf
 
     def free(self, terms) -> "_Value":
@@ -779,7 +781,7 @@ class _Evaluation:
 
     def mul(self, u: GCAElement, v: GCAElement) -> GCAElement:
         """u*v, charged its S-monomial products before it is made."""
-        self.charge(_size(u) * _size(v))
+        self.charge(len(u.raw) * len(v.raw))
         return self.counted(self.alg.mul(u, v))
 
 

@@ -78,7 +78,14 @@ def gamma_element_alt(field):
 
 def scale_poly(u, s):
     """The element u with every coordinate times the polynomial s."""
-    return u._like([a * s for a in u.coords])
+    return type(u)(u.base, [a * s for a in u.coords])
+
+
+def vector_of(alg, coords):
+    """The canonical vector (raw, den) of 18 coordinates, as the element of
+    ``alg`` built from them holds it."""
+    e = alg.ELEMENT(alg.base, coords)
+    return e.raw, e.den
 
 
 def hessian_coefficients(f):
@@ -366,7 +373,8 @@ def cubic_sums(field):
 def relations_hold_by_reductions(alg):
     """``SpecializedAlgebra.relations_hold`` by 72 reductions of the free
     elements b_i (r - c), sharing one prefix cache."""
-    cache = {"": alg._vector(alg.one().coords)}
+    one = alg.one()
+    cache = {"": (one.raw, one.den)}
     for i, word in enumerate(BASIS_WORDS):
         if alg._element(alg._word_vector(word, cache)) != alg.basis_element(i):
             return False

@@ -15,8 +15,15 @@ from cubiclifford.cliffordf import (
     SpecializedAlgebra,
     check_clifford_iso,
     specialized_algebra,
+    symbol_relations_check,
 )
-from cubiclifford.errors import FieldMismatch, NonTermination, NumberTooLarge, UnsupportedField
+from cubiclifford.errors import (
+    FieldMismatch,
+    NonTermination,
+    NumberTooLarge,
+    UnsupportedField,
+    VariableMismatch,
+)
 from cubiclifford.fields import FieldSpec
 from cubiclifford.forms import BinaryCubicForm, GL2Element
 from cubiclifford.freealg import (
@@ -36,6 +43,7 @@ from cubiclifford.gca import (
     GCAElement,
     GenericCliffordAlgebra,
     Rank18Algebra,
+    Rank18Element,
     generic_columns,
     irreducible_words,
 )
@@ -149,6 +157,81 @@ def test_no_request_eliminates():
     assert proc.stdout.splitlines()[-1] == "0"
 
 
+@pytest.mark.parametrize("field", (F7, P64, QW), ids=("7", "64bit", "Qw"))
+def test_no_request_path_builds_coordinates(field, monkeypatch):
+    # an element is its kernel vector: with the coordinate view refusing to
+    # be read, the arithmetic and the algebra's checks all answer
+    def refuse(self):
+        raise AssertionError("coordinates built")
+
+    monkeypatch.setattr(Rank18Element, "coords", property(refuse))
+    rng = random.Random(f"no-coords:{field}")
+    alg = GenericCliffordAlgebra(field)
+    u, v = (alg.reduce(rand_free_element(field, rng, max_len=7)) for _ in range(2))
+    w = alg.mul(u, v) + u - v.scale(field.scalar(3)) + -u
+    assert w == alg.mul(u, v) - v.scale(field.scalar(3))
+    assert hash(w) == hash(alg.mul(u, v) - v.scale(field.scalar(3)))
+    assert alg.reduce_text("(x*y + 2*y^2*x)^3 - x") == alg.reduce(
+        parse_free_expression("(x*y + 2*y^2*x)^3 - x", field)
+    )
+    assert all(group["pass"] for group in alg.verify_center_identities().values())
+    f = BinaryCubicForm(field, (1, 0, 0, 2))
+    sp = SpecializedAlgebra(f)
+    a, b = (sp.reduce_free(rand_free_element(field, rng, max_len=5)) for _ in range(2))
+    assert sp.mul(a + b, a) == sp.mul(a, a) + sp.mul(b, a)
+    assert sp.relations_hold()
+    assert check_clifford_iso(GL2Element(field, (1, 2, 3, 5)), f).passed
+    assert symbol_relations_check(f).passed
+
+
+@pytest.mark.parametrize("field", (Q, QW, F7, P64), ids=("Q", "Qw", "7", "64bit"))
+def test_an_element_rebuilt_from_its_coordinates_is_equal(field):
+    # coords is a view of the vector, and the constructor packs it back
+    rng = random.Random(f"round-trip:{field}")
+    for generic in (True, False):
+        alg = _kernel_algebra(field, generic, rng)
+        made = alg.reduce if generic else alg.reduce_free
+        for _ in range(4):
+            u, v = (made(rand_free_element(field, rng, max_len=7)) for _ in range(2))
+            for e in (u, alg.mul(u, v), u + v, u - v.scale(field.scalar(2)), alg.zero()):
+                rebuilt = type(e)(e.base, e.coords)
+                assert rebuilt == e and hash(rebuilt) == hash(e)
+                assert str(rebuilt) == str(e) and rebuilt.to_json() == e.to_json()
+
+
+def test_elements_refuse_coefficients_of_another_ring():
+    # a packed monomial means a term of its own ring only: X3 over the
+    # variables (X3,) is the key of GA over S, so such a coordinate would be
+    # read as another term, and a Q(w) pair as an F_7 residue
+    alg = ALG[F7]
+    zeros = [SPolynomial.zero(F7)] * 17
+    for poly, error in (
+        (SPolynomial.variable(F7, "X3", ("X3",)), VariableMismatch),
+        (SPolynomial.variable(QW, "X3"), FieldMismatch),
+        (SPolynomial.variable(F13, "X3"), FieldMismatch),
+    ):
+        with pytest.raises(error):
+            GCAElement(F7, [poly] + zeros)
+        with pytest.raises(error):
+            GCAElement(F7, zeros + [poly])
+        with pytest.raises(error):
+            alg.scalar_element(poly)
+    f = BinaryCubicForm(F7, (1, 0, 0, 2))
+    sp = SpecializedAlgebra(f)
+    for poly, error in (
+        (SPolynomial.variable(F7, "GA"), VariableMismatch),
+        (SPolynomial.variable(F13, "GA", GAMMA_VARS), FieldMismatch),
+    ):
+        with pytest.raises(error):
+            CliffordFElement(f, [poly] + [SPolynomial.zero(F7, GAMMA_VARS)] * 17)
+        with pytest.raises(error):
+            sp.scalar_element(poly)
+    # the elements of the ring itself are accepted
+    x3 = SPolynomial.variable(F7, "X3")
+    assert GCAElement(F7, [x3] + zeros) == alg.scalar_element(x3)
+    assert alg.mul(alg.one(), alg.scalar_element(x3)) == alg.reduce(FreeElement.word(F7, "xxx"))
+
+
 def test_structure_columns_ideal_membership():
     # every column of the literal table re-expands into the free algebra
     # modulo the defining ideal (exact membership over Q)
@@ -184,7 +267,7 @@ def test_defining_relations_as_operator_identities():
         e = alg.basis_element(j)
 
         def fold(word, start=e):
-            vector = alg._vector(start.coords)
+            vector = start.raw, start.den
             for letter in word:
                 vector = alg._fold(((vector, letter),), QW.p)
             return alg._element(vector)
@@ -221,7 +304,7 @@ def test_fold_is_the_sum_of_one_letter_folds(where):
     for alg in algebras:
         for _ in range(10):
             items = [
-                (alg._vector(_random_coords(alg, rng)), rng.choice("xy"))
+                (oracles.vector_of(alg, _random_coords(alg, rng)), rng.choice("xy"))
                 for _ in range(rng.randint(1, 4))
             ]
             expected = alg.zero()
@@ -255,16 +338,17 @@ def test_sparse_kernel_equals_the_dense_kernel(field, generic):
         alg = _kernel_algebra(field, generic, rng)
         for _ in range(6):
             items = [(_random_coords(alg, rng), rng.choice("xy")) for _ in range(rng.randint(1, 3))]
-            got = alg._fold([(alg._vector(coords), letter) for coords, letter in items], field.p)
+            vectors = [(oracles.vector_of(alg, coords), letter) for coords, letter in items]
+            got = alg._fold(vectors, field.p)
             assert alg._element(got).coords == oracles.dense_fold(alg, items)
-            assert got == alg._vector(oracles.dense_fold(alg, items))
+            assert got == oracles.vector_of(alg, oracles.dense_fold(alg, items))
             e = rand_free_element(field, rng, max_len=7) * FreeElement(
                 field, {"": field.one() / field.scalar(rng.randint(1, 6))}
             )
             got = alg._reduce(e, {"": alg._word_cache[""]})
             assert alg._element(got) == oracles.dense_reduce(alg, e)
-            assert got == alg._vector(alg._element(got).coords)
-            u, v = (alg._element(alg._vector(_random_coords(alg, rng))) for _ in range(2))
+            assert got == oracles.vector_of(alg, alg._element(got).coords)
+            u, v = (alg.ELEMENT(alg.base, _random_coords(alg, rng)) for _ in range(2))
             assert alg.mul(u, v) == oracles.dense_mul(alg, u, v)
 
 

@@ -66,12 +66,15 @@ def test_bench_tracer_finds_every_target():
 
 def assert_packed(*values):
     """Every monomial in the values is a packed int: the raw keys of an
-    SPolynomial, of each coordinate of an element and of a raw vector (raw,
-    den), and the deltas of a column table."""
+    SPolynomial, of an element's vector and of each of its coordinates and
+    of a raw vector (raw, den), and the deltas of a column table."""
     for value in values:
         if isinstance(value, SPolynomial):
             assert all(type(m) is int for m in value.raw), value.raw
         elif isinstance(value, Rank18Element):
+            # the vector, each key i << shift | m with the coordinate i on top
+            shift = SLOT * len(value.variables)
+            assert all(type(key) is int and key >> shift < 18 for key in value.raw), value.raw
             assert_packed(*value.coords)
         elif isinstance(value, tuple):
             raw, _ = value
@@ -96,7 +99,7 @@ def test_every_route_keys_polynomials_by_packed_ints(field, monkeypatch):
     u, v = alg.reduce(e1), alg.reduce(e2)
     assert_packed(u, v, alg.mul(u, v), alg.reduce_text("(x + y)^5 - 2*x*y"))
     assert_packed(alg.rewrite_reduce(e1)[0], oracle_reduce(alg, e1), generic_columns()[0])
-    assert_packed(alg._fold([(alg._vector(u.coords), "x")], field.p), *alg._word_cache.values())
+    assert_packed(alg._fold([((u.raw, u.den), "x")], field.p), *alg._word_cache.values())
     f = rand_form(field, rng)
     sp = SpecializedAlgebra(f)
     assert_packed(cliffordf.specialize(u, f), sp.reduce_free(e1), sp.columns)
