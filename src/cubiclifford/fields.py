@@ -455,11 +455,14 @@ class Scalar:
     __slots__ = ("field", "val")
 
     def __init__(self, field: FieldSpec, val):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "val", val)
+        # through the slot descriptors, as __setattr__ refuses
+        _set_field(self, field)
+        _set_val(self, val)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return Scalar, (self.field, self.val)
@@ -632,6 +635,9 @@ class Scalar:
         if isinstance(obj, str):
             return field.scalar(Fraction(obj))
         return field.scalar(obj)
+
+
+_set_field, _set_val = Scalar.field.__set__, Scalar.val.__set__
 
 
 def _rational_nth_power_root(q: Scalar, n: int) -> Scalar | None:

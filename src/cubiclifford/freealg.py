@@ -7,9 +7,12 @@ denominator over Q and Q(w)), and ``terms`` returns a new {word: Scalar}
 dict of them. Products concatenate words, and terms print in ascending
 (length, word) order. This is where inputs live before reduction to the
 rank-18 normal form, and where linear changes of the two generators act.
-``parse_free_expression`` reads an expression into one raw term map
-(``spoly.RawTerms``: a product with a lone word only concatenates words, a
-sum accumulates in place) and normalizes it once.
+``parse_free_expression`` reads an expression into one raw term map and
+normalizes it once: a plain sum of monomial terms, such as ``str`` prints,
+in one flat pass over its tokens, and any other text through the shared
+``ExprParser`` on ``spoly.RawTerms`` values (a product with a lone word
+only concatenates words, a sum accumulates in place), within a budget of
+work.
 
 Composition convention (frozen by the action-law test): substituting
 g = (a b; c d) sends x -> a*x + c*y and y -> b*x + d*y, and
@@ -108,7 +111,13 @@ def free_ring(field: FieldSpec) -> RawRing:
 def parse_free_expression(text: str, field: FieldSpec) -> FreeElement:
     """Parse the expression grammar: x, y, w, integer and p/q literals,
     + - * ^ and parentheses. The expression is read into one raw term map
-    (``spoly.RawTerms``) and normalized once."""
+    and normalized once (``spoly.RawRing.parse``): a plain sum of monomial
+    terms, such as ``str`` of an element or a text like
+    ``(1/2-3*w)*x^2*y + 5*y``, in one flat pass over its tokens, and any
+    other text, or one the flat pass refuses, through ``ExprParser`` on
+    ``spoly.RawTerms`` values. That route charges ``DEFAULT_SCAN_BUDGET``
+    work units and raises ``BudgetExceeded`` past them, so ``(x+y)^20``
+    (2^20 words) or ``x^1000000000`` fails fast."""
     return free_ring(field).parse(text)
 
 

@@ -39,8 +39,8 @@ import random
 from functools import lru_cache
 from math import lcm
 
-from ._parsing import ExprParser
-from .errors import BudgetExceeded, FieldMismatch, NonTermination
+from ._parsing import ExprParser, WorkBudget
+from .errors import FieldMismatch, NonTermination
 from .fields import DEFAULT_SCAN_BUDGET, FieldSpec, Scalar, power
 from .freealg import (
     FreeElement,
@@ -623,7 +623,11 @@ class GenericCliffordAlgebra(Rank18Algebra):
         most 18^2 words of at most 12 letters in the algebra's lifetime, are
         not charged. Over the budget, ``BudgetExceeded`` says how much was
         used. A monomial exponent above ``spoly.MAX_EXPONENT`` raises
-        ``NumberTooLarge``."""
+        ``NumberTooLarge``.
+
+        Every text takes this general route, sums of monomials too: the
+        flat scanner of the term-map parsers (``spoly.RawRing.parse``) is
+        not used here, so the work counted and reported stays the same."""
         run = _Evaluation(self, DEFAULT_SCAN_BUDGET if budget is None else budget)
         ring = free_ring(self.field)
         value = ExprParser(
@@ -746,23 +750,14 @@ def _identity_elements(field: FieldSpec) -> tuple:
     return commutators, d**6 - rhs, s_element(field), s_target, epsilon_commutators(field)
 
 
-class _Evaluation:
+class _Evaluation(WorkBudget):
     """One ``reduce_text``: the algebra, and the work charged so far."""
 
-    __slots__ = ("alg", "limit", "used")
+    __slots__ = ("alg",)
 
     def __init__(self, alg: GenericCliffordAlgebra, limit: int):
+        super().__init__("reduce", limit)
         self.alg = alg
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, n: int):
-        self.used += n
-        if self.used > self.limit:
-            raise BudgetExceeded(
-                f"reduce needs more than its budget of {self.limit} work units "
-                f"({self.used} used)"
-            )
 
     def counted(self, nf: GCAElement) -> GCAElement:
         self.charge(len(nf.raw))

@@ -29,9 +29,12 @@ multiplies monomials, and a product with a constant multiplies none. The
 operators of ``Terms`` wrap their operands' maps in ``RawTerms`` values
 (a sum copies the map it accumulates into) and normalize the result once,
 by ``RawTerms.normalize``; a power is ``RawTerms.__pow__``. Both term-map
-parsers (``SPolynomial.parse`` and ``freealg.parse_free_expression``) run
-the shared ``ExprParser`` over ``RawTerms`` values and normalize the
-finished map once.
+parsers (``SPolynomial.parse`` and ``freealg.parse_free_expression``) are
+``RawRing.parse``: a text that is a plain sum of monomial terms, as
+``Terms.__str__`` prints one, is read in one flat pass (``scan_sum``)
+straight into one raw map; any other text runs the shared ``ExprParser``
+over ``RawTerms`` values. Either way the finished map is normalized once,
+and the work is bounded by ``DEFAULT_SCAN_BUDGET``.
 
 ``SPolynomial`` is the commutative ring whose monomials are packed
 exponent vectors, one int per monomial with a fixed-width slot per variable
@@ -63,8 +66,8 @@ from .errors import (
     UnknownSymbol,
     VariableMismatch,
 )
-from ._parsing import ExprParser
-from .fields import FieldSpec, Scalar, pair_scalar, power
+from ._parsing import ExprParser, WorkBudget, scan_sum, tokenize
+from .fields import DEFAULT_SCAN_BUDGET, FieldSpec, Scalar, pair_scalar, power
 
 GCA_VARS = ("X3", "AL", "BE", "Y3", "GA")
 GAMMA_VARS = ("GA",)
@@ -385,9 +388,11 @@ class RawRing:
     """A term-map ring as the expression parser sees it: its element
     ``zero`` (which fixes the class, the field and the variables) and
     ``names``, the monomial of each variable name. The name ``w`` is omega;
-    any other name is unknown. Literals go through ``field.scalar`` and
-    ``w`` through ``field.omega``, so they raise as the field does. The
-    rest is read off ``zero`` once, for the parser's per-token use."""
+    any other name is unknown. ``parse`` reads a plain sum of monomial
+    terms in one flat pass and any other text through ``ExprParser``, whose
+    literals go through ``field.scalar`` and ``w`` through ``field.omega``,
+    so they raise as the field does. The rest is read off ``zero`` once,
+    for the parser's per-token use."""
 
     __slots__ = ("zero", "names", "field", "unit", "one")
 
@@ -414,8 +419,120 @@ class RawRing:
         return RawTerms(self.zero, {mono: self.one})
 
     def parse(self, text: str):
-        """The element of the expression ``text``, normalized once."""
-        return ExprParser(text, self.const, self.symbol).parse().normalize()
+        """The element of the expression ``text``, normalized once.
+
+        A plain sum of monomial terms (``scan_sum``) is read straight into
+        one raw map. Every other text, and every one that route refuses,
+        runs ``ExprParser`` on the same tokens over ``RawTerms`` values,
+        which raises as the text deserves. That route charges
+        ``DEFAULT_SCAN_BUDGET`` work units (``_Charged``), and over the
+        budget it raises ``BudgetExceeded`` saying how much was used."""
+        tokens = tokenize(text)
+        terms = scan_sum(tokens)
+        element = None if terms is None else self._read(terms, len(tokens))
+        if element is not None:
+            return element
+        budget = WorkBudget("parse", DEFAULT_SCAN_BUDGET)
+        value = ExprParser(
+            tokens,
+            lambda q: _Charged(budget, self.const(q)),
+            lambda name, pos: _Charged(budget, self.symbol(name, pos)),
+        ).parse()
+        return value.terms.normalize()
+
+    def _read(self, terms, tokens: int):
+        """The element of the ``terms`` that ``scan_sum`` read from
+        ``tokens`` tokens, each coefficient summed as its raw numerator: a
+        residue over F_p, an integer pair over one common denominator over
+        Q and Q(w). None where the general route must decide: an unknown
+        name, ``w`` over Q, a denominator divisible by p, an exponent above
+        MAX_EXPONENT in a packed monomial, or more work than the budget.
+        The work counted is at least what the general route charges for the
+        same text: 2 per token (a product costs 2, every other token at
+        most 1), the letters of every word factor, counted before the word
+        is built, and the terms of the running sum after each term."""
+        field, names, p = self.field, self.names, self.field.p
+        omega = field.omega_residue if p else field.has_omega()
+        packed = type(self.unit) is int
+        if packed:
+            guard = _guard_bits(len(self.zero.variables))
+        else:
+            longest = max(map(len, names.values()), default=0)
+        used, rows = 2 * tokens, []
+        for a, b, d, w, factors, exponents in terms:
+            if w and not omega:
+                return None
+            if packed:
+                mono = 0
+                for name, n in factors:
+                    m = names.get(name)
+                    # no slot is above MAX_EXPONENT, so a sum carries into no other slot
+                    if m is None or n > MAX_EXPONENT or (mono := mono + m * n) & guard:
+                        return None
+            else:
+                used += longest * exponents
+                if used > DEFAULT_SCAN_BUDGET:
+                    return None
+                try:
+                    mono = "".join([names[name] * n for name, n in factors])
+                except KeyError:
+                    return None
+            rows.append((mono, a, b, d))
+        acc = {}
+        if p:
+            den = 1
+            for mono, a, b, d in rows:
+                if d % p == 0:
+                    return None
+                acc[mono] = acc.get(mono, 0) + (a + b * omega) * pow(d, -1, p)
+                used += len(acc)
+        else:
+            den = lcm(*[row[3] for row in rows])
+            for mono, a, b, d in rows:
+                f = den // d
+                old = acc.get(mono)
+                acc[mono] = (a * f, b * f) if old is None else (old[0] + a * f, old[1] + b * f)
+                used += len(acc)
+        if used > DEFAULT_SCAN_BUDGET:
+            return None
+        return self.zero._canonical(field, self.zero.variables, acc, den)
+
+
+class _Charged:
+    """A value of ``RawRing.parse``'s general route: the ``RawTerms`` value
+    ``terms``, charged to ``budget`` as ``gca._Value`` charges
+    ``reduce_text``: the terms of each value made, the letters of a word
+    power before it is built, and the term products of a product before
+    it is made, so a power of a sum is charged per squaring."""
+
+    __slots__ = ("budget", "terms")
+
+    def __init__(self, budget: WorkBudget, terms: "RawTerms"):
+        budget.charge(len(terms.raw))
+        self.budget = budget
+        self.terms = terms
+
+    def __add__(self, other):
+        return _Charged(self.budget, self.terms + other.terms)
+
+    def __sub__(self, other):
+        return _Charged(self.budget, self.terms - other.terms)
+
+    def __neg__(self):
+        return _Charged(self.budget, -self.terms)
+
+    def __mul__(self, other):
+        self.budget.charge(len(self.terms.raw) * len(other.terms.raw))
+        return _Charged(self.budget, self.terms * other.terms)
+
+    def __pow__(self, n: int):
+        terms = self.terms
+        if len(terms.raw) != 1:  # square-and-multiply from the unit, terms**0
+            return power(self, n, _Charged(self.budget, terms**0))
+        (m,) = terms.raw
+        if type(m) is str:
+            self.budget.charge(len(m) * n)
+        return _Charged(self.budget, terms**n)
 
 
 class RawTerms:

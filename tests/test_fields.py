@@ -588,6 +588,22 @@ def test_fields_are_immutable():
     assert F7.p == 7 and F7.omega_residue == 2 and QW.kind == "Qw"
 
 
+def test_scalars_are_immutable():
+    for value in (F7.scalar(3), QW.scalar((Fraction(1, 2), Fraction(-3, 4)))):
+        val, digest = value.val, hash(value)
+        for change in (
+            lambda: setattr(value, "val", 1),
+            lambda: setattr(value, "field", Q),
+            lambda: delattr(value, "val"),
+            lambda: delattr(value, "field"),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+        assert value.val == val and hash(value) == digest == hash((value.field, val))
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin == value and hash(twin) == digest and twin.field is value.field
+
+
 def test_scalars_of_different_fields_differ():
     assert F7.scalar(3) != F13.scalar(3)
     assert F7.scalar(2) != FieldSpec.prime(7, 4).scalar(2)
